@@ -37,7 +37,6 @@ from .connections import (
     ConnectionForm,
     accordance,
     apply_connection,
-    bianchi_residual,
     coupling_equivalent,
     curvature,
     pullback_connection,
@@ -82,7 +81,6 @@ __all__ = [
     "algebroid_bracket",
     "apply_connection",
     "axiom_report",
-    "bianchi_residual",
     "bracket",
     "build_manifold",
     "center_basis",

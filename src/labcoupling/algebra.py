@@ -36,6 +36,8 @@ class LieAlgebra:
             raise InputError(f"dim must be in 1..{MAX_DIM}, got {self.dim}")
         if c.shape != (self.dim, self.dim, self.dim):
             raise InputError(f"structure tensor has shape {c.shape}, expected {(self.dim,) * 3}")
+        if not np.isfinite(c).all():
+            raise InputError("structure tensor has non-finite entries")
         object.__setattr__(self, "c", c)
 
     @cached_property
@@ -256,11 +258,15 @@ class InnerVerdict:
         return self.verdict == "undecided"
 
 
-def project_onto_inner(g: LieAlgebra, d: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimum-norm x with ad(x) ~ d, and the Frobenius projection residual."""
-    x = g.ad_pinv @ d.reshape(-1)
-    resid = float(np.linalg.norm(g.ad_basis_matrix @ x - d.reshape(-1)))
-    return x, resid
+def inner_projection(g: LieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project matrices (..., n, n) onto span{ad(e_i)}: the minimum-norm
+    coefficients x (..., n) with ad(x) ~ mat, and the Frobenius residuals (...)."""
+    mats = np.asarray(mats, dtype=float)
+    lead = mats.shape[:-2]
+    flat = mats.reshape(-1, g.dim * g.dim)
+    coeff = flat @ g.ad_pinv.T
+    resid = np.linalg.norm(flat - coeff @ g.ad_basis_matrix.T, axis=1)
+    return coeff.reshape(lead + (g.dim,)), resid.reshape(lead)
 
 
 def is_inner(
@@ -293,11 +299,11 @@ def is_inner(
 
     log = principal_log(a)
     if log is not None:
-        x, resid = project_onto_inner(g, log)
+        x, resid = inner_projection(g, log)
         if resid <= inner_tol:
-            return InnerVerdict("inner", resid, witness=x, factors=(x,))
+            return InnerVerdict("inner", float(resid), witness=x, factors=(x,))
         if derivation_residuals(g, log) <= ALG_TOL:
-            return InnerVerdict("outer", resid)
+            return InnerVerdict("outer", float(resid))
     dist_id = float(np.linalg.norm(a - np.eye(g.dim)))
     if dist_id <= inner_tol:
         return InnerVerdict("inner", dist_id, witness=np.zeros(g.dim), factors=(np.zeros(g.dim),))
@@ -338,7 +344,7 @@ def _factor_search(
             log = principal_log(b)
             if log is None:
                 break
-            y, resid = project_onto_inner(g, log)
+            y, resid = inner_projection(g, log)
             if resid > 0.05 * (1.0 + np.linalg.norm(log)):
                 break
             new = [y] + xs
@@ -427,7 +433,4 @@ def inner_log_residuals(
             power = np.matmul(power, es)
             acc += ((-1) ** (k + 1) / k) * power
         logs[ok] = acc
-    flat = logs.reshape(len(mats), -1)
-    coeff = flat @ g.ad_pinv.T
-    resid = np.linalg.norm(flat - coeff @ g.ad_basis_matrix.T, axis=1)
-    return resid, logs, ok
+    return inner_projection(g, logs)[1], logs, ok

@@ -21,6 +21,7 @@ from .algebra import LieAlgebra, bracket
 from .connections import ConnectionForm, CurvatureData, apply_connection
 from .errors import InputError
 from .manifolds import grid_derivative, lie_bracket_fields, random_harmonic_field
+from .tolerances import peak
 
 
 @dataclass(frozen=True)
@@ -111,10 +112,7 @@ def trivial_bracket(
 
 
 def _max_norm(section: AlgebroidSection) -> float:
-    worst = 0.0
-    for grid in list(section.u) + list(section.x):
-        worst = max(worst, float(np.abs(grid).max(initial=0.0)))
-    return worst
+    return peak(*(np.abs(grid) for grid in section.u + section.x))
 
 
 def _combine(a: AlgebroidSection, b: AlgebroidSection, sa: float, sb: float) -> AlgebroidSection:
@@ -153,7 +151,7 @@ def axiom_report(
     """
     rng = np.random.default_rng(seed)
     m = c.manifold
-    max_skew = max_leib = max_jac = 0.0
+    skew, leibniz, jacobi = [], [], []
     for _ in range(trials):
         s1 = random_section(c, rng)
         s2 = random_section(c, rng)
@@ -162,7 +160,7 @@ def axiom_report(
 
         b12 = algebroid_bracket(c, curv, s1, s2)
         b21 = algebroid_bracket(c, curv, s2, s1)
-        max_skew = max(max_skew, _max_norm(_combine(b12, b21, 1.0, 1.0)))
+        skew.append(_max_norm(_combine(b12, b21, 1.0, 1.0)))
 
         fs2 = AlgebroidSection(
             tuple(f[cid][..., None] * s2.u[cid] for cid in range(len(m.charts))),
@@ -185,11 +183,11 @@ def axiom_report(
                 for cid in range(len(m.charts))
             ),
         )
-        max_leib = max(max_leib, _max_norm(_combine(lhs, expected, 1.0, -1.0)))
+        leibniz.append(_max_norm(_combine(lhs, expected, 1.0, -1.0)))
 
         j1 = algebroid_bracket(c, curv, s1, algebroid_bracket(c, curv, s2, s3))
         j2 = algebroid_bracket(c, curv, s3, b12)
         j3 = algebroid_bracket(c, curv, s2, algebroid_bracket(c, curv, s3, s1))
         total = _combine(_combine(j1, j2, 1.0, 1.0), j3, 1.0, 1.0)
-        max_jac = max(max_jac, _max_norm(total))
-    return AxiomReport(trials, max_skew, max_leib, max_jac)
+        jacobi.append(_max_norm(total))
+    return AxiomReport(trials, peak(skew), peak(leibniz), peak(jacobi))

@@ -11,6 +11,7 @@ checks realize nodewise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,8 @@ from .algebra import (
     is_inner,
 )
 from .errors import InputError
-from .manifolds import ChartedManifold, ManifoldMap, interpolate, region_slices
-from .tolerances import ALG_TOL, INNER_TOL, TRANS_TOL
+from .manifolds import ChartedManifold, ManifoldMap, interpolate, overlap_pair, region_slices
+from .tolerances import ALG_TOL, INNER_TOL, TRANS_TOL, peak
 
 
 @dataclass(frozen=True)
@@ -45,27 +46,22 @@ class Trivialization:
             expected = self.manifold.charts[cid].resolution + (n, n)
             if arr.shape != tuple(expected):
                 raise InputError(f"frame grid {cid} has shape {arr.shape}, expected {expected}")
+            if not np.isfinite(arr).all():
+                raise InputError(f"frame grid {cid} has non-finite entries")
             frames.append(arr)
         object.__setattr__(self, "frames", tuple(frames))
 
     def transition_grid(self, overlap_index: int) -> np.ndarray:
         """Transition matrices phi_beta phi_alpha^{-1} on the overlap's alpha nodes."""
-        f_alpha, f_beta = self._overlap_frames(overlap_index)
+        o = self.manifold.overlaps[overlap_index]
+        f_alpha, f_beta = overlap_pair(self.manifold, o, self.frames)
         return f_beta @ np.linalg.inv(f_alpha)
 
     def coordinate_change_grid(self, overlap_index: int) -> np.ndarray:
         """Section-coordinate change alpha -> beta: phi_beta^{-1} phi_alpha."""
-        f_alpha, f_beta = self._overlap_frames(overlap_index)
-        return np.linalg.inv(f_beta) @ f_alpha
-
-    def _overlap_frames(self, overlap_index: int):
         o = self.manifold.overlaps[overlap_index]
-        chart = self.manifold.charts[o.alpha]
-        slices = region_slices(chart, o.region)
-        pts = chart.grid_points()[slices]
-        f_alpha = self.frames[o.alpha][slices]
-        f_beta = interpolate(self.manifold.charts[o.beta], self.frames[o.beta], o.apply(pts))
-        return f_alpha, f_beta
+        f_alpha, f_beta = overlap_pair(self.manifold, o, self.frames)
+        return np.linalg.inv(f_beta) @ f_alpha
 
 
 def reference_trivialization(algebra: LieAlgebra, manifold: ChartedManifold) -> Trivialization:
@@ -96,35 +92,42 @@ class LabReport:
 
 def validate_lab(t: Trivialization, tol: float = ALG_TOL) -> LabReport:
     """Check frames and derived transitions are automorphisms and the cocycle
-    identity holds on triple overlaps (within 10*tol)."""
+    identity holds on triple overlaps (within 10*tol).
+
+    A singular frame (|det| <= ALG_TOL) has residual +inf and fails the check
+    outright: no transition is formed, and the transition and cocycle
+    residuals read +inf as well."""
     g = t.algebra
-    worst_val, worst = -1.0, ""
-    max_frame = 0.0
+    frames = []
     for cid, grid in enumerate(t.frames):
-        res = automorphism_residuals(g, grid)
-        dets = np.abs(np.linalg.det(grid))
-        res = np.where(dets <= ALG_TOL, np.inf, res)
-        peak = float(res.max())
-        max_frame = max(max_frame, peak)
-        if peak > worst_val:
-            node = np.unravel_index(np.argmax(res), res.shape)
-            worst_val, worst = peak, f"frame chart {cid} node {tuple(int(i) for i in node)}"
-    max_trans = 0.0
-    for k in range(len(t.manifold.overlaps)):
-        res = automorphism_residuals(g, t.transition_grid(k))
-        peak = float(res.max(initial=0.0))
-        max_trans = max(max_trans, peak)
-        if peak > worst_val:
-            node = np.unravel_index(np.argmax(res), res.shape)
-            worst_val, worst = peak, f"transition overlap {k} region node {tuple(int(i) for i in node)}"
+        singular = np.abs(np.linalg.det(grid)) <= ALG_TOL
+        frames.append((f"frame chart {cid}", np.where(singular, np.inf, automorphism_residuals(g, grid))))
+    max_frame = peak(*(res for _, res in frames))
+    if math.isinf(max_frame):
+        return LabReport(False, max_frame, math.inf, math.inf, _worst_node(frames))
+    transitions = [
+        (f"transition overlap {k} region", automorphism_residuals(g, t.transition_grid(k)))
+        for k in range(len(t.manifold.overlaps))
+    ]
+    max_trans = peak(*(res for _, res in transitions))
     max_cocycle = _cocycle_residual(t)
     passed = max_frame <= tol and max_trans <= tol and max_cocycle <= 10 * tol
-    return LabReport(bool(passed), max_frame, max_trans, max_cocycle, worst)
+    return LabReport(bool(passed), max_frame, max_trans, max_cocycle, _worst_node(frames + transitions))
+
+
+def _worst_node(located: list) -> str:
+    """Where the largest residual sits, as "<label> node <index>", over
+    (label, residual grid) pairs; the first grid wins a tie."""
+    if not located:
+        return ""
+    label, res = located[int(np.argmax([peak(res) for _, res in located]))]
+    node = np.unravel_index(np.argmax(res), res.shape)
+    return f"{label} node {tuple(int(i) for i in node)}"
 
 
 def _cocycle_residual(t: Trivialization) -> float:
     m = t.manifold
-    worst = 0.0
+    defects = []
     direct = {}
     for k3, o3 in enumerate(m.overlaps):
         direct.setdefault((o3.alpha, o3.beta), []).append(k3)
@@ -145,8 +148,8 @@ def _cocycle_residual(t: Trivialization) -> float:
                 t1 = t.transition_grid(k1).reshape(-1, n, n)[mask]
                 t2 = interpolate(m.charts[o2.alpha], _embed_on_chart(t, k2), mid[mask])
                 t3 = t.transition_grid(k3).reshape(-1, n, n)[mask]
-                worst = max(worst, float(np.abs(t2 @ t1 - t3).max(initial=0.0)))
-    return worst
+                defects.append(np.abs(t2 @ t1 - t3))
+    return peak(*defects)
 
 
 def _embed_on_chart(t: Trivialization, overlap_index: int) -> np.ndarray:
@@ -203,20 +206,18 @@ def _verdict_sweep(
     """
     mats = mats.reshape(-1, g.dim, g.dim)
     aut = automorphism_residuals(g, mats)
-    if not (aut.max(initial=0.0) <= aut_tol):
+    if peak(aut) > aut_tol:
         raise InputError(f"{scope}: ratio is not an automorphism within {aut_tol:.1e}")
     resid, logs, ok = inner_log_residuals(g, mats)
     inner_mask = ok & (resid <= inner_tol)
     der = derivation_residuals(g, logs)
     outer_mask = ok & ~inner_mask & (der <= ALG_TOL)
     counts = {"inner": int(inner_mask.sum()), "outer": int(outer_mask.sum()), "undecided": 0}
-    max_res = float(resid[inner_mask].max(initial=0.0))
-    if outer_mask.any():
-        max_res = max(max_res, float(resid[outer_mask].max()))
-    for idx in np.where(~(inner_mask | outer_mask))[0]:
-        v = is_inner(g, mats[idx], inner_tol=inner_tol, aut_tol=aut_tol)
+    decided = inner_mask | outer_mask
+    scalar = [is_inner(g, a, inner_tol=inner_tol, aut_tol=aut_tol) for a in mats[~decided]]
+    for v in scalar:
         counts[v.verdict] += 1
-        max_res = max(max_res, v.residual)
+    max_res = peak(resid[decided], [v.residual for v in scalar])
     return VerdictGroup(scope, max_res, counts["inner"], counts["outer"], counts["undecided"])
 
 
@@ -236,7 +237,7 @@ def check_delta_continuity(
         )
     undecided = any(x.undecided for x in groups)
     passed = all(x.outer == 0 and x.undecided == 0 for x in groups)
-    max_res = max((x.max_inner_residual for x in groups), default=0.0)
+    max_res = peak([x.max_inner_residual for x in groups])
     return DeltaReport(bool(passed), bool(undecided), tuple(groups), max_res)
 
 
@@ -277,25 +278,24 @@ def trivializations_equivalent(
         raise InputError("trivializations live over different covers")
     g = t.algebra
     groups = []
-    max_aut = 0.0
-    aut_ok = True
+    chart_aut = []
     for cid in range(len(t.manifold.charts)):
         ratios = np.linalg.inv(t_prime.frames[cid]) @ t.frames[cid]
         flat = ratios.reshape(-1, g.dim, g.dim)
-        aut = automorphism_residuals(g, flat)
-        max_aut = max(max_aut, float(aut.max()))
-        if aut.max() > aut_tol:
-            aut_ok = False
-            groups.append(VerdictGroup(f"chart {cid}", float(aut.max()), 0, 0, 0))
+        aut = peak(automorphism_residuals(g, flat))
+        chart_aut.append(aut)
+        if aut > aut_tol:
+            groups.append(VerdictGroup(f"chart {cid}", aut, 0, 0, 0))
             continue
         a_idx, b_idx = _spanning_tree_edges(t.manifold.charts[cid].resolution)
         edges = flat[b_idx] @ np.linalg.inv(flat[a_idx])
         groups.append(
             _verdict_sweep(g, edges, f"chart {cid}", inner_tol, max(10 * aut_tol, TRANS_TOL))
         )
+    max_aut = peak(chart_aut)
     undecided = any(x.undecided for x in groups)
-    passed = aut_ok and all(x.outer == 0 and x.undecided == 0 for x in groups)
-    max_res = max((x.max_inner_residual for x in groups), default=0.0)
+    passed = max_aut <= aut_tol and all(x.outer == 0 and x.undecided == 0 for x in groups)
+    max_res = peak([x.max_inner_residual for x in groups])
     return DeltaReport(bool(passed), bool(undecided), tuple(groups), max_res, max_aut)
 
 

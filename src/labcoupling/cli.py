@@ -1,14 +1,16 @@
 """Command-line front door.
 
-Every subcommand prints one JSON report to stdout (machine-diffable; keys
-sorted) and a one-line human summary to stderr.  Exit codes: 0 passed,
-1 failed, 2 inconclusive (undecided inner verdicts), 3 input error.
+Every subcommand prints one strict JSON report to stdout (machine-diffable;
+keys sorted; non-finite numbers written as strings) and a one-line human
+summary to stderr.  Exit codes: 0 passed, 1 failed, 2 inconclusive
+(undecided inner verdicts), 3 input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -22,7 +24,7 @@ from .connections import accordance, validate_connection
 from .correspondence import f_map, g_map, verify_inverse
 from .errors import CoverageError, InputError, PreconditionError
 from .manifolds import partition_of_unity
-from .tolerances import ACC_TOL, ALG_TOL, INNER_TOL, ODE_STEPS, TRANS_TOL
+from .tolerances import ACC_TOL, ALG_TOL, INNER_TOL, ODE_STEPS, TRANS_TOL, peak
 
 EXIT_PASSED = 0
 EXIT_FAILED = 1
@@ -31,7 +33,7 @@ EXIT_INPUT_ERROR = 3
 
 
 def _emit(report: dict) -> int:
-    json.dump(report, sys.stdout, sort_keys=True)
+    json.dump(report, sys.stdout, sort_keys=True, allow_nan=False)
     sys.stdout.write("\n")
     state = "INCONCLUSIVE" if report["inconclusive"] else ("PASS" if report["passed"] else "FAIL")
     print(f"{report['command']}: {state}", file=sys.stderr)
@@ -52,7 +54,17 @@ def _report(command: str, passed: bool, residuals: dict, *, inconclusive: bool =
     }
     if extra:
         report.update(extra)
-    return report
+    return _strict(report)
+
+
+def _strict(value):
+    """Strict JSON has no inf/nan: write a non-finite float as the string
+    "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return str(value)
+    return value
 
 
 def cmd_validate_algebra(args) -> int:
@@ -91,7 +103,7 @@ def cmd_check_coupling(args) -> int:
     result = accordance(c, tol=args.acc_tol)
     norms = [np.linalg.norm(grid, axis=-1) for grid in result.curvature.omega_form]
     stats = {
-        "omega_norm_max": max(float(x.max(initial=0.0)) for x in norms),
+        "omega_norm_max": peak(*norms),
         "omega_norm_mean": float(np.mean([x.mean() if x.size else 0.0 for x in norms])),
     }
     residuals = {"accordance": result.max_residual, **conn_rep.residuals()}

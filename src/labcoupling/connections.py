@@ -16,11 +16,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import LieAlgebra, derivation_residuals
-from .bundles import Trivialization, pullback_lab, _cover_signature
+from .algebra import LieAlgebra, ad, derivation_residuals, inner_projection
+from .bundles import Trivialization, pullback_lab, _cover_signature, _worst_node
 from .errors import InputError
-from .manifolds import ManifoldMap, grid_derivative, interpolate, region_slices
-from .tolerances import ACC_TOL, ALG_TOL, GAUGE_TOL
+from .manifolds import ManifoldMap, grid_derivative, interpolate, overlap_pair
+from .tolerances import ACC_TOL, ALG_TOL, GAUGE_TOL, peak
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,8 @@ class ConnectionForm:
             expected = m.charts[cid].resolution + (m.dim, n, n)
             if arr.shape != tuple(expected):
                 raise InputError(f"omega grid {cid} has shape {arr.shape}, expected {expected}")
+            if not np.isfinite(arr).all():
+                raise InputError(f"omega grid {cid} has non-finite entries")
             grids.append(arr)
         object.__setattr__(self, "omega", tuple(grids))
 
@@ -101,45 +103,26 @@ def validate_connection(
     """Pointwise Leibniz check of every omega value plus the overlap gauge law
     w_beta = tau w_alpha tau^{-1} + tau d(tau^{-1}) through the overlap
     Jacobian, where tau is the section-coordinate change of the bundle."""
-    g = c.algebra
-    worst_val, worst = -1.0, ""
-    max_der = 0.0
-    for cid, grid in enumerate(c.omega):
-        res = derivation_residuals(g, grid)
-        peak = float(res.max())
-        max_der = max(max_der, peak)
-        if peak > worst_val:
-            node = np.unravel_index(np.argmax(res), res.shape)
-            worst_val, worst = peak, f"chart {cid} node {tuple(int(i) for i in node)}"
+    located = [(f"chart {cid}", derivation_residuals(c.algebra, grid)) for cid, grid in enumerate(c.omega)]
+    max_der = peak(*(res for _, res in located))
     max_gauge = gauge_residual(c)
     passed = max_der <= tol and max_gauge <= gauge_tol
-    return ConnectionReport(bool(passed), max_der, max_gauge, worst)
+    return ConnectionReport(bool(passed), max_der, max_gauge, _worst_node(located))
 
 
 def gauge_residual(c: ConnectionForm) -> float:
     m = c.manifold
-    worst = 0.0
+    defects = []
     for k, o in enumerate(m.overlaps):
-        chart = m.charts[o.alpha]
-        slices = region_slices(chart, o.region)
-        pts = chart.grid_points()[slices]
         tau = c.bundle.coordinate_change_grid(k)
         tau_inv = np.linalg.inv(tau)
-        w_alpha = c.omega[o.alpha][slices]
-        w_beta = interpolate(m.charts[o.beta], c.omega[o.beta], o.apply(pts))
+        w_alpha, w_beta = overlap_pair(m, o, c.omega)
         for i in range(m.dim):
             lhs = np.einsum("j,...jkl->...kl", o.matrix[:, i], w_beta)
-            d_tau_inv = _region_derivative(chart, tau_inv, slices, i)
+            d_tau_inv = grid_derivative(m.charts[o.alpha], tau_inv, i)
             rhs = tau @ w_alpha[..., i, :, :] @ tau_inv + tau @ d_tau_inv
-            worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
-    return worst
-
-
-def _region_derivative(chart, values: np.ndarray, slices: tuple, axis: int) -> np.ndarray:
-    """FD along a chart axis of data sampled on a region sub-grid."""
-    length = values.shape[axis]
-    order = 2 if length >= 3 else 1
-    return np.gradient(values, chart.spacing[axis], axis=axis, edge_order=order)
+            defects.append(np.abs(lhs - rhs))
+    return peak(*defects)
 
 
 @dataclass(frozen=True)
@@ -187,18 +170,15 @@ def curvature_gauge_residual(c: ConnectionForm, curv: CurvatureData | None = Non
     """Worst violation of R_beta = tau R_alpha tau^{-1} across overlaps."""
     curv = curvature(c) if curv is None else curv
     m = c.manifold
-    worst = 0.0
+    full = [curv.full(cid) for cid in range(len(m.charts))]
+    defects = []
     for k, o in enumerate(m.overlaps):
-        chart = m.charts[o.alpha]
-        slices = region_slices(chart, o.region)
-        pts = chart.grid_points()[slices]
         tau = c.bundle.coordinate_change_grid(k)
-        r_alpha = curv.full(o.alpha)[slices]
-        r_beta = interpolate(m.charts[o.beta], curv.full(o.beta), o.apply(pts))
+        r_alpha, r_beta = overlap_pair(m, o, full)
         pulled = np.einsum("ki,lj,...klab->...ijab", o.matrix, o.matrix, r_beta)
         conj = np.einsum("...ab,...ijbc,...cd->...ijad", tau, r_alpha, np.linalg.inv(tau))
-        worst = max(worst, float(np.abs(pulled - conj).max(initial=0.0)))
-    return worst
+        defects.append(np.abs(pulled - conj))
+    return peak(*defects)
 
 
 @dataclass(frozen=True)
@@ -223,61 +203,11 @@ def accordance(c: ConnectionForm, tol: float = ACC_TOL) -> AccordanceResult:
     """
     g = c.algebra
     curv = curvature(c)
-    omega_forms = []
-    residual_grids = []
-    worst = 0.0
-    for grid in curv.r:
-        lead = grid.shape[:-2]
-        flat = grid.reshape(-1, g.dim * g.dim)
-        coeff = flat @ g.ad_pinv.T
-        resid = np.linalg.norm(flat - coeff @ g.ad_basis_matrix.T, axis=1)
-        omega_forms.append(coeff.reshape(lead + (g.dim,)))
-        residual_grids.append(resid.reshape(lead))
-        worst = max(worst, float(resid.max(initial=0.0)))
-    data = CurvatureData(curv.pairs, curv.r, tuple(omega_forms), tuple(residual_grids))
+    omega_forms, residual_grids = zip(*(inner_projection(g, grid) for grid in curv.r))
+    worst = peak(*residual_grids)
+    data = CurvatureData(curv.pairs, curv.r, omega_forms, residual_grids)
     n_center = g.dim - int(np.linalg.matrix_rank(g.ad_basis_matrix, tol=ALG_TOL)) if g.dim else 0
     return AccordanceResult(bool(worst <= tol), worst, data, n_center)
-
-
-def bianchi_residual(c: ConnectionForm, result: AccordanceResult | None = None) -> float:
-    """Max over nodes of || ad( cyclic-sum_i nabla_i Omega_jk ) || for strictly
-    increasing index triples; 0 when no triple exists (manifold dim < 3).
-
-    Only the inner part ad(d Omega) is asserted by the theory; the
-    center-valued part of d Omega is not checked.
-    """
-    m = c.manifold
-    if m.dim < 3:
-        return 0.0
-    result = accordance(c) if result is None else result
-    g = c.algebra
-    pairs = {p: idx for idx, p in enumerate(result.curvature.pairs)}
-
-    def omega_at(cid, i, j):
-        if i == j:
-            return 0.0
-        sign = 1.0 if i < j else -1.0
-        idx = pairs[(min(i, j), max(i, j))]
-        return sign * result.curvature.omega_form[cid][..., idx, :]
-
-    worst = 0.0
-    for cid, chart in enumerate(m.charts):
-        w = c.omega[cid]
-        for i, j, k in combinations(range(m.dim), 3):
-            total = 0.0
-            for (a, b, d) in ((i, j, k), (j, k, i), (k, i, j)):
-                om = omega_at(cid, b, d)
-                cov = grid_derivative(chart, om, a)
-                cov = cov + np.einsum("...xy,...y->...x", w[..., a, :, :], om)
-                total = total + cov
-            ad_part = np.einsum("...i,ixy->...yx", total, g.c)
-            worst = max(worst, float(np.linalg.norm(ad_part, axis=(-2, -1)).max()))
-    return worst
-
-
-def inner_valued_form(g: LieAlgebra, l: list) -> list:
-    """ad applied to a fiber-valued one-form: per chart (*res, m, n) -> (*res, m, n, n)."""
-    return [np.einsum("...i,ijk->...kj", np.asarray(grid, dtype=float), g.c) for grid in l]
 
 
 def shift_by_inner(c: ConnectionForm, l: list, gauge_tol: float = GAUGE_TOL) -> ConnectionForm:
@@ -290,23 +220,20 @@ def shift_by_inner(c: ConnectionForm, l: list, gauge_tol: float = GAUGE_TOL) -> 
     for cid, chart in enumerate(m.charts):
         if np.asarray(l[cid]).shape != chart.resolution + (m.dim, n):
             raise InputError("shift field shapes do not match the chart grids")
-    worst = 0.0
+    defects = []
     for k, o in enumerate(m.overlaps):
-        chart = m.charts[o.alpha]
-        slices = region_slices(chart, o.region)
-        pts = chart.grid_points()[slices]
         tau = c.bundle.coordinate_change_grid(k)
-        l_alpha = np.asarray(l[o.alpha])[slices]
-        l_beta = interpolate(m.charts[o.beta], np.asarray(l[o.beta]), o.apply(pts))
+        l_alpha, l_beta = overlap_pair(m, o, l)
         lhs = np.einsum("ji,...jk->...ik", o.matrix, l_beta)
         rhs = np.einsum("...ab,...ib->...ia", tau, l_alpha)
-        worst = max(worst, float(np.abs(lhs - rhs).max(initial=0.0)))
+        defects.append(np.abs(lhs - rhs))
+    worst = peak(*defects)
     if worst > gauge_tol:
         raise InputError(f"shift field is not overlap-covariant (residual {worst:.3e})")
-    shifted = tuple(
-        c.omega[cid] + grid for cid, grid in enumerate(inner_valued_form(c.algebra, l))
-    )
-    return ConnectionForm(c.bundle, shifted)
+    # Keep ad(l) referenced: `omega + <temporary>` lets numpy write the sum into
+    # the temporary, whose transposed layout slows every later interpolation.
+    inner = [ad(c.algebra, grid) for grid in l]
+    return ConnectionForm(c.bundle, tuple(w + a for w, a in zip(c.omega, inner)))
 
 
 @dataclass(frozen=True)
@@ -336,18 +263,9 @@ def coupling_equivalent(
         )
         if not same:
             raise InputError("connections live over different bundles")
-    g = c.algebra
-    worst = 0.0
-    shifts = []
-    for cid in range(len(c.manifold.charts)):
-        delta = c_prime.omega[cid] - c.omega[cid]
-        lead = delta.shape[:-2]
-        flat = delta.reshape(-1, g.dim * g.dim)
-        coeff = flat @ g.ad_pinv.T
-        resid = np.linalg.norm(flat - coeff @ g.ad_basis_matrix.T, axis=1)
-        worst = max(worst, float(resid.max(initial=0.0)))
-        shifts.append(coeff.reshape(lead + (g.dim,)))
-    return CouplingEquivalence(bool(worst <= tol), worst, tuple(shifts))
+    shifts, residuals = zip(*(inner_projection(c.algebra, b - a) for a, b in zip(c.omega, c_prime.omega)))
+    worst = peak(*residuals)
+    return CouplingEquivalence(bool(worst <= tol), worst, shifts)
 
 
 def pullback_connection(c: ConnectionForm, f: ManifoldMap) -> ConnectionForm:

@@ -32,8 +32,9 @@ from .manifolds import (
     Path,
     grid_derivative,
     interpolate,
+    overlap_nodes,
+    overlap_pair,
     partition_of_unity,
-    region_slices,
 )
 from .tolerances import ACC_TOL, ALG_TOL, INNER_TOL, ODE_STEPS, TRANS_TOL
 
@@ -139,7 +140,7 @@ def f_map(
         frames.append(c.bundle.frames[cid] @ transported)
     out = Trivialization(c.algebra, c.manifold, tuple(frames))
     lab = validate_lab(out, tol=aut_tol)
-    delta = check_delta_continuity(out, inner_tol=inner_tol, aut_tol=max(10 * aut_tol, aut_tol))
+    delta = check_delta_continuity(out, inner_tol=inner_tol, aut_tol=10 * aut_tol)
     return FMapResult(out, lab, delta)
 
 
@@ -183,14 +184,12 @@ def g_map(
         gauge_forms.append(per_axis)
 
     omega = []
-    for cid, chart in enumerate(m.charts):
+    for cid in range(len(m.charts)):
         w = h.fields[cid][..., None, None, None] * gauge_forms[cid]
         for o in m.overlaps_from(cid):
-            slices = region_slices(chart, o.region)
-            pts = chart.grid_points()[slices]
-            images = o.apply(pts)
+            slices, images = overlap_nodes(m, o)
             h_other = h.evaluate(o.beta, images)
-            p_other = interpolate(m.charts[o.beta], gauge_forms[o.beta], images)
+            _, p_other = overlap_pair(m, o, gauge_forms)
             pulled = np.einsum("ji,...jab->...iab", o.matrix, p_other)
             w[slices] += h_other[..., None, None, None] * pulled
         omega.append(w)

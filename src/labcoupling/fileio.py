@@ -28,11 +28,27 @@ def _load_ref(ref, kind: str):
         p = Path(ref)
         if p.suffix == ".json" or p.exists():
             try:
-                return json.loads(p.read_text())
-            except (OSError, json.JSONDecodeError) as exc:
+                data = json.loads(p.read_text())
+            except (OSError, ValueError) as exc:  # ValueError: undecodable or not JSON
                 raise InputError(f"cannot read {kind} file {ref}: {exc}") from exc
+            if not isinstance(data, dict):
+                raise InputError(f"{kind} file {ref} does not hold a JSON object")
+            return data
         return None
     raise InputError(f"unsupported {kind} reference {ref!r}")
+
+
+def _build(kind: str, make):
+    """Build an object from parsed file data: a missing field, or a value of
+    the wrong type, shape or range, is an InputError."""
+    try:
+        return make()
+    except InputError:
+        raise
+    except KeyError as exc:
+        raise InputError(f"{kind} file is missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed {kind} file: {exc}") from exc
 
 
 def algebra_to_dict(g: LieAlgebra) -> dict:
@@ -45,10 +61,10 @@ def load_algebra(ref) -> LieAlgebra:
     data = _load_ref(ref, "algebra")
     if data is None:
         return fixtures.algebra(str(ref))
-    try:
-        return LieAlgebra(str(data["name"]), int(data["dim"]), np.asarray(data["c"], dtype=float))
-    except KeyError as exc:
-        raise InputError(f"algebra file is missing field {exc}") from exc
+    return _build(
+        "algebra",
+        lambda: LieAlgebra(str(data["name"]), int(data["dim"]), np.asarray(data["c"], dtype=float)),
+    )
 
 
 def manifold_to_dict(m: ChartedManifold) -> dict:
@@ -76,7 +92,7 @@ def load_manifold(ref) -> ChartedManifold:
     data = _load_ref(ref, "manifold")
     if data is None:
         return fixtures.manifold(str(ref))
-    return build_manifold(data)
+    return _build("manifold", lambda: build_manifold(data))
 
 
 def bundle_to_dict(t: Trivialization, algebra_ref=None, manifold_ref=None) -> dict:
@@ -93,13 +109,14 @@ def load_bundle(ref) -> Trivialization:
     data = _load_ref(ref, "bundle")
     if data is None:
         return fixtures.bundle(str(ref))
-    try:
-        g = load_algebra(data["algebra"])
-        m = load_manifold(data["manifold"])
-        frames = tuple(np.asarray(f, dtype=float) for f in data["frames"])
-    except KeyError as exc:
-        raise InputError(f"bundle file is missing field {exc}") from exc
-    return Trivialization(g, m, frames)
+    return _build(
+        "bundle",
+        lambda: Trivialization(
+            load_algebra(data["algebra"]),
+            load_manifold(data["manifold"]),
+            tuple(np.asarray(f, dtype=float) for f in data["frames"]),
+        ),
+    )
 
 
 def connection_to_dict(c: ConnectionForm, bundle_ref=None) -> dict:
@@ -121,14 +138,13 @@ def load_connection(ref) -> ConnectionForm:
     data = _load_ref(ref, "connection")
     if data is None:
         return fixtures.connection(str(ref))
-    try:
-        bundle = load_bundle(data["bundle"])
-        omega = tuple(
-            np.moveaxis(np.asarray(per_chart, dtype=float), 0, -3) for per_chart in data["omega"]
-        )
-    except KeyError as exc:
-        raise InputError(f"connection file is missing field {exc}") from exc
-    return ConnectionForm(bundle, omega)
+    return _build(
+        "connection",
+        lambda: ConnectionForm(
+            load_bundle(data["bundle"]),
+            tuple(np.moveaxis(np.asarray(w, dtype=float), 0, -3) for w in data["omega"]),
+        ),
+    )
 
 
 def save_json(path, payload: dict) -> None:

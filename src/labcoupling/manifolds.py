@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, InputError
-from .tolerances import ALG_TOL, FD_TOL
+from .tolerances import ALG_TOL, FD_TOL, peak
 
 MIN_RESOLUTION = 9
 
@@ -27,6 +27,8 @@ class Chart:
 
     def __post_init__(self):
         box = np.atleast_2d(np.asarray(self.box, dtype=float))
+        if not np.isfinite(box).all():
+            raise InputError("chart box has non-finite entries")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "resolution", tuple(int(r) for r in self.resolution))
         object.__setattr__(self, "center", tuple(int(i) for i in self.center))
@@ -71,6 +73,8 @@ class Overlap:
         object.__setattr__(self, "region", np.atleast_2d(np.asarray(self.region, dtype=float)))
         object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
         object.__setattr__(self, "offset", np.atleast_1d(np.asarray(self.offset, dtype=float)))
+        if not all(np.isfinite(a).all() for a in (self.region, self.matrix, self.offset)):
+            raise InputError("overlap has non-finite entries")
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) @ self.matrix.T + self.offset
@@ -88,9 +92,6 @@ class ChartedManifold:
     charts: tuple
     overlaps: tuple
     name: str = ""
-
-    def chart(self, i: int) -> Chart:
-        return self.charts[i]
 
     def overlaps_from(self, alpha: int):
         return [o for o in self.overlaps if o.alpha == alpha]
@@ -118,9 +119,11 @@ def build_manifold(spec: dict, name: str = "") -> ChartedManifold:
             )
             for o in spec.get("overlaps", [])
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed manifold spec: {exc}") from exc
 
+    if not charts:
+        raise InputError("a manifold needs at least one chart")
     if dim not in (1, 2):
         raise InputError("only dim 1 and 2 manifolds are supported")
     for idx, chart in enumerate(charts):
@@ -211,8 +214,12 @@ def _validate_triples(m: ChartedManifold, tol: float) -> None:
 # fiber vector: (n,), tangent vector: (dim,), frame: (n, n)).
 
 def grid_derivative(chart: Chart, values: np.ndarray, axis: int) -> np.ndarray:
-    """Second-order finite difference along a grid axis (one-sided at edges)."""
-    return np.gradient(values, chart.spacing[axis], axis=axis, edge_order=2)
+    """Second-order finite difference along a grid axis (one-sided at edges).
+
+    values may be sampled on a sub-grid; along an axis with fewer than 3
+    samples the stencil drops to first order."""
+    order = 2 if np.shape(values)[axis] >= 3 else 1
+    return np.gradient(values, chart.spacing[axis], axis=axis, edge_order=order)
 
 
 def directional_derivative(
@@ -241,15 +248,11 @@ def lie_bracket_fields(m: ChartedManifold, x_field: list, y_field: list) -> list
 
 def tangent_overlap_residual(m: ChartedManifold, x_field: list) -> float:
     """Worst mismatch of pushforwards across overlaps ("global" tangent check)."""
-    worst = 0.0
+    mismatches = []
     for o in m.overlaps:
-        chart = m.charts[o.alpha]
-        slices = region_slices(chart, o.region)
-        pts = chart.grid_points()[slices]
-        pushed = np.einsum("ij,...j->...i", o.matrix, np.asarray(x_field[o.alpha])[slices])
-        there = interpolate(m.charts[o.beta], np.asarray(x_field[o.beta]), o.apply(pts))
-        worst = max(worst, float(np.abs(pushed - there).max(initial=0.0)))
-    return worst
+        here, there = overlap_pair(m, o, x_field)
+        mismatches.append(np.abs(np.einsum("ij,...j->...i", o.matrix, here) - there))
+    return peak(*mismatches)
 
 
 def region_slices(chart: Chart, region: np.ndarray, tol: float = 1e-6) -> tuple:
@@ -296,6 +299,22 @@ def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndar
             idx.append(base[:, a] + c)
         out += weight.reshape((-1,) + (1,) * len(value_shape)) * values[tuple(idx)]
     return out.reshape(lead + value_shape)
+
+
+def overlap_nodes(m: ChartedManifold, o: Overlap) -> tuple:
+    """Grid slices of the overlap region in the alpha chart, and the images
+    of those alpha nodes in beta coordinates."""
+    chart = m.charts[o.alpha]
+    slices = region_slices(chart, o.region)
+    return slices, o.apply(chart.grid_points()[slices])
+
+
+def overlap_pair(m: ChartedManifold, o: Overlap, field) -> tuple:
+    """A per-chart gridded field on the overlap's alpha nodes, and the same
+    field interpolated in the beta chart at those nodes' images."""
+    slices, images = overlap_nodes(m, o)
+    alpha, beta = (np.asarray(field[cid], dtype=float) for cid in (o.alpha, o.beta))
+    return alpha[slices], interpolate(m.charts[o.beta], beta, images)
 
 
 # --- partition of unity ------------------------------------------------------
@@ -395,7 +414,7 @@ def partition_of_unity(m: ChartedManifold, sharpness: float = 1.0) -> PartitionO
 def partition_sum_residual(pou: PartitionOfUnity) -> float:
     """Direct-summation check that the normalized bumps add to one."""
     m = pou.manifold
-    worst = 0.0
+    defects = []
     for cid, chart in enumerate(m.charts):
         pts = chart.grid_points()
         total = pou.fields[cid].copy()
@@ -403,8 +422,8 @@ def partition_sum_residual(pou: PartitionOfUnity) -> float:
             mask = o.region_contains(pts)
             if np.any(mask):
                 total[mask] += pou.evaluate(o.beta, o.apply(pts[mask]))
-        worst = max(worst, float(np.abs(total - 1.0).max()))
-    return worst
+        defects.append(np.abs(total - 1.0))
+    return peak(*defects)
 
 
 # --- paths -------------------------------------------------------------------

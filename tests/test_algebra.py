@@ -23,10 +23,10 @@ from labcoupling.algebra import (
     derivations_basis,
     exp_derivation,
     inner_log_residuals,
+    inner_projection,
     is_inner,
     outer_equal,
     principal_log,
-    project_onto_inner,
     unit_vector,
     validate_algebra,
 )
@@ -396,7 +396,7 @@ def test_batched_residuals_match_scalar_projection():
     assert ok.all()
     for i in range(len(mats)):
         log = principal_log(mats[i])
-        _, scalar_resid = project_onto_inner(g, log)
+        _, scalar_resid = inner_projection(g, log)
         assert abs(resid[i] - scalar_resid) <= 1e-10
 
 

@@ -2,7 +2,12 @@
 
 import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from labcoupling import cli, fileio, fixtures as fx
+from labcoupling.bundles import reference_trivialization
 
 REPORT_KEYS = {"command", "passed", "inconclusive", "residuals", "artifacts", "seed"}
 
@@ -175,3 +180,135 @@ def test_tolerance_flags_are_honored(capsys):
         capsys, "check-delta", "--bundle", "circle2_so3_twisted", "--inner-tol", "1e-30"
     )
     assert code == 1 and not report["passed"]
+
+
+# --- non-finite and malformed input ------------------------------------------
+
+def _no_constant(token):
+    raise ValueError(f"non-strict JSON constant {token} on stdout")
+
+
+def run_strict(capsys, *argv):
+    """cli.run, with stdout parsed as strict JSON (no NaN/Infinity tokens)."""
+    code = cli.run(list(argv))
+    out = capsys.readouterr().out
+    return code, (json.loads(out, parse_constant=_no_constant) if out.strip() else None)
+
+
+def test_non_finite_values_rejected_by_each_constructor(capsys, tmp_path):
+    connection = fileio.connection_to_dict(fx.connection("disk2d_so3_nonflat"))
+    connection["omega"][0][1][16][16][0][1] = float("nan")  # passed check-coupling once
+    algebra = fileio.algebra_to_dict(fx.algebra("so3"))
+    algebra["c"][0][1][2] = float("inf")
+    bundle = fileio.bundle_to_dict(fx.bundle("circle2_so3_twisted"))
+    bundle["frames"][1][5][0][0] = float("nan")
+    # on a cover without overlaps only the chart itself can catch an infinite box
+    chart_box = fileio.bundle_to_dict(reference_trivialization(fx.algebra("so3"), fx.manifold("interval1")))
+    chart_box["manifold"]["charts"][0]["box"][0][1] = float("inf")
+    for name, cmd, flag, data in (
+        ("connection", "check-coupling", "--connection", connection),
+        ("algebra", "validate-algebra", "--algebra", algebra),
+        ("bundle", "validate-lab", "--bundle", bundle),
+        ("chart", "validate-lab", "--bundle", chart_box),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        assert run_strict(capsys, cmd, flag, str(path)) == (3, None), name
+
+
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("validate-algebra", "--algebra", '{"name": "x", "dim": "three", "c": []}'),
+        ("validate-algebra", "--algebra", "[1, 2]"),
+        ("validate-lab", "--bundle", '{"algebra": "so3", "manifold": "interval1", "frames": [[["a"]]]}'),
+        ("check-coupling", "--connection", '"a string"'),
+        ("check-coupling", "--connection", '{"bundle": "circle2_so3_twisted", "omega": 5}'),
+    ],
+)
+def test_malformed_files_exit_3(capsys, tmp_path, command, flag, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run_strict(capsys, command, flag, str(path)) == (3, None)
+
+
+def _singular_frame_bundle(node: int) -> dict:
+    """circle2_so3_twisted with the zero matrix as chart 0's frame at one node
+    (node 0 lies in an overlap region, node 16 in none)."""
+    data = fileio.bundle_to_dict(fx.bundle("circle2_so3_twisted"))
+    data["frames"][0][node] = [[0.0] * 3] * 3
+    return data
+
+
+@pytest.mark.parametrize("node", [0, 16])
+def test_singular_frame_fails_with_strict_json(capsys, tmp_path, node):
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(_singular_frame_bundle(node)))
+    for command in ("validate-lab", "check-delta"):
+        code, report = run_strict(capsys, command, "--bundle", str(path))
+        assert code == 1 and not report["passed"]
+        assert report["residuals"]["frame_automorphism"] == "inf"
+        assert report["worst"] == f"frame chart 0 node ({node},)"
+
+
+def _leaves(tree, path=()):
+    """Paths of the scalar leaves of a JSON tree, skipping free-form names."""
+    if isinstance(tree, dict):
+        return [p for k, v in tree.items() if k != "name" for p in _leaves(v, path + (k,))]
+    if isinstance(tree, list):
+        return [p for i, v in enumerate(tree) for p in _leaves(v, path + (i,))]
+    return [path]
+
+
+def _replaced(tree, path, value):
+    if not path:
+        return value
+    tree = json.loads(json.dumps(tree))
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return tree
+
+
+FUZZ_BASES = {
+    "validate-algebra": ("--algebra", fileio.algebra_to_dict(fx.algebra("so3"))),
+    "validate-lab": ("--bundle", fileio.bundle_to_dict(fx.bundle("circle2_so3_twisted"))),
+    "check-coupling": ("--connection", fileio.connection_to_dict(fx.connection("circle2_so3_twisted"))),
+}
+BULK = ("c", "frames", "omega")  # the many numeric entries; each is a leaf group of its own
+# None reads as NaN through numpy; every value is non-finite or not a number
+JUNK = [float("nan"), float("inf"), float("-inf"), None, "abc", [], {}, [1.0, 2.0]]
+
+
+def _leaf_groups() -> list:
+    """(command, flag, base, leaf paths) per command and leaf group; the
+    structure group also holds the path (), which replaces the whole document."""
+    out = []
+    for command, (flag, base) in sorted(FUZZ_BASES.items()):
+        groups = {"structure": [()]}
+        for p in _leaves(base):
+            groups.setdefault(next((k for k in p if k in BULK), "structure"), []).append(p)
+        out += [(command, flag, base, paths) for _, paths in sorted(groups.items())]
+    return out
+
+
+LEAF_GROUPS = _leaf_groups()
+
+
+@st.composite
+def malformed_files(draw):
+    command, flag, base, paths = draw(st.sampled_from(LEAF_GROUPS))
+    text = json.dumps(_replaced(base, draw(st.sampled_from(paths)), draw(st.sampled_from(JUNK))))
+    if draw(st.integers(0, 7)) == 0:
+        text = text[: draw(st.integers(0, len(text) - 1))]  # truncated: not JSON
+    return command, flag, text
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(malformed_files())
+def test_malformed_or_non_finite_files_always_exit_3(tmp_path_factory, case):
+    command, flag, text = case
+    path = tmp_path_factory.getbasetemp() / "fuzz-input.json"
+    path.write_text(text)
+    assert cli.run([command, flag, str(path)]) == 3

@@ -1,0 +1,60 @@
+"""CLI reports against a snapshot of earlier output.
+
+The snapshot holds the parsed stdout and the exit code of a fast subset of
+the fixture sweep.  Exit codes, verdicts, counts and node locations must
+match exactly; floats may move by 1e-12 relative (plus 1e-15 absolute), the
+room a reordered floating-point sum needs.  After an intended report
+change, rewrite the snapshot with ``PYTHONPATH=src python -m tests.test_cli_snapshot``.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from labcoupling import cli, fixtures as fx
+
+SNAPSHOT = Path(__file__).with_name("cli_snapshot.json")
+COMMANDS = (
+    [[cmd, "--bundle", name] for name in fx.BUNDLE_NAMES for cmd in ("validate-lab", "check-delta")]
+    + [["check-coupling", "--connection", name] for name in fx.CONNECTION_NAMES]
+    + [["f-map", "--connection", "circle2_so3_twisted"]]
+)
+
+
+def run_all() -> list:
+    results = []
+    for argv in COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.run(argv)
+        results.append({"argv": argv, "exit": code, "report": json.loads(out.getvalue())})
+    return results
+
+
+def assert_close(expected, actual, where):
+    if isinstance(expected, float) and isinstance(actual, float):
+        assert abs(actual - expected) <= 1e-12 * abs(expected) + 1e-15, where
+    elif isinstance(expected, dict):
+        assert isinstance(actual, dict) and sorted(actual) == sorted(expected), where
+        for key in expected:
+            assert_close(expected[key], actual[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert isinstance(actual, list) and len(actual) == len(expected), where
+        for i, (e, a) in enumerate(zip(expected, actual)):
+            assert_close(e, a, f"{where}[{i}]")
+    else:
+        assert type(actual) is type(expected) and actual == expected, where
+
+
+def test_reports_match_snapshot():
+    expected = json.loads(SNAPSHOT.read_text())
+    actual = run_all()
+    assert [r["argv"] for r in expected] == [r["argv"] for r in actual]
+    for e, a in zip(expected, actual):
+        assert_close(e, a, " ".join(e["argv"]))
+
+
+if __name__ == "__main__":
+    rows = [json.dumps(r, sort_keys=True) for r in run_all()]
+    SNAPSHOT.write_text("[\n" + ",\n".join(rows) + "\n]\n")

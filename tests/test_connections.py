@@ -11,7 +11,6 @@ from labcoupling.connections import (
     ConnectionForm,
     accordance,
     apply_connection,
-    bianchi_residual,
     coupling_equivalent,
     curvature,
     curvature_gauge_residual,
@@ -203,13 +202,6 @@ def test_abelian_accordance_iff_flat():
     result = accordance(c2)
     assert result.passed
     assert float(np.linalg.norm(result.curvature.r[0], axis=(-2, -1)).max()) <= 1e-4
-
-
-# --- bianchi -------------------------------------------------------------------
-
-def test_bianchi_vacuous_below_three_dims():
-    assert bianchi_residual(fx.connection("interval1_so3_flat")) == 0.0
-    assert bianchi_residual(fx.connection("disk2d_so3_nonflat")) == 0.0
 
 
 # --- shift_by_inner ------------------------------------------------------------
