@@ -165,17 +165,6 @@ def automorphism_residuals(g: LieAlgebra, a: np.ndarray) -> np.ndarray:
     return per_pair.max(axis=(-2, -1))
 
 
-def is_derivation(g: LieAlgebra, d: np.ndarray, tol: float = ALG_TOL) -> bool:
-    return bool(derivation_residuals(g, d) <= tol)
-
-
-def is_automorphism(g: LieAlgebra, a: np.ndarray, tol: float = ALG_TOL) -> bool:
-    a = np.asarray(a, dtype=float)
-    if not (abs(np.linalg.det(a)) > ALG_TOL):
-        return False
-    return bool(automorphism_residuals(g, a) <= tol)
-
-
 def derivations_basis(g: LieAlgebra, tol: float = ALG_TOL) -> list[np.ndarray]:
     """Orthonormal (as vectors) basis of Der(g), solved as one linear system.
 

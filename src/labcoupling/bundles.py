@@ -100,8 +100,7 @@ def validate_lab(t: Trivialization, tol: float = ALG_TOL) -> LabReport:
     g = t.algebra
     frames = []
     for cid, grid in enumerate(t.frames):
-        singular = np.abs(np.linalg.det(grid)) <= ALG_TOL
-        frames.append((f"frame chart {cid}", np.where(singular, np.inf, automorphism_residuals(g, grid))))
+        frames.append((f"frame chart {cid}", np.where(_singular(grid), np.inf, automorphism_residuals(g, grid))))
     max_frame = peak(*(res for _, res in frames))
     if math.isinf(max_frame):
         return LabReport(False, max_frame, math.inf, math.inf, _worst_node(frames))
@@ -113,6 +112,11 @@ def validate_lab(t: Trivialization, tol: float = ALG_TOL) -> LabReport:
     max_cocycle = _cocycle_residual(t)
     passed = max_frame <= tol and max_trans <= tol and max_cocycle <= 10 * tol
     return LabReport(bool(passed), max_frame, max_trans, max_cocycle, _worst_node(frames + transitions))
+
+
+def _singular(frames: np.ndarray) -> np.ndarray:
+    """Nodes whose frame is not invertible: |det| <= ALG_TOL."""
+    return np.abs(np.linalg.det(frames)) <= ALG_TOL
 
 
 def _worst_node(located: list) -> str:
@@ -271,7 +275,8 @@ def trivializations_equivalent(
     """Equivalence of two structures over the same cover: the per-chart ratio
     phi'^{-1} phi must be automorphism-valued, and locally constant in the
     discrete outer quotient (consecutive-ratio inner test along a spanning
-    tree of grid edges)."""
+    tree of grid edges).  A chart where either structure has a singular
+    frame gets automorphism residual +inf, and nothing is inverted there."""
     if t.algebra.dim != t_prime.algebra.dim or np.abs(t.algebra.c - t_prime.algebra.c).max() > ALG_TOL:
         raise InputError("trivializations live over different algebras")
     if t.manifold is not t_prime.manifold and _cover_signature(t.manifold) != _cover_signature(t_prime.manifold):
@@ -280,9 +285,12 @@ def trivializations_equivalent(
     groups = []
     chart_aut = []
     for cid in range(len(t.manifold.charts)):
-        ratios = np.linalg.inv(t_prime.frames[cid]) @ t.frames[cid]
-        flat = ratios.reshape(-1, g.dim, g.dim)
-        aut = peak(automorphism_residuals(g, flat))
+        if _singular(t.frames[cid]).any() or _singular(t_prime.frames[cid]).any():
+            aut = math.inf
+        else:
+            ratios = np.linalg.inv(t_prime.frames[cid]) @ t.frames[cid]
+            flat = ratios.reshape(-1, g.dim, g.dim)
+            aut = peak(automorphism_residuals(g, flat))
         chart_aut.append(aut)
         if aut > aut_tol:
             groups.append(VerdictGroup(f"chart {cid}", aut, 0, 0, 0))

@@ -3,7 +3,10 @@
 Every subcommand prints one strict JSON report to stdout (machine-diffable;
 keys sorted; non-finite numbers written as strings) and a one-line human
 summary to stderr.  Exit codes: 0 passed, 1 failed, 2 inconclusive
-(undecided inner verdicts), 3 input error.
+(undecided inner verdicts), 3 input error.  Input that is well formed but
+fails a command's precondition (say, ``g-map`` on a structure that is not
+continuous into the discrete quotient), or whose computation fails, gets a
+FAIL report whose ``note`` gives the reason, and exit code 1.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .algebroid import axiom_report
 from .bundles import check_delta_continuity, validate_lab
 from .connections import accordance, validate_connection
 from .correspondence import f_map, g_map, verify_inverse
-from .errors import CoverageError, InputError, PreconditionError
+from .errors import ComputationError, CoverageError, InputError, PreconditionError
 from .manifolds import partition_of_unity
 from .tolerances import ACC_TOL, ALG_TOL, INNER_TOL, ODE_STEPS, TRANS_TOL, peak
 
@@ -287,7 +290,9 @@ def run(argv=None) -> int:
         return EXIT_INPUT_ERROR
     try:
         return args.func(args)
-    except (InputError, PreconditionError, CoverageError, FileNotFoundError) as exc:
+    except (PreconditionError, ComputationError) as exc:
+        return _emit(_report(args.command, False, {}, extra={"note": str(exc)}))
+    except (InputError, CoverageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

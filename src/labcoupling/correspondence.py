@@ -26,7 +26,7 @@ from .bundles import (
     validate_lab,
 )
 from .connections import ConnectionForm, accordance, coupling_equivalent
-from .errors import InputError, PreconditionError
+from .errors import ComputationError, InputError, PreconditionError
 from .manifolds import (
     PartitionOfUnity,
     Path,
@@ -46,61 +46,47 @@ class TransportResult:
     ode_steps: int
 
 
-def _omega_along(c: ConnectionForm, chart_id: int, points: np.ndarray, velocities: np.ndarray) -> np.ndarray:
-    """A(p, v) = -sum_i v^i w_i(p), batched over leading axes."""
-    chart = c.manifold.charts[chart_id]
-    w = interpolate(chart, c.omega[chart_id], points)
-    return -np.einsum("...i,...iab->...ab", velocities, w)
+def _transport(c: ConnectionForm, path: Path) -> np.ndarray:
+    """Solve T' = A(t) T, T(0) = I, with A(t) = -sum_i v^i w_i(start + t v)
+    and v = end - start, by classical RK4 in ``path.steps`` uniform steps,
+    batched over the leading axes of ``path.end``.  A step's end value of A
+    is the next step's start value, so a solve costs 2 steps + 1 form
+    evaluations.  A chart box is convex: checking the two endpoints keeps
+    every sample inside it."""
+    chart = c.manifold.charts[path.chart_id]
+    if not (chart.contains(path.start).all() and chart.contains(path.end).all()):
+        raise InputError("path leaves its chart")
+    if path.steps < 1:
+        raise InputError("a path needs at least one step")
+    omega = c.omega[path.chart_id]
+    v = path.end - path.start
 
+    def form(t: float) -> np.ndarray:
+        w = interpolate(chart, omega, path.start + t * v)
+        return -np.einsum("...i,...iab->...ab", v, w)
 
-def _rk4_step(a0, a_mid, a1, t_mats, dt):
-    k1 = a0 @ t_mats
-    k2 = a_mid @ (t_mats + 0.5 * dt * k1)
-    k3 = a_mid @ (t_mats + 0.5 * dt * k2)
-    k4 = a1 @ (t_mats + dt * k3)
-    return t_mats + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    n = c.algebra.dim
+    t_mats = np.broadcast_to(np.eye(n), v.shape[:-1] + (n, n)).copy()
+    dt = 1.0 / path.steps
+    a1 = form(0.0)
+    for s in range(path.steps):
+        t0 = s * dt
+        a0, a_mid, a1 = a1, form(t0 + 0.5 * dt), form(t0 + dt)
+        k1 = a0 @ t_mats
+        k2 = a_mid @ (t_mats + 0.5 * dt * k1)
+        k3 = a_mid @ (t_mats + 0.5 * dt * k2)
+        k4 = a1 @ (t_mats + dt * k3)
+        t_mats = t_mats + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return t_mats
 
 
 def parallel_transport(c: ConnectionForm, path: Path) -> TransportResult:
-    """Solve T' = -w(gamma')(gamma) T, T(0) = I by classical RK4 with the
-    path's uniform step; the result is an automorphism up to integrator
-    error because the form is pointwise a bracket derivation."""
-    chart = c.manifold.charts[path.chart_id]
-    if not chart.contains(path.points).all():
-        raise InputError("path leaves its chart")
-    n = c.algebra.dim
-    t_mat = np.eye(n)
-    dt = path.dt
-    for s in range(path.steps):
-        p0, p1 = path.points[s], path.points[s + 1]
-        v0, v1 = path.velocities[s], path.velocities[s + 1]
-        a0 = _omega_along(c, path.chart_id, p0, v0)
-        a_mid = _omega_along(c, path.chart_id, 0.5 * (p0 + p1), 0.5 * (v0 + v1))
-        a1 = _omega_along(c, path.chart_id, p1, v1)
-        t_mat = _rk4_step(a0, a_mid, a1, t_mat, dt)
+    """Solve T' = -w(gamma')(gamma) T, T(0) = I along a straight chart
+    segment; the result is an automorphism up to integrator error because
+    the form is pointwise a bracket derivation."""
+    t_mat = _transport(c, path)
     res = float(automorphism_residuals(c.algebra, t_mat))
     return TransportResult(t_mat, res, path.steps)
-
-
-def _transport_from_center(c: ConnectionForm, chart_id: int, steps: int, base: tuple | None = None) -> np.ndarray:
-    """Batched ray transport from the chart center to every grid node."""
-    chart = c.manifold.charts[chart_id]
-    n = c.algebra.dim
-    targets = chart.grid_points().reshape(-1, c.manifold.dim)
-    start = chart.node_point(chart.center if base is None else base)
-    velocities = targets - start
-    t_mats = np.broadcast_to(np.eye(n), (len(targets), n, n)).copy()
-    dt = 1.0 / steps
-    for s in range(steps):
-        t0 = s * dt
-        p0 = start + t0 * velocities
-        p_mid = start + (t0 + 0.5 * dt) * velocities
-        p1 = start + (t0 + dt) * velocities
-        a0 = _omega_along(c, chart_id, p0, velocities)
-        a_mid = _omega_along(c, chart_id, p_mid, velocities)
-        a1 = _omega_along(c, chart_id, p1, velocities)
-        t_mats = _rk4_step(a0, a_mid, a1, t_mats, dt)
-    return t_mats.reshape(chart.resolution + (n, n))
 
 
 @dataclass(frozen=True)
@@ -134,10 +120,13 @@ def f_map(
             f"not a coupling: accordance residual {result.max_residual:.3e} > {acc_tol:.1e}"
         )
     frames = []
-    for cid in range(len(c.manifold.charts)):
-        base = None if centers is None else centers[cid]
-        transported = _transport_from_center(c, cid, ode_steps, base=base)
-        frames.append(c.bundle.frames[cid] @ transported)
+    for cid, chart in enumerate(c.manifold.charts):
+        base = chart.center if centers is None else centers[cid]
+        rays = Path(cid, chart.node_point(base), chart.grid_points(), ode_steps)
+        frame = c.bundle.frames[cid] @ _transport(c, rays)
+        if not np.isfinite(frame).all():
+            raise ComputationError(f"ray transport in chart {cid} is not finite")
+        frames.append(frame)
     out = Trivialization(c.algebra, c.manifold, tuple(frames))
     lab = validate_lab(out, tol=aut_tol)
     delta = check_delta_continuity(out, inner_tol=inner_tol, aut_tol=10 * aut_tol)
@@ -343,16 +332,7 @@ def loop_transport(c: ConnectionForm, ode_steps: int = ODE_STEPS, axis: int = 0)
             raise InputError(f"no forward overlap from chart {cid} along axis {axis}")
         switch = current.copy()
         switch[axis] = 0.5 * (o.region[axis, 0] + o.region[axis, 1])
-        total = _leg(c, cid, current, switch, ode_steps) @ total
+        total = _transport(c, Path(cid, current, switch, ode_steps)) @ total
         total = coordinate_change_at(c.bundle, k, switch) @ total
         current = o.apply(switch[None, :])[0]
-    total = _leg(c, order[0], current, start, ode_steps) @ total
-    return total
-
-
-def _leg(c: ConnectionForm, chart_id: int, a: np.ndarray, b: np.ndarray, steps: int) -> np.ndarray:
-    velocities = b - a
-    ts = np.linspace(0.0, 1.0, steps + 1)[:, None]
-    points = a + ts * velocities
-    path = Path(chart_id, points, np.broadcast_to(velocities, points.shape).copy())
-    return parallel_transport(c, path).matrix
+    return _transport(c, Path(order[0], current, start, ode_steps)) @ total

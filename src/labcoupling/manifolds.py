@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoverageError, InputError
-from .tolerances import ALG_TOL, FD_TOL, peak
+from .tolerances import ALG_TOL, peak
 
 MIN_RESOLUTION = 9
 
@@ -430,45 +430,21 @@ def partition_sum_residual(pou: PartitionOfUnity) -> float:
 
 @dataclass(frozen=True)
 class Path:
-    """Uniformly sampled path inside one chart, with velocities."""
+    """Straight segment start + t (end - start), t in [0, 1], inside one
+    chart, cut into ``steps`` uniform steps; ``end`` may be batched
+    (..., dim), a fan of segments from one start."""
 
     chart_id: int
-    points: np.ndarray      # (steps + 1, dim)
-    velocities: np.ndarray  # (steps + 1, dim)
-
-    @property
-    def steps(self) -> int:
-        return len(self.points) - 1
-
-    @property
-    def dt(self) -> float:
-        return 1.0 / self.steps
-
-
-def make_path(m: ChartedManifold, chart_id: int, points: np.ndarray, velocities: np.ndarray) -> Path:
-    chart = m.charts[chart_id]
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    velocities = np.atleast_2d(np.asarray(velocities, dtype=float))
-    if len(points) < 2 or points.shape != velocities.shape:
-        raise InputError("a path needs matching point and velocity samples")
-    if not chart.contains(points).all():
-        raise InputError("path sample outside its chart box")
-    dt = 1.0 / (len(points) - 1)
-    fd = np.gradient(points, dt, axis=0, edge_order=2)
-    if np.abs(fd - velocities).max() > FD_TOL * (1.0 + np.abs(velocities).max()):
-        raise InputError("path velocities inconsistent with finite differences of points")
-    return Path(chart_id, points, velocities)
+    start: np.ndarray  # (dim,)
+    end: np.ndarray    # (..., dim)
+    steps: int
 
 
 def ray_path(m: ChartedManifold, chart_id: int, node: tuple, steps: int, base: tuple | None = None) -> Path:
     """Straight segment in chart coordinates from the chart center to a node."""
     chart = m.charts[chart_id]
     start = chart.node_point(chart.center if base is None else base)
-    end = chart.node_point(node)
-    t = np.linspace(0.0, 1.0, steps + 1)[:, None]
-    points = start + t * (end - start)
-    velocities = np.broadcast_to(end - start, points.shape).copy()
-    return Path(chart_id, points, velocities)
+    return Path(chart_id, start, chart.node_point(node), steps)
 
 
 # --- smooth maps between charted manifolds -----------------------------------

@@ -17,9 +17,6 @@ ALG_TOL = 1e-9
 # Inner-membership decisions (log projections, factor search).
 INNER_TOL = 1e-6
 
-# Second-order finite differences at the default 33-node grids.
-FD_TOL = 1e-4
-
 # Gauge-compatibility residuals on overlaps (FD-limited).
 GAUGE_TOL = 1e-4
 

@@ -1,6 +1,8 @@
 """Bundle-structure tests: validation, discrete-quotient continuity,
 equivalence, and pullback."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -186,6 +188,25 @@ def test_abelian_varying_reframe_is_inequivalent():
     ref = reference_trivialization(t.algebra, t.manifold)
     rep = trivializations_equivalent(t, ref)
     assert not rep.passed
+
+
+def _with_singular_frame(t):
+    frames = [grid.copy() for grid in t.frames]
+    frames[0][16] = 0.0
+    return Trivialization(t.algebra, t.manifold, tuple(frames))
+
+
+@pytest.mark.parametrize("singular_side", [0, 1])
+def test_singular_frame_makes_structures_inequivalent(singular_side):
+    t = fx.bundle("circle2_so3_twisted")
+    pair = [t, t]
+    pair[singular_side] = _with_singular_frame(t)
+    rep = trivializations_equivalent(*pair)
+    assert not rep.passed
+    assert rep.max_aut_residual == math.inf
+    # only chart 0 holds the singular frame; chart 1 is swept as before
+    assert rep.groups[0].max_inner_residual == math.inf
+    assert rep.groups[1].inner > 0 and rep.groups[1].outer == 0
 
 
 def test_equivalence_requires_same_cover():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -249,6 +250,33 @@ def test_singular_frame_fails_with_strict_json(capsys, tmp_path, node):
         assert code == 1 and not report["passed"]
         assert report["residuals"]["frame_automorphism"] == "inf"
         assert report["worst"] == f"frame chart 0 node ({node},)"
+
+
+@pytest.mark.parametrize(
+    "argv,note",
+    [
+        (("g-map", "--bundle", "circle2_abelian2_varying"), "quotient"),
+        (("roundtrip", "--bundle", "circle2_abelian2_varying"), "quotient"),
+        (("f-map", "--connection", "disk2d_abelian2_nonflat"), "not a coupling"),
+    ],
+)
+def test_failed_precondition_is_a_fail_report(capsys, argv, note):
+    code, report = run_strict(capsys, *argv)
+    assert code == 1
+    assert report["command"] == argv[0] and not report["passed"] and not report["inconclusive"]
+    assert note in report["note"]
+
+
+def test_transport_overflow_is_a_fail_report(capsys, tmp_path):
+    # accordance passes at --acc-tol 1e300, but the ray transport overflows
+    data = fileio.connection_to_dict(fx.connection("circle2_so3_twisted"))
+    data["omega"] = [(np.asarray(grid) * 1e150).tolist() for grid in data["omega"]]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, report = run_strict(capsys, "f-map", "--connection", str(path), "--acc-tol", "1e300")
+    assert code == 1 and not report["passed"]
+    assert report["note"] == "ray transport in chart 0 is not finite"
 
 
 def _leaves(tree, path=()):

@@ -19,6 +19,8 @@ COMMANDS = (
     [[cmd, "--bundle", name] for name in fx.BUNDLE_NAMES for cmd in ("validate-lab", "check-delta")]
     + [["check-coupling", "--connection", name] for name in fx.CONNECTION_NAMES]
     + [["f-map", "--connection", "circle2_so3_twisted"]]
+    + [["roundtrip", "--connection", name] for name in ("circle2_so3_twisted", "circle2_abelian2_flat")]
+    + [["g-map", "--bundle", "circle2_so3_twisted"]]
 )
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from labcoupling import fixtures as fx
+from labcoupling import correspondence, fixtures as fx
 from labcoupling.algebra import ad, unit_vector
 from labcoupling.bundles import (
     Trivialization,
@@ -20,6 +20,7 @@ from labcoupling.connections import (
     ConnectionForm,
     accordance,
     apply_connection,
+    shift_by_inner,
     validate_connection,
 )
 from labcoupling.correspondence import (
@@ -32,6 +33,7 @@ from labcoupling.correspondence import (
 )
 from labcoupling.errors import InputError, PreconditionError
 from labcoupling.manifolds import (
+    Path,
     grid_derivative,
     interpolate,
     partition_of_unity,
@@ -90,18 +92,9 @@ def test_transport_flow_property_on_split_rays(name, nodes):
         end = chart.node_point(node)
         mid = 0.5 * (start + end)
         full = parallel_transport(c, ray_path(m, cid, node, 64)).matrix
-        first = parallel_transport(c, _segment(cid, start, mid, 32)).matrix
-        second = parallel_transport(c, _segment(cid, mid, end, 32)).matrix
+        first = parallel_transport(c, Path(cid, start, mid, 32)).matrix
+        second = parallel_transport(c, Path(cid, mid, end, 32)).matrix
         assert np.abs(second @ first - full).max() <= 1e-6
-
-
-def _segment(chart_id, a, b, steps):
-    from labcoupling.manifolds import Path
-
-    ts = np.linspace(0.0, 1.0, steps + 1)[:, None]
-    points = a + ts * (b - a)
-    velocities = np.broadcast_to(b - a, points.shape).copy()
-    return Path(chart_id, points, velocities)
 
 
 def test_rk4_order_four_against_closed_form():
@@ -117,10 +110,17 @@ def test_rk4_order_four_against_closed_form():
 
 def test_transport_rejects_escaping_path():
     c = fx.connection("interval1_so3_flat")
-    path = ray_path(c.manifold, 0, (32,), 8)
-    shifted = type(path)(0, path.points + 0.4, path.velocities)
-    with pytest.raises(InputError):
-        parallel_transport(c, shifted)
+    path = ray_path(c.manifold, 0, (32,), 8)  # 0.5 -> 1.0
+    for start, end in ((path.start + 0.4, path.end + 0.4), (path.end + 0.4, path.start)):
+        with pytest.raises(InputError, match="leaves"):
+            parallel_transport(c, Path(0, start, end, 8))
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_transport_rejects_non_positive_step_counts(steps):
+    c = fx.connection("interval1_so3_flat")
+    with pytest.raises(InputError, match="step"):
+        parallel_transport(c, ray_path(c.manifold, 0, (32,), steps))
 
 
 def test_circle_loop_transport_is_the_cocycle_constant():
@@ -160,6 +160,35 @@ def test_f_map_on_single_chart_nonflat_validates():
     fm = f_map(c)
     assert fm.lab_report.passed
     assert len(c.manifold.overlaps) == 0
+
+
+def test_f_map_frames_are_ray_transports():
+    # an inner shift makes omega non-commuting along rays, so the transport
+    # is no exponential of an integral and only the integrator fixes it
+    c0 = fx.connection("disk2d_so3_nonflat")
+    m = c0.manifold
+    rng = np.random.default_rng(5)
+    l = random_harmonic_field(rng, 2, (2, 3), amplitude=0.3, constant_scale=0.3).sample(m)
+    c = shift_by_inner(c0, l)
+    frames = f_map(c).trivialization.frames[0]
+    for _ in range(20):
+        node = tuple(int(rng.integers(0, r)) for r in m.charts[0].resolution)
+        ray = parallel_transport(c, ray_path(m, 0, node, 64)).matrix
+        assert np.abs(frames[node] - c.bundle.frames[0][node] @ ray).max() <= 1e-14
+
+
+@pytest.mark.parametrize("name,steps", [("disk2d_so3_nonflat", 64), ("circle2_so3_twisted", 8)])
+def test_f_map_evaluates_the_form_twice_per_step_plus_once(monkeypatch, name, steps):
+    c = fx.connection(name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return interpolate(*args, **kwargs)
+
+    monkeypatch.setattr(correspondence, "interpolate", counted)
+    f_map(c, ode_steps=steps)
+    assert len(calls) == len(c.manifold.charts) * (2 * steps + 1)
 
 
 def test_f_map_rejects_non_coupling():
@@ -286,7 +315,7 @@ def test_g_map_operator_agrees_with_defining_sum_two_charts():
     # The literal finite-difference evaluation of the defining sum mixes
     # one-sided and central stencils at the four overlap-region edge nodes of
     # each chart, where the bump tails are barely resolved; everywhere the
-    # stencil geometry is consistent, the two evaluations agree within FD_TOL.
+    # stencil geometry is consistent, the two evaluations agree within 1e-4.
     t = fx.bundle("circle2_so3_twisted")
     m = t.manifold
     h = partition_of_unity(m)
@@ -308,6 +337,16 @@ def test_g_map_operator_agrees_with_defining_sum_two_charts():
 
 
 # --- well-definedness --------------------------------------------------------------
+
+def test_well_defined_rejects_a_singular_frame():
+    t = fx.bundle("circle2_so3_twisted")
+    frames = [grid.copy() for grid in t.frames]
+    frames[0][16] = 0.0
+    t_prime = Trivialization(t.algebra, t.manifold, tuple(frames))
+    h = partition_of_unity(t.manifold)
+    with pytest.raises(PreconditionError, match="not equivalent"):
+        verify_g_well_defined(t, t_prime, h, h)
+
 
 def test_same_inputs_give_zero_residual():
     t = fx.bundle("circle2_so3_twisted")

@@ -14,7 +14,6 @@ from labcoupling.manifolds import (
     grid_derivative,
     interpolate,
     lie_bracket_fields,
-    make_path,
     partition_of_unity,
     partition_sum_residual,
     random_harmonic_field,
@@ -241,41 +240,31 @@ def test_tangent_overlap_residual_flags_global_fields():
 def test_ray_to_center_is_constant():
     m = fx.manifold("interval1")
     p = ray_path(m, 0, (16,), 4)
-    assert np.abs(p.points - 0.5).max() == 0.0
-    assert np.abs(p.velocities).max() == 0.0
+    assert np.abs(p.start - 0.5).max() == 0.0
+    assert np.abs(p.end - p.start).max() == 0.0
+    assert p.steps == 4
 
 
 def test_ray_sample_points_match_arithmetic():
     m = fx.manifold("interval1")
     p = ray_path(m, 0, (32,), 4)
-    np.testing.assert_allclose(p.points[:, 0], [0.5, 0.625, 0.75, 0.875, 1.0])
-    np.testing.assert_allclose(p.velocities[:, 0], 0.5)
+    np.testing.assert_allclose(p.start, [0.5])
+    np.testing.assert_allclose(p.end, [1.0])
+    assert (p.chart_id, p.steps) == (0, 4)
 
 
 def test_rerayed_midpoint_is_truncated_ray():
     m = fx.manifold("disk2d")
     full = ray_path(m, 0, (32, 24), 8)
-    mid = full.points[4]
+    mid = full.start + 0.5 * (full.end - full.start)
     idx = tuple(
         int(round((mid[a] - m.charts[0].box[a, 0]) / m.charts[0].spacing[a])) for a in range(2)
     )
     half = ray_path(m, 0, idx, 4)
-    np.testing.assert_allclose(half.points, full.points[:5], atol=1e-12)
-
-
-def test_path_velocity_consistency_enforced():
-    m = fx.manifold("interval1")
-    pts = np.linspace(0.2, 0.8, 9)[:, None]
-    with pytest.raises(InputError, match="velocities"):
-        make_path(m, 0, pts, np.full_like(pts, 5.0))
-
-
-def test_path_outside_chart_rejected():
-    m = fx.manifold("interval1")
-    pts = np.linspace(0.5, 1.5, 9)[:, None]
-    vel = np.full_like(pts, 1.0)
-    with pytest.raises(InputError, match="outside"):
-        make_path(m, 0, pts, vel)
+    np.testing.assert_array_equal(half.start, full.start)
+    np.testing.assert_allclose(half.end, mid, atol=1e-12)
+    # same step length, so half's samples are full's first five
+    assert 2 * half.steps == full.steps
 
 
 # --- interpolation -----------------------------------------------------------
