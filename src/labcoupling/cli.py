@@ -214,16 +214,28 @@ def cmd_fixtures(args) -> int:
     return _emit(_report("fixtures", True, {}, artifacts=[str(path)]))
 
 
+def _finite_positive(text: str) -> float:
+    """argparse type of the tolerance and sharpness flags: a finite float > 0.
+    A NaN tolerance would turn every ``residual <= tol`` verdict false."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="labcoupling",
         description="Couplings between Lie algebra bundles and tangent bundles, at desk scale.",
     )
     tols = argparse.ArgumentParser(add_help=False)
-    tols.add_argument("--alg-tol", type=float, default=ALG_TOL)
-    tols.add_argument("--acc-tol", type=float, default=ACC_TOL)
-    tols.add_argument("--trans-tol", type=float, default=TRANS_TOL)
-    tols.add_argument("--inner-tol", type=float, default=INNER_TOL)
+    tols.add_argument("--alg-tol", type=_finite_positive, default=ALG_TOL)
+    tols.add_argument("--acc-tol", type=_finite_positive, default=ACC_TOL)
+    tols.add_argument("--trans-tol", type=_finite_positive, default=TRANS_TOL)
+    tols.add_argument("--inner-tol", type=_finite_positive, default=INNER_TOL)
 
     sub = parser.add_subparsers(dest="command")
 
@@ -233,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate-lab", parents=[tols], help="check a bundle structure")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--tol", type=float, default=ALG_TOL)
+    p.add_argument("--tol", type=_finite_positive, default=ALG_TOL)
     p.set_defaults(func=cmd_validate_lab)
 
     p = sub.add_parser("check-delta", parents=[tols], help="discrete-quotient continuity sweep")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--tol", type=float, default=ALG_TOL)
+    p.add_argument("--tol", type=_finite_positive, default=ALG_TOL)
     p.set_defaults(func=cmd_check_delta)
 
     p = sub.add_parser("check-coupling", parents=[tols], help="curvature-vs-inner-span accordance")
@@ -254,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("g-map", parents=[tols], help="bundle structure -> coupling connection")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out")
-    p.add_argument("--sharpness", type=float, default=1.0)
+    p.add_argument("--sharpness", type=_finite_positive, default=1.0)
     p.set_defaults(func=cmd_g_map)
 
     p = sub.add_parser("roundtrip", parents=[tols], help="verify the two maps are mutually inverse")

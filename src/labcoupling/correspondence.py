@@ -58,7 +58,7 @@ def _transport(c: ConnectionForm, path: Path) -> np.ndarray:
         raise InputError("path leaves its chart")
     if path.steps < 1:
         raise InputError("a path needs at least one step")
-    omega = c.omega[path.chart_id]
+    omega = np.ascontiguousarray(c.omega[path.chart_id])
     v = path.end - path.start
 
     def form(t: float) -> np.ndarray:
@@ -67,16 +67,31 @@ def _transport(c: ConnectionForm, path: Path) -> np.ndarray:
 
     n = c.algebra.dim
     t_mats = np.broadcast_to(np.eye(n), v.shape[:-1] + (n, n)).copy()
+    k1, k2, k3, k4, y = (np.empty_like(t_mats) for _ in range(5))
     dt = 1.0 / path.steps
     a1 = form(0.0)
     for s in range(path.steps):
         t0 = s * dt
         a0, a_mid, a1 = a1, form(t0 + 0.5 * dt), form(t0 + dt)
-        k1 = a0 @ t_mats
-        k2 = a_mid @ (t_mats + 0.5 * dt * k1)
-        k3 = a_mid @ (t_mats + 0.5 * dt * k2)
-        k4 = a1 @ (t_mats + dt * k3)
-        t_mats = t_mats + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # k_{j+1} = A (T + h k_j), with T + h k_j formed in y as h k_j + T
+        np.matmul(a0, t_mats, out=k1)
+        np.multiply(k1, 0.5 * dt, out=y)
+        y += t_mats
+        np.matmul(a_mid, y, out=k2)
+        np.multiply(k2, 0.5 * dt, out=y)
+        y += t_mats
+        np.matmul(a_mid, y, out=k3)
+        np.multiply(k3, dt, out=y)
+        y += t_mats
+        np.matmul(a1, y, out=k4)
+        # T += (dt / 6) (((k1 + 2 k2) + 2 k3) + k4), summed in k1
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6.0
+        t_mats += k1
     return t_mats
 
 

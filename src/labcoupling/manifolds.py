@@ -8,10 +8,12 @@ circles, and cylinders while keeping every transition formula exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from .errors import CoverageError, InputError
 from .tolerances import ALG_TOL, peak
@@ -56,9 +58,9 @@ class Chart:
 
     def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        lo = self.box[:, 0] - tol
-        hi = self.box[:, 1] + tol
-        return np.all((points >= lo) & (points <= hi), axis=-1)
+        inside = (points >= self.box[:, 0] - tol) & (points <= self.box[:, 1] + tol)
+        # one AND per axis: about twice as fast as all(axis=-1) over short rows
+        return functools.reduce(np.logical_and, np.moveaxis(inside, -1, 0))
 
 
 @dataclass(frozen=True)
@@ -275,29 +277,44 @@ def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndar
 
     values has shape (*resolution, *value_shape); points (..., dim).  Points
     may sit on the box boundary; anything outside raises InputError.
+
+    One sparse gather-and-weight operator: row p of a CSR matrix holds the
+    2^dim corner weights of point p at the flat indices of its cell's
+    corners, in itertools.product((0, 1), ...) order.  CSR row accumulation
+    adds the corner terms in that order onto a zero, so the result is
+    bit-identical to summing ``weight * values[corner]`` corner by corner.
     """
     values = np.asarray(values, dtype=float)
     points = np.asarray(points, dtype=float)
+    res = chart.resolution
+    if values.shape[: chart.dim] != res:
+        raise InputError(f"value grid {values.shape} does not match the chart resolution {res}")
     lead = points.shape[:-1]
     pts = points.reshape(-1, chart.dim)
     if not chart.contains(pts).all():
         raise InputError("interpolation point outside the chart box")
     value_shape = values.shape[chart.dim:]
-    res = chart.resolution
 
     normalized = (pts - chart.box[:, 0]) / chart.spacing
     base = np.floor(normalized).astype(int)
     base = np.minimum(np.maximum(base, 0), np.array(res) - 2)
     frac = normalized - base
-
-    out = np.zeros((len(pts),) + value_shape)
-    for corner in itertools.product((0, 1), repeat=chart.dim):
+    low, high = 1.0 - frac, frac
+    flat = np.ravel_multi_index(base.T, res)
+    corners = list(itertools.product((0, 1), repeat=chart.dim))
+    weights = np.empty((len(pts), len(corners)))
+    columns = np.empty(weights.shape, dtype=np.intp)
+    for k, corner in enumerate(corners):
         weight = np.ones(len(pts))
-        idx = []
         for a, c in enumerate(corner):
-            weight = weight * (frac[:, a] if c else (1.0 - frac[:, a]))
-            idx.append(base[:, a] + c)
-        out += weight.reshape((-1,) + (1,) * len(value_shape)) * values[tuple(idx)]
+            weight = weight * (high if c else low)[:, a]
+        weights[:, k] = weight
+        columns[:, k] = flat + np.ravel_multi_index(corner, res)
+    rows = np.arange(0, weights.size + 1, weights.shape[1])
+    operator = scipy.sparse.csr_array(
+        (weights.ravel(), columns.ravel(), rows), shape=(len(pts), int(np.prod(res)))
+    )
+    out = operator @ values.reshape(operator.shape[1], -1)
     return out.reshape(lead + value_shape)
 
 
@@ -380,6 +397,9 @@ def _bump_profile(r: np.ndarray, sharpness: float) -> np.ndarray:
 
 
 def partition_of_unity(m: ChartedManifold, sharpness: float = 1.0) -> PartitionOfUnity:
+    sharpness = float(sharpness)
+    if not (np.isfinite(sharpness) and sharpness > 0.0):
+        raise InputError(f"bump sharpness must be finite and > 0, got {sharpness}")
     covered = []
     for cid, chart in enumerate(m.charts):
         per_axis = []
@@ -399,16 +419,17 @@ def partition_of_unity(m: ChartedManifold, sharpness: float = 1.0) -> PartitionO
             per_axis.append(tuple(cov))
         covered.append(tuple(per_axis))
 
-    pou = PartitionOfUnity(m, float(sharpness), tuple(covered), fields=())
+    pou = PartitionOfUnity(m, sharpness, tuple(covered), fields=())
     fields = []
     for cid, chart in enumerate(m.charts):
         pts = chart.grid_points()
         total = pou.total(cid, pts)
-        if np.any(total <= 0.0):
-            bad = np.argwhere(total <= 0.0)[0]
+        uncovered = ~(total > 0.0)  # NaN counts as uncovered
+        if uncovered.any():
+            bad = np.argwhere(uncovered)[0]
             raise CoverageError(f"node {tuple(int(i) for i in bad)} of chart {cid} has no bump support")
         fields.append(pou.raw_bump(cid, pts) / total)
-    return PartitionOfUnity(m, float(sharpness), tuple(covered), tuple(fields))
+    return PartitionOfUnity(m, sharpness, tuple(covered), tuple(fields))
 
 
 def partition_sum_residual(pou: PartitionOfUnity) -> float:

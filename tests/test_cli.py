@@ -183,6 +183,25 @@ def test_tolerance_flags_are_honored(capsys):
     assert code == 1 and not report["passed"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize(
+    "command,flag",
+    [
+        (("check-delta", "--bundle", "circle2_so3_twisted"), "--alg-tol"),
+        (("check-delta", "--bundle", "circle2_so3_twisted"), "--acc-tol"),
+        (("check-delta", "--bundle", "circle2_so3_twisted"), "--trans-tol"),
+        (("check-delta", "--bundle", "circle2_so3_twisted"), "--inner-tol"),
+        (("validate-lab", "--bundle", "circle2_so3_twisted"), "--tol"),
+        (("g-map", "--bundle", "circle2_so3_twisted"), "--sharpness"),
+    ],
+)
+def test_non_finite_or_non_positive_float_flags_exit_3(capsys, command, flag, value):
+    assert cli.run([*command, flag, value]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be a finite number > 0" in captured.err
+
+
 # --- non-finite and malformed input ------------------------------------------
 
 def _no_constant(token):

@@ -1,12 +1,14 @@
 """Charted-manifold tests: atlas validation, partitions of unity,
-finite-difference calculus, vector-field brackets, ray paths."""
+finite-difference calculus, vector-field brackets, ray paths, interpolation."""
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labcoupling import fixtures as fx
+from labcoupling import fixtures as fx, manifolds
 from labcoupling.errors import CoverageError, InputError
 from labcoupling.manifolds import (
     build_manifold,
@@ -154,6 +156,18 @@ def test_total_coverage_failure_raises():
         partition_of_unity(build_manifold(spec))
 
 
+@pytest.mark.parametrize("sharpness", [float("nan"), float("inf"), -1.0, 0.0])
+def test_partition_rejects_a_bad_sharpness(sharpness):
+    with pytest.raises(InputError, match="sharpness"):
+        partition_of_unity(fx.manifold("circle2"), sharpness=sharpness)
+
+
+def test_nan_bump_total_is_a_coverage_failure(monkeypatch):
+    monkeypatch.setattr(manifolds, "_bump_profile", lambda r, sharpness: np.full(np.shape(r), np.nan))
+    with pytest.raises(CoverageError):
+        partition_of_unity(fx.manifold("circle2"))
+
+
 # --- finite differences ------------------------------------------------------
 
 def test_constant_field_has_zero_derivative():
@@ -277,6 +291,85 @@ def test_interpolation_exact_at_nodes_and_bilinear():
     queries = np.array([[0.111, -0.734], [0.5, 0.25], [-1.0, 1.0]])
     vals = interpolate(chart, f, queries)
     np.testing.assert_allclose(vals, 2.0 + queries[:, 0] * queries[:, 1], atol=1e-12)
+
+
+def corner_loop_interpolate(chart, values, points):
+    """Reference multilinear interpolation: one fancy-indexed gather and
+    weighted add per cell corner, corners in itertools.product order."""
+    values = np.asarray(values, dtype=float)
+    points = np.asarray(points, dtype=float)
+    lead = points.shape[:-1]
+    pts = points.reshape(-1, chart.dim)
+    value_shape = values.shape[chart.dim:]
+    res = chart.resolution
+    normalized = (pts - chart.box[:, 0]) / chart.spacing
+    base = np.floor(normalized).astype(int)
+    base = np.minimum(np.maximum(base, 0), np.array(res) - 2)
+    frac = normalized - base
+    out = np.zeros((len(pts),) + value_shape)
+    for corner in itertools.product((0, 1), repeat=chart.dim):
+        weight = np.ones(len(pts))
+        idx = []
+        for a, c in enumerate(corner):
+            weight = weight * (frac[:, a] if c else (1.0 - frac[:, a]))
+            idx.append(base[:, a] + c)
+        out += weight.reshape((-1,) + (1,) * len(value_shape)) * values[tuple(idx)]
+    return out.reshape(lead + value_shape)
+
+
+def _query_points(chart, rng):
+    """Nodes, cell interiors and points on every face of the box, batched (2, k, dim)."""
+    nodes = chart.grid_points().reshape(-1, chart.dim)[::7]
+    lo, hi = chart.box[:, 0], chart.box[:, 1]
+    interior = lo + rng.random((40, chart.dim)) * (hi - lo)
+    faces = []
+    for a in range(chart.dim):
+        for edge in (lo[a], hi[a]):
+            face = lo + rng.random((5, chart.dim)) * (hi - lo)
+            face[:, a] = edge
+            faces.append(face)
+    corners = np.array(list(itertools.product(*chart.box)))
+    pts = np.concatenate([nodes, interior, corners] + faces)
+    return pts[: 2 * (len(pts) // 2)].reshape(2, -1, chart.dim)
+
+
+@pytest.mark.parametrize("name", ["interval1", "disk2d"])
+@pytest.mark.parametrize("value_shape", [(), (3,), "form"], ids=["scalar", "vector", "form"])
+def test_sparse_interpolation_matches_the_corner_loop_bit_for_bit(name, value_shape):
+    chart = fx.manifold(name).charts[0]
+    if value_shape == "form":
+        value_shape = (chart.dim, 3, 3)
+    rng = np.random.default_rng(len(value_shape) + chart.dim)
+    values = rng.standard_normal(chart.resolution + value_shape)
+    pts = _query_points(chart, rng)
+    got = interpolate(chart, values, pts)
+    assert got.shape == pts.shape[:-1] + value_shape
+    np.testing.assert_array_equal(got, corner_loop_interpolate(chart, values, pts))
+    # the same values, read through a strided (non-contiguous) view
+    interleaved = np.stack([values, -values], axis=-1)
+    view = interleaved[..., 0]
+    assert not view.flags.c_contiguous
+    np.testing.assert_array_equal(interpolate(chart, view, pts), got)
+    empty = interpolate(chart, values, np.empty((0, chart.dim)))
+    assert empty.shape == (0,) + value_shape
+
+
+def test_interpolation_keeps_non_finite_values_in_their_cells():
+    chart = fx.manifold("disk2d").charts[0]
+    values = np.zeros(chart.resolution)
+    values[3, 4] = np.nan
+    pts = _query_points(chart, np.random.default_rng(1))
+    got = interpolate(chart, values, pts)
+    np.testing.assert_array_equal(got, corner_loop_interpolate(chart, values, pts))
+    assert np.isnan(got).any() and not np.isnan(got).all()
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_interpolation_rejects_a_value_grid_of_the_wrong_shape(delta):
+    chart = fx.manifold("disk2d").charts[0]
+    shape = (chart.resolution[0], chart.resolution[1] + delta, 3)
+    with pytest.raises(InputError, match="resolution"):
+        interpolate(chart, np.zeros(shape), np.array([[0.9, 0.9]]))
 
 
 def test_interpolation_outside_box_rejected():
