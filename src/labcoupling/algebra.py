@@ -127,19 +127,19 @@ def ad(g: LieAlgebra, x: np.ndarray) -> np.ndarray:
     return np.einsum("...i,ijk->...kj", x, g.c)
 
 
-def _null_space(mat: np.ndarray, tol: float = ALG_TOL) -> np.ndarray:
-    """Orthonormal null-space basis (columns), absolute singular-value cutoff."""
+def _null_space(mat: np.ndarray) -> np.ndarray:
+    """Orthonormal null-space basis (columns): singular values <= ALG_TOL."""
     if mat.size == 0:
         return np.eye(mat.shape[1])
     _, s, vh = np.linalg.svd(mat)
     s = np.concatenate([s, np.zeros(mat.shape[1] - len(s))])
-    return vh[s <= tol].T
+    return vh[s <= ALG_TOL].T
 
 
-def center_basis(g: LieAlgebra, tol: float = ALG_TOL) -> list[np.ndarray]:
+def center_basis(g: LieAlgebra) -> list[np.ndarray]:
     """Orthonormal basis of Z(g) = ker(x -> ad(x))."""
     stacked = g.ad_basis_matrix  # (dim^2, dim)
-    return [v for v in _null_space(stacked, tol).T]
+    return [v for v in _null_space(stacked).T]
 
 
 def derivation_residuals(g: LieAlgebra, d: np.ndarray) -> np.ndarray:
@@ -165,7 +165,7 @@ def automorphism_residuals(g: LieAlgebra, a: np.ndarray) -> np.ndarray:
     return per_pair.max(axis=(-2, -1))
 
 
-def derivations_basis(g: LieAlgebra, tol: float = ALG_TOL) -> list[np.ndarray]:
+def derivations_basis(g: LieAlgebra) -> list[np.ndarray]:
     """Orthonormal (as vectors) basis of Der(g), solved as one linear system.
 
     The inner derivations span{ad(e_i)} are always a subspace of the result.
@@ -176,45 +176,47 @@ def derivations_basis(g: LieAlgebra, tol: float = ALG_TOL) -> list[np.ndarray]:
     t1 = np.einsum("bmi,mjl->bijl", units, g.c)
     t2 = np.einsum("bmj,iml->bijl", units, g.c)
     constraint = (lhs - t1 - t2).reshape(n * n, n * n * n).T  # rows: (i,j,l)
-    return [v.reshape(n, n) for v in _null_space(constraint, tol).T]
+    return [v.reshape(n, n) for v in _null_space(constraint).T]
 
 
-def exp_derivation(g: LieAlgebra, d: np.ndarray, tol: float = ALG_TOL) -> np.ndarray:
+def exp_derivation(g: LieAlgebra, d: np.ndarray) -> np.ndarray:
     """Matrix exponential of a derivation (scaling-and-squaring core).
 
-    The result is checked to be an automorphism within 10*tol.
+    The input must be a derivation within ALG_TOL, and the result is checked
+    to be an automorphism within 10*ALG_TOL.
     """
     d = np.asarray(d, dtype=float)
     if d.shape != (g.dim, g.dim):
         raise InputError(f"expected {(g.dim, g.dim)} matrix, got {d.shape}")
     res = float(derivation_residuals(g, d))
-    if res > tol:
-        raise InputError(f"input is not a derivation (Leibniz residual {res:.3e} > {tol:.1e})")
+    if res > ALG_TOL:
+        raise InputError(f"input is not a derivation (Leibniz residual {res:.3e} > {ALG_TOL:.1e})")
     a = scipy.linalg.expm(d)
     aut_res = float(automorphism_residuals(g, a))
-    if not np.isfinite(a).all() or not (aut_res <= 10 * tol):
+    if not np.isfinite(a).all() or not (aut_res <= 10 * ALG_TOL):
         raise ComputationError(f"exp left Aut(g): residual {aut_res:.3e}")
     return a
 
 
-def principal_log(a: np.ndarray, tol: float = ALG_TOL) -> np.ndarray | None:
+def principal_log(a: np.ndarray) -> np.ndarray | None:
     """Real principal logarithm of an invertible matrix, or None.
 
     None is returned when an eigenvalue sits on the closed negative real axis
-    (no real principal branch) or when exp(log a) fails to reproduce a within
-    100*tol.  The result is *not* checked to be a derivation; callers decide.
+    within ALG_TOL (no real principal branch) or when exp(log a) fails to
+    reproduce a within 100*ALG_TOL.  The result is *not* checked to be a
+    derivation; callers decide.
     """
     a = np.asarray(a, dtype=float)
     eig = np.linalg.eigvals(a)
-    if np.any((eig.real <= tol) & (np.abs(eig.imag) <= tol)):
+    if np.any((eig.real <= ALG_TOL) & (np.abs(eig.imag) <= ALG_TOL)):
         return None
     log = scipy.linalg.logm(a)
     if np.iscomplexobj(log):
-        if np.abs(log.imag).max() > 100 * tol:
+        if np.abs(log.imag).max() > 100 * ALG_TOL:
             return None
         log = log.real
     scale = 1.0 + np.linalg.norm(a)
-    if np.linalg.norm(scipy.linalg.expm(log) - a) > 100 * tol * scale:
+    if np.linalg.norm(scipy.linalg.expm(log) - a) > 100 * ALG_TOL * scale:
         return None
     return log
 
@@ -263,7 +265,6 @@ def is_inner(
     a: np.ndarray,
     inner_tol: float = INNER_TOL,
     aut_tol: float = 1e-6,
-    rng: np.random.Generator | None = None,
 ) -> InnerVerdict:
     """Decide membership of a in Inn(g) = <exp(ad x)>.
 
@@ -300,22 +301,18 @@ def is_inner(
         return InnerVerdict("outer", dist_id)
     if np.abs(g.ad_basis_matrix).max(initial=0.0) <= ALG_TOL:
         return InnerVerdict("outer", dist_id)
-    return _factor_search(g, a, inner_tol, rng)
+    return _factor_search(g, a, inner_tol)
 
 
-def _factor_search(
-    g: LieAlgebra,
-    a: np.ndarray,
-    inner_tol: float,
-    rng: np.random.Generator | None,
-) -> InnerVerdict:
+def _factor_search(g: LieAlgebra, a: np.ndarray, inner_tol: float) -> InnerVerdict:
     """Gradient-free coordinate descent on || a - prod_j exp(ad x_j) ||_F.
 
     A coarse search localizes the factors; a log-based polish (prepending the
     inner correction exp(ad y) with ad(y) ~ log(a P^{-1})) then drives the
-    residual toward the tolerance.  At most 4 factors in total.
+    residual toward the tolerance.  At most 4 factors in total.  The restarts
+    draw from a generator seeded with 0, so the verdict is deterministic.
     """
-    rng = np.random.default_rng(0) if rng is None else rng
+    rng = np.random.default_rng(0)
     n = g.dim
 
     def product(xs) -> np.ndarray:
@@ -383,27 +380,16 @@ def _factor_search(
     return InnerVerdict("undecided", best_val)
 
 
-def outer_equal(
-    g: LieAlgebra,
-    a: np.ndarray,
-    b: np.ndarray,
-    inner_tol: float = INNER_TOL,
-    aut_tol: float = 1e-6,
-) -> InnerVerdict:
+def outer_equal(g: LieAlgebra, a: np.ndarray, b: np.ndarray) -> InnerVerdict:
     """Equality of a and b in Aut(g)/Inn(g): is_inner of a b^{-1}."""
-    return is_inner(g, np.asarray(a) @ np.linalg.inv(b), inner_tol=inner_tol, aut_tol=aut_tol)
+    return is_inner(g, np.asarray(a) @ np.linalg.inv(b))
 
 
-def inner_log_residuals(
-    g: LieAlgebra,
-    mats: np.ndarray,
-    series_radius: float = 0.25,
-    terms: int = 30,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def inner_log_residuals(g: LieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized log-projection distances for a batch of near-identity matrices.
 
     Returns (residuals, log_matrices, ok) where ok marks rows whose log was
-    obtained by the Mercator series (|| m - I ||_F < series_radius).  Rows with
+    obtained by the 30-term Mercator series (|| m - I ||_F < 0.25).  Rows with
     ok False must go through the scalar is_inner path.  The decision rule is
     bitwise the same as route 1 of is_inner; this only batches the small
     matrix logs that dominate delta-continuity sweeps.
@@ -412,13 +398,13 @@ def inner_log_residuals(
     n = g.dim
     e = mats - np.eye(n)
     norms = np.linalg.norm(e, axis=(-2, -1))
-    ok = norms < series_radius
+    ok = norms < 0.25
     logs = np.zeros_like(mats)
     if ok.any():
         es = e[ok]
         power = es.copy()
         acc = es.copy()
-        for k in range(2, terms + 1):
+        for k in range(2, 31):
             power = np.matmul(power, es)
             acc += ((-1) ** (k + 1) / k) * power
         logs[ok] = acc

@@ -133,11 +133,11 @@ class AxiomReport:
         return {"skew": self.max_skew, "leibniz": self.max_leibniz, "jacobi": self.max_jacobi}
 
 
-def random_section(c: ConnectionForm, rng: np.random.Generator, amplitude: float = 0.01) -> AlgebroidSection:
+def random_section(c: ConnectionForm, rng: np.random.Generator) -> AlgebroidSection:
     m = c.manifold
     n = c.algebra.dim
-    u = random_harmonic_field(rng, m.dim, (n,), amplitude=amplitude).sample(m)
-    x = random_harmonic_field(rng, m.dim, (m.dim,), amplitude=amplitude, constant_scale=0.5).sample(m)
+    u = random_harmonic_field(rng, m.dim, (n,), amplitude=0.01).sample(m)
+    x = random_harmonic_field(rng, m.dim, (m.dim,), amplitude=0.01, constant_scale=0.5).sample(m)
     return AlgebroidSection.of(u, x)
 
 
@@ -148,7 +148,13 @@ def axiom_report(
 
     Skew commutativity is structural (exact); the anchored Leibniz rule and
     the Jacobi identity carry the finite-difference error of the grids.
+    Fewer than one trial would probe nothing and read as all-zero residuals,
+    so it is an InputError, as is a negative seed.
     """
+    if trials < 1:
+        raise InputError(f"trials must be at least 1, got {trials}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     m = c.manifold
     skew, leibniz, jacobi = [], [], []

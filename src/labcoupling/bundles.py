@@ -151,7 +151,7 @@ def _cocycle_residual(t: Trivialization) -> float:
                     continue
                 t1 = t.transition_grid(k1).reshape(-1, n, n)[mask]
                 t2 = interpolate(m.charts[o2.alpha], _embed_on_chart(t, k2), mid[mask])
-                t3 = t.transition_grid(k3).reshape(-1, n, n)[mask]
+                t3 = interpolate(chart, _embed_on_chart(t, k3), pts[mask])
                 defects.append(np.abs(t2 @ t1 - t3))
     return peak(*defects)
 

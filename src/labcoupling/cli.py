@@ -79,13 +79,13 @@ def cmd_validate_algebra(args) -> int:
 
 def cmd_validate_lab(args) -> int:
     t = fileio.load_bundle(args.bundle)
-    rep = validate_lab(t, tol=args.tol)
+    rep = validate_lab(t, tol=args.alg_tol)
     return _emit(_report("validate-lab", rep.passed, rep.residuals(), extra={"worst": rep.worst}))
 
 
 def cmd_check_delta(args) -> int:
     t = fileio.load_bundle(args.bundle)
-    lab = validate_lab(t, tol=args.tol)
+    lab = validate_lab(t, tol=args.alg_tol)
     if not lab.passed:
         return _emit(_report("check-delta", False, lab.residuals(), extra={"worst": lab.worst}))
     rep = check_delta_continuity(t, inner_tol=args.inner_tol)
@@ -226,67 +226,72 @@ def _finite_positive(text: str) -> float:
     return value
 
 
+TOLERANCE_FLAGS = {
+    "--alg-tol": ALG_TOL,
+    "--acc-tol": ACC_TOL,
+    "--trans-tol": TRANS_TOL,
+    "--inner-tol": INNER_TOL,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="labcoupling",
         description="Couplings between Lie algebra bundles and tangent bundles, at desk scale.",
     )
-    tols = argparse.ArgumentParser(add_help=False)
-    tols.add_argument("--alg-tol", type=_finite_positive, default=ALG_TOL)
-    tols.add_argument("--acc-tol", type=_finite_positive, default=ACC_TOL)
-    tols.add_argument("--trans-tol", type=_finite_positive, default=TRANS_TOL)
-    tols.add_argument("--inner-tol", type=_finite_positive, default=INNER_TOL)
-
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("validate-algebra", parents=[tols], help="check bracket axioms of an algebra file")
+    def command(name: str, func, summary: str, *tols: str) -> argparse.ArgumentParser:
+        """A subparser that declares only the tolerance flags its handler reads."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        for flag in tols:
+            p.add_argument(flag, type=_finite_positive, default=TOLERANCE_FLAGS[flag])
+        return p
+
+    p = command("validate-algebra", cmd_validate_algebra, "check bracket axioms of an algebra file",
+                "--alg-tol")
     p.add_argument("--algebra", required=True)
-    p.set_defaults(func=cmd_validate_algebra)
 
-    p = sub.add_parser("validate-lab", parents=[tols], help="check a bundle structure")
+    p = command("validate-lab", cmd_validate_lab, "check a bundle structure", "--alg-tol")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--tol", type=_finite_positive, default=ALG_TOL)
-    p.set_defaults(func=cmd_validate_lab)
 
-    p = sub.add_parser("check-delta", parents=[tols], help="discrete-quotient continuity sweep")
+    p = command("check-delta", cmd_check_delta, "discrete-quotient continuity sweep",
+                "--alg-tol", "--inner-tol")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--tol", type=_finite_positive, default=ALG_TOL)
-    p.set_defaults(func=cmd_check_delta)
 
-    p = sub.add_parser("check-coupling", parents=[tols], help="curvature-vs-inner-span accordance")
+    p = command("check-coupling", cmd_check_coupling, "curvature-vs-inner-span accordance",
+                "--alg-tol", "--acc-tol")
     p.add_argument("--connection", required=True)
-    p.set_defaults(func=cmd_check_coupling)
 
-    p = sub.add_parser("f-map", parents=[tols], help="coupling -> bundle structure by ray transport")
+    p = command("f-map", cmd_f_map, "coupling -> bundle structure by ray transport",
+                "--acc-tol", "--trans-tol", "--inner-tol")
     p.add_argument("--connection", required=True)
     p.add_argument("--out")
     p.add_argument("--ode-steps", type=int, default=ODE_STEPS)
-    p.set_defaults(func=cmd_f_map)
 
-    p = sub.add_parser("g-map", parents=[tols], help="bundle structure -> coupling connection")
+    p = command("g-map", cmd_g_map, "bundle structure -> coupling connection",
+                "--alg-tol", "--acc-tol", "--inner-tol")
     p.add_argument("--bundle", required=True)
     p.add_argument("--out")
     p.add_argument("--sharpness", type=_finite_positive, default=1.0)
-    p.set_defaults(func=cmd_g_map)
 
-    p = sub.add_parser("roundtrip", parents=[tols], help="verify the two maps are mutually inverse")
+    p = command("roundtrip", cmd_roundtrip, "verify the two maps are mutually inverse",
+                "--acc-tol", "--inner-tol")
     p.add_argument("--bundle")
     p.add_argument("--connection")
     p.add_argument("--ode-steps", type=int, default=ODE_STEPS)
-    p.set_defaults(func=cmd_roundtrip)
 
-    p = sub.add_parser("axioms", parents=[tols], help="bracket axiom residuals on random sections")
+    p = command("axioms", cmd_axioms, "bracket axiom residuals on random sections", "--acc-tol")
     p.add_argument("--connection", required=True)
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_axioms)
 
-    p = sub.add_parser("fixtures", help="list or emit canonical fixtures")
+    p = command("fixtures", cmd_fixtures, "list or emit canonical fixtures")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--list", action="store_true")
     group.add_argument("--emit")
     p.add_argument("--out-dir")
-    p.set_defaults(func=cmd_fixtures)
 
     return parser
 

@@ -97,16 +97,15 @@ class ConnectionReport:
         }
 
 
-def validate_connection(
-    c: ConnectionForm, tol: float = ALG_TOL, gauge_tol: float = GAUGE_TOL
-) -> ConnectionReport:
+def validate_connection(c: ConnectionForm, tol: float = ALG_TOL) -> ConnectionReport:
     """Pointwise Leibniz check of every omega value plus the overlap gauge law
     w_beta = tau w_alpha tau^{-1} + tau d(tau^{-1}) through the overlap
-    Jacobian, where tau is the section-coordinate change of the bundle."""
+    Jacobian, where tau is the section-coordinate change of the bundle
+    (within GAUGE_TOL)."""
     located = [(f"chart {cid}", derivation_residuals(c.algebra, grid)) for cid, grid in enumerate(c.omega)]
     max_der = peak(*(res for _, res in located))
     max_gauge = gauge_residual(c)
-    passed = max_der <= tol and max_gauge <= gauge_tol
+    passed = max_der <= tol and max_gauge <= GAUGE_TOL
     return ConnectionReport(bool(passed), max_der, max_gauge, _worst_node(located))
 
 
@@ -166,9 +165,9 @@ def curvature(c: ConnectionForm) -> CurvatureData:
     return CurvatureData(pairs, tuple(grids))
 
 
-def curvature_gauge_residual(c: ConnectionForm, curv: CurvatureData | None = None) -> float:
+def curvature_gauge_residual(c: ConnectionForm) -> float:
     """Worst violation of R_beta = tau R_alpha tau^{-1} across overlaps."""
-    curv = curvature(c) if curv is None else curv
+    curv = curvature(c)
     m = c.manifold
     full = [curv.full(cid) for cid in range(len(m.charts))]
     defects = []
@@ -210,10 +209,11 @@ def accordance(c: ConnectionForm, tol: float = ACC_TOL) -> AccordanceResult:
     return AccordanceResult(bool(worst <= tol), worst, data, n_center)
 
 
-def shift_by_inner(c: ConnectionForm, l: list, gauge_tol: float = GAUGE_TOL) -> ConnectionForm:
+def shift_by_inner(c: ConnectionForm, l: list) -> ConnectionForm:
     """nabla' = nabla + [l(X), .], i.e. omega' = omega + ad(l).
 
-    l must transform as a fiber-valued one-form across overlaps (checked).
+    l must transform as a fiber-valued one-form across overlaps (checked
+    within GAUGE_TOL).
     """
     m = c.manifold
     n = c.algebra.dim
@@ -228,7 +228,7 @@ def shift_by_inner(c: ConnectionForm, l: list, gauge_tol: float = GAUGE_TOL) -> 
         rhs = np.einsum("...ab,...ib->...ia", tau, l_alpha)
         defects.append(np.abs(lhs - rhs))
     worst = peak(*defects)
-    if worst > gauge_tol:
+    if worst > GAUGE_TOL:
         raise InputError(f"shift field is not overlap-covariant (residual {worst:.3e})")
     # Keep ad(l) referenced: `omega + <temporary>` lets numpy write the sum into
     # the temporary, whose transposed layout slows every later interpolation.

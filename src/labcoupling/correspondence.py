@@ -152,7 +152,6 @@ def g_map(
     t: Trivialization,
     h: PartitionOfUnity,
     check: bool = True,
-    aut_tol: float = ALG_TOL,
     inner_tol: float = INNER_TOL,
 ) -> ConnectionForm:
     """Structure + partition of unity -> connection over the identity-frame
@@ -167,7 +166,7 @@ def g_map(
     if h.manifold is not t.manifold:
         raise InputError("partition of unity built over a different manifold")
     if check:
-        lab = validate_lab(t, tol=max(aut_tol, 100 * ALG_TOL))
+        lab = validate_lab(t, tol=100 * ALG_TOL)
         if not lab.passed:
             raise PreconditionError(f"structure does not validate ({lab.worst})")
         delta = check_delta_continuity(t, inner_tol=inner_tol)
@@ -218,16 +217,16 @@ def verify_g_well_defined(
     t_prime: Trivialization,
     h: PartitionOfUnity,
     h_prime: PartitionOfUnity,
-    tol: float = ACC_TOL,
 ) -> WellDefinedReport:
     """The class of g(structure, partition) depends on neither choice: the two
-    assembled connections must differ by an inner-valued one-form."""
+    assembled connections must differ by an inner-valued one-form (within
+    ACC_TOL)."""
     eq = trivializations_equivalent(t, t_prime, aut_tol=1e-6)
     if not eq.passed:
         raise PreconditionError("structures are not equivalent")
     ca = g_map(t, h, check=False)
     cb = g_map(t_prime, h_prime, check=False)
-    result = coupling_equivalent(ca, cb, tol=tol)
+    result = coupling_equivalent(ca, cb, tol=ACC_TOL)
     return WellDefinedReport(result.passed, result.max_residual)
 
 
@@ -253,18 +252,17 @@ class RoundTripReport:
 def verify_inverse(
     c: ConnectionForm | None = None,
     t: Trivialization | None = None,
-    h: PartitionOfUnity | None = None,
     ode_steps: int = ODE_STEPS,
     coupling_tol: float = ACC_TOL,
-    aut_tol: float = 1e-5,
     inner_tol: float = INNER_TOL,
 ) -> RoundTripReport:
-    """Round-trip verification of the two maps.
+    """Round-trip verification of the two maps, with the default partition
+    of unity.
 
     Starting from a connection: g(f(C)) must be coupling-equivalent to C, and
-    f(g(f(C))) must be an equivalent structure to f(C).  Starting from a
-    structure: symmetric.  Undecided inner verdicts mark the report
-    inconclusive, never failed.
+    f(g(f(C))) must be an equivalent structure to f(C) (frame ratios
+    automorphisms within 1e-5).  Starting from a structure: symmetric.
+    Undecided inner verdicts mark the report inconclusive, never failed.
     """
     if (c is None) == (t is None):
         raise InputError("exactly one of connection / trivialization is required")
@@ -273,7 +271,7 @@ def verify_inverse(
         result = accordance(c, tol=coupling_tol)
         if not result.passed:
             return RoundTripReport({}, False, note="not a coupling: accordance fails")
-        h = partition_of_unity(c.manifold) if h is None else h
+        h = partition_of_unity(c.manifold)
         fm = f_map(c, ode_steps=ode_steps, acc_tol=coupling_tol, inner_tol=inner_tol)
         c_back = g_map(fm.trivialization, h, check=False)
         eq = coupling_equivalent(c_back, c, tol=coupling_tol)
@@ -284,17 +282,17 @@ def verify_inverse(
         )
         fm2 = f_map(c_back, ode_steps=ode_steps, acc_tol=coupling_tol, inner_tol=inner_tol)
         back_eq = trivializations_equivalent(
-            fm2.trivialization, fm.trivialization, inner_tol=inner_tol, aut_tol=aut_tol
+            fm2.trivialization, fm.trivialization, inner_tol=inner_tol, aut_tol=1e-5
         )
         directions["trivialization_roundtrip"] = DirectionResult(
             back_eq.passed, back_eq.max_aut_residual, back_eq.counts()["undecided"]
         )
     else:
-        h = partition_of_unity(t.manifold) if h is None else h
+        h = partition_of_unity(t.manifold)
         c_out = g_map(t, h, inner_tol=inner_tol)
         fm = f_map(c_out, ode_steps=ode_steps, acc_tol=coupling_tol, inner_tol=inner_tol)
         back_eq = trivializations_equivalent(
-            fm.trivialization, t, inner_tol=inner_tol, aut_tol=aut_tol
+            fm.trivialization, t, inner_tol=inner_tol, aut_tol=1e-5
         )
         directions["trivialization_roundtrip"] = DirectionResult(
             back_eq.passed, back_eq.max_aut_residual, back_eq.counts()["undecided"]
@@ -320,12 +318,13 @@ def coordinate_change_at(t: Trivialization, overlap_index: int, point: np.ndarra
     return np.linalg.inv(f_beta) @ f_alpha
 
 
-def loop_transport(c: ConnectionForm, ode_steps: int = ODE_STEPS, axis: int = 0) -> np.ndarray:
-    """Transport around the closed cycle of charts along ``axis`` (circle and
-    cylinder covers), switching charts at overlap-region midpoints."""
+def loop_transport(c: ConnectionForm) -> np.ndarray:
+    """Transport around the closed cycle of charts along the first axis
+    (circle and cylinder covers), in ODE_STEPS steps per leg, switching
+    charts at overlap-region midpoints."""
     m = c.manifold
     n_charts = len(m.charts)
-    order = sorted(range(n_charts), key=lambda cid: m.charts[cid].box[axis, 0])
+    order = sorted(range(n_charts), key=lambda cid: m.charts[cid].box[0, 0])
     n = c.algebra.dim
     total = np.eye(n)
     start = m.charts[order[0]].node_point(m.charts[order[0]].center)
@@ -339,15 +338,15 @@ def loop_transport(c: ConnectionForm, ode_steps: int = ODE_STEPS, axis: int = 0)
                 for k, o in enumerate(m.overlaps)
                 if o.alpha == cid
                 and o.beta == nxt
-                and abs(o.region[axis, 1] - m.charts[cid].box[axis, 1]) <= 1e-9
+                and abs(o.region[0, 1] - m.charts[cid].box[0, 1]) <= 1e-9
             ),
             (None, None),
         )
         if o is None:
-            raise InputError(f"no forward overlap from chart {cid} along axis {axis}")
+            raise InputError(f"no forward overlap from chart {cid} along axis 0")
         switch = current.copy()
-        switch[axis] = 0.5 * (o.region[axis, 0] + o.region[axis, 1])
-        total = _transport(c, Path(cid, current, switch, ode_steps)) @ total
+        switch[0] = 0.5 * (o.region[0, 0] + o.region[0, 1])
+        total = _transport(c, Path(cid, current, switch, ODE_STEPS)) @ total
         total = coordinate_change_at(c.bundle, k, switch) @ total
         current = o.apply(switch[None, :])[0]
-    return _transport(c, Path(order[0], current, start, ode_steps)) @ total
+    return _transport(c, Path(order[0], current, start, ODE_STEPS)) @ total

@@ -119,7 +119,7 @@ def load_bundle(ref) -> Trivialization:
     )
 
 
-def connection_to_dict(c: ConnectionForm, bundle_ref=None) -> dict:
+def connection_to_dict(c: ConnectionForm) -> dict:
     # omega stored per chart, per axis, then node-major
     omega = []
     for grid in c.omega:
@@ -127,7 +127,7 @@ def connection_to_dict(c: ConnectionForm, bundle_ref=None) -> dict:
         by_axis = np.moveaxis(grid, -3, 0)
         omega.append([by_axis[i].tolist() for i in range(mdim)])
     return {
-        "bundle": bundle_ref if bundle_ref is not None else bundle_to_dict(c.bundle),
+        "bundle": bundle_to_dict(c.bundle),
         "omega": omega,
     }
 

@@ -56,9 +56,9 @@ class Chart:
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1)
 
-    def contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def contains(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        inside = (points >= self.box[:, 0] - tol) & (points <= self.box[:, 1] + tol)
+        inside = (points >= self.box[:, 0] - 1e-9) & (points <= self.box[:, 1] + 1e-9)
         # one AND per axis: about twice as fast as all(axis=-1) over short rows
         return functools.reduce(np.logical_and, np.moveaxis(inside, -1, 0))
 
@@ -81,10 +81,10 @@ class Overlap:
     def apply(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=float) @ self.matrix.T + self.offset
 
-    def region_contains(self, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    def region_contains(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        lo = self.region[:, 0] - tol
-        hi = self.region[:, 1] + tol
+        lo = self.region[:, 0] - 1e-9
+        hi = self.region[:, 1] + 1e-9
         return np.all((points >= lo) & (points <= hi), axis=-1)
 
 
@@ -143,31 +143,31 @@ def build_manifold(spec: dict, name: str = "") -> ChartedManifold:
     return m
 
 
-def _validate_overlaps(m: ChartedManifold, tol: float = ALG_TOL) -> None:
+def _validate_overlaps(m: ChartedManifold) -> None:
     for k, o in enumerate(m.overlaps):
         if not (0 <= o.alpha < len(m.charts) and 0 <= o.beta < len(m.charts)):
             raise InputError(f"overlap {k} references an unknown chart")
         alpha_chart, beta_chart = m.charts[o.alpha], m.charts[o.beta]
         region = o.region
-        inside = (region[:, 0] >= alpha_chart.box[:, 0] - tol) & (
-            region[:, 1] <= alpha_chart.box[:, 1] + tol
+        inside = (region[:, 0] >= alpha_chart.box[:, 0] - ALG_TOL) & (
+            region[:, 1] <= alpha_chart.box[:, 1] + ALG_TOL
         )
         if not inside.all():
             raise InputError(f"overlap {k} region leaves chart {o.alpha}")
         corners = np.array(list(itertools.product(*region)))
-        if not beta_chart.contains(o.apply(corners), tol=tol).all():
+        if not beta_chart.contains(o.apply(corners)).all():
             raise InputError(f"overlap {k} image leaves chart {o.beta}")
 
     # symmetry: (alpha, beta) pairs come with an inverse partner
     for k, o in enumerate(m.overlaps):
-        partner = _find_partner(m, o, tol)
+        partner = _find_partner(m, o)
         if partner is None:
             raise InputError(f"overlap {k} ({o.alpha}->{o.beta}) has no symmetric partner")
 
-    _validate_triples(m, tol)
+    _validate_triples(m)
 
 
-def _find_partner(m: ChartedManifold, o: Overlap, tol: float):
+def _find_partner(m: ChartedManifold, o: Overlap):
     inv_matrix = np.linalg.inv(o.matrix)
     inv_offset = -inv_matrix @ o.offset
     image = np.sort(o.apply(o.region.T).T, axis=1)
@@ -175,15 +175,15 @@ def _find_partner(m: ChartedManifold, o: Overlap, tol: float):
         if p.alpha != o.beta or p.beta != o.alpha:
             continue
         if (
-            np.abs(p.matrix - inv_matrix).max() <= tol
-            and np.abs(p.offset - inv_offset).max() <= tol
+            np.abs(p.matrix - inv_matrix).max() <= ALG_TOL
+            and np.abs(p.offset - inv_offset).max() <= ALG_TOL
             and np.abs(np.sort(p.region, axis=1) - image).max() <= 1e-7
         ):
             return p
     return None
 
 
-def _validate_triples(m: ChartedManifold, tol: float) -> None:
+def _validate_triples(m: ChartedManifold) -> None:
     """On triple overlaps the composed affine maps must agree."""
     by_pair = {}
     for o in m.overlaps:
@@ -204,7 +204,7 @@ def _validate_triples(m: ChartedManifold, tol: float) -> None:
                     continue
                 via = o2.apply(mid[mask])
                 direct = o3.apply(corners[mask])
-                if np.abs(via - direct).max() > 10 * tol:
+                if np.abs(via - direct).max() > 10 * ALG_TOL:
                     raise InputError(
                         f"triple overlap {o1.alpha}->{o1.beta}->{gamma} is inconsistent"
                     )
@@ -257,15 +257,15 @@ def tangent_overlap_residual(m: ChartedManifold, x_field: list) -> float:
     return peak(*mismatches)
 
 
-def region_slices(chart: Chart, region: np.ndarray, tol: float = 1e-6) -> tuple:
+def region_slices(chart: Chart, region: np.ndarray) -> tuple:
     """Grid slices spanned by a node-aligned sub-box (inward rounding)."""
     slices = []
     for a in range(chart.dim):
         h = chart.spacing[a]
         lo_f = (region[a, 0] - chart.box[a, 0]) / h
         hi_f = (region[a, 1] - chart.box[a, 0]) / h
-        lo = int(np.ceil(lo_f - tol))
-        hi = int(np.floor(hi_f + tol))
+        lo = int(np.ceil(lo_f - 1e-6))
+        hi = int(np.floor(hi_f + 1e-6))
         if hi < lo:
             raise InputError("overlap region contains no grid nodes")
         slices.append(slice(lo, hi + 1))
@@ -461,11 +461,10 @@ class Path:
     steps: int
 
 
-def ray_path(m: ChartedManifold, chart_id: int, node: tuple, steps: int, base: tuple | None = None) -> Path:
+def ray_path(m: ChartedManifold, chart_id: int, node: tuple, steps: int) -> Path:
     """Straight segment in chart coordinates from the chart center to a node."""
     chart = m.charts[chart_id]
-    start = chart.node_point(chart.center if base is None else base)
-    return Path(chart_id, start, chart.node_point(node), steps)
+    return Path(chart_id, chart.node_point(chart.center), chart.node_point(node), steps)
 
 
 # --- smooth maps between charted manifolds -----------------------------------
@@ -560,10 +559,9 @@ def random_harmonic_field(
     value_shape: tuple = (),
     amplitude: float = 0.01,
     constant_scale: float = 0.3,
-    kmax: int = 2,
 ) -> HarmonicField:
-    decay = np.array([1.0 / k**3 for k in range(1, kmax + 1)])
-    shape = value_shape + (dim, kmax)
+    decay = np.array([1.0 / k**3 for k in (1, 2)])
+    shape = value_shape + (dim, 2)
     coeffs_cos = rng.uniform(-1.0, 1.0, size=shape) * amplitude * decay
     coeffs_sin = rng.uniform(-1.0, 1.0, size=shape) * amplitude * decay
     constant = rng.uniform(-1.0, 1.0, size=value_shape) * constant_scale

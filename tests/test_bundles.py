@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from labcoupling import fixtures as fx
+from labcoupling import bundles, fixtures as fx
 from labcoupling.algebra import ad, automorphism_residuals
 from labcoupling.bundles import (
     Trivialization,
@@ -18,7 +18,15 @@ from labcoupling.bundles import (
     validate_lab,
 )
 from labcoupling.errors import InputError
-from labcoupling.manifolds import ChartAssignment, ManifoldMap, constant_map, identity_map
+from labcoupling.manifolds import (
+    ChartAssignment,
+    ManifoldMap,
+    build_manifold,
+    constant_map,
+    identity_map,
+    interpolate,
+)
+from tests.test_manifolds import three_chart_interval_spec
 
 
 def degree2_circle_map() -> ManifoldMap:
@@ -53,6 +61,30 @@ def test_constant_cocycle_bundle_passes():
     assert rep.passed
     for k in range(len(m.overlaps)):
         assert automorphism_residuals(g, t.transition_grid(k)).max() <= 1e-12
+
+
+def test_cocycle_is_compared_on_every_triple_overlap_node(monkeypatch):
+    g = fx.algebra("so3")
+    m = build_manifold(three_chart_interval_spec())
+    frames = []
+    for cid, chart in enumerate(m.charts):
+        # a frame field of its own per chart, so every transition is nontrivial
+        s = chart.grid_points()[..., 0]
+        direction = np.array([1.0, 0.5 * cid, -0.3])
+        frames.append(scipy.linalg.expm(ad(g, (s + cid)[:, None] * direction)))
+    t = Trivialization(g, m, tuple(frames))
+    queried = []
+
+    def counted(chart, values, points):
+        queried.append(len(points))
+        return interpolate(chart, values, points)
+
+    monkeypatch.setattr(bundles, "interpolate", counted)
+    rep = validate_lab(t)
+    assert rep.passed and rep.max_cocycle_residual <= 1e-12
+    # six orderings of the three charts, each sampling two transitions on
+    # the five nodes of [1, 2]
+    assert queried == [5] * 12
 
 
 def test_one_constant_transition_other_identity():

@@ -188,10 +188,10 @@ def test_tolerance_flags_are_honored(capsys):
     "command,flag",
     [
         (("check-delta", "--bundle", "circle2_so3_twisted"), "--alg-tol"),
-        (("check-delta", "--bundle", "circle2_so3_twisted"), "--acc-tol"),
-        (("check-delta", "--bundle", "circle2_so3_twisted"), "--trans-tol"),
+        (("check-coupling", "--connection", "circle2_so3_twisted"), "--acc-tol"),
+        (("f-map", "--connection", "circle2_so3_twisted"), "--trans-tol"),
         (("check-delta", "--bundle", "circle2_so3_twisted"), "--inner-tol"),
-        (("validate-lab", "--bundle", "circle2_so3_twisted"), "--tol"),
+        (("validate-lab", "--bundle", "circle2_so3_twisted"), "--alg-tol"),
         (("g-map", "--bundle", "circle2_so3_twisted"), "--sharpness"),
     ],
 )
@@ -200,6 +200,41 @@ def test_non_finite_or_non_positive_float_flags_exit_3(capsys, command, flag, va
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"argument {flag}: must be a finite number > 0" in captured.err
+
+
+# the tolerance flags each subcommand's handler reads; it declares no other
+TOLERANCES_READ = {
+    ("validate-algebra", "--algebra", "so3"): {"--alg-tol"},
+    ("validate-lab", "--bundle", "circle2_so3_twisted"): {"--alg-tol"},
+    ("check-delta", "--bundle", "circle2_so3_twisted"): {"--alg-tol", "--inner-tol"},
+    ("check-coupling", "--connection", "circle2_so3_twisted"): {"--alg-tol", "--acc-tol"},
+    ("f-map", "--connection", "circle2_so3_twisted"): {"--acc-tol", "--trans-tol", "--inner-tol"},
+    ("g-map", "--bundle", "circle2_so3_twisted"): {"--alg-tol", "--acc-tol", "--inner-tol"},
+    ("roundtrip", "--connection", "circle2_so3_twisted"): {"--acc-tol", "--inner-tol"},
+    ("axioms", "--connection", "circle2_so3_twisted"): {"--acc-tol"},
+}
+UNREAD_FLAGS = [
+    pytest.param(command, flag, id=f"{command[0]} {flag}")
+    for command, read in TOLERANCES_READ.items()
+    for flag in ("--alg-tol", "--acc-tol", "--trans-tol", "--inner-tol", "--tol")
+    if flag not in read
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_tolerance_flag_the_subcommand_does_not_read_exits_3(capsys, command, flag):
+    assert cli.run([*command, flag, "1e-6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {flag} 1e-6" in captured.err
+
+
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--trials", "-3"), ("--seed", "-1")])
+def test_axioms_rejects_no_trials_and_a_negative_seed(capsys, flag, value):
+    code = cli.run(["axioms", "--connection", "circle2_so3_twisted", flag, value])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert f"error: {flag[2:]} must be" in captured.err
 
 
 # --- non-finite and malformed input ------------------------------------------

@@ -80,6 +80,35 @@ def test_low_resolution_rejected():
         build_manifold(spec)
 
 
+def three_chart_interval_spec(shift: float = 0.0) -> dict:
+    """[0, 3] covered by three length-2 charts at global offsets 0, 0.5 and 1,
+    so all three meet on [1, 2]; every region is node-aligned.  ``shift``
+    moves the 1 -> 2 overlap map (and its partner with it, so the pair still
+    inverts) by that much."""
+
+    def overlap(alpha, beta, region, offset):
+        return {"alpha": alpha, "beta": beta, "region": [region], "map": {"matrix": [[1.0]], "offset": [offset]}}
+
+    return {
+        "dim": 1,
+        "charts": [{"box": [[0.0, 2.0]], "resolution": [9], "center": [4]}] * 3,
+        "overlaps": [
+            overlap(0, 1, [0.5, 2.0], -0.5),
+            overlap(1, 0, [0.0, 1.5], 0.5),
+            overlap(0, 2, [1.0, 2.0], -1.0),
+            overlap(2, 0, [0.0, 1.0], 1.0),
+            overlap(1, 2, [0.5, 2.0], -0.5 + shift),
+            overlap(2, 1, [shift, 1.5 + shift], 0.5 - shift),
+        ],
+    }
+
+
+def test_inconsistent_triple_overlap_rejected():
+    assert len(build_manifold(three_chart_interval_spec()).overlaps) == 6
+    with pytest.raises(InputError, match="triple overlap 0->1->2 is inconsistent"):
+        build_manifold(three_chart_interval_spec(shift=1e-6))
+
+
 @pytest.mark.parametrize("name", ["circle2", "cyl2", "circle4"])
 def test_overlap_cycles_compose_to_identity(name):
     m = fx.manifold(name)
