@@ -198,27 +198,70 @@ def exp_derivation(g: LieAlgebra, d: np.ndarray) -> np.ndarray:
     return a
 
 
-def principal_log(a: np.ndarray) -> np.ndarray | None:
-    """Real principal logarithm of an invertible matrix, or None.
+def principal_logs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real principal logarithms of a stack (m, n, n) as (logs, ok), by inverse
+    scaling and squaring: k square roots bring a row within ||x - I||_F < 0.25,
+    and 2^k times the 30-term Mercator series of log(x) is its log.  A row that
+    starts there (k = 0) needs no guard; any other gets ok False and a zero log
+    if an eigenvalue lies on the closed negative real axis within ALG_TOL or if
+    exp(log) misses it by more than 100*ALG_TOL*(1 + ||a||_F)."""
+    mats = np.asarray(mats, dtype=float)
+    eye = np.eye(mats.shape[-1])
+    ok = np.linalg.norm(mats - eye, axis=(-2, -1)) < 0.25  # far rows are judged below
+    far = np.flatnonzero(~ok)
+    eig = np.linalg.eigvals(mats[far])
+    far = far[~np.any((eig.real <= ALG_TOL) & (np.abs(eig.imag) <= ALG_TOL), axis=-1)]
+    roots = np.where(ok[:, None, None], mats, eye)  # rows without a real log: I
+    roots[far] = mats[far]
+    k = np.zeros(len(mats))
+    out = far
+    while out.size:  # a root that did not converge is NaN and drops out
+        roots[out] = _square_roots(roots[out])
+        k[out] += 1
+        out = out[np.linalg.norm(roots[out] - eye, axis=(-2, -1)) >= 0.25]
+    e = roots - eye
+    power = e.copy()
+    acc = e.copy()
+    for j in range(2, 31):
+        power = np.matmul(power, e)
+        acc += ((-1) ** (j + 1) / j) * power
+    logs = 2.0 ** k[:, None, None] * acc
+    miss = np.linalg.norm(scipy.linalg.expm(logs[far]) - mats[far], axis=(-2, -1))
+    ok[far] = miss <= 100 * ALG_TOL * (1.0 + np.linalg.norm(mats[far], axis=(-2, -1)))
+    logs[~ok] = 0.0
+    return logs, ok
 
-    None is returned when an eigenvalue sits on the closed negative real axis
-    within ALG_TOL (no real principal branch) or when exp(log a) fails to
-    reproduce a within 100*ALG_TOL.  The result is *not* checked to be a
-    derivation; callers decide.
-    """
-    a = np.asarray(a, dtype=float)
-    eig = np.linalg.eigvals(a)
-    if np.any((eig.real <= ALG_TOL) & (np.abs(eig.imag) <= ALG_TOL)):
-        return None
-    log = scipy.linalg.logm(a)
-    if np.iscomplexobj(log):
-        if np.abs(log.imag).max() > 100 * ALG_TOL:
-            return None
-        log = log.real
-    scale = 1.0 + np.linalg.norm(a)
-    if np.linalg.norm(scipy.linalg.expm(log) - a) > 100 * ALG_TOL * scale:
-        return None
-    return log
+
+def _square_roots(a: np.ndarray) -> np.ndarray:
+    """Principal square roots of a stack by the Denman-Beavers iteration
+    Y <- (Y + Z^-1)/2, Z <- (Z + Y^-1)/2 from Y = a, Z = I.  Convergence is
+    quadratic, so a row is done after a step of at most 1e-8 relative.  A row
+    with a singular or overflowing iterate, or not done in 100 steps, is NaN."""
+    y = a.copy()
+    z = np.broadcast_to(np.eye(a.shape[-1]), a.shape).copy()
+    todo = np.arange(len(a))
+    with np.errstate(all="ignore"):
+        for _ in range(100):
+            y_old, z_old = y[todo], z[todo]
+            y[todo] = 0.5 * (y_old + _inverses(z_old))
+            z[todo] = 0.5 * (z_old + _inverses(y_old))
+            step = np.linalg.norm(y[todo] - y_old, axis=(-2, -1))
+            todo = todo[step > 1e-8 * np.linalg.norm(y[todo], axis=(-2, -1))]
+            if not todo.size:
+                break
+    y[todo] = np.nan
+    return np.where(np.isfinite(y), y, np.nan)
+
+
+def _inverses(m: np.ndarray) -> np.ndarray:
+    """Inverses of a stack; a singular row (det 0) comes back NaN instead of raising."""
+    return np.linalg.inv(np.where(np.linalg.det(m)[:, None, None] == 0.0, np.nan, m))
+
+
+def principal_log(a: np.ndarray) -> np.ndarray | None:
+    """Real principal logarithm of one matrix (see principal_logs), or None."""
+    logs, ok = principal_logs(np.asarray(a, dtype=float)[None])
+    return logs[0] if ok[0] else None
 
 
 @dataclass(frozen=True)
@@ -382,30 +425,14 @@ def _factor_search(g: LieAlgebra, a: np.ndarray, inner_tol: float) -> InnerVerdi
 
 def outer_equal(g: LieAlgebra, a: np.ndarray, b: np.ndarray) -> InnerVerdict:
     """Equality of a and b in Aut(g)/Inn(g): is_inner of a b^{-1}."""
+    if not abs(np.linalg.det(b)) > ALG_TOL:
+        raise InputError("b is not invertible")
     return is_inner(g, np.asarray(a) @ np.linalg.inv(b))
 
 
 def inner_log_residuals(g: LieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized log-projection distances for a batch of near-identity matrices.
-
-    Returns (residuals, log_matrices, ok) where ok marks rows whose log was
-    obtained by the 30-term Mercator series (|| m - I ||_F < 0.25).  Rows with
-    ok False must go through the scalar is_inner path.  The decision rule is
-    bitwise the same as route 1 of is_inner; this only batches the small
-    matrix logs that dominate delta-continuity sweeps.
-    """
-    mats = np.asarray(mats, dtype=float)
-    n = g.dim
-    e = mats - np.eye(n)
-    norms = np.linalg.norm(e, axis=(-2, -1))
-    ok = norms < 0.25
-    logs = np.zeros_like(mats)
-    if ok.any():
-        es = e[ok]
-        power = es.copy()
-        acc = es.copy()
-        for k in range(2, 31):
-            power = np.matmul(power, es)
-            acc += ((-1) ** (k + 1) / k) * power
-        logs[ok] = acc
+    """Log-projection distances of a stack (m, n, n): (residuals, logs, ok).
+    Rows without a real principal log (ok False, zero log) must go through
+    the scalar is_inner path."""
+    logs, ok = principal_logs(mats)
     return inner_projection(g, logs)[1], logs, ok

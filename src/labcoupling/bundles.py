@@ -104,12 +104,13 @@ def validate_lab(t: Trivialization, tol: float = ALG_TOL) -> LabReport:
     max_frame = peak(*(res for _, res in frames))
     if math.isinf(max_frame):
         return LabReport(False, max_frame, math.inf, math.inf, _worst_node(frames))
+    grids = [t.transition_grid(k) for k in range(len(t.manifold.overlaps))]
     transitions = [
-        (f"transition overlap {k} region", automorphism_residuals(g, t.transition_grid(k)))
-        for k in range(len(t.manifold.overlaps))
+        (f"transition overlap {k} region", automorphism_residuals(g, grid))
+        for k, grid in enumerate(grids)
     ]
     max_trans = peak(*(res for _, res in transitions))
-    max_cocycle = _cocycle_residual(t)
+    max_cocycle = _cocycle_residual(t, grids)
     passed = max_frame <= tol and max_trans <= tol and max_cocycle <= 10 * tol
     return LabReport(bool(passed), max_frame, max_trans, max_cocycle, _worst_node(frames + transitions))
 
@@ -129,19 +130,18 @@ def _worst_node(located: list) -> str:
     return f"{label} node {tuple(int(i) for i in node)}"
 
 
-def _cocycle_residual(t: Trivialization) -> float:
+def _cocycle_residual(t: Trivialization, grids: list) -> float:
+    """Largest cocycle defect on triple overlaps, from validate_lab's transition grids."""
     m = t.manifold
     defects = []
-    direct = {}
-    for k3, o3 in enumerate(m.overlaps):
-        direct.setdefault((o3.alpha, o3.beta), []).append(k3)
     n = t.algebra.dim
     for k1, o1 in enumerate(m.overlaps):
         for k2, o2 in enumerate(m.overlaps):
             if o2.alpha != o1.beta or o2.beta == o1.alpha:
                 continue
-            for k3 in direct.get((o1.alpha, o2.beta), []):
-                o3 = m.overlaps[k3]
+            for k3, o3 in enumerate(m.overlaps):
+                if (o3.alpha, o3.beta) != (o1.alpha, o2.beta):
+                    continue
                 chart = m.charts[o1.alpha]
                 sl = region_slices(chart, o1.region)
                 pts = chart.grid_points()[sl].reshape(-1, m.dim)
@@ -149,21 +149,21 @@ def _cocycle_residual(t: Trivialization) -> float:
                 mask = o2.region_contains(mid) & o3.region_contains(pts)
                 if not mask.any():
                     continue
-                t1 = t.transition_grid(k1).reshape(-1, n, n)[mask]
-                t2 = interpolate(m.charts[o2.alpha], _embed_on_chart(t, k2), mid[mask])
-                t3 = interpolate(chart, _embed_on_chart(t, k3), pts[mask])
+                t1 = grids[k1].reshape(-1, n, n)[mask]
+                t2 = interpolate(m.charts[o2.alpha], _embed_on_chart(t, k2, grids[k2]), mid[mask])
+                t3 = interpolate(chart, _embed_on_chart(t, k3, grids[k3]), pts[mask])
                 defects.append(np.abs(t2 @ t1 - t3))
     return peak(*defects)
 
 
-def _embed_on_chart(t: Trivialization, overlap_index: int) -> np.ndarray:
-    """Transition grid of an overlap embedded into its alpha chart's full grid
+def _embed_on_chart(t: Trivialization, overlap_index: int, grid: np.ndarray) -> np.ndarray:
+    """An overlap's transition grid embedded into its alpha chart's full grid
     (identity outside the region) so it can be interpolated positionally."""
     o = t.manifold.overlaps[overlap_index]
     chart = t.manifold.charts[o.alpha]
     n = t.algebra.dim
     full = np.broadcast_to(np.eye(n), chart.resolution + (n, n)).copy()
-    full[region_slices(chart, o.region)] = t.transition_grid(overlap_index)
+    full[region_slices(chart, o.region)] = grid
     return full
 
 
@@ -204,9 +204,9 @@ def _verdict_sweep(
 ) -> VerdictGroup:
     """Classify a batch of automorphisms as inner/outer/undecided.
 
-    Near-identity matrices go through the vectorized series-log projection
-    (bitwise the same rule as is_inner's log route); the rest fall back to
-    the scalar decision procedure.
+    Every matrix goes through the batched principal-log projection (the rule
+    of is_inner's log route); only those without a real principal log, or
+    whose log is not a derivation, fall back to the scalar is_inner.
     """
     mats = mats.reshape(-1, g.dim, g.dim)
     aut = automorphism_residuals(g, mats)
@@ -230,7 +230,10 @@ def check_delta_continuity(
 ) -> DeltaReport:
     """Per overlap, test that every transition agrees with the base node's
     transition up to an inner automorphism (constant outer class on the
-    connected overlap region)."""
+    connected overlap region).  A singular frame (|det| <= ALG_TOL) anywhere
+    fails the sweep with residuals +inf, and nothing is inverted."""
+    if any(_singular(grid).any() for grid in t.frames):
+        return DeltaReport(False, False, (), math.inf, math.inf)
     g = t.algebra
     groups = []
     for k, o in enumerate(t.manifold.overlaps):

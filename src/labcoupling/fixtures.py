@@ -7,6 +7,7 @@ rebuilt at refined grid resolutions for convergence studies.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from .algebra import LieAlgebra, ad, unit_vector
 from .bundles import Trivialization
@@ -141,41 +142,19 @@ def _rotation_generator() -> np.ndarray:
     return ad(algebra("so3"), unit_vector(3, 2))
 
 
-def _matrix_exp_family(points: np.ndarray, generator: np.ndarray, exponent) -> np.ndarray:
-    """exp(exponent(points) * generator) evaluated via eigendecomposition-free
-    series (generators here satisfy K^3 = -K or K^2 = 0, but expm is cheap
-    enough to batch directly)."""
-    import scipy.linalg
-
-    exps = np.asarray(exponent, dtype=float)
-    flat = exps.reshape(-1)
-    mats = np.stack([scipy.linalg.expm(e * generator) for e in flat])
-    return mats.reshape(exps.shape + generator.shape)
-
-
 def bundle(name: str, refine: int = 1) -> Trivialization:
     """Named fixture bundles (local-trivialization structures)."""
-    if name == "circle2_so3_twisted":
+    if name in ("circle2_so3_twisted", "cyl2_so3_twisted"):
         # inner frames with linear exponent; transitions are constant inner
         # automorphisms on each overlap component
         g = algebra("so3")
-        m = manifold("circle2", refine)
+        m = manifold(name.split("_")[0], refine)
         k = _rotation_generator()
         frames = []
         for chart in m.charts:
             t = chart.grid_points()[..., 0]
             center = chart.node_point(chart.center)[0]
-            frames.append(_matrix_exp_family(t, k, -(t - center) * TWIST_ANGLE))
-        return Trivialization(g, m, tuple(frames))
-    if name == "cyl2_so3_twisted":
-        g = algebra("so3")
-        m = manifold("cyl2", refine)
-        k = _rotation_generator()
-        frames = []
-        for chart in m.charts:
-            t = chart.grid_points()[..., 0]
-            center = chart.node_point(chart.center)[0]
-            frames.append(_matrix_exp_family(t, k, -(t - center) * TWIST_ANGLE))
+            frames.append(scipy.linalg.expm(np.multiply.outer(-(t - center) * TWIST_ANGLE, k)))
         return Trivialization(g, m, tuple(frames))
     if name == "circle2_abelian2_twisted":
         # outer-twisted structure: the wrap transition is the constant
@@ -207,7 +186,7 @@ def bundle(name: str, refine: int = 1) -> Trivialization:
         m = manifold("disk2d", refine)
         k = _rotation_generator()
         pts = m.charts[0].grid_points()
-        frames = _matrix_exp_family(pts[..., 0], k, 0.25 * pts[..., 0] * pts[..., 1])
+        frames = scipy.linalg.expm(np.multiply.outer(0.25 * pts[..., 0] * pts[..., 1], k))
         return Trivialization(g, m, (frames,))
     raise InputError(f"unknown bundle fixture {name!r}")
 

@@ -27,6 +27,7 @@ from labcoupling.algebra import (
     is_inner,
     outer_equal,
     principal_log,
+    principal_logs,
     unit_vector,
     validate_algebra,
 )
@@ -387,6 +388,7 @@ def test_aff1_orientation_flip_is_outer():
 
 
 def test_batched_residuals_match_scalar_projection():
+    # reference: scipy's logm, projected one matrix at a time
     g = fx.algebra("so3")
     rng = np.random.default_rng(17)
     mats = np.stack(
@@ -395,9 +397,65 @@ def test_batched_residuals_match_scalar_projection():
     resid, logs, ok = inner_log_residuals(g, mats)
     assert ok.all()
     for i in range(len(mats)):
-        log = principal_log(mats[i])
-        _, scalar_resid = inner_projection(g, log)
+        _, scalar_resid = inner_projection(g, scipy.linalg.logm(mats[i]).real)
         assert abs(resid[i] - scalar_resid) <= 1e-10
+
+
+def square_roots_needed(a: np.ndarray) -> int:
+    """How many principal square roots (scipy's sqrtm) bring a within the
+    0.25 Frobenius radius of the identity."""
+    k = 0
+    while np.linalg.norm(a - np.eye(len(a))) >= 0.25:
+        a = scipy.linalg.sqrtm(a).real
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
+def test_principal_logs_match_logm_after_square_roots(g, k):
+    # exp of a derivation whose k-th root, not its (k-1)-th, lies near the
+    # middle of the series radius; the log must match scipy's logm
+    rng = np.random.default_rng(19 + k)
+    basis = derivations_basis(g)
+    mats = []
+    while len(mats) < 6:
+        d = sum(c * b for c, b in zip(rng.normal(size=len(basis)), basis))
+        a = scipy.linalg.expm(0.18 * 2**k * d / np.linalg.norm(d))
+        if square_roots_needed(a) == k:
+            mats.append(a)
+    logs, ok = principal_logs(np.stack(mats))
+    assert ok.all()
+    for a, log in zip(mats, logs):
+        ref = scipy.linalg.logm(a).real
+        assert np.abs(log - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_principal_logs_flag_rows_without_a_real_log():
+    g = fx.algebra("so3")
+    rows = np.stack([
+        np.diag([-1.0, -1.0, 1.0]),  # eigenvalue -1: on the negative axis
+        scipy.linalg.expm(ad(g, np.array([0.0, 0.0, np.pi]))),  # rotation by pi
+        scipy.linalg.expm(ad(g, np.array([0.0, 0.0, 1.0]))),
+    ])
+    logs, ok = principal_logs(rows)
+    assert ok.tolist() == [False, False, True]
+    assert not logs[:2].any()
+    np.testing.assert_allclose(logs[2], ad(g, np.array([0.0, 0.0, 1.0])), atol=1e-13)
+    assert principal_log(rows[1]) is None
+
+
+def test_principal_logs_of_an_empty_stack():
+    logs, ok = principal_logs(np.zeros((0, 3, 3)))
+    assert logs.shape == (0, 3, 3) and ok.shape == (0,)
+    resid, logs, ok = inner_log_residuals(fx.algebra("so3"), np.zeros((0, 3, 3)))
+    assert resid.shape == ok.shape == (0,)
+
+
+def test_outer_equal_rejects_a_singular_divisor():
+    g = fx.algebra("so3")
+    with pytest.raises(InputError):
+        outer_equal(g, np.eye(3), np.diag([1.0, 1.0, 0.0]))
 
 
 # --- hypothesis property checks --------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 from labcoupling import bundles, fixtures as fx
-from labcoupling.algebra import ad, automorphism_residuals
+from labcoupling.algebra import ad, automorphism_residuals, is_inner
 from labcoupling.bundles import (
     Trivialization,
     check_delta_continuity,
@@ -85,6 +85,22 @@ def test_cocycle_is_compared_on_every_triple_overlap_node(monkeypatch):
     # six orderings of the three charts, each sampling two transitions on
     # the five nodes of [1, 2]
     assert queried == [5] * 12
+
+
+def test_validate_lab_builds_each_transition_grid_once(monkeypatch):
+    m = build_manifold(three_chart_interval_spec())
+    t = reference_trivialization(fx.algebra("so3"), m)
+    built = []
+    transition_grid = Trivialization.transition_grid
+
+    def counted(self, overlap_index):
+        built.append(overlap_index)
+        return transition_grid(self, overlap_index)
+
+    monkeypatch.setattr(Trivialization, "transition_grid", counted)
+    assert validate_lab(t).passed
+    # one grid per overlap, shared by the automorphism and cocycle checks
+    assert sorted(built) == list(range(len(m.overlaps)))
 
 
 def test_one_constant_transition_other_identity():
@@ -165,6 +181,30 @@ def test_so3_inner_family_transitions_pass():
     assert rep.counts()["outer"] == 0 and rep.counts()["undecided"] == 0
 
 
+def test_rotation_by_pi_ratio_falls_back_to_is_inner(monkeypatch):
+    # one chart-1 node of the first overlap component carries a rotation by
+    # pi: the two ratios through it have no real principal log, so they alone
+    # reach is_inner, whose factor search certifies them (Aut(so3) = Inn)
+    g = fx.algebra("so3")
+    m = fx.manifold("circle2")
+    eye = np.broadcast_to(np.eye(3), m.charts[0].resolution + (3, 3)).copy()
+    phi1 = np.broadcast_to(np.eye(3), m.charts[1].resolution + (3, 3)).copy()
+    phi1[4] = scipy.linalg.expm(ad(g, np.array([0.0, 0.0, np.pi])))
+    t = Trivialization(g, m, (eye, phi1))
+    assert validate_lab(t).passed
+    verdicts = []
+
+    def counted(*args, **kwargs):
+        v = is_inner(*args, **kwargs)
+        verdicts.append(v.verdict)
+        return v
+
+    monkeypatch.setattr(bundles, "is_inner", counted)
+    rep = check_delta_continuity(t)
+    assert verdicts == ["inner", "inner"]
+    assert rep.passed and rep.counts() == {"inner": 36, "outer": 0, "undecided": 0}
+
+
 def test_delta_report_groups_cover_all_overlaps():
     t = fx.bundle("circle2_so3_twisted")
     rep = check_delta_continuity(t)
@@ -239,6 +279,15 @@ def test_singular_frame_makes_structures_inequivalent(singular_side):
     # only chart 0 holds the singular frame; chart 1 is swept as before
     assert rep.groups[0].max_inner_residual == math.inf
     assert rep.groups[1].inner > 0 and rep.groups[1].outer == 0
+
+
+def test_singular_frame_fails_the_delta_sweep():
+    t = fx.bundle("circle2_so3_twisted")
+    frames = [grid.copy() for grid in t.frames]
+    frames[0][30] = 0.0  # a node of overlap 0's region, where frames are inverted
+    rep = check_delta_continuity(Trivialization(t.algebra, t.manifold, tuple(frames)))
+    assert not rep.passed and not rep.undecided
+    assert rep.max_inner_residual == rep.max_aut_residual == math.inf
 
 
 def test_equivalence_requires_same_cover():
