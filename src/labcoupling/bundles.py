@@ -11,6 +11,7 @@ checks realize nodewise.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,6 +136,11 @@ def _cocycle_residual(t: Trivialization, grids: list) -> float:
     m = t.manifold
     defects = []
     n = t.algebra.dim
+
+    @functools.cache
+    def embedded(k: int) -> np.ndarray:
+        return _embed_on_chart(t, k, grids[k])
+
     for k1, o1 in enumerate(m.overlaps):
         for k2, o2 in enumerate(m.overlaps):
             if o2.alpha != o1.beta or o2.beta == o1.alpha:
@@ -150,8 +156,8 @@ def _cocycle_residual(t: Trivialization, grids: list) -> float:
                 if not mask.any():
                     continue
                 t1 = grids[k1].reshape(-1, n, n)[mask]
-                t2 = interpolate(m.charts[o2.alpha], _embed_on_chart(t, k2, grids[k2]), mid[mask])
-                t3 = interpolate(chart, _embed_on_chart(t, k3, grids[k3]), pts[mask])
+                t2 = interpolate(m.charts[o2.alpha], embedded(k2), mid[mask])
+                t3 = interpolate(chart, embedded(k3), pts[mask])
                 defects.append(np.abs(t2 @ t1 - t3))
     return peak(*defects)
 

@@ -291,7 +291,13 @@ def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndar
         raise InputError(f"value grid {values.shape} does not match the chart resolution {res}")
     lead = points.shape[:-1]
     pts = points.reshape(-1, chart.dim)
-    if not chart.contains(pts).all():
+    # The box is axis-aligned, so per-axis extremes accept exactly the points
+    # chart.contains accepts (a NaN extreme fails both tests).  Column by
+    # column this costs a third of the mask; a min over axis 0 costs more.
+    lo, hi = chart.box[:, 0] - 1e-9, chart.box[:, 1] + 1e-9
+    if len(pts) and not all(
+        pts[:, a].min() >= lo[a] and pts[:, a].max() <= hi[a] for a in range(chart.dim)
+    ):
         raise InputError("interpolation point outside the chart box")
     value_shape = values.shape[chart.dim:]
 

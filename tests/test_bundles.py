@@ -87,6 +87,23 @@ def test_cocycle_is_compared_on_every_triple_overlap_node(monkeypatch):
     assert queried == [5] * 12
 
 
+def test_cocycle_check_embeds_each_transition_grid_once(monkeypatch):
+    m = build_manifold(three_chart_interval_spec())
+    t = reference_trivialization(fx.algebra("so3"), m)
+    embedded = []
+    embed_on_chart = bundles._embed_on_chart
+
+    def counted(t, overlap_index, grid):
+        embedded.append(overlap_index)
+        return embed_on_chart(t, overlap_index, grid)
+
+    monkeypatch.setattr(bundles, "_embed_on_chart", counted)
+    assert validate_lab(t).passed
+    # the 12 second and third legs of the six triples use each of the six
+    # overlaps, and each is embedded into its alpha chart only once
+    assert sorted(embedded) == list(range(len(m.overlaps)))
+
+
 def test_validate_lab_builds_each_transition_grid_once(monkeypatch):
     m = build_manifold(three_chart_interval_spec())
     t = reference_trivialization(fx.algebra("so3"), m)

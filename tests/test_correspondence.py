@@ -123,6 +123,59 @@ def test_transport_rejects_non_positive_step_counts(steps):
         parallel_transport(c, ray_path(c.manifold, 0, (32,), steps))
 
 
+def reference_transport(c: ConnectionForm, path: Path) -> np.ndarray:
+    """Classical RK4 for T' = A(t) T over (..., n, n) stacks with np.matmul,
+    written out independently of the library kernel.  The form is sampled
+    at t = 0 once, then at the midpoint and end of each step, whose end
+    value is reused as the next step's start value."""
+    chart = c.manifold.charts[path.chart_id]
+    v = path.end - path.start
+    n = c.algebra.dim
+
+    def form(t):
+        w = interpolate(chart, c.omega[path.chart_id], path.start + t * v)
+        return -np.einsum("...i,...iab->...ab", v, w)
+
+    t_mats = np.broadcast_to(np.eye(n), v.shape[:-1] + (n, n))
+    dt = 1.0 / path.steps
+    a1 = form(0.0)
+    for s in range(path.steps):
+        t0 = s * dt
+        a0, a_mid, a1 = a1, form(t0 + 0.5 * dt), form(t0 + dt)
+        k1 = a0 @ t_mats
+        k2 = a_mid @ (t_mats + 0.5 * dt * k1)
+        k3 = a_mid @ (t_mats + 0.5 * dt * k2)
+        k4 = a1 @ (t_mats + dt * k3)
+        t_mats = t_mats + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return t_mats
+
+
+@pytest.mark.parametrize("fan", ["point", "row", "grid", "empty"])
+def test_transport_kernel_matches_a_reference_rk4(fan):
+    # an inner shift makes omega non-commuting along rays, so only the
+    # integrator fixes the transport; every lead shape of Path.end is covered
+    c0 = fx.connection("disk2d_so3_nonflat", refine=2)
+    m = c0.manifold
+    rng = np.random.default_rng(11)
+    l = random_harmonic_field(rng, 2, (2, 3), amplitude=0.3, constant_scale=0.3).sample(m)
+    c = shift_by_inner(c0, l)
+    chart = m.charts[0]
+    grid = chart.grid_points()
+    end = {
+        "point": grid[3, 60],
+        "row": grid[:, 7],
+        "grid": grid[::4, ::5],
+        "empty": np.empty((0, m.dim)),
+    }[fan]
+    path = Path(0, chart.node_point(chart.center), end, 64)
+    got = correspondence._transport(c, path)
+    expected = reference_transport(c, path)
+    assert got.shape == end.shape[:-1] + (3, 3) == expected.shape
+    assert np.abs(got - expected).max(initial=0.0) <= 1e-13
+    if fan == "grid":
+        assert np.abs(got - np.eye(3)).max() > 0.1  # the transport is far from trivial
+
+
 def test_circle_loop_transport_is_the_cocycle_constant():
     c = fx.connection("circle2_so3_twisted")
     hol = loop_transport(c)

@@ -408,6 +408,34 @@ def test_interpolation_outside_box_rejected():
         interpolate(chart, chart.grid_points()[..., 0], np.array([[1.2]]))
 
 
+@st.composite
+def chart_and_points(draw):
+    """A 1-D or 2-D chart and a batch of points whose coordinates lie inside
+    its box, on an edge, 1e-9 or 2e-9 either side of an edge, or are NaN or
+    +-inf."""
+    chart = draw(st.sampled_from([fx.manifold(n).charts[0] for n in ("interval1", "disk2d")]))
+
+    def coordinate(lo, hi):
+        edges = [e + d for e in (lo, hi) for d in (-2e-9, -1e-9, 0.0, 1e-9, 2e-9)]
+        return st.one_of(st.floats(lo, hi), st.sampled_from(edges + [np.nan, np.inf, -np.inf]))
+
+    rows = draw(st.lists(st.tuples(*(coordinate(lo, hi) for lo, hi in chart.box)), max_size=6))
+    lead = draw(st.sampled_from([(-1,), (1, -1)]))
+    return chart, np.array(rows, dtype=float).reshape(lead + (chart.dim,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chart_and_points())
+def test_interpolation_box_check_agrees_with_chart_contains(case):
+    chart, points = case
+    values = chart.grid_points()[..., 0]
+    if chart.contains(points).all():
+        assert interpolate(chart, values, points).shape == points.shape[:-1]
+    else:
+        with pytest.raises(InputError, match="outside"):
+            interpolate(chart, values, points)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     st.floats(-2.0, 2.0),
