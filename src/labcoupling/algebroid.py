@@ -122,6 +122,14 @@ def _combine(a: AlgebroidSection, b: AlgebroidSection, sa: float, sb: float) -> 
     )
 
 
+def _times(f: list, s: AlgebroidSection) -> AlgebroidSection:
+    """The section scaled nodewise by a per-chart scalar field."""
+    return AlgebroidSection(
+        tuple(fc[..., None] * u for fc, u in zip(f, s.u)),
+        tuple(fc[..., None] * x for fc, x in zip(f, s.x)),
+    )
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     trials: int
@@ -168,27 +176,14 @@ def axiom_report(
         b21 = algebroid_bracket(c, curv, s2, s1)
         skew.append(_max_norm(_combine(b12, b21, 1.0, 1.0)))
 
-        fs2 = AlgebroidSection(
-            tuple(f[cid][..., None] * s2.u[cid] for cid in range(len(m.charts))),
-            tuple(f[cid][..., None] * s2.x[cid] for cid in range(len(m.charts))),
-        )
-        lhs = algebroid_bracket(c, curv, s1, fs2)
+        lhs = algebroid_bracket(c, curv, s1, _times(f, s2))
         anchored = []
         for cid, chart in enumerate(m.charts):
             df = np.zeros(f[cid].shape)
             for i in range(m.dim):
                 df += s1.x[cid][..., i] * grid_derivative(chart, f[cid], i)
             anchored.append(df)
-        expected = AlgebroidSection(
-            tuple(
-                anchored[cid][..., None] * s2.u[cid] + f[cid][..., None] * b12.u[cid]
-                for cid in range(len(m.charts))
-            ),
-            tuple(
-                anchored[cid][..., None] * s2.x[cid] + f[cid][..., None] * b12.x[cid]
-                for cid in range(len(m.charts))
-            ),
-        )
+        expected = _combine(_times(anchored, s2), _times(f, b12), 1.0, 1.0)
         leibniz.append(_max_norm(_combine(lhs, expected, 1.0, -1.0)))
 
         j1 = algebroid_bracket(c, curv, s1, algebroid_bracket(c, curv, s2, s3))

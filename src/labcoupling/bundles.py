@@ -335,7 +335,7 @@ def pullback_lab(t: Trivialization, f: ManifoldMap) -> Trivialization:
         asg = f.assignments[cid]
         pts = asg.apply(chart.grid_points())
         tgt_chart = f.target.charts[asg.target_chart]
-        if not tgt_chart.contains(pts.reshape(-1, f.target.dim)).all():
+        if not tgt_chart.contains(pts):
             raise InputError(f"image of source chart {cid} leaves target chart {asg.target_chart}")
         frames.append(interpolate(tgt_chart, t.frames[asg.target_chart], pts))
     return Trivialization(t.algebra, f.source, tuple(frames))

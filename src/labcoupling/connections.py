@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import LieAlgebra, ad, derivation_residuals, inner_projection
+from .algebra import LieAlgebra, ad, center_basis, derivation_residuals, inner_projection
 from .bundles import Trivialization, pullback_lab, _cover_signature, _worst_node
 from .errors import InputError
 from .manifolds import ManifoldMap, grid_derivative, interpolate, overlap_pair
@@ -205,8 +205,7 @@ def accordance(c: ConnectionForm, tol: float = ACC_TOL) -> AccordanceResult:
     omega_forms, residual_grids = zip(*(inner_projection(g, grid) for grid in curv.r))
     worst = peak(*residual_grids)
     data = CurvatureData(curv.pairs, curv.r, omega_forms, residual_grids)
-    n_center = g.dim - int(np.linalg.matrix_rank(g.ad_basis_matrix, tol=ALG_TOL)) if g.dim else 0
-    return AccordanceResult(bool(worst <= tol), worst, data, n_center)
+    return AccordanceResult(bool(worst <= tol), worst, data, len(center_basis(g)))
 
 
 def shift_by_inner(c: ConnectionForm, l: list) -> ConnectionForm:

@@ -11,6 +11,7 @@ inverse up to the respective equivalences.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +60,7 @@ def _transport(c: ConnectionForm, path: Path) -> np.ndarray:
     einsum product per stage runs about 3x faster than np.matmul over
     (N, n, n); the result has shape path.end.shape[:-1] + (n, n)."""
     chart = c.manifold.charts[path.chart_id]
-    if not (chart.contains(path.start).all() and chart.contains(path.end).all()):
+    if not (chart.contains(path.start) and chart.contains(path.end)):
         raise InputError("path leaves its chart")
     if path.steps < 1:
         raise InputError("a path needs at least one step")
@@ -228,11 +229,12 @@ def verify_g_well_defined(
 ) -> WellDefinedReport:
     """The class of g(structure, partition) depends on neither choice: the two
     assembled connections must differ by an inner-valued one-form (within
-    ACC_TOL)."""
+    ACC_TOL).  A structure outside LAB^delta is outside the theorem, so the
+    first g_map runs its checks and raises PreconditionError for it."""
     eq = trivializations_equivalent(t, t_prime, aut_tol=1e-6)
     if not eq.passed:
         raise PreconditionError("structures are not equivalent")
-    ca = g_map(t, h, check=False)
+    ca = g_map(t, h)
     cb = g_map(t_prime, h_prime, check=False)
     result = coupling_equivalent(ca, cb, tol=ACC_TOL)
     return WellDefinedReport(result.passed, result.max_residual)
@@ -267,51 +269,41 @@ def verify_inverse(
     """Round-trip verification of the two maps, with the default partition
     of unity.
 
-    Starting from a connection: g(f(C)) must be coupling-equivalent to C, and
-    f(g(f(C))) must be an equivalent structure to f(C) (frame ratios
-    automorphisms within 1e-5).  Starting from a structure: symmetric.
-    Undecided inner verdicts mark the report inconclusive, never failed.
+    From a connection C = c and T = f(C); from a structure T = t and
+    C = g(T), checked.  Then g(f(C)) must be coupling-equivalent to C, and
+    f(g(T)) must be an equivalent structure to T (frame ratios automorphisms
+    within 1e-5).  Undecided inner verdicts mark the report inconclusive,
+    never failed.
     """
     if (c is None) == (t is None):
         raise InputError("exactly one of connection / trivialization is required")
-    directions = {}
-    if c is not None:
-        result = accordance(c, tol=coupling_tol)
-        if not result.passed:
+    f = functools.partial(f_map, ode_steps=ode_steps, acc_tol=coupling_tol, inner_tol=inner_tol)
+    from_connection = c is not None
+    if from_connection:
+        if not accordance(c, tol=coupling_tol).passed:
             return RoundTripReport({}, False, note="not a coupling: accordance fails")
         h = partition_of_unity(c.manifold)
-        fm = f_map(c, ode_steps=ode_steps, acc_tol=coupling_tol, inner_tol=inner_tol)
-        c_back = g_map(fm.trivialization, h, check=False)
-        eq = coupling_equivalent(c_back, c, tol=coupling_tol)
-        directions["connection_roundtrip"] = DirectionResult(
-            eq.passed and fm.delta.passed and not fm.delta.undecided,
-            eq.max_residual,
-            fm.delta.counts()["undecided"],
-        )
-        fm2 = f_map(c_back, ode_steps=ode_steps, acc_tol=coupling_tol, inner_tol=inner_tol)
-        back_eq = trivializations_equivalent(
-            fm2.trivialization, fm.trivialization, inner_tol=inner_tol, aut_tol=1e-5
-        )
-        directions["trivialization_roundtrip"] = DirectionResult(
-            back_eq.passed, back_eq.max_aut_residual, back_eq.counts()["undecided"]
-        )
     else:
         h = partition_of_unity(t.manifold)
-        c_out = g_map(t, h, inner_tol=inner_tol)
-        fm = f_map(c_out, ode_steps=ode_steps, acc_tol=coupling_tol, inner_tol=inner_tol)
-        back_eq = trivializations_equivalent(
-            fm.trivialization, t, inner_tol=inner_tol, aut_tol=1e-5
-        )
-        directions["trivialization_roundtrip"] = DirectionResult(
-            back_eq.passed, back_eq.max_aut_residual, back_eq.counts()["undecided"]
-        )
-        c_back = g_map(fm.trivialization, h, check=False)
-        eq = coupling_equivalent(c_back, c_out, tol=coupling_tol)
-        directions["connection_roundtrip"] = DirectionResult(
-            eq.passed and fm.delta.passed and not fm.delta.undecided,
+        c = g_map(t, h, inner_tol=inner_tol)
+    f_c = f(c)
+    g_f_c = g_map(f_c.trivialization, h, check=False)
+    if from_connection:
+        t = f_c.trivialization
+    # g(T) is g(f(C)) from a connection and C itself from a structure
+    f_g_t = f(g_f_c) if from_connection else f_c
+    eq = coupling_equivalent(g_f_c, c, tol=coupling_tol)
+    back_eq = trivializations_equivalent(f_g_t.trivialization, t, inner_tol=inner_tol, aut_tol=1e-5)
+    directions = {
+        "connection_roundtrip": DirectionResult(
+            eq.passed and f_c.delta.passed and not f_c.delta.undecided,
             eq.max_residual,
-            fm.delta.counts()["undecided"],
-        )
+            f_c.delta.counts()["undecided"],
+        ),
+        "trivialization_roundtrip": DirectionResult(
+            back_eq.passed, back_eq.max_aut_residual, back_eq.counts()["undecided"]
+        ),
+    }
     inconclusive = any(d.undecided > 0 for d in directions.values())
     return RoundTripReport(directions, inconclusive)
 

@@ -19,30 +19,30 @@ from .errors import InputError
 from .manifolds import ChartedManifold, build_manifold
 
 
-def _load_ref(ref, kind: str):
-    """Resolve a name / path / inline-dict reference to a parsed JSON object,
-    or to None when the name should be tried against the fixture registry."""
-    if isinstance(ref, dict):
+def _load(ref, cls, kind: str, fixture, make):
+    """Resolve a reference to a ``cls`` object: an instance passes through, a
+    name is looked up with ``fixture``, and an inline dict or a JSON file (a
+    ``.json`` suffix or an existing path) is built by ``make(data)``.  An
+    unreadable file, a missing field, or a value of the wrong type, shape or
+    range is an InputError."""
+    if isinstance(ref, cls):
         return ref
-    if isinstance(ref, (str, Path)):
+    if isinstance(ref, dict):
+        data = ref
+    elif isinstance(ref, (str, Path)):
         p = Path(ref)
-        if p.suffix == ".json" or p.exists():
-            try:
-                data = json.loads(p.read_text())
-            except (OSError, ValueError) as exc:  # ValueError: undecodable or not JSON
-                raise InputError(f"cannot read {kind} file {ref}: {exc}") from exc
-            if not isinstance(data, dict):
-                raise InputError(f"{kind} file {ref} does not hold a JSON object")
-            return data
-        return None
-    raise InputError(f"unsupported {kind} reference {ref!r}")
-
-
-def _build(kind: str, make):
-    """Build an object from parsed file data: a missing field, or a value of
-    the wrong type, shape or range, is an InputError."""
+        if not (p.suffix == ".json" or p.exists()):
+            return fixture(str(ref))
+        try:
+            data = json.loads(p.read_text())
+        except (OSError, ValueError) as exc:  # ValueError: undecodable or not JSON
+            raise InputError(f"cannot read {kind} file {ref}: {exc}") from exc
+        if not isinstance(data, dict):
+            raise InputError(f"{kind} file {ref} does not hold a JSON object")
+    else:
+        raise InputError(f"unsupported {kind} reference {ref!r}")
     try:
-        return make()
+        return make(data)
     except InputError:
         raise
     except KeyError as exc:
@@ -56,14 +56,9 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
 
 
 def load_algebra(ref) -> LieAlgebra:
-    if isinstance(ref, LieAlgebra):
-        return ref
-    data = _load_ref(ref, "algebra")
-    if data is None:
-        return fixtures.algebra(str(ref))
-    return _build(
-        "algebra",
-        lambda: LieAlgebra(str(data["name"]), int(data["dim"]), np.asarray(data["c"], dtype=float)),
+    return _load(
+        ref, LieAlgebra, "algebra", fixtures.algebra,
+        lambda d: LieAlgebra(str(d["name"]), int(d["dim"]), np.asarray(d["c"], dtype=float)),
     )
 
 
@@ -87,12 +82,7 @@ def manifold_to_dict(m: ChartedManifold) -> dict:
 
 
 def load_manifold(ref) -> ChartedManifold:
-    if isinstance(ref, ChartedManifold):
-        return ref
-    data = _load_ref(ref, "manifold")
-    if data is None:
-        return fixtures.manifold(str(ref))
-    return _build("manifold", lambda: build_manifold(data))
+    return _load(ref, ChartedManifold, "manifold", fixtures.manifold, build_manifold)
 
 
 def bundle_to_dict(t: Trivialization, algebra_ref=None, manifold_ref=None) -> dict:
@@ -104,17 +94,12 @@ def bundle_to_dict(t: Trivialization, algebra_ref=None, manifold_ref=None) -> di
 
 
 def load_bundle(ref) -> Trivialization:
-    if isinstance(ref, Trivialization):
-        return ref
-    data = _load_ref(ref, "bundle")
-    if data is None:
-        return fixtures.bundle(str(ref))
-    return _build(
-        "bundle",
-        lambda: Trivialization(
-            load_algebra(data["algebra"]),
-            load_manifold(data["manifold"]),
-            tuple(np.asarray(f, dtype=float) for f in data["frames"]),
+    return _load(
+        ref, Trivialization, "bundle", fixtures.bundle,
+        lambda d: Trivialization(
+            load_algebra(d["algebra"]),
+            load_manifold(d["manifold"]),
+            tuple(np.asarray(f, dtype=float) for f in d["frames"]),
         ),
     )
 
@@ -133,16 +118,11 @@ def connection_to_dict(c: ConnectionForm) -> dict:
 
 
 def load_connection(ref) -> ConnectionForm:
-    if isinstance(ref, ConnectionForm):
-        return ref
-    data = _load_ref(ref, "connection")
-    if data is None:
-        return fixtures.connection(str(ref))
-    return _build(
-        "connection",
-        lambda: ConnectionForm(
-            load_bundle(data["bundle"]),
-            tuple(np.moveaxis(np.asarray(w, dtype=float), 0, -3) for w in data["omega"]),
+    return _load(
+        ref, ConnectionForm, "connection", fixtures.connection,
+        lambda d: ConnectionForm(
+            load_bundle(d["bundle"]),
+            tuple(np.moveaxis(np.asarray(w, dtype=float), 0, -3) for w in d["omega"]),
         ),
     )
 

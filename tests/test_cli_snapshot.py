@@ -21,6 +21,15 @@ COMMANDS = (
     + [["f-map", "--connection", "circle2_so3_twisted"]]
     + [["roundtrip", "--connection", name] for name in ("circle2_so3_twisted", "circle2_abelian2_flat")]
     + [["g-map", "--bundle", "circle2_so3_twisted"]]
+    + [["g-map", "--bundle", name] for name in fx.BUNDLE_NAMES if name != "circle2_so3_twisted"]
+    + [["roundtrip", "--bundle", name] for name in fx.BUNDLE_NAMES]
+    + [["f-map", "--connection", name] for name in fx.CONNECTION_NAMES if name != "circle2_so3_twisted"]
+    + [["axioms", "--connection", name] for name in fx.CONNECTION_NAMES]
+    + [
+        ["roundtrip", "--connection", name]
+        for name in fx.CONNECTION_NAMES
+        if name not in ("circle2_so3_twisted", "circle2_abelian2_flat")
+    ]
 )
 
 

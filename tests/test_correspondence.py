@@ -321,6 +321,21 @@ def test_g_map_rejects_delta_failing_structure():
         g_map(t, partition_of_unity(t.manifold))
 
 
+def test_g_map_rejects_a_partition_of_another_manifold():
+    t = fx.bundle("circle2_so3_twisted")
+    with pytest.raises(InputError, match="different manifold"):
+        g_map(t, partition_of_unity(fx.manifold("circle2")))
+
+
+def test_g_map_rejects_a_frame_that_is_not_an_automorphism():
+    t = fx.bundle("circle2_so3_twisted")
+    frames = [grid.copy() for grid in t.frames]
+    frames[0][5] *= 1.5
+    t_scaled = Trivialization(t.algebra, t.manifold, tuple(frames))
+    with pytest.raises(PreconditionError, match=r"frame chart 0 node \(5,\)"):
+        g_map(t_scaled, partition_of_unity(t.manifold))
+
+
 def _defining_sum(t, h, u):
     """Literal per-chart evaluation of sum_alpha phi_alpha d(phi_alpha^{-1} h_alpha u)."""
     m = t.manifold
@@ -428,6 +443,16 @@ def test_independent_of_equivalent_reframing():
     h2 = partition_of_unity(t.manifold, sharpness=2.0)
     rep = verify_g_well_defined(t, t2, h1, h2)
     assert rep.passed
+
+
+def test_well_defined_refuses_a_structure_outside_lab_delta():
+    # circle2_abelian2_varying is not continuous into the discrete outer
+    # quotient, so it lies outside the theorem rather than refuting it
+    t = fx.bundle("circle2_abelian2_varying")
+    h1 = partition_of_unity(t.manifold, sharpness=1.0)
+    h2 = partition_of_unity(t.manifold, sharpness=2.0)
+    with pytest.raises(PreconditionError, match="quotient"):
+        verify_g_well_defined(t, t, h1, h2)
 
 
 def test_well_defined_requires_equivalent_structures():

@@ -70,7 +70,7 @@ def test_region_leaving_chart_rejected():
             {"alpha": 1, "beta": 0, "region": [[0.4, 1.2]], "map": {"matrix": [[1.0]], "offset": [0.0]}},
         ],
     }
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="region leaves chart 0"):
         build_manifold(spec)
 
 
@@ -189,6 +189,14 @@ def test_total_coverage_failure_raises():
 def test_partition_rejects_a_bad_sharpness(sharpness):
     with pytest.raises(InputError, match="sharpness"):
         partition_of_unity(fx.manifold("circle2"), sharpness=sharpness)
+
+
+def test_three_chart_interval_partition_uses_one_sided_bumps():
+    # the outer charts are covered on one side only, so their bumps take the
+    # one-sided profiles; the middle chart is covered on both sides
+    pou = partition_of_unity(build_manifold(three_chart_interval_spec()))
+    assert pou.covered == (((False, True),), ((True, True),), ((True, False),))
+    assert partition_sum_residual(pou) <= 1e-12
 
 
 def test_nan_bump_total_is_a_coverage_failure(monkeypatch):
@@ -408,6 +416,13 @@ def test_interpolation_outside_box_rejected():
         interpolate(chart, chart.grid_points()[..., 0], np.array([[1.2]]))
 
 
+def reference_contains(chart, points) -> bool:
+    """Pointwise box test with the 1e-9 margin: every coordinate of every
+    point must compare inside, and a NaN compares outside."""
+    inside = (points >= chart.box[:, 0] - 1e-9) & (points <= chart.box[:, 1] + 1e-9)
+    return bool(inside.all())
+
+
 @st.composite
 def chart_and_points(draw):
     """A 1-D or 2-D chart and a batch of points whose coordinates lie inside
@@ -428,8 +443,10 @@ def chart_and_points(draw):
 @given(chart_and_points())
 def test_interpolation_box_check_agrees_with_chart_contains(case):
     chart, points = case
+    inside = reference_contains(chart, points)
+    assert chart.contains(points) is inside
     values = chart.grid_points()[..., 0]
-    if chart.contains(points).all():
+    if inside:
         assert interpolate(chart, values, points).shape == points.shape[:-1]
     else:
         with pytest.raises(InputError, match="outside"):
