@@ -115,7 +115,11 @@ def bracket(g: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != g.dim or y.shape[-1] != g.dim:
         raise InputError(f"coordinate length must be {g.dim}")
-    return np.einsum("...i,...j,ijk->...k", x, y, g.c)
+    n = g.dim
+    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
+    # One GEMM: the outer product x_i y_j, flattened to n*n, times c[ij, k].
+    outer = (x[..., :, None] * y[..., None, :]).reshape(lead + (n * n,))
+    return outer @ g.c.reshape(n * n, n)
 
 
 def ad(g: LieAlgebra, x: np.ndarray) -> np.ndarray:

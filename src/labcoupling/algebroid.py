@@ -56,34 +56,29 @@ def omega_contract(curv: CurvatureData, cid: int, x1: np.ndarray, x2: np.ndarray
     return out
 
 
-def _raw_bracket(c: ConnectionForm, curv: CurvatureData, s1: AlgebroidSection, s2: AlgebroidSection):
-    g = c.algebra
-    nabla_12 = apply_connection(c, list(s2.u), list(s1.x))
-    nabla_21 = apply_connection(c, list(s1.u), list(s2.x))
-    u_parts = []
-    for cid in range(len(c.manifold.charts)):
-        u_parts.append(
-            bracket(g, s1.u[cid], s2.u[cid])
-            + nabla_12[cid]
-            - nabla_21[cid]
-            + omega_contract(curv, cid, s1.x[cid], s2.x[cid])
-        )
-    x_parts = lie_bracket_fields(c.manifold, list(s1.x), list(s2.x))
-    return u_parts, x_parts
-
-
 def algebroid_bracket(
     c: ConnectionForm, curv: CurvatureData, s1: AlgebroidSection, s2: AlgebroidSection
 ) -> AlgebroidSection:
     """The coupling bracket, antisymmetrized so that swapping arguments negates
-    the output exactly."""
+    the output exactly.
+
+    Both argument orders are formed and halved; they share the covariant
+    derivatives nabla_{X1} u2 and nabla_{X2} u1, which are computed once."""
     _check_section(c, s1)
     _check_section(c, s2)
-    u12, x12 = _raw_bracket(c, curv, s1, s2)
-    u21, x21 = _raw_bracket(c, curv, s2, s1)
-    u = tuple(0.5 * (a - b) for a, b in zip(u12, u21))
+    g = c.algebra
+    nabla_12 = apply_connection(c, list(s2.u), list(s1.x))
+    nabla_21 = apply_connection(c, list(s1.u), list(s2.x))
+    u = []
+    for cid in range(len(c.manifold.charts)):
+        u1, x1, u2, x2 = s1.u[cid], s1.x[cid], s2.u[cid], s2.x[cid]
+        u12 = bracket(g, u1, u2) + nabla_12[cid] - nabla_21[cid] + omega_contract(curv, cid, x1, x2)
+        u21 = bracket(g, u2, u1) + nabla_21[cid] - nabla_12[cid] + omega_contract(curv, cid, x2, x1)
+        u.append(0.5 * (u12 - u21))
+    x12 = lie_bracket_fields(c.manifold, list(s1.x), list(s2.x))
+    x21 = lie_bracket_fields(c.manifold, list(s2.x), list(s1.x))
     x = tuple(0.5 * (a - b) for a, b in zip(x12, x21))
-    return AlgebroidSection(u, x)
+    return AlgebroidSection(tuple(u), x)
 
 
 def trivial_bracket(
@@ -103,10 +98,9 @@ def trivial_bracket(
             out += vec_field[..., i : i + 1] * grid_derivative(chart, target, i)
         return out
 
-    def raw(ua, xa, ub, xb):
-        return bracket(g, ua, ub) + directional(xa, ub) - directional(xb, ua)
-
-    u = 0.5 * (raw(u1, x1, u2, x2) - raw(u2, x2, u1, x1))
+    d12 = directional(x1, u2)
+    d21 = directional(x2, u1)
+    u = 0.5 * ((bracket(g, u1, u2) + d12 - d21) - (bracket(g, u2, u1) + d21 - d12))
     x = lie_bracket_fields(manifold, [x1], [x2])[0]
     return AlgebroidSection((u,), (x,))
 

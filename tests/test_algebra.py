@@ -123,6 +123,57 @@ def test_so3_bracket_matches_summation_oracle():
     np.testing.assert_allclose(expected, unit_vector(3, 2))
 
 
+def bracket_oracle(c: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[x, y]_k as the literal sum of x_i y_j c_ijk, one (i, j) term at a time."""
+    n = c.shape[0]
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+    for i in range(n):
+        for j in range(n):
+            out += x[..., i : i + 1] * y[..., j : j + 1] * c[i, j]
+    return out
+
+
+def so3_in_random_basis() -> LieAlgebra:
+    """so3 written in the basis e'_a = sum_i P_ia e_i: its constants
+    c'_ab^d = P_ia P_jb c_ij^k (P^-1)_dk are dense and not +-1."""
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=(3, 3)) + 2.0 * np.eye(3)
+    c = np.einsum("ia,jb,ijk,dk->abd", p, p, fx.algebra("so3").c, np.linalg.inv(p))
+    g = LieAlgebra("so3_random_basis", 3, c)
+    assert validate_algebra(g).passed
+    return g
+
+
+@pytest.mark.parametrize(
+    "x_shape, y_shape",
+    [((257, 3), (257, 3)), ((257, 3), (3,)), ((3,), (257, 3)), ((4, 5, 3), (3,)), ((0, 3), (0, 3))],
+)
+def test_bracket_matches_per_term_oracle_in_random_basis(x_shape, y_shape):
+    g = so3_in_random_basis()
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=x_shape) * 10.0 ** rng.uniform(-3, 3, size=x_shape)
+    y = rng.normal(size=y_shape)
+    out = bracket(g, x, y)
+    expected = bracket_oracle(g.c, x, y)
+    assert out.shape == expected.shape
+    if out.size:
+        # Entries may cancel to near zero, so the bound scales with the
+        # operands rather than with each entry.
+        bound = 1e-15 * np.abs(x).max() * np.abs(y).max() * np.abs(g.c).sum()
+        assert np.abs(out - expected).max() <= bound
+
+
+@pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
+def test_bracket_is_bitwise_the_three_operand_einsum(g):
+    rng = np.random.default_rng(7)
+    for x_shape, y_shape in [((4225, g.dim), (4225, g.dim)), ((6, 7, g.dim), (g.dim,)), ((g.dim,), (g.dim,))]:
+        x = rng.normal(size=x_shape)
+        y = rng.normal(size=y_shape)
+        out = bracket(g, x, y)
+        expected = np.einsum("...i,...j,ijk->...k", x, y, g.c)
+        assert out.shape == expected.shape and out.tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
 def test_bracket_of_vector_with_itself_is_zero(g):
     rng = np.random.default_rng(0)

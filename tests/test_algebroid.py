@@ -4,6 +4,7 @@ bracket, the section axioms, and splitting independence."""
 import numpy as np
 import pytest
 
+from labcoupling import algebroid
 from labcoupling import fixtures as fx
 from labcoupling.algebra import bracket
 from labcoupling.algebroid import (
@@ -17,7 +18,7 @@ from labcoupling.algebroid import (
 from labcoupling.bundles import reference_trivialization
 from labcoupling.connections import accordance, apply_connection, shift_by_inner, zero_connection
 from labcoupling.errors import InputError
-from labcoupling.manifolds import random_harmonic_field
+from labcoupling.manifolds import lie_bracket_fields, random_harmonic_field
 
 SO3 = fx.algebra("so3")
 
@@ -73,6 +74,52 @@ def test_swap_negates_exactly():
     b21 = algebroid_bracket(c, curv, s2, s1)
     assert np.abs(b12.u[0] + b21.u[0]).max() == 0.0
     assert np.abs(b12.x[0] + b21.x[0]).max() == 0.0
+
+
+def two_order_bracket(c, curv, s1, s2):
+    """Reference: the raw bracket in each argument order, then halved."""
+
+    def raw(a, b):
+        nabla_ab = apply_connection(c, list(b.u), list(a.x))
+        nabla_ba = apply_connection(c, list(a.u), list(b.x))
+        u = [
+            bracket(c.algebra, a.u[cid], b.u[cid])
+            + nabla_ab[cid]
+            - nabla_ba[cid]
+            + omega_contract(curv, cid, a.x[cid], b.x[cid])
+            for cid in range(len(c.manifold.charts))
+        ]
+        return u, lie_bracket_fields(c.manifold, list(a.x), list(b.x))
+
+    u12, x12 = raw(s1, s2)
+    u21, x21 = raw(s2, s1)
+    return (
+        [0.5 * (a - b) for a, b in zip(u12, u21)],
+        [0.5 * (a - b) for a, b in zip(x12, x21)],
+    )
+
+
+@pytest.mark.parametrize("name", ["circle2_so3_twisted", "disk2d_so3_nonflat"])
+def test_each_covariant_derivative_once_and_bitwise_the_two_order_formula(name, monkeypatch):
+    c = fx.connection(name)
+    curv = accordance(c).curvature
+    rng = np.random.default_rng(23)
+    s1 = random_section(c, rng)
+    s2 = random_section(c, rng)
+    u_ref, x_ref = two_order_bracket(c, curv, s1, s2)
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return apply_connection(*args)
+
+    monkeypatch.setattr(algebroid, "apply_connection", counting)
+    out = algebroid_bracket(c, curv, s1, s2)
+    assert len(calls) == 2
+    assert len(out.u) == len(u_ref) == len(c.manifold.charts)
+    for got, ref in zip(out.u + out.x, u_ref + x_ref):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_omega_term_enters_with_area_factor():

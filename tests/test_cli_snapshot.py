@@ -4,7 +4,9 @@ The snapshot holds the parsed stdout and the exit code of a fast subset of
 the fixture sweep.  Exit codes, verdicts, counts and node locations must
 match exactly; floats may move by 1e-12 relative (plus 1e-15 absolute), the
 room a reordered floating-point sum needs.  After an intended report
-change, rewrite the snapshot with ``PYTHONPATH=src python -m tests.test_cli_snapshot``.
+change, regenerate the snapshot with ``PYTHONPATH=src python -m tests.test_cli_snapshot``:
+it keeps every stored row that the fresh output matches within those bounds and
+writes only new and changed rows, so an unchanged program leaves the file as it is.
 """
 
 import contextlib
@@ -66,6 +68,43 @@ def test_reports_match_snapshot():
         assert_close(e, a, " ".join(e["argv"]))
 
 
+def merge_rows(stored: list, fresh: list) -> list:
+    """The fresh rows, except that a stored row with the same argv which the
+    fresh one matches (per ``assert_close``) is kept as stored."""
+    by_argv = {tuple(r["argv"]): r for r in stored}
+    merged = []
+    for row in fresh:
+        old = by_argv.get(tuple(row["argv"]))
+        merged.append(old if old is not None and _matches(old, row) else row)
+    return merged
+
+
+def _matches(expected, actual) -> bool:
+    try:
+        assert_close(expected, actual, "")
+    except AssertionError:
+        return False
+    return True
+
+
+def test_merge_keeps_matching_rows_and_writes_new_and_changed_ones():
+    stored = [
+        {"argv": ["check-delta", "a"], "exit": 1, "report": {"max_inner": 0.30084515513189936}},
+        {"argv": ["validate-lab", "a"], "exit": 0, "report": {"passed": True}},
+        {"argv": ["axioms", "gone"], "exit": 0, "report": {}},
+    ]
+    fresh = [
+        {"argv": ["check-delta", "a"], "exit": 1, "report": {"max_inner": 0.30084515513189913}},
+        {"argv": ["validate-lab", "a"], "exit": 1, "report": {"passed": False}},
+        {"argv": ["f-map", "new"], "exit": 0, "report": {"max": 1e-3}},
+    ]
+    merged = merge_rows(stored, fresh)
+    assert merged[0] is stored[0]
+    assert merged[1] is fresh[1] and merged[2] is fresh[2]
+    assert len(merged) == 3
+
+
 if __name__ == "__main__":
-    rows = [json.dumps(r, sort_keys=True) for r in run_all()]
+    stored = json.loads(SNAPSHOT.read_text()) if SNAPSHOT.exists() else []
+    rows = [json.dumps(r, sort_keys=True) for r in merge_rows(stored, run_all())]
     SNAPSHOT.write_text("[\n" + ",\n".join(rows) + "\n]\n")
