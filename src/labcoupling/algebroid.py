@@ -13,14 +13,15 @@ the finite-difference budget and are probed on random band-limited sections.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import LieAlgebra, bracket
-from .connections import ConnectionForm, CurvatureData, apply_connection
+from .connections import ConnectionForm, CurvatureData, covariant_partials
 from .errors import InputError
-from .manifolds import grid_derivative, lie_bracket_fields, random_harmonic_field
+from .manifolds import directional, grid_partials, lie_bracket_fields, lie_bracket_partials, random_harmonic_field
 from .tolerances import peak
 
 
@@ -39,9 +40,30 @@ class AlgebroidSection:
 def _check_section(c: ConnectionForm, s: AlgebroidSection) -> None:
     m = c.manifold
     n = c.algebra.dim
+    if len(s.u) != len(m.charts) or len(s.x) != len(m.charts):
+        raise InputError(f"section has {len(s.u)} fiber and {len(s.x)} tangent grids, {len(m.charts)} charts")
     for cid, chart in enumerate(m.charts):
         if s.u[cid].shape != chart.resolution + (n,) or s.x[cid].shape != chart.resolution + (m.dim,):
             raise InputError("section shapes do not match the chart grids")
+
+
+# Inside one axiom_report trial: id(section) -> (section, its partials).  The
+# section is held so that its id cannot be reused while the trial runs.
+_TRIAL_PARTIALS: ContextVar = ContextVar("trial_partials", default=None)
+
+
+def _partials(c: ConnectionForm, s: AlgebroidSection) -> tuple:
+    """The covariant partials of u and the grid partials of X, per chart; each
+    section's are computed once per axiom_report trial and reused by every
+    bracket it enters."""
+    _check_section(c, s)
+    memo = _TRIAL_PARTIALS.get()
+    if memo is not None and id(s) in memo:
+        return memo[id(s)][1]
+    partials = (covariant_partials(c, s.u), grid_partials(c.manifold, s.x))
+    if memo is not None:
+        memo[id(s)] = (s, partials)
+    return partials
 
 
 def omega_contract(curv: CurvatureData, cid: int, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -63,22 +85,23 @@ def algebroid_bracket(
     the output exactly.
 
     Both argument orders are formed and halved; they share the covariant
-    derivatives nabla_{X1} u2 and nabla_{X2} u1, which are computed once."""
-    _check_section(c, s1)
-    _check_section(c, s2)
+    derivatives nabla_{X1} u2 and nabla_{X2} u1, which are computed once,
+    and both read one set of partials per section."""
+    cov1, dx1 = _partials(c, s1)
+    cov2, dx2 = _partials(c, s2)
     g = c.algebra
-    nabla_12 = apply_connection(c, list(s2.u), list(s1.x))
-    nabla_21 = apply_connection(c, list(s1.u), list(s2.x))
-    u = []
+    u, x = [], []
     for cid in range(len(c.manifold.charts)):
         u1, x1, u2, x2 = s1.u[cid], s1.x[cid], s2.u[cid], s2.x[cid]
-        u12 = bracket(g, u1, u2) + nabla_12[cid] - nabla_21[cid] + omega_contract(curv, cid, x1, x2)
-        u21 = bracket(g, u2, u1) + nabla_21[cid] - nabla_12[cid] + omega_contract(curv, cid, x2, x1)
+        nabla_12 = directional(x1, cov2[cid])
+        nabla_21 = directional(x2, cov1[cid])
+        u12 = bracket(g, u1, u2) + nabla_12 - nabla_21 + omega_contract(curv, cid, x1, x2)
+        u21 = bracket(g, u2, u1) + nabla_21 - nabla_12 + omega_contract(curv, cid, x2, x1)
         u.append(0.5 * (u12 - u21))
-    x12 = lie_bracket_fields(c.manifold, list(s1.x), list(s2.x))
-    x21 = lie_bracket_fields(c.manifold, list(s2.x), list(s1.x))
-    x = tuple(0.5 * (a - b) for a, b in zip(x12, x21))
-    return AlgebroidSection(tuple(u), x)
+        x12 = lie_bracket_partials(x1, dx1[cid], x2, dx2[cid])
+        x21 = lie_bracket_partials(x2, dx2[cid], x1, dx1[cid])
+        x.append(0.5 * (x12 - x21))
+    return AlgebroidSection(tuple(u), tuple(x))
 
 
 def trivial_bracket(
@@ -88,18 +111,10 @@ def trivial_bracket(
     ([u, v] + X(v) - Y(u), [X, Y])."""
     if len(manifold.charts) != 1:
         raise InputError("the trivial bracket is defined on a single-chart manifold")
-    chart = manifold.charts[0]
     u1, x1 = s1.u[0], s1.x[0]
     u2, x2 = s2.u[0], s2.x[0]
-
-    def directional(vec_field, target):
-        out = np.zeros_like(target)
-        for i in range(manifold.dim):
-            out += vec_field[..., i : i + 1] * grid_derivative(chart, target, i)
-        return out
-
-    d12 = directional(x1, u2)
-    d21 = directional(x2, u1)
+    d12 = directional(x1, grid_partials(manifold, [u2])[0])
+    d21 = directional(x2, grid_partials(manifold, [u1])[0])
     u = 0.5 * ((bracket(g, u1, u2) + d12 - d21) - (bracket(g, u2, u1) + d21 - d12))
     x = lie_bracket_fields(manifold, [x1], [x2])[0]
     return AlgebroidSection((u,), (x,))
@@ -166,23 +181,22 @@ def axiom_report(
         s3 = random_section(c, rng)
         f = random_harmonic_field(rng, m.dim, (), amplitude=0.01).sample(m)
 
-        b12 = algebroid_bracket(c, curv, s1, s2)
-        b21 = algebroid_bracket(c, curv, s2, s1)
-        skew.append(_max_norm(_combine(b12, b21, 1.0, 1.0)))
+        token = _TRIAL_PARTIALS.set({})
+        try:
+            b12 = algebroid_bracket(c, curv, s1, s2)
+            b21 = algebroid_bracket(c, curv, s2, s1)
+            skew.append(_max_norm(_combine(b12, b21, 1.0, 1.0)))
 
-        lhs = algebroid_bracket(c, curv, s1, _times(f, s2))
-        anchored = []
-        for cid, chart in enumerate(m.charts):
-            df = np.zeros(f[cid].shape)
-            for i in range(m.dim):
-                df += s1.x[cid][..., i] * grid_derivative(chart, f[cid], i)
-            anchored.append(df)
-        expected = _combine(_times(anchored, s2), _times(f, b12), 1.0, 1.0)
-        leibniz.append(_max_norm(_combine(lhs, expected, 1.0, -1.0)))
+            lhs = algebroid_bracket(c, curv, s1, _times(f, s2))
+            anchored = [directional(x1, df) for x1, df in zip(s1.x, grid_partials(m, f))]
+            expected = _combine(_times(anchored, s2), _times(f, b12), 1.0, 1.0)
+            leibniz.append(_max_norm(_combine(lhs, expected, 1.0, -1.0)))
 
-        j1 = algebroid_bracket(c, curv, s1, algebroid_bracket(c, curv, s2, s3))
-        j2 = algebroid_bracket(c, curv, s3, b12)
-        j3 = algebroid_bracket(c, curv, s2, algebroid_bracket(c, curv, s3, s1))
-        total = _combine(_combine(j1, j2, 1.0, 1.0), j3, 1.0, 1.0)
-        jacobi.append(_max_norm(total))
+            j1 = algebroid_bracket(c, curv, s1, algebroid_bracket(c, curv, s2, s3))
+            j2 = algebroid_bracket(c, curv, s3, b12)
+            j3 = algebroid_bracket(c, curv, s2, algebroid_bracket(c, curv, s3, s1))
+            total = _combine(_combine(j1, j2, 1.0, 1.0), j3, 1.0, 1.0)
+            jacobi.append(_max_norm(total))
+        finally:
+            _TRIAL_PARTIALS.reset(token)
     return AxiomReport(trials, peak(skew), peak(leibniz), peak(jacobi))

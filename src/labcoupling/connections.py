@@ -19,7 +19,7 @@ import numpy as np
 from .algebra import LieAlgebra, ad, center_basis, derivation_residuals, inner_projection
 from .bundles import Trivialization, pullback_lab, _cover_signature, _worst_node
 from .errors import InputError
-from .manifolds import ManifoldMap, grid_derivative, interpolate, overlap_pair
+from .manifolds import ManifoldMap, directional, grid_derivative, grid_partials, interpolate, overlap_pair
 from .tolerances import ACC_TOL, ALG_TOL, GAUGE_TOL, peak
 
 
@@ -64,23 +64,29 @@ def zero_connection(bundle: Trivialization) -> ConnectionForm:
     return ConnectionForm(bundle, omega)
 
 
+def covariant_partials(c: ConnectionForm, u: list) -> list:
+    """Per chart, the covariant partials (nabla_0 u, ..., nabla_{dim-1} u) of a
+    fiber field, nabla_i u = d_i u + w_i u."""
+    m = c.manifold
+    n = c.algebra.dim
+    uu = [np.asarray(grid, dtype=float) for grid in u]
+    if any(grid.shape != chart.resolution + (n,) for grid, chart in zip(uu, m.charts)):
+        raise InputError("field shapes do not match the chart grids")
+    return [
+        tuple(d + np.einsum("...kj,...j->...k", w[..., i, :, :], grid) for i, d in enumerate(partials))
+        for grid, w, partials in zip(uu, c.omega, grid_partials(m, uu))
+    ]
+
+
 def apply_connection(c: ConnectionForm, u: list, x: list) -> list:
     """(nabla_X u)(p) = sum_i X^i(p) (d_i u(p) + w_i(p) u(p)), chartwise."""
     m = c.manifold
-    n = c.algebra.dim
-    out = []
-    for cid, chart in enumerate(m.charts):
-        uu = np.asarray(u[cid], dtype=float)
-        xx = np.asarray(x[cid], dtype=float)
-        if uu.shape != chart.resolution + (n,) or xx.shape != chart.resolution + (m.dim,):
-            raise InputError("field shapes do not match the chart grids")
-        total = np.zeros_like(uu)
-        for i in range(m.dim):
-            covar = grid_derivative(chart, uu, i)
-            covar = covar + np.einsum("...kj,...j->...k", c.omega[cid][..., i, :, :], uu)
-            total += xx[..., i : i + 1] * covar
-        out.append(total)
-    return out
+    xx = [np.asarray(grid, dtype=float) for grid in x]
+    if len(xx) != len(m.charts) or any(
+        grid.shape != chart.resolution + (m.dim,) for grid, chart in zip(xx, m.charts)
+    ):
+        raise InputError("field shapes do not match the chart grids")
+    return [directional(grid, partials) for grid, partials in zip(xx, covariant_partials(c, u))]
 
 
 @dataclass(frozen=True)

@@ -231,20 +231,53 @@ def directional_derivative(
     return deriv[tuple(node)]
 
 
-def lie_bracket_fields(m: ChartedManifold, x_field: list, y_field: list) -> list:
-    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i), chartwise."""
+def grid_partials(m: ChartedManifold, field: list) -> list:
+    """Per chart, the grid partials (d_0 F, ..., d_{dim-1} F) of a per-chart
+    field whose leading axes are the chart resolution; any other grid is an
+    InputError, since the stencil would use the wrong spacing."""
+    if len(field) != len(m.charts):
+        raise InputError(f"field has {len(field)} chart grids, the manifold {len(m.charts)}")
     out = []
     for cid, chart in enumerate(m.charts):
-        x = np.asarray(x_field[cid], dtype=float)
-        y = np.asarray(y_field[cid], dtype=float)
-        if x.shape != y.shape or x.shape[-1] != m.dim:
-            raise InputError("tangent field shapes do not match the manifold")
-        bracket = np.zeros_like(x)
-        for j in range(m.dim):
-            bracket += x[..., j : j + 1] * grid_derivative(chart, y, j)
-            bracket -= y[..., j : j + 1] * grid_derivative(chart, x, j)
-        out.append(bracket)
+        values = np.asarray(field[cid], dtype=float)
+        if values.shape[: m.dim] != chart.resolution:
+            raise InputError(
+                f"field grid {cid} has shape {values.shape}, not on the chart resolution {chart.resolution}"
+            )
+        out.append(tuple(grid_derivative(chart, values, i) for i in range(m.dim)))
     return out
+
+
+def directional(x: np.ndarray, partials: tuple) -> np.ndarray:
+    """X(F) = sum_i X^i d_i F nodewise from a tangent grid (*grid, dim) and
+    the partials of F, accumulated in axis order onto zeros."""
+    total = np.zeros(np.shape(partials[0]))
+    for i, p in enumerate(partials):
+        xi = x[..., i]
+        total += xi.reshape(xi.shape + (1,) * (p.ndim - xi.ndim)) * p
+    return total
+
+
+def lie_bracket_partials(x: np.ndarray, dx: tuple, y: np.ndarray, dy: tuple) -> np.ndarray:
+    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i) on one chart grid, from
+    the two fields and their grid partials."""
+    bracket = np.zeros_like(x)
+    for j in range(len(dx)):
+        bracket += x[..., j : j + 1] * dy[j]
+        bracket -= y[..., j : j + 1] * dx[j]
+    return bracket
+
+
+def lie_bracket_fields(m: ChartedManifold, x_field: list, y_field: list) -> list:
+    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i), chartwise."""
+    xs = [np.asarray(x, dtype=float) for x in x_field]
+    ys = [np.asarray(y, dtype=float) for y in y_field]
+    if any(x.shape != y.shape or x.shape[-1] != m.dim for x, y in zip(xs, ys)):
+        raise InputError("tangent field shapes do not match the manifold")
+    return [
+        lie_bracket_partials(x, dx, y, dy)
+        for x, dx, y, dy in zip(xs, grid_partials(m, xs), ys, grid_partials(m, ys))
+    ]
 
 
 def tangent_overlap_residual(m: ChartedManifold, x_field: list) -> float:
@@ -536,20 +569,31 @@ class HarmonicField:
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        lead = points.shape[:-1]
+        return self._on_axes([points[..., a] for a in range(points.shape[-1])])
+
+    def sample(self, m: ChartedManifold) -> list:
+        """The field on every chart grid; each harmonic depends on one axis
+        coordinate only, so it is taken on that axis' nodes (an open mesh)
+        and broadcast, with the same sums as at ``grid_points()``."""
+        return [
+            self._on_axes(np.ix_(*(chart.axis_nodes(a) for a in range(chart.dim))))
+            for chart in m.charts
+        ]
+
+    def _on_axes(self, coords) -> np.ndarray:
+        """The field at the points whose axis-a coordinates are coords[a];
+        the coordinate arrays broadcast against each other to the point grid."""
+        lead = np.broadcast_shapes(*(t.shape for t in coords))
         value_shape = self.constant.shape
         out = np.broadcast_to(self.constant, lead + value_shape).copy()
         kmax = self.coeffs_cos.shape[-1]
-        for a in range(points.shape[-1]):
+        for a, t in enumerate(coords):
+            cshape = t.shape + (1,) * len(value_shape)
             for k in range(1, kmax + 1):
-                phase = 2.0 * np.pi * k * points[..., a]
-                cshape = lead + (1,) * len(value_shape)
+                phase = 2.0 * np.pi * k * t
                 out += np.cos(phase).reshape(cshape) * self.coeffs_cos[..., a, k - 1]
                 out += np.sin(phase).reshape(cshape) * self.coeffs_sin[..., a, k - 1]
         return out
-
-    def sample(self, m: ChartedManifold) -> list:
-        return [self(chart.grid_points()) for chart in m.charts]
 
 
 def random_harmonic_field(

@@ -16,9 +16,15 @@ from labcoupling.algebroid import (
     trivial_bracket,
 )
 from labcoupling.bundles import reference_trivialization
-from labcoupling.connections import accordance, apply_connection, shift_by_inner, zero_connection
+from labcoupling.connections import (
+    accordance,
+    apply_connection,
+    covariant_partials,
+    shift_by_inner,
+    zero_connection,
+)
 from labcoupling.errors import InputError
-from labcoupling.manifolds import lie_bracket_fields, random_harmonic_field
+from labcoupling.manifolds import grid_derivative, lie_bracket_fields, random_harmonic_field
 
 SO3 = fx.algebra("so3")
 
@@ -112,14 +118,32 @@ def test_each_covariant_derivative_once_and_bitwise_the_two_order_formula(name, 
 
     def counting(*args):
         calls.append(1)
-        return apply_connection(*args)
+        return covariant_partials(*args)
 
-    monkeypatch.setattr(algebroid, "apply_connection", counting)
+    monkeypatch.setattr(algebroid, "covariant_partials", counting)
     out = algebroid_bracket(c, curv, s1, s2)
     assert len(calls) == 2
     assert len(out.u) == len(u_ref) == len(c.manifold.charts)
     for got, ref in zip(out.u + out.x, u_ref + x_ref):
         assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+    # one trial: s1, s2, s3, f s2, [s2, s3], [s3, s1] and [s1, s2], once each
+    calls.clear()
+    axiom_report(c, curv, trials=2, seed=0)
+    assert len(calls) == 2 * 7
+
+
+def test_section_with_wrong_chart_count_is_an_input_error():
+    c = fx.connection("circle2_so3_twisted")
+    curv = accordance(c).curvature
+    s = random_section(c, np.random.default_rng(2))
+    fewer = AlgebroidSection(s.u[:1], s.x[:1])
+    extra = AlgebroidSection(s.u + s.u[:1], s.x + s.x[:1])
+    for bad in (fewer, extra):
+        with pytest.raises(InputError, match="charts"):
+            algebroid_bracket(c, curv, s, bad)
+        with pytest.raises(InputError, match="charts"):
+            algebroid_bracket(c, curv, bad, s)
 
 
 def test_omega_term_enters_with_area_factor():
@@ -211,6 +235,69 @@ def test_axioms_on_multichart_circle():
     rep = axiom_report(c, accordance(c).curvature, trials=5, seed=2)
     assert rep.max_skew == 0.0
     assert rep.max_leibniz <= 1e-4
+
+
+def per_call_axiom_report(c, curv, trials, seed):
+    """Reference: the axiom probes with every bracket formed from scratch by
+    ``two_order_bracket`` and every field sampled pointwise."""
+    rng = np.random.default_rng(seed)
+    m = c.manifold
+
+    def field(value_shape, **kw):
+        f = random_harmonic_field(rng, m.dim, value_shape, amplitude=0.01, **kw)
+        return [f(chart.grid_points()) for chart in m.charts]
+
+    def section():
+        u = field((c.algebra.dim,))
+        return AlgebroidSection.of(u, field((m.dim,), constant_scale=0.5))
+
+    def br(a, b):
+        return AlgebroidSection(*map(tuple, two_order_bracket(c, curv, a, b)))
+
+    def norm(s):
+        return max(np.abs(g).max() for g in s.u + s.x)
+
+    def combine(a, b, sb):
+        return AlgebroidSection(
+            tuple(x + sb * y for x, y in zip(a.u, b.u)), tuple(x + sb * y for x, y in zip(a.x, b.x))
+        )
+
+    def times(f, s):
+        return AlgebroidSection(
+            tuple(fc[..., None] * u for fc, u in zip(f, s.u)),
+            tuple(fc[..., None] * x for fc, x in zip(f, s.x)),
+        )
+
+    skew, leibniz, jacobi = [], [], []
+    for _ in range(trials):
+        s1, s2, s3 = section(), section(), section()
+        f = field(())
+        b12 = br(s1, s2)
+        skew.append(norm(combine(b12, br(s2, s1), 1.0)))
+        anchored = []
+        for cid, chart in enumerate(m.charts):
+            df = np.zeros(f[cid].shape)
+            for i in range(m.dim):
+                df += s1.x[cid][..., i] * grid_derivative(chart, f[cid], i)
+            anchored.append(df)
+        expected = combine(times(anchored, s2), times(f, b12), 1.0)
+        leibniz.append(norm(combine(br(s1, times(f, s2)), expected, -1.0)))
+        j1 = br(s1, br(s2, s3))
+        j3 = br(s2, br(s3, s1))
+        jacobi.append(norm(combine(combine(j1, br(s3, b12), 1.0), j3, 1.0)))
+    return max(skew), max(leibniz), max(jacobi)
+
+
+@pytest.mark.parametrize(
+    "name", ["interval1_so3_flat", "circle2_so3_twisted", "cyl2_so3_twisted", "disk2d_so3_nonflat"]
+)
+def test_axiom_report_is_bitwise_the_per_call_formula(name):
+    c = fx.connection(name)
+    curv = accordance(c).curvature
+    for seed in range(3):
+        rep = axiom_report(c, curv, trials=2, seed=seed)
+        got = (rep.max_skew, rep.max_leibniz, rep.max_jacobi)
+        assert got == per_call_axiom_report(c, curv, trials=2, seed=seed)
 
 
 def test_jacobi_residual_decays_at_second_order():

@@ -20,7 +20,7 @@ from labcoupling.connections import (
     zero_connection,
 )
 from labcoupling.errors import InputError
-from labcoupling.manifolds import identity_map, random_harmonic_field
+from labcoupling.manifolds import grid_derivative, identity_map, random_harmonic_field
 from tests.test_bundles import degree2_circle_map
 
 SO3 = fx.algebra("so3")
@@ -65,6 +65,22 @@ def test_fiberwise_leibniz_in_the_bracket():
         SO3, u[0], apply_connection(c, v, x)[0]
     )
     assert np.abs(lhs - rhs).max() <= 1e-4
+
+
+@pytest.mark.parametrize("name", ["interval1_so3_flat", "circle2_so3_twisted", "disk2d_so3_nonflat"])
+def test_apply_connection_is_bitwise_the_per_axis_loop(name):
+    c = fx.connection(name)
+    m = c.manifold
+    rng = np.random.default_rng(8)
+    u = random_harmonic_field(rng, m.dim, (3,), amplitude=0.3).sample(m)
+    x = random_harmonic_field(rng, m.dim, (m.dim,), amplitude=0.3).sample(m)
+    for cid, (chart, got) in enumerate(zip(m.charts, apply_connection(c, u, x), strict=True)):
+        ref = np.zeros_like(u[cid])
+        for i in range(m.dim):
+            covar = grid_derivative(chart, u[cid], i)
+            covar = covar + np.einsum("...kj,...j->...k", c.omega[cid][..., i, :, :], u[cid])
+            ref += x[cid][..., i : i + 1] * covar
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_apply_connection_shape_mismatch():

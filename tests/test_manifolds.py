@@ -14,6 +14,7 @@ from labcoupling.manifolds import (
     build_manifold,
     directional_derivative,
     grid_derivative,
+    grid_partials,
     interpolate,
     lie_bracket_fields,
     partition_of_unity,
@@ -273,6 +274,43 @@ def test_bracket_coordinate_example():
     b = lie_bracket_fields(m, x, y)[0]
     expected = np.stack([np.zeros_like(pts[..., 0]), np.ones_like(pts[..., 0])], axis=-1)
     assert np.abs(b - expected).max() <= 1e-4
+
+
+@pytest.mark.parametrize("name", ["interval1", "circle2", "disk2d"])
+def test_bracket_is_bitwise_the_per_axis_loop(name):
+    m = fx.manifold(name)
+    rng = np.random.default_rng(12)
+    x = random_harmonic_field(rng, m.dim, (m.dim,), amplitude=0.3).sample(m)
+    y = random_harmonic_field(rng, m.dim, (m.dim,), amplitude=0.3).sample(m)
+    for cid, (chart, got) in enumerate(zip(m.charts, lie_bracket_fields(m, x, y), strict=True)):
+        ref = np.zeros_like(x[cid])
+        for j in range(m.dim):
+            ref += x[cid][..., j : j + 1] * grid_derivative(chart, y[cid], j)
+            ref -= y[cid][..., j : j + 1] * grid_derivative(chart, x[cid], j)
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_bracket_rejects_a_field_off_the_chart_resolution():
+    # a (9, 9, 2) field on the 33 x 33 disk chart would be differentiated
+    # with the chart's spacing
+    m = fx.manifold("disk2d")
+    coarse = [np.ones((9, 9, 2))]
+    with pytest.raises(InputError, match="resolution"):
+        lie_bracket_fields(m, coarse, coarse)
+    with pytest.raises(InputError):
+        grid_partials(m, [np.ones((33, 33)), np.ones((33, 33))])
+
+
+@pytest.mark.parametrize("name", ["interval1", "circle2", "disk2d", "cyl2"])
+def test_harmonic_sample_is_bitwise_the_pointwise_field(name):
+    m = fx.manifold(name)
+    rng = np.random.default_rng(31)
+    for value_shape in [(), (3,), (m.dim, 3)]:
+        f = random_harmonic_field(rng, m.dim, value_shape, amplitude=0.3)
+        sampled = f.sample(m)
+        pointwise = [f(chart.grid_points()) for chart in m.charts]
+        for got, ref in zip(sampled, pointwise, strict=True):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def test_tangent_overlap_residual_flags_global_fields():
