@@ -23,7 +23,7 @@ from .algebra import (
     principal_log,
     validate_algebra,
 )
-from .algebroid import AlgebroidSection, algebroid_bracket, axiom_report, trivial_bracket
+from .algebroid import AlgebroidSection, algebroid_bracket, axiom_report
 from .bundles import (
     DeltaReport,
     Trivialization,
@@ -57,8 +57,6 @@ from .manifolds import (
     ChartedManifold,
     ManifoldMap,
     build_manifold,
-    directional_derivative,
-    lie_bracket_fields,
     partition_of_unity,
     ray_path,
 )
@@ -88,12 +86,10 @@ __all__ = [
     "coupling_equivalent",
     "curvature",
     "derivations_basis",
-    "directional_derivative",
     "exp_derivation",
     "f_map",
     "g_map",
     "is_inner",
-    "lie_bracket_fields",
     "loop_transport",
     "outer_equal",
     "parallel_transport",
@@ -104,7 +100,6 @@ __all__ = [
     "ray_path",
     "reference_trivialization",
     "shift_by_inner",
-    "trivial_bracket",
     "trivializations_equivalent",
     "validate_algebra",
     "validate_connection",

@@ -115,11 +115,12 @@ def bracket(g: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if x.shape[-1] != g.dim or y.shape[-1] != g.dim:
         raise InputError(f"coordinate length must be {g.dim}")
-    n = g.dim
-    lead = np.broadcast_shapes(x.shape[:-1], y.shape[:-1])
-    # One GEMM: the outer product x_i y_j, flattened to n*n, times c[ij, k].
-    outer = (x[..., :, None] * y[..., None, :]).reshape(lead + (n * n,))
-    return outer @ g.c.reshape(n * n, n)
+    # Pair form, one GEMM: sum_{i<j} (x_i y_j - x_j y_i) times the skew part
+    # of c_ijk.  Each area negates exactly when x and y swap, so does the
+    # result; on an antisymmetric c the skew part is c[i, j] to the bit.
+    i, j = np.triu_indices(g.dim, 1)
+    area = x[..., i] * y[..., j] - x[..., j] * y[..., i]
+    return area @ (0.5 * (g.c[i, j] - g.c[j, i]))
 
 
 def ad(g: LieAlgebra, x: np.ndarray) -> np.ndarray:
@@ -146,17 +147,21 @@ def center_basis(g: LieAlgebra) -> list[np.ndarray]:
     return [v for v in _null_space(stacked).T]
 
 
+def _leibniz_defects(g: LieAlgebra, d: np.ndarray) -> np.ndarray:
+    """d [e_i, e_j] - [d e_i, e_j] - [e_i, d e_j] as (..., i, j, l); broadcasts
+    over leading axes of d."""
+    lhs = np.einsum("...lk,ijk->...ijl", d, g.c)
+    t1 = np.einsum("...mi,mjl->...ijl", d, g.c)
+    t2 = np.einsum("...mj,iml->...ijl", d, g.c)
+    return lhs - t1 - t2
+
+
 def derivation_residuals(g: LieAlgebra, d: np.ndarray) -> np.ndarray:
     """Max-over-basis-pairs Leibniz residual of d; broadcasts over leading axes.
 
     Residual per pair (i, j): || d [e_i, e_j] - [d e_i, e_j] - [e_i, d e_j] ||_2.
     """
-    d = np.asarray(d, dtype=float)
-    lhs = np.einsum("...lk,ijk->...ijl", d, g.c)
-    t1 = np.einsum("...mi,mjl->...ijl", d, g.c)
-    t2 = np.einsum("...mj,iml->...ijl", d, g.c)
-    res = lhs - t1 - t2
-    per_pair = np.linalg.norm(res, axis=-1)
+    per_pair = np.linalg.norm(_leibniz_defects(g, np.asarray(d, dtype=float)), axis=-1)
     return per_pair.max(axis=(-2, -1))
 
 
@@ -176,10 +181,7 @@ def derivations_basis(g: LieAlgebra) -> list[np.ndarray]:
     """
     n = g.dim
     units = np.eye(n * n).reshape(n * n, n, n)
-    lhs = np.einsum("blk,ijk->bijl", units, g.c)
-    t1 = np.einsum("bmi,mjl->bijl", units, g.c)
-    t2 = np.einsum("bmj,iml->bijl", units, g.c)
-    constraint = (lhs - t1 - t2).reshape(n * n, n * n * n).T  # rows: (i,j,l)
+    constraint = _leibniz_defects(g, units).reshape(n * n, n * n * n).T  # rows: (i,j,l)
     return [v.reshape(n, n) for v in _null_space(constraint).T]
 
 

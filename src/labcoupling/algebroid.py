@@ -6,9 +6,12 @@ built from a coupling connection and its recovered two-form is
     {(u1, X1), (u2, X2)} =
         ([u1, u2] + nabla_{X1} u2 - nabla_{X2} u1 + Omega(X1, X2), [X1, X2])
 
-evaluated nodewise.  The implementation antisymmetrizes explicitly, so the
-skew axiom holds to the last bit; the Leibniz and Jacobi axioms hold up to
-the finite-difference budget and are probed on random band-limited sections.
+evaluated nodewise in this one argument order.  Every term (the fiber
+bracket in pair form, the difference of covariant derivatives, the Omega
+contraction and the vector-field bracket) negates exactly when the sections
+swap, so the skew axiom holds to the last bit; the Leibniz and Jacobi axioms
+hold up to the finite-difference budget and are probed on random band-limited
+sections.
 """
 
 from __future__ import annotations
@@ -18,10 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, bracket
+from .algebra import bracket
 from .connections import ConnectionForm, CurvatureData, covariant_partials
 from .errors import InputError
-from .manifolds import directional, grid_partials, lie_bracket_fields, lie_bracket_partials, random_harmonic_field
+from .manifolds import directional, grid_partials, lie_bracket_partials, random_harmonic_field
 from .tolerances import peak
 
 
@@ -81,43 +84,18 @@ def omega_contract(curv: CurvatureData, cid: int, x1: np.ndarray, x2: np.ndarray
 def algebroid_bracket(
     c: ConnectionForm, curv: CurvatureData, s1: AlgebroidSection, s2: AlgebroidSection
 ) -> AlgebroidSection:
-    """The coupling bracket, antisymmetrized so that swapping arguments negates
-    the output exactly.
-
-    Both argument orders are formed and halved; they share the covariant
-    derivatives nabla_{X1} u2 and nabla_{X2} u1, which are computed once,
-    and both read one set of partials per section."""
+    """The coupling bracket in one argument order; swapping the arguments
+    negates the output exactly, term by term.  Each section's partials are
+    read once."""
     cov1, dx1 = _partials(c, s1)
     cov2, dx2 = _partials(c, s2)
-    g = c.algebra
     u, x = [], []
     for cid in range(len(c.manifold.charts)):
         u1, x1, u2, x2 = s1.u[cid], s1.x[cid], s2.u[cid], s2.x[cid]
-        nabla_12 = directional(x1, cov2[cid])
-        nabla_21 = directional(x2, cov1[cid])
-        u12 = bracket(g, u1, u2) + nabla_12 - nabla_21 + omega_contract(curv, cid, x1, x2)
-        u21 = bracket(g, u2, u1) + nabla_21 - nabla_12 + omega_contract(curv, cid, x2, x1)
-        u.append(0.5 * (u12 - u21))
-        x12 = lie_bracket_partials(x1, dx1[cid], x2, dx2[cid])
-        x21 = lie_bracket_partials(x2, dx2[cid], x1, dx1[cid])
-        x.append(0.5 * (x12 - x21))
+        nabla = directional(x1, cov2[cid]) - directional(x2, cov1[cid])
+        u.append(bracket(c.algebra, u1, u2) + nabla + omega_contract(curv, cid, x1, x2))
+        x.append(lie_bracket_partials(x1, dx1[cid], x2, dx2[cid]))
     return AlgebroidSection(tuple(u), tuple(x))
-
-
-def trivial_bracket(
-    g: LieAlgebra, manifold, s1: AlgebroidSection, s2: AlgebroidSection
-) -> AlgebroidSection:
-    """Bracket of the locally trivial algebroid on a single flat chart:
-    ([u, v] + X(v) - Y(u), [X, Y])."""
-    if len(manifold.charts) != 1:
-        raise InputError("the trivial bracket is defined on a single-chart manifold")
-    u1, x1 = s1.u[0], s1.x[0]
-    u2, x2 = s2.u[0], s2.x[0]
-    d12 = directional(x1, grid_partials(manifold, [u2])[0])
-    d21 = directional(x2, grid_partials(manifold, [u1])[0])
-    u = 0.5 * ((bracket(g, u1, u2) + d12 - d21) - (bracket(g, u2, u1) + d21 - d12))
-    x = lie_bracket_fields(manifold, [x1], [x2])[0]
-    return AlgebroidSection((u,), (x,))
 
 
 def _max_norm(section: AlgebroidSection) -> float:

@@ -223,14 +223,6 @@ def grid_derivative(chart: Chart, values: np.ndarray, axis: int) -> np.ndarray:
     return np.gradient(values, chart.spacing[axis], axis=axis, edge_order=order)
 
 
-def directional_derivative(
-    m: ChartedManifold, values: np.ndarray, chart_id: int, node: tuple, axis: int
-):
-    """Stencil derivative of a sampled field at one node."""
-    deriv = grid_derivative(m.charts[chart_id], np.asarray(values, dtype=float), axis)
-    return deriv[tuple(node)]
-
-
 def grid_partials(m: ChartedManifold, field: list) -> list:
     """Per chart, the grid partials (d_0 F, ..., d_{dim-1} F) of a per-chart
     field whose leading axes are the chart resolution; any other grid is an
@@ -260,24 +252,12 @@ def directional(x: np.ndarray, partials: tuple) -> np.ndarray:
 
 def lie_bracket_partials(x: np.ndarray, dx: tuple, y: np.ndarray, dy: tuple) -> np.ndarray:
     """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i) on one chart grid, from
-    the two fields and their grid partials."""
+    the two fields and their grid partials.  Each j enters as one term, which
+    negates exactly when the fields swap, so the bracket does too."""
     bracket = np.zeros_like(x)
     for j in range(len(dx)):
-        bracket += x[..., j : j + 1] * dy[j]
-        bracket -= y[..., j : j + 1] * dx[j]
+        bracket += x[..., j : j + 1] * dy[j] - y[..., j : j + 1] * dx[j]
     return bracket
-
-
-def lie_bracket_fields(m: ChartedManifold, x_field: list, y_field: list) -> list:
-    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i), chartwise."""
-    xs = [np.asarray(x, dtype=float) for x in x_field]
-    ys = [np.asarray(y, dtype=float) for y in y_field]
-    if any(x.shape != y.shape or x.shape[-1] != m.dim for x, y in zip(xs, ys)):
-        raise InputError("tangent field shapes do not match the manifold")
-    return [
-        lie_bracket_partials(x, dx, y, dy)
-        for x, dx, y, dy in zip(xs, grid_partials(m, xs), ys, grid_partials(m, ys))
-    ]
 
 
 def tangent_overlap_residual(m: ChartedManifold, x_field: list) -> float:

@@ -163,6 +163,16 @@ def test_bracket_matches_per_term_oracle_in_random_basis(x_shape, y_shape):
         assert np.abs(out - expected).max() <= bound
 
 
+def test_bracket_negates_exactly_under_swap_in_random_basis():
+    # dense structure constants: every pair (i, j) feeds every k
+    g = so3_in_random_basis()
+    rng = np.random.default_rng(8)
+    for x_shape, y_shape in [((4225, 3), (4225, 3)), ((6, 7, 3), (3,)), ((3,), (3,))]:
+        x = rng.normal(size=x_shape)
+        y = rng.normal(size=y_shape)
+        assert np.array_equal(bracket(g, x, y), -bracket(g, y, x))
+
+
 @pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
 def test_bracket_is_bitwise_the_three_operand_einsum(g):
     rng = np.random.default_rng(7)

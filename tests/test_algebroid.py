@@ -1,5 +1,6 @@
-"""Algebroid bracket tests: the defining formula, the locally trivial
-bracket, the section axioms, and splitting independence."""
+"""Algebroid bracket tests: the defining formula in one argument order, its
+reduction over a flat connection, exact skew symmetry, the section axioms,
+and splitting independence."""
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from labcoupling.algebroid import (
     axiom_report,
     omega_contract,
     random_section,
-    trivial_bracket,
 )
 from labcoupling.bundles import reference_trivialization
 from labcoupling.connections import (
@@ -24,7 +24,9 @@ from labcoupling.connections import (
     zero_connection,
 )
 from labcoupling.errors import InputError
-from labcoupling.manifolds import grid_derivative, lie_bracket_fields, random_harmonic_field
+from labcoupling.manifolds import grid_derivative, random_harmonic_field
+from tests.test_algebra import so3_in_random_basis
+from tests.test_manifolds import vector_bracket
 
 SO3 = fx.algebra("so3")
 
@@ -95,7 +97,7 @@ def two_order_bracket(c, curv, s1, s2):
             + omega_contract(curv, cid, a.x[cid], b.x[cid])
             for cid in range(len(c.manifold.charts))
         ]
-        return u, lie_bracket_fields(c.manifold, list(a.x), list(b.x))
+        return u, vector_bracket(c.manifold, list(a.x), list(b.x))
 
     u12, x12 = raw(s1, s2)
     u21, x21 = raw(s2, s1)
@@ -124,8 +126,10 @@ def test_each_covariant_derivative_once_and_bitwise_the_two_order_formula(name, 
     out = algebroid_bracket(c, curv, s1, s2)
     assert len(calls) == 2
     assert len(out.u) == len(u_ref) == len(c.manifold.charts)
+    # one order sums the terms differently from the halved two orders
     for got, ref in zip(out.u + out.x, u_ref + x_ref):
-        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     # one trial: s1, s2, s3, f s2, [s2, s3], [s3, s1] and [s1, s2], once each
     calls.clear()
@@ -165,48 +169,30 @@ def test_omega_contract_requires_recovered_form():
         omega_contract(curvature(c), 0, np.zeros((3, 2)), np.zeros((3, 2)))
 
 
-# --- trivial_bracket -------------------------------------------------------------
+# --- over a flat connection: ([u, v] + X(v) - Y(u), [X, Y]) ----------------------
 
-def test_trivial_bracket_on_constants():
-    m = fx.manifold("disk2d")
+def test_flat_bracket_on_constants():
+    c = flat_disk_connection()
+    m = c.manifold
     s1 = constant_section(m, [1.0, 0.0, 0.0], [0.0, 0.0])
     s2 = constant_section(m, [0.0, 1.0, 0.0], [0.0, 0.0])
-    out = trivial_bracket(SO3, m, s1, s2)
+    out = algebroid_bracket(c, accordance(c).curvature, s1, s2)
     assert np.abs(out.u[0] - bracket(SO3, s1.u[0], s2.u[0])).max() == 0.0
 
 
-def test_trivial_bracket_directional_term():
+def test_flat_bracket_directional_term():
     # u = 0, v(x) = x e1, X = d/dx, Y = 0  =>  bracket = (e1, 0)
-    m = fx.manifold("interval1")
+    c = zero_connection(reference_trivialization(SO3, fx.manifold("interval1")))
+    m = c.manifold
     pts = m.charts[0].grid_points()[..., 0]
     v = np.zeros(m.charts[0].resolution + (3,))
     v[..., 0] = pts
     s1 = AlgebroidSection.of([np.zeros_like(v)], [np.ones(m.charts[0].resolution + (1,))])
     s2 = AlgebroidSection.of([v], [np.zeros(m.charts[0].resolution + (1,))])
-    out = trivial_bracket(SO3, m, s1, s2)
+    out = algebroid_bracket(c, accordance(c).curvature, s1, s2)
     expected = np.zeros_like(v)
     expected[..., 0] = 1.0
     assert np.abs(out.u[0] - expected).max() <= 1e-10
-
-
-def test_trivial_bracket_matches_flat_algebroid_bracket():
-    c = flat_disk_connection()
-    curv = accordance(c).curvature
-    rng = np.random.default_rng(29)
-    for _ in range(100):
-        s1 = random_section(c, rng)
-        s2 = random_section(c, rng)
-        a = algebroid_bracket(c, curv, s1, s2)
-        b = trivial_bracket(SO3, c.manifold, s1, s2)
-        assert np.abs(a.u[0] - b.u[0]).max() <= 1e-12
-        assert np.abs(a.x[0] - b.x[0]).max() <= 1e-12
-
-
-def test_trivial_bracket_needs_single_chart():
-    m = fx.manifold("circle2")
-    s = constant_section(m, [0.0, 0.0, 0.0], [0.0])
-    with pytest.raises(InputError):
-        trivial_bracket(SO3, m, s, s)
 
 
 # --- axiom report -----------------------------------------------------------------
@@ -233,6 +219,18 @@ def test_axioms_on_nonflat_disk():
 def test_axioms_on_multichart_circle():
     c = fx.connection("circle2_so3_twisted")
     rep = axiom_report(c, accordance(c).curvature, trials=5, seed=2)
+    assert rep.max_skew == 0.0
+    assert rep.max_leibniz <= 1e-4
+
+
+def test_skew_is_exact_with_dense_structure_constants():
+    # so3 in a random basis: every pair (i, j) of the fiber bracket feeds
+    # every output component, under an inner-shifted connection
+    g = so3_in_random_basis()
+    m = fx.manifold("disk2d")
+    l = random_harmonic_field(np.random.default_rng(19), 2, (2, 3), amplitude=0.3).sample(m)
+    c = shift_by_inner(zero_connection(reference_trivialization(g, m)), l)
+    rep = axiom_report(c, accordance(c).curvature, trials=3, seed=0)
     assert rep.max_skew == 0.0
     assert rep.max_leibniz <= 1e-4
 
@@ -297,7 +295,11 @@ def test_axiom_report_is_bitwise_the_per_call_formula(name):
     for seed in range(3):
         rep = axiom_report(c, curv, trials=2, seed=seed)
         got = (rep.max_skew, rep.max_leibniz, rep.max_jacobi)
-        assert got == per_call_axiom_report(c, curv, trials=2, seed=seed)
+        # Skew is 0.0 on both sides, and the others move only by rounding.  The
+        # Jacobi sum cancels brackets about 1000x its size, so one reordered
+        # sum moves it by up to ~1e-11 of itself.
+        ref = per_call_axiom_report(c, curv, trials=2, seed=seed)
+        assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 def test_jacobi_residual_decays_at_second_order():

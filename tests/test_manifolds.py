@@ -12,11 +12,10 @@ from labcoupling import fixtures as fx, manifolds
 from labcoupling.errors import CoverageError, InputError
 from labcoupling.manifolds import (
     build_manifold,
-    directional_derivative,
     grid_derivative,
     grid_partials,
     interpolate,
-    lie_bracket_fields,
+    lie_bracket_partials,
     partition_of_unity,
     partition_sum_residual,
     random_harmonic_field,
@@ -243,17 +242,25 @@ def test_fd_second_order_convergence_on_sine():
 def test_directional_derivative_node_accessor():
     m = fx.manifold("interval1")
     x = m.charts[0].grid_points()[..., 0]
-    val = directional_derivative(m, x**2, 0, (16,), 0)
+    val = grid_derivative(m.charts[0], x**2, 0)[16]
     assert abs(val - 2 * x[16]) <= 1e-12
 
 
 # --- vector field brackets ---------------------------------------------------
 
+def vector_bracket(m, x_field, y_field):
+    """[X, Y] chartwise from the grid partials of both fields."""
+    return [
+        lie_bracket_partials(x, dx, y, dy)
+        for x, dx, y, dy in zip(x_field, grid_partials(m, x_field), y_field, grid_partials(m, y_field))
+    ]
+
+
 def test_bracket_of_field_with_itself_vanishes():
     m = fx.manifold("disk2d")
     rng = np.random.default_rng(5)
     x = [random_harmonic_field(rng, 2, (2,))(m.charts[0].grid_points())]
-    b = lie_bracket_fields(m, x, x)
+    b = vector_bracket(m, x, x)
     assert np.abs(b[0]).max() <= 1e-12
 
 
@@ -262,7 +269,7 @@ def test_bracket_of_constant_fields_vanishes():
     shape = m.charts[0].resolution + (2,)
     x = [np.broadcast_to([1.0, 2.0], shape).copy()]
     y = [np.broadcast_to([-0.5, 0.25], shape).copy()]
-    assert np.abs(lie_bracket_fields(m, x, y)[0]).max() == 0.0
+    assert np.abs(vector_bracket(m, x, y)[0]).max() == 0.0
 
 
 def test_bracket_coordinate_example():
@@ -271,7 +278,7 @@ def test_bracket_coordinate_example():
     pts = m.charts[0].grid_points()
     x = [np.stack([np.ones_like(pts[..., 0]), np.zeros_like(pts[..., 0])], axis=-1)]
     y = [np.stack([np.zeros_like(pts[..., 0]), pts[..., 0]], axis=-1)]
-    b = lie_bracket_fields(m, x, y)[0]
+    b = vector_bracket(m, x, y)[0]
     expected = np.stack([np.zeros_like(pts[..., 0]), np.ones_like(pts[..., 0])], axis=-1)
     assert np.abs(b - expected).max() <= 1e-4
 
@@ -282,12 +289,23 @@ def test_bracket_is_bitwise_the_per_axis_loop(name):
     rng = np.random.default_rng(12)
     x = random_harmonic_field(rng, m.dim, (m.dim,), amplitude=0.3).sample(m)
     y = random_harmonic_field(rng, m.dim, (m.dim,), amplitude=0.3).sample(m)
-    for cid, (chart, got) in enumerate(zip(m.charts, lie_bracket_fields(m, x, y), strict=True)):
+    for cid, (chart, got) in enumerate(zip(m.charts, vector_bracket(m, x, y), strict=True)):
         ref = np.zeros_like(x[cid])
         for j in range(m.dim):
-            ref += x[cid][..., j : j + 1] * grid_derivative(chart, y[cid], j)
-            ref -= y[cid][..., j : j + 1] * grid_derivative(chart, x[cid], j)
+            dy = grid_derivative(chart, y[cid], j)
+            dx = grid_derivative(chart, x[cid], j)
+            ref += x[cid][..., j : j + 1] * dy - y[cid][..., j : j + 1] * dx
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("name", ["disk2d", "cyl2"])
+def test_bracket_negates_bitwise_under_swap(name):
+    m = fx.manifold(name)
+    rng = np.random.default_rng(13)
+    x = random_harmonic_field(rng, m.dim, (m.dim,), amplitude=0.3).sample(m)
+    y = random_harmonic_field(rng, m.dim, (m.dim,), amplitude=0.3).sample(m)
+    for xy, yx in zip(vector_bracket(m, x, y), vector_bracket(m, y, x), strict=True):
+        assert np.array_equal(xy, -yx)
 
 
 def test_bracket_rejects_a_field_off_the_chart_resolution():
@@ -296,7 +314,7 @@ def test_bracket_rejects_a_field_off_the_chart_resolution():
     m = fx.manifold("disk2d")
     coarse = [np.ones((9, 9, 2))]
     with pytest.raises(InputError, match="resolution"):
-        lie_bracket_fields(m, coarse, coarse)
+        vector_bracket(m, coarse, coarse)
     with pytest.raises(InputError):
         grid_partials(m, [np.ones((33, 33)), np.ones((33, 33))])
 
