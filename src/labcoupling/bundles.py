@@ -180,6 +180,7 @@ class VerdictGroup:
     inner: int
     outer: int
     undecided: int
+    max_aut_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -215,8 +216,8 @@ def _verdict_sweep(
     whose log is not a derivation, fall back to the scalar is_inner.
     """
     mats = mats.reshape(-1, g.dim, g.dim)
-    aut = automorphism_residuals(g, mats)
-    if peak(aut) > aut_tol:
+    aut = peak(automorphism_residuals(g, mats))
+    if aut > aut_tol:
         raise InputError(f"{scope}: ratio is not an automorphism within {aut_tol:.1e}")
     resid, logs, ok = inner_log_residuals(g, mats)
     inner_mask = ok & (resid <= inner_tol)
@@ -228,7 +229,7 @@ def _verdict_sweep(
     for v in scalar:
         counts[v.verdict] += 1
     max_res = peak(resid[decided], [v.residual for v in scalar])
-    return VerdictGroup(scope, max_res, counts["inner"], counts["outer"], counts["undecided"])
+    return VerdictGroup(scope, max_res, counts["inner"], counts["outer"], counts["undecided"], aut)
 
 
 def check_delta_continuity(
@@ -251,7 +252,8 @@ def check_delta_continuity(
     undecided = any(x.undecided for x in groups)
     passed = all(x.outer == 0 and x.undecided == 0 for x in groups)
     max_res = peak([x.max_inner_residual for x in groups])
-    return DeltaReport(bool(passed), bool(undecided), tuple(groups), max_res)
+    max_aut = peak([x.max_aut_residual for x in groups])
+    return DeltaReport(bool(passed), bool(undecided), tuple(groups), max_res, max_aut)
 
 
 def _spanning_tree_edges(shape: tuple) -> tuple:

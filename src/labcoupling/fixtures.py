@@ -130,6 +130,10 @@ MANIFOLD_NAMES = ("interval1", "circle2", "circle4", "disk2d", "cyl2")
 # --- bundle fixtures ----------------------------------------------------------
 
 TWIST_ANGLE = 0.8
+# heis3 derivation outside span{ad}: it scales e1, e2 and e3 = [e1, e2]
+# consistently (.3 - .2 = .1), and ad(x) is strictly off-diagonal.
+DRIFT = np.diag([0.3, -0.2, 0.1])
+DRIFT_RATE = 1.5
 
 
 def smoothstep(u: np.ndarray) -> np.ndarray:
@@ -181,6 +185,23 @@ def bundle(name: str, refine: int = 1) -> Trivialization:
             frames.append(phi)
         frames[0] = np.broadcast_to(np.eye(2), m.charts[0].resolution + (2, 2)).copy()
         return Trivialization(g, m, tuple(frames))
+    if name == "cyl2_heis3_drift":
+        # outer class drifting along the axis: chart 0 carries identity
+        # frames, chart 1 exp(s D) with s = DRIFT_RATE * y and D an outer
+        # derivation, so an overlap ratio is exp(+-(s - s0) D) and its log's
+        # distance from span{ad} is |s - s0| ||D||_F: every ratio off its
+        # region's first row (y = 0) is outer, 1152 of 1188 at refine 1.
+        # The ratios at y >= 0.4375 (0 -> 1 overlaps) or y >= 0.46875
+        # (1 -> 0), 666 at refine 1, lie outside the 0.25 series radius and
+        # take the square-root route of principal_logs and its guard.
+        g = algebra("heis3")
+        m = manifold("cyl2", refine)
+        y = m.charts[1].grid_points()[..., 1]
+        phi1 = np.zeros(y.shape + (3, 3))
+        for i, d in enumerate(np.diag(DRIFT)):
+            phi1[..., i, i] = np.exp(DRIFT_RATE * y * d)
+        eye = np.broadcast_to(np.eye(3), m.charts[0].resolution + (3, 3)).copy()
+        return Trivialization(g, m, (eye, phi1))
     if name == "disk2d_so3_bilinear":
         g = algebra("so3")
         m = manifold("disk2d", refine)
@@ -197,6 +218,7 @@ BUNDLE_NAMES = (
     "circle2_abelian2_twisted",
     "circle2_abelian2_varying",
     "disk2d_so3_bilinear",
+    "cyl2_heis3_drift",
 )
 
 

@@ -12,9 +12,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labcoupling import fixtures as fx
+from labcoupling import algebra, fixtures as fx
 from labcoupling.algebra import (
     LieAlgebra,
+    _exp_by_squaring,
+    _square_roots,
     ad,
     automorphism_residuals,
     bracket,
@@ -32,6 +34,7 @@ from labcoupling.algebra import (
     validate_algebra,
 )
 from labcoupling.errors import InputError
+from labcoupling.tolerances import ALG_TOL
 
 ALL = [fx.algebra(n) for n in fx.ALGEBRA_NAMES]
 
@@ -511,6 +514,180 @@ def test_principal_logs_of_an_empty_stack():
     assert logs.shape == (0, 3, 3) and ok.shape == (0,)
     resid, logs, ok = inner_log_residuals(fx.algebra("so3"), np.zeros((0, 3, 3)))
     assert resid.shape == ok.shape == (0,)
+
+
+def automorphism_residuals_oracle(c: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The three-operand einsum form: max over (i, j) of
+    || c_ijk a_lk - a_mi a_pj c_mpl ||_2."""
+    lhs = np.einsum("...lk,ijk->...ijl", a, c)
+    rhs = np.einsum("...mi,...pj,mpl->...ijl", a, a, c)
+    return np.linalg.norm(lhs - rhs, axis=-1).max(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("lead", [(), (257,), (4, 5), (0,)], ids=str)
+@pytest.mark.parametrize("g", ALL + [so3_in_random_basis()], ids=lambda g: g.name)
+def test_automorphism_residuals_match_the_einsum_oracle(g, lead):
+    # half exact automorphisms exp(d), d in Der(g), where lhs and rhs cancel,
+    # half perturbed ones with O(1) residuals
+    rng = np.random.default_rng(23)
+    basis = np.stack(derivations_basis(g))
+    count = int(np.prod(lead))
+    d = np.einsum("ra,aij->rij", rng.normal(size=(count, len(basis))), basis)
+    a = scipy.linalg.expm(d) if count else np.zeros((0, g.dim, g.dim))
+    a[1::2] += 0.3 * rng.normal(size=a[1::2].shape)
+    a = a.reshape(lead + (g.dim, g.dim))
+    out = automorphism_residuals(g, a)
+    expected = automorphism_residuals_oracle(g.c, a)
+    assert out.shape == expected.shape == lead
+    if count:
+        scale = max(1.0, np.abs(a).max()) ** 2 * np.abs(g.c).sum()
+        assert np.abs(out - expected).max() <= 1e-15 * scale
+
+
+def test_automorphism_residuals_of_a_nan_frame_are_nan():
+    g = fx.algebra("so3")
+    a = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
+    a[2, 1, 0] = np.nan
+    out = automorphism_residuals(g, a)
+    assert np.isnan(out).tolist() == [False, False, True, False]
+
+
+def principal_logs_scipy_guard(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """principal_logs with scipy's expm as the guard: the same square roots,
+    series and bound, exp(log) taken by scipy row by row."""
+    mats = np.asarray(mats, dtype=float)
+    eye = np.eye(mats.shape[-1])
+    ok = np.linalg.norm(mats - eye, axis=(-2, -1)) < 0.25
+    far = np.flatnonzero(~ok)
+    eig = np.linalg.eigvals(mats[far])
+    far = far[~np.any((eig.real <= ALG_TOL) & (np.abs(eig.imag) <= ALG_TOL), axis=-1)]
+    roots = np.where(ok[:, None, None], mats, eye)
+    roots[far] = mats[far]
+    k = np.zeros(len(mats))
+    out = far
+    while out.size:
+        roots[out] = _square_roots(roots[out])
+        k[out] += 1
+        out = out[np.linalg.norm(roots[out] - eye, axis=(-2, -1)) >= 0.25]
+    e = roots - eye
+    power = e.copy()
+    acc = e.copy()
+    for j in range(2, 31):
+        power = np.matmul(power, e)
+        acc += ((-1) ** (j + 1) / j) * power
+    logs = 2.0 ** k[:, None, None] * acc
+    miss = np.linalg.norm(scipy.linalg.expm(logs[far]) - mats[far], axis=(-2, -1))
+    ok[far] = miss <= 100 * ALG_TOL * (1.0 + np.linalg.norm(mats[far], axis=(-2, -1)))
+    logs[~ok] = 0.0
+    return logs, ok
+
+
+def so3_rotations(max_angle: float, count: int, rng) -> np.ndarray:
+    axes = rng.normal(size=(count, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return scipy.linalg.expm(ad(fx.algebra("so3"), axes * rng.uniform(0.0, max_angle, size=(count, 1))))
+
+
+def heis3_drift_ratios(count: int, rng) -> np.ndarray:
+    """exp(s D) exp(ad y) with D = diag(.3, -.2, .1) outer, |s| <= 1.5, |y| <= 1."""
+    s = rng.uniform(-1.5, 1.5, size=count)
+    y = rng.uniform(-1.0, 1.0, size=(count, 3)) / np.sqrt(3.0)
+    drift = np.zeros((count, 3, 3))
+    for i, d in enumerate((0.3, -0.2, 0.1)):
+        drift[:, i, i] = np.exp(s * d)
+    return drift @ scipy.linalg.expm(ad(fx.algebra("heis3"), y))
+
+
+def near_pi_ill_conditioned() -> np.ndarray:
+    """A rotation by pi - 1e-8 conjugated by diag(1, 1e4, 1): its first
+    square root is inaccurate, and the guard rejects the scaled-up log."""
+    th = np.pi - 1e-8
+    r = np.array([[np.cos(th), -np.sin(th), 0.0], [np.sin(th), np.cos(th), 0.0], [0.0, 0.0, 1.0]])
+    p = np.diag([1.0, 1e4, 1.0])
+    return p @ r @ np.linalg.inv(p)
+
+
+SPECIAL_ROWS = {  # name: (matrix, whether a log is certified)
+    "singular": (np.diag([1.0, 1.0, 0.0]), False),
+    "zero": (np.zeros((3, 3)), False),
+    "minus_one_pair": (np.diag([-1.0, -1.0, 1.0]), False),
+    "near_pi_ill_conditioned": (near_pi_ill_conditioned(), False),
+    "rotation_3_1": (so3_rotations(3.1, 1, np.random.default_rng(1))[0], True),
+}
+
+
+@pytest.mark.parametrize("case", ["so3_0.3", "so3_1", "so3_2.5", "so3_3.1", "heis3", "special"])
+def test_principal_logs_are_bitwise_the_scipy_guarded_version(case):
+    rng = np.random.default_rng(29)
+    if case == "heis3":
+        mats = heis3_drift_ratios(300, rng)
+    elif case == "special":
+        mats = np.stack([m for m, _ in SPECIAL_ROWS.values()] + list(so3_rotations(2.5, 8, rng)))
+    else:
+        mats = so3_rotations(float(case.split("_")[1]), 300, rng)
+    logs, ok = principal_logs(mats)
+    ref_logs, ref_ok = principal_logs_scipy_guard(mats)
+    assert ok.tolist() == ref_ok.tolist()
+    assert logs.tobytes() == ref_logs.tobytes()
+    if case == "special":
+        assert ok[: len(SPECIAL_ROWS)].tolist() == [certified for _, certified in SPECIAL_ROWS.values()]
+    else:
+        assert ok.all() and (np.linalg.norm(mats - np.eye(3), axis=(-2, -1)) >= 0.25).any()
+    # scipy's expm as an independent oracle of every certified log
+    miss = np.linalg.norm(scipy.linalg.expm(logs[ok]) - mats[ok], axis=(-2, -1))
+    assert (miss <= 100 * ALG_TOL * (1.0 + np.linalg.norm(mats[ok], axis=(-2, -1)))).all()
+
+
+def test_principal_logs_reject_non_finite_rows():
+    rng = np.random.default_rng(31)
+    mats = so3_rotations(2.5, 6, rng)
+    mats[1, 0, 2] = np.nan
+    mats[4, 1, 1] = np.inf
+    finite = [0, 2, 3, 5]
+    with pytest.raises(np.linalg.LinAlgError):
+        principal_logs_scipy_guard(mats)  # the eigenvalue screen refuses them
+    logs, ok = principal_logs(mats)
+    ref_logs, ref_ok = principal_logs_scipy_guard(mats[finite])
+    assert ok.tolist() == [True, False, True, True, False, True]
+    assert not logs[[1, 4]].any()
+    assert logs[finite].tobytes() == ref_logs.tobytes()
+
+
+def test_principal_logs_guard_does_not_call_scipy_expm(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.linalg.expm called")
+
+    mats = so3_rotations(2.5, 40, np.random.default_rng(37))
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    logs, ok = principal_logs(mats)
+    assert ok.all() and (np.linalg.norm(mats - np.eye(3), axis=(-2, -1)) >= 0.25).all()
+
+
+def test_guard_exponential_is_scipy_expm_to_round_off():
+    # mixed k in one batch, every x at most the series bound -log(0.75) in norm
+    rng = np.random.default_rng(41)
+    x = rng.normal(size=(400, 3, 3))
+    x *= -np.log(0.75) * rng.uniform(0.0, 1.0, size=(400, 1, 1)) / np.linalg.norm(x, axis=(1, 2), keepdims=True)
+    k = rng.integers(0, 4, size=400).astype(float)
+    ref = scipy.linalg.expm(2.0 ** k[:, None, None] * x)
+    err = np.linalg.norm(_exp_by_squaring(x, k) - ref, axis=(1, 2)) / np.linalg.norm(ref, axis=(1, 2))
+    assert (err <= 2.0 ** (k + 1) * 1e-15).all()
+
+
+def test_principal_logs_guard_fails_an_overflowing_row_without_a_warning(monkeypatch):
+    # a stand-in root step that takes 1000 roots to reach the series radius:
+    # exp(series) squared 1000 times overflows, and the row must read ok
+    # False (pytest turns a RuntimeWarning into an error)
+    calls = []
+
+    def slow_roots(a):
+        calls.append(1)
+        return a if len(calls) < 1000 else np.broadcast_to(np.diag([1.2, 1.0, 1.0]), a.shape).copy()
+
+    monkeypatch.setattr(algebra, "_square_roots", slow_roots)
+    logs, ok = principal_logs(np.diag([2.0, 1.0, 1.0])[None])
+    assert len(calls) == 1000
+    assert ok.tolist() == [False] and not logs.any()
 
 
 def test_outer_equal_rejects_a_singular_divisor():

@@ -25,7 +25,9 @@ from labcoupling.manifolds import (
     constant_map,
     identity_map,
     interpolate,
+    region_slices,
 )
+from labcoupling.tolerances import INNER_TOL
 from tests.test_manifolds import three_chart_interval_spec
 
 
@@ -226,6 +228,43 @@ def test_delta_report_groups_cover_all_overlaps():
     t = fx.bundle("circle2_so3_twisted")
     rep = check_delta_continuity(t)
     assert len(rep.groups) == len(t.manifold.overlaps)
+
+
+def test_delta_report_carries_the_sweeps_automorphism_residual():
+    t = fx.bundle("cyl2_so3_twisted")
+    rep = check_delta_continuity(t)
+    expected = 0.0
+    for k in range(len(t.manifold.overlaps)):
+        grid = t.transition_grid(k).reshape(-1, 3, 3)
+        expected = max(expected, float(automorphism_residuals(t.algebra, grid @ np.linalg.inv(grid[0])).max()))
+    assert expected > 0.0  # round-off of the ratios, not an exact zero
+    assert rep.max_aut_residual == expected
+
+
+# Outer ratios of cyl2_heis3_drift at refine 1; CI's CLI smoke step checks the same count.
+HEIS3_DRIFT_OUTER = 1152
+
+
+def test_heis3_drift_fails_with_the_closed_form_outer_count():
+    t = fx.bundle("cyl2_heis3_drift")
+    assert validate_lab(t).passed
+    m = t.manifold
+    norm_d = np.linalg.norm(fx.DRIFT)
+    expected = far = total = 0
+    for k, o in enumerate(m.overlaps):
+        chart = m.charts[o.alpha]
+        pts = chart.grid_points()[region_slices(chart, o.region)].reshape(-1, m.dim)
+        s = fx.DRIFT_RATE * (o.apply(pts) if o.alpha == 0 else pts)[:, 1]  # in chart-1 coordinates
+        # the ratio exp(+-(s - s0) D) has log distance |s - s0| ||D||_F from span{ad}
+        expected += int((np.abs(s - s[0]) * norm_d > INNER_TOL).sum())
+        total += len(s)
+        grid = t.transition_grid(k).reshape(-1, 3, 3)
+        far += int((np.linalg.norm(grid @ np.linalg.inv(grid[0]) - np.eye(3), axis=(-2, -1)) >= 0.25).sum())
+    rep = check_delta_continuity(t)
+    assert expected == HEIS3_DRIFT_OUTER
+    assert far == 666  # ratios on the square-root route, as the fixture says
+    assert not rep.passed and not rep.undecided
+    assert rep.counts() == {"inner": total - expected, "outer": expected, "undecided": 0}
 
 
 def undecidable_heis3_bundle():
