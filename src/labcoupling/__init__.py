@@ -17,9 +17,7 @@ from .algebra import (
     bracket,
     center_basis,
     derivations_basis,
-    exp_derivation,
     is_inner,
-    outer_equal,
     principal_log,
     validate_algebra,
 )
@@ -86,12 +84,10 @@ __all__ = [
     "coupling_equivalent",
     "curvature",
     "derivations_basis",
-    "exp_derivation",
     "f_map",
     "g_map",
     "is_inner",
     "loop_transport",
-    "outer_equal",
     "parallel_transport",
     "partition_of_unity",
     "principal_log",

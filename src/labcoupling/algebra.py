@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import ComputationError, InputError
+from .errors import InputError
 from .tolerances import ALG_TOL, INNER_TOL
 
 MAX_DIM = 16
@@ -188,25 +188,6 @@ def derivations_basis(g: LieAlgebra) -> list[np.ndarray]:
     units = np.eye(n * n).reshape(n * n, n, n)
     constraint = _leibniz_defects(g, units).reshape(n * n, n * n * n).T  # rows: (i,j,l)
     return [v.reshape(n, n) for v in _null_space(constraint).T]
-
-
-def exp_derivation(g: LieAlgebra, d: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a derivation (scaling-and-squaring core).
-
-    The input must be a derivation within ALG_TOL, and the result is checked
-    to be an automorphism within 10*ALG_TOL.
-    """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (g.dim, g.dim):
-        raise InputError(f"expected {(g.dim, g.dim)} matrix, got {d.shape}")
-    res = float(derivation_residuals(g, d))
-    if res > ALG_TOL:
-        raise InputError(f"input is not a derivation (Leibniz residual {res:.3e} > {ALG_TOL:.1e})")
-    a = scipy.linalg.expm(d)
-    aut_res = float(automorphism_residuals(g, a))
-    if not np.isfinite(a).all() or not (aut_res <= 10 * ALG_TOL):
-        raise ComputationError(f"exp left Aut(g): residual {aut_res:.3e}")
-    return a
 
 
 def principal_logs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -448,13 +429,6 @@ def _factor_search(g: LieAlgebra, a: np.ndarray, inner_tol: float) -> InnerVerdi
         witness = factors[0] if len(factors) == 1 else None
         return InnerVerdict("inner", best_val, witness=witness, factors=factors)
     return InnerVerdict("undecided", best_val)
-
-
-def outer_equal(g: LieAlgebra, a: np.ndarray, b: np.ndarray) -> InnerVerdict:
-    """Equality of a and b in Aut(g)/Inn(g): is_inner of a b^{-1}."""
-    if not abs(np.linalg.det(b)) > ALG_TOL:
-        raise InputError("b is not invertible")
-    return is_inner(g, np.asarray(a) @ np.linalg.inv(b))
 
 
 def inner_log_residuals(g: LieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

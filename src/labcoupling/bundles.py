@@ -25,7 +25,14 @@ from .algebra import (
     is_inner,
 )
 from .errors import InputError
-from .manifolds import ChartedManifold, ManifoldMap, interpolate, overlap_pair, region_slices
+from .manifolds import (
+    ChartedManifold,
+    ManifoldMap,
+    _overlap_triples,
+    interpolate,
+    overlap_pair,
+    region_slices,
+)
 from .tolerances import ALG_TOL, INNER_TOL, TRANS_TOL, peak
 
 
@@ -43,12 +50,13 @@ class Trivialization:
         if len(self.frames) != len(self.manifold.charts):
             raise InputError("one frame grid per chart is required")
         for cid, grid in enumerate(self.frames):
-            arr = np.asarray(grid, dtype=float)
+            arr = np.array(grid, dtype=float)  # own copy: `transitions` is cached
             expected = self.manifold.charts[cid].resolution + (n, n)
             if arr.shape != tuple(expected):
                 raise InputError(f"frame grid {cid} has shape {arr.shape}, expected {expected}")
             if not np.isfinite(arr).all():
                 raise InputError(f"frame grid {cid} has non-finite entries")
+            arr.flags.writeable = False
             frames.append(arr)
         object.__setattr__(self, "frames", tuple(frames))
 
@@ -57,6 +65,14 @@ class Trivialization:
         o = self.manifold.overlaps[overlap_index]
         f_alpha, f_beta = overlap_pair(self.manifold, o, self.frames)
         return f_beta @ np.linalg.inv(f_alpha)
+
+    @functools.cached_property
+    def transitions(self) -> tuple:
+        """Every overlap's transition grid, built once per structure; read-only."""
+        grids = tuple(self.transition_grid(k) for k in range(len(self.manifold.overlaps)))
+        for grid in grids:
+            grid.flags.writeable = False
+        return grids
 
     def coordinate_change_grid(self, overlap_index: int) -> np.ndarray:
         """Section-coordinate change alpha -> beta: phi_beta^{-1} phi_alpha."""
@@ -105,13 +121,12 @@ def validate_lab(t: Trivialization, tol: float = ALG_TOL) -> LabReport:
     max_frame = peak(*(res for _, res in frames))
     if math.isinf(max_frame):
         return LabReport(False, max_frame, math.inf, math.inf, _worst_node(frames))
-    grids = [t.transition_grid(k) for k in range(len(t.manifold.overlaps))]
     transitions = [
         (f"transition overlap {k} region", automorphism_residuals(g, grid))
-        for k, grid in enumerate(grids)
+        for k, grid in enumerate(t.transitions)
     ]
     max_trans = peak(*(res for _, res in transitions))
-    max_cocycle = _cocycle_residual(t, grids)
+    max_cocycle = _cocycle_residual(t)
     passed = max_frame <= tol and max_trans <= tol and max_cocycle <= 10 * tol
     return LabReport(bool(passed), max_frame, max_trans, max_cocycle, _worst_node(frames + transitions))
 
@@ -131,9 +146,10 @@ def _worst_node(located: list) -> str:
     return f"{label} node {tuple(int(i) for i in node)}"
 
 
-def _cocycle_residual(t: Trivialization, grids: list) -> float:
-    """Largest cocycle defect on triple overlaps, from validate_lab's transition grids."""
+def _cocycle_residual(t: Trivialization) -> float:
+    """Largest cocycle defect on triple overlaps, from the structure's transition grids."""
     m = t.manifold
+    grids = t.transitions
     defects = []
     n = t.algebra.dim
 
@@ -141,24 +157,19 @@ def _cocycle_residual(t: Trivialization, grids: list) -> float:
     def embedded(k: int) -> np.ndarray:
         return _embed_on_chart(t, k, grids[k])
 
-    for k1, o1 in enumerate(m.overlaps):
-        for k2, o2 in enumerate(m.overlaps):
-            if o2.alpha != o1.beta or o2.beta == o1.alpha:
-                continue
-            for k3, o3 in enumerate(m.overlaps):
-                if (o3.alpha, o3.beta) != (o1.alpha, o2.beta):
-                    continue
-                chart = m.charts[o1.alpha]
-                sl = region_slices(chart, o1.region)
-                pts = chart.grid_points()[sl].reshape(-1, m.dim)
-                mid = o1.apply(pts)
-                mask = o2.region_contains(mid) & o3.region_contains(pts)
-                if not mask.any():
-                    continue
-                t1 = grids[k1].reshape(-1, n, n)[mask]
-                t2 = interpolate(m.charts[o2.alpha], embedded(k2), mid[mask])
-                t3 = interpolate(chart, embedded(k3), pts[mask])
-                defects.append(np.abs(t2 @ t1 - t3))
+    for k1, k2, k3 in _overlap_triples(m):
+        o1, o2, o3 = (m.overlaps[k] for k in (k1, k2, k3))
+        chart = m.charts[o1.alpha]
+        sl = region_slices(chart, o1.region)
+        pts = chart.grid_points()[sl].reshape(-1, m.dim)
+        mid = o1.apply(pts)
+        mask = o2.region_contains(mid) & o3.region_contains(pts)
+        if not mask.any():
+            continue
+        t1 = grids[k1].reshape(-1, n, n)[mask]
+        t2 = interpolate(m.charts[o2.alpha], embedded(k2), mid[mask])
+        t3 = interpolate(chart, embedded(k3), pts[mask])
+        defects.append(np.abs(t2 @ t1 - t3))
     return peak(*defects)
 
 
@@ -213,7 +224,8 @@ def _verdict_sweep(
 
     Every matrix goes through the batched principal-log projection (the rule
     of is_inner's log route); only those without a real principal log, or
-    whose log is not a derivation, fall back to the scalar is_inner.
+    whose log is not a derivation, fall back to the scalar is_inner.  The
+    group's max_inner_residual is taken over the matrices certified inner.
     """
     mats = mats.reshape(-1, g.dim, g.dim)
     aut = peak(automorphism_residuals(g, mats))
@@ -228,7 +240,7 @@ def _verdict_sweep(
     scalar = [is_inner(g, a, inner_tol=inner_tol, aut_tol=aut_tol) for a in mats[~decided]]
     for v in scalar:
         counts[v.verdict] += 1
-    max_res = peak(resid[decided], [v.residual for v in scalar])
+    max_res = peak(resid[inner_mask], [v.residual for v in scalar if v.inner])
     return VerdictGroup(scope, max_res, counts["inner"], counts["outer"], counts["undecided"], aut)
 
 
@@ -244,7 +256,7 @@ def check_delta_continuity(
     g = t.algebra
     groups = []
     for k, o in enumerate(t.manifold.overlaps):
-        grid = t.transition_grid(k).reshape(-1, g.dim, g.dim)
+        grid = t.transitions[k].reshape(-1, g.dim, g.dim)
         ratios = grid @ np.linalg.inv(grid[0])
         groups.append(
             _verdict_sweep(g, ratios, f"overlap {k} ({o.alpha}->{o.beta})", inner_tol, aut_tol)

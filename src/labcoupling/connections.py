@@ -141,17 +141,6 @@ class CurvatureData:
     omega_form: tuple = ()   # per chart: (*resolution, P, n)
     residuals: tuple = ()    # per chart: (*resolution, P)
 
-    def full(self, cid: int) -> np.ndarray:
-        """Expand to the antisymmetric (*res, m, m, n, n) tensor."""
-        arr = self.r[cid]
-        n = arr.shape[-1]
-        mdim = max(max(p) for p in self.pairs) + 1 if self.pairs else 1
-        out = np.zeros(arr.shape[:-3] + (mdim, mdim, n, n))
-        for p, (i, j) in enumerate(self.pairs):
-            out[..., i, j, :, :] = arr[..., p, :, :]
-            out[..., j, i, :, :] = -arr[..., p, :, :]
-        return out
-
 
 def curvature(c: ConnectionForm) -> CurvatureData:
     """R_ij = d_i w_j - d_j w_i + [w_i, w_j], second-order FD chartwise."""
@@ -169,21 +158,6 @@ def curvature(c: ConnectionForm) -> CurvatureData:
             out[..., p, :, :] = di_wj - dj_wi + comm
         grids.append(out)
     return CurvatureData(pairs, tuple(grids))
-
-
-def curvature_gauge_residual(c: ConnectionForm) -> float:
-    """Worst violation of R_beta = tau R_alpha tau^{-1} across overlaps."""
-    curv = curvature(c)
-    m = c.manifold
-    full = [curv.full(cid) for cid in range(len(m.charts))]
-    defects = []
-    for k, o in enumerate(m.overlaps):
-        tau = c.bundle.coordinate_change_grid(k)
-        r_alpha, r_beta = overlap_pair(m, o, full)
-        pulled = np.einsum("ki,lj,...klab->...ijab", o.matrix, o.matrix, r_beta)
-        conj = np.einsum("...ab,...ijbc,...cd->...ijad", tau, r_alpha, np.linalg.inv(tau))
-        defects.append(np.abs(pulled - conj))
-    return peak(*defects)
 
 
 @dataclass(frozen=True)

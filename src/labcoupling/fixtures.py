@@ -227,6 +227,18 @@ BUNDLE_NAMES = (
 DISK_SLOPE = 0.5
 
 
+def _disk_linear_omega(g: LieAlgebra, d: np.ndarray, refine: int) -> "ConnectionForm":
+    """omega_y = x * d over the identity frames on disk2d, so R_xy = d."""
+    from .bundles import reference_trivialization
+    from .connections import ConnectionForm
+
+    m = manifold("disk2d", refine)
+    pts = m.charts[0].grid_points()
+    w = np.zeros(m.charts[0].resolution + (2, g.dim, g.dim))
+    w[..., 1, :, :] = pts[..., 0, None, None] * d
+    return ConnectionForm(reference_trivialization(g, m), (w,))
+
+
 def connection(name: str, refine: int = 1) -> "ConnectionForm":
     """Named fixture connections, all over identity-frame bundles."""
     from .bundles import reference_trivialization
@@ -256,22 +268,15 @@ def connection(name: str, refine: int = 1) -> "ConnectionForm":
         return ConnectionForm(reference_trivialization(g, m), tuple(omega))
     if name == "disk2d_so3_nonflat":
         # omega_y = slope * x * ad(e3): R_xy = slope * ad(e3) by construction
-        g = algebra("so3")
-        m = manifold("disk2d", refine)
-        k = _rotation_generator()
-        pts = m.charts[0].grid_points()
-        w = np.zeros(m.charts[0].resolution + (2, 3, 3))
-        w[..., 1, :, :] = DISK_SLOPE * pts[..., 0, None, None] * k
-        return ConnectionForm(reference_trivialization(g, m), (w,))
+        return _disk_linear_omega(algebra("so3"), DISK_SLOPE * _rotation_generator(), refine)
     if name == "disk2d_abelian2_nonflat":
         # nonzero curvature with ad = 0: accordance must fail with residual ||R||
-        g = algebra("abelian2")
-        m = manifold("disk2d", refine)
-        d = np.array([[1.0, 0.0], [0.0, 0.0]])
-        pts = m.charts[0].grid_points()
-        w = np.zeros(m.charts[0].resolution + (2, 2, 2))
-        w[..., 1, :, :] = pts[..., 0, None, None] * d
-        return ConnectionForm(reference_trivialization(g, m), (w,))
+        return _disk_linear_omega(algebra("abelian2"), np.diag([1.0, 0.0]), refine)
+    if name == "disk2d_heis3_outer":
+        # omega_y = slope * x * DRIFT: R_xy = slope * DRIFT is an outer
+        # derivation, orthogonal to span{ad} (ad(x) is strictly off-diagonal),
+        # so accordance fails with residual slope * ||DRIFT||_F
+        return _disk_linear_omega(algebra("heis3"), DISK_SLOPE * DRIFT, refine)
     if name == "circle2_abelian2_flat":
         # constant non-inner omega: transports twist by a non-inner automorphism
         g = algebra("abelian2")
@@ -291,6 +296,7 @@ CONNECTION_NAMES = (
     "disk2d_so3_nonflat",
     "disk2d_abelian2_nonflat",
     "circle2_abelian2_flat",
+    "disk2d_heis3_outer",
 )
 
 # connections that represent couplings (accordance passes)

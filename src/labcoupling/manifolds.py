@@ -182,31 +182,32 @@ def _find_partner(m: ChartedManifold, o: Overlap):
     return None
 
 
+def _overlap_triples(m: ChartedManifold):
+    """Index triples (k1, k2, k3) of overlaps alpha->beta, beta->gamma and
+    alpha->gamma with gamma != alpha, in overlap order."""
+    for k1, o1 in enumerate(m.overlaps):
+        for k2, o2 in enumerate(m.overlaps):
+            if o2.alpha != o1.beta or o2.beta == o1.alpha:
+                continue
+            for k3, o3 in enumerate(m.overlaps):
+                if (o3.alpha, o3.beta) == (o1.alpha, o2.beta):
+                    yield k1, k2, k3
+
+
 def _validate_triples(m: ChartedManifold) -> None:
     """On triple overlaps the composed affine maps must agree."""
-    by_pair = {}
-    for o in m.overlaps:
-        by_pair.setdefault((o.alpha, o.beta), []).append(o)
-    for o1 in m.overlaps:
-        for o2 in m.overlaps:
-            if o2.alpha != o1.beta:
-                continue
-            gamma = o2.beta
-            if gamma == o1.alpha:
-                continue
-            for o3 in by_pair.get((o1.alpha, gamma), []):
-                # points of o1.region whose image lies in o2.region and o3.region
-                corners = np.array(list(itertools.product(*o1.region)))
-                mid = o1.apply(corners)
-                mask = o2.region_contains(mid) & o3.region_contains(corners)
-                if not mask.any():
-                    continue
-                via = o2.apply(mid[mask])
-                direct = o3.apply(corners[mask])
-                if np.abs(via - direct).max() > 10 * ALG_TOL:
-                    raise InputError(
-                        f"triple overlap {o1.alpha}->{o1.beta}->{gamma} is inconsistent"
-                    )
+    for k1, k2, k3 in _overlap_triples(m):
+        o1, o2, o3 = (m.overlaps[k] for k in (k1, k2, k3))
+        # points of o1.region whose image lies in o2.region and o3.region
+        corners = np.array(list(itertools.product(*o1.region)))
+        mid = o1.apply(corners)
+        mask = o2.region_contains(mid) & o3.region_contains(corners)
+        if not mask.any():
+            continue
+        via = o2.apply(mid[mask])
+        direct = o3.apply(corners[mask])
+        if np.abs(via - direct).max() > 10 * ALG_TOL:
+            raise InputError(f"triple overlap {o1.alpha}->{o1.beta}->{o2.beta} is inconsistent")
 
 
 # --- fields ------------------------------------------------------------------

@@ -267,6 +267,30 @@ def test_heis3_drift_fails_with_the_closed_form_outer_count():
     assert rep.counts() == {"inner": total - expected, "outer": expected, "undecided": 0}
 
 
+@pytest.mark.parametrize("name", ["cyl2_heis3_drift", "circle2_abelian2_varying"])
+def test_max_inner_residual_ignores_outer_ratios(name):
+    # both structures have outer ratios far from span{ad}, and every inner
+    # ratio is exactly the identity, so the largest inner residual is 0
+    rep = check_delta_continuity(fx.bundle(name))
+    assert not rep.passed and rep.counts()["outer"] > 0
+    assert rep.max_inner_residual == 0.0
+    assert all(group.max_inner_residual == 0.0 for group in rep.groups)
+
+
+def test_frames_are_a_read_only_copy_so_cached_transitions_stay_valid():
+    t = fx.bundle("circle2_so3_twisted")
+    grids = [grid.copy() for grid in t.frames]
+    copy = Trivialization(t.algebra, t.manifold, tuple(grids))
+    before = copy.transitions[0].copy()
+    grids[0][:] = 0.0  # the caller's arrays are not the structure's frames
+    assert np.array_equal(copy.transitions[0], before)
+    assert validate_lab(copy).passed
+    with pytest.raises(ValueError):
+        copy.frames[0][0] = 0.0
+    with pytest.raises(ValueError):
+        copy.transitions[0][0] = 0.0
+
+
 def undecidable_heis3_bundle():
     """heis3 structure whose frames jump by diag(-1,-1,1) inside one overlap:
     the ratio has no principal log, positive determinant, and a nontrivial

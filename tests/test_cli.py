@@ -20,6 +20,27 @@ def run_cli(capsys, *argv):
     return code, report
 
 
+@pytest.mark.parametrize(
+    "argv", [("check-delta", "--bundle", "cyl2_so3_twisted"), ("f-map", "--connection", "cyl2_so3_twisted")]
+)
+def test_each_transition_grid_is_built_once(capsys, monkeypatch, argv):
+    # validate_lab and check_delta_continuity read one set of grids: one
+    # frame pair per overlap of the 4, not one per check
+    from labcoupling import bundles
+
+    pairs = []
+    overlap_pair = bundles.overlap_pair
+
+    def counted(m, o, field):
+        pairs.append(o)
+        return overlap_pair(m, o, field)
+
+    monkeypatch.setattr(bundles, "overlap_pair", counted)
+    code, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert len(pairs) == 4
+
+
 def test_fixtures_list(capsys):
     code, report = run_cli(capsys, "fixtures", "--list")
     assert code == 0

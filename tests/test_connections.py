@@ -13,14 +13,14 @@ from labcoupling.connections import (
     apply_connection,
     coupling_equivalent,
     curvature,
-    curvature_gauge_residual,
     pullback_connection,
     shift_by_inner,
     validate_connection,
     zero_connection,
 )
 from labcoupling.errors import InputError
-from labcoupling.manifolds import grid_derivative, identity_map, random_harmonic_field
+from labcoupling.manifolds import grid_derivative, identity_map, overlap_pair, random_harmonic_field
+from labcoupling.tolerances import peak
 from tests.test_bundles import degree2_circle_map
 
 SO3 = fx.algebra("so3")
@@ -171,6 +171,28 @@ def test_linear_form_gives_constant_curvature():
     )
 
 
+def curvature_gauge_residual(c):
+    """Worst violation of R_beta = tau R_alpha tau^{-1} across overlaps, with
+    the curvature expanded to the antisymmetric (*res, m, m, n, n) tensor."""
+    curv = curvature(c)
+    m = c.manifold
+    full = []
+    for grid in curv.r:
+        out = np.zeros(grid.shape[:-3] + (m.dim, m.dim) + grid.shape[-2:])
+        for p, (i, j) in enumerate(curv.pairs):
+            out[..., i, j, :, :] = grid[..., p, :, :]
+            out[..., j, i, :, :] = -grid[..., p, :, :]
+        full.append(out)
+    defects = []
+    for k, o in enumerate(m.overlaps):
+        tau = c.bundle.coordinate_change_grid(k)
+        r_alpha, r_beta = overlap_pair(m, o, full)
+        pulled = np.einsum("ki,lj,...klab->...ijab", o.matrix, o.matrix, r_beta)
+        conj = np.einsum("...ab,...ijbc,...cd->...ijad", tau, r_alpha, np.linalg.inv(tau))
+        defects.append(np.abs(pulled - conj))
+    return peak(*defects)
+
+
 def test_curvature_gauge_covariance_on_fixtures():
     for name in ("cyl2_so3_twisted", "circle2_abelian2_flat"):
         assert curvature_gauge_residual(fx.connection(name)) <= 1e-4
@@ -183,6 +205,17 @@ def test_flat_connection_accords_with_zero_form():
     result = accordance(c)
     assert result.passed
     assert np.abs(result.curvature.omega_form[0]).max() == 0.0
+
+
+@pytest.mark.parametrize("refine", [1, 2, 4])
+def test_heis3_outer_curvature_fails_with_the_closed_form_residual(refine):
+    # R_xy = slope * DRIFT is diagonal while every ad(x) of heis3 is strictly
+    # off-diagonal, so its distance from span{ad} is slope * ||DRIFT||_F
+    c = fx.connection("disk2d_heis3_outer", refine)
+    assert validate_connection(c).passed
+    result = accordance(c)
+    assert not result.passed
+    assert abs(result.max_residual - fx.DISK_SLOPE * np.linalg.norm(fx.DRIFT)) <= 1e-12
 
 
 def test_abelian_nonflat_fails_with_curvature_norm():
