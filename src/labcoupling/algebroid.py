@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import bracket
 from .connections import ConnectionForm, CurvatureData, covariant_partials
 from .errors import InputError
-from .manifolds import directional, grid_partials, lie_bracket_partials, random_harmonic_field
+from .manifolds import chart_grids, directional, grid_partials, lie_bracket_partials, random_harmonic_field
 from .tolerances import peak
 
 
@@ -40,16 +40,6 @@ class AlgebroidSection:
         return cls(tuple(np.asarray(g, dtype=float) for g in u), tuple(np.asarray(g, dtype=float) for g in x))
 
 
-def _check_section(c: ConnectionForm, s: AlgebroidSection) -> None:
-    m = c.manifold
-    n = c.algebra.dim
-    if len(s.u) != len(m.charts) or len(s.x) != len(m.charts):
-        raise InputError(f"section has {len(s.u)} fiber and {len(s.x)} tangent grids, {len(m.charts)} charts")
-    for cid, chart in enumerate(m.charts):
-        if s.u[cid].shape != chart.resolution + (n,) or s.x[cid].shape != chart.resolution + (m.dim,):
-            raise InputError("section shapes do not match the chart grids")
-
-
 # Inside one axiom_report trial: id(section) -> (section, its partials).  The
 # section is held so that its id cannot be reused while the trial runs.
 _TRIAL_PARTIALS: ContextVar = ContextVar("trial_partials", default=None)
@@ -58,12 +48,12 @@ _TRIAL_PARTIALS: ContextVar = ContextVar("trial_partials", default=None)
 def _partials(c: ConnectionForm, s: AlgebroidSection) -> tuple:
     """The covariant partials of u and the grid partials of X, per chart; each
     section's are computed once per axiom_report trial and reused by every
-    bracket it enters."""
-    _check_section(c, s)
+    bracket it enters; covariant_partials checks u, and X is checked here."""
     memo = _TRIAL_PARTIALS.get()
     if memo is not None and id(s) in memo:
         return memo[id(s)][1]
-    partials = (covariant_partials(c, s.u), grid_partials(c.manifold, s.x))
+    x = chart_grids(c.manifold, s.x, (c.manifold.dim,), "section tangent part")
+    partials = (covariant_partials(c, s.u), grid_partials(c.manifold, x))
     if memo is not None:
         memo[id(s)] = (s, partials)
     return partials

@@ -29,6 +29,7 @@ from .manifolds import (
     ChartedManifold,
     ManifoldMap,
     _overlap_triples,
+    chart_grids,
     interpolate,
     overlap_pair,
     region_slices,
@@ -47,13 +48,8 @@ class Trivialization:
     def __post_init__(self):
         n = self.algebra.dim
         frames = []
-        if len(self.frames) != len(self.manifold.charts):
-            raise InputError("one frame grid per chart is required")
-        for cid, grid in enumerate(self.frames):
-            arr = np.array(grid, dtype=float)  # own copy: `transitions` is cached
-            expected = self.manifold.charts[cid].resolution + (n, n)
-            if arr.shape != tuple(expected):
-                raise InputError(f"frame grid {cid} has shape {arr.shape}, expected {expected}")
+        for cid, grid in enumerate(chart_grids(self.manifold, self.frames, (n, n), "frame")):
+            arr = np.array(grid)  # own copy: `transitions` is cached
             if not np.isfinite(arr).all():
                 raise InputError(f"frame grid {cid} has non-finite entries")
             arr.flags.writeable = False
@@ -300,10 +296,7 @@ def trivializations_equivalent(
     discrete outer quotient (consecutive-ratio inner test along a spanning
     tree of grid edges).  A chart where either structure has a singular
     frame gets automorphism residual +inf, and nothing is inverted there."""
-    if t.algebra.dim != t_prime.algebra.dim or np.abs(t.algebra.c - t_prime.algebra.c).max() > ALG_TOL:
-        raise InputError("trivializations live over different algebras")
-    if t.manifold is not t_prime.manifold and _cover_signature(t.manifold) != _cover_signature(t_prime.manifold):
-        raise InputError("trivializations live over different covers")
+    _same_base(t, t_prime, "trivializations")
     g = t.algebra
     groups = []
     chart_aut = []
@@ -316,7 +309,7 @@ def trivializations_equivalent(
             aut = peak(automorphism_residuals(g, flat))
         chart_aut.append(aut)
         if aut > aut_tol:
-            groups.append(VerdictGroup(f"chart {cid}", aut, 0, 0, 0))
+            groups.append(VerdictGroup(f"chart {cid}", 0.0, 0, 0, 0, aut))
             continue
         a_idx, b_idx = _spanning_tree_edges(t.manifold.charts[cid].resolution)
         edges = flat[b_idx] @ np.linalg.inv(flat[a_idx])
@@ -328,6 +321,15 @@ def trivializations_equivalent(
     passed = max_aut <= aut_tol and all(x.outer == 0 and x.undecided == 0 for x in groups)
     max_res = peak([x.max_inner_residual for x in groups])
     return DeltaReport(bool(passed), bool(undecided), tuple(groups), max_res, max_aut)
+
+
+def _same_base(t: Trivialization, t_prime: Trivialization, what: str) -> None:
+    """Two structures compared node by node must share the algebra (structure
+    constants within ALG_TOL) and the cover; otherwise an InputError."""
+    if t.algebra.dim != t_prime.algebra.dim or np.abs(t.algebra.c - t_prime.algebra.c).max() > ALG_TOL:
+        raise InputError(f"{what} live over different algebras")
+    if t.manifold is not t_prime.manifold and _cover_signature(t.manifold) != _cover_signature(t_prime.manifold):
+        raise InputError(f"{what} live over different covers")
 
 
 def _cover_signature(m: ChartedManifold):

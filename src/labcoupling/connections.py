@@ -17,9 +17,17 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import LieAlgebra, ad, center_basis, derivation_residuals, inner_projection
-from .bundles import Trivialization, pullback_lab, _cover_signature, _worst_node
+from .bundles import Trivialization, pullback_lab, _same_base, _worst_node
 from .errors import InputError
-from .manifolds import ManifoldMap, directional, grid_derivative, grid_partials, interpolate, overlap_pair
+from .manifolds import (
+    ManifoldMap,
+    chart_grids,
+    directional,
+    grid_derivative,
+    grid_partials,
+    interpolate,
+    overlap_pair,
+)
 from .tolerances import ACC_TOL, ALG_TOL, GAUGE_TOL, peak
 
 
@@ -33,18 +41,11 @@ class ConnectionForm:
     def __post_init__(self):
         n = self.bundle.algebra.dim
         m = self.bundle.manifold
-        grids = []
-        if len(self.omega) != len(m.charts):
-            raise InputError("one omega grid per chart is required")
-        for cid, grid in enumerate(self.omega):
-            arr = np.asarray(grid, dtype=float)
-            expected = m.charts[cid].resolution + (m.dim, n, n)
-            if arr.shape != tuple(expected):
-                raise InputError(f"omega grid {cid} has shape {arr.shape}, expected {expected}")
+        grids = chart_grids(m, self.omega, (m.dim, n, n), "omega")
+        for cid, arr in enumerate(grids):
             if not np.isfinite(arr).all():
                 raise InputError(f"omega grid {cid} has non-finite entries")
-            grids.append(arr)
-        object.__setattr__(self, "omega", tuple(grids))
+        object.__setattr__(self, "omega", grids)
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -68,10 +69,7 @@ def covariant_partials(c: ConnectionForm, u: list) -> list:
     """Per chart, the covariant partials (nabla_0 u, ..., nabla_{dim-1} u) of a
     fiber field, nabla_i u = d_i u + w_i u."""
     m = c.manifold
-    n = c.algebra.dim
-    uu = [np.asarray(grid, dtype=float) for grid in u]
-    if any(grid.shape != chart.resolution + (n,) for grid, chart in zip(uu, m.charts)):
-        raise InputError("field shapes do not match the chart grids")
+    uu = chart_grids(m, u, (c.algebra.dim,), "fiber field")
     return [
         tuple(d + np.einsum("...kj,...j->...k", w[..., i, :, :], grid) for i, d in enumerate(partials))
         for grid, w, partials in zip(uu, c.omega, grid_partials(m, uu))
@@ -80,12 +78,7 @@ def covariant_partials(c: ConnectionForm, u: list) -> list:
 
 def apply_connection(c: ConnectionForm, u: list, x: list) -> list:
     """(nabla_X u)(p) = sum_i X^i(p) (d_i u(p) + w_i(p) u(p)), chartwise."""
-    m = c.manifold
-    xx = [np.asarray(grid, dtype=float) for grid in x]
-    if len(xx) != len(m.charts) or any(
-        grid.shape != chart.resolution + (m.dim,) for grid, chart in zip(xx, m.charts)
-    ):
-        raise InputError("field shapes do not match the chart grids")
+    xx = chart_grids(c.manifold, x, (c.manifold.dim,), "tangent field")
     return [directional(grid, partials) for grid, partials in zip(xx, covariant_partials(c, u))]
 
 
@@ -195,10 +188,7 @@ def shift_by_inner(c: ConnectionForm, l: list) -> ConnectionForm:
     within GAUGE_TOL).
     """
     m = c.manifold
-    n = c.algebra.dim
-    for cid, chart in enumerate(m.charts):
-        if np.asarray(l[cid]).shape != chart.resolution + (m.dim, n):
-            raise InputError("shift field shapes do not match the chart grids")
+    l = chart_grids(m, l, (m.dim, c.algebra.dim), "shift field")
     defects = []
     for k, o in enumerate(m.overlaps):
         tau = c.bundle.coordinate_change_grid(k)
@@ -231,16 +221,8 @@ def coupling_equivalent(
     shift l is returned for inspection (minimum-norm, so center-free).
     """
     if c.bundle is not c_prime.bundle:
-        same = (
-            c.algebra.dim == c_prime.algebra.dim
-            and np.abs(c.algebra.c - c_prime.algebra.c).max(initial=0.0) <= ALG_TOL
-            and _cover_signature(c.manifold) == _cover_signature(c_prime.manifold)
-            and all(
-                np.abs(a - b).max(initial=0.0) <= ALG_TOL
-                for a, b in zip(c.bundle.frames, c_prime.bundle.frames)
-            )
-        )
-        if not same:
+        _same_base(c.bundle, c_prime.bundle, "connections")
+        if any(np.abs(a - b).max() > ALG_TOL for a, b in zip(c.bundle.frames, c_prime.bundle.frames)):
             raise InputError("connections live over different bundles")
     shifts, residuals = zip(*(inner_projection(c.algebra, b - a) for a, b in zip(c.omega, c_prime.omega)))
     worst = peak(*residuals)

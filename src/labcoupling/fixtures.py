@@ -6,6 +6,8 @@ rebuilt at refined grid resolutions for convergence studies.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import scipy.linalg
 
@@ -84,11 +86,38 @@ def _circle_cover(n_charts: int, res: int) -> dict:
     return {"dim": 1, "charts": charts, "overlaps": overlaps}
 
 
+# global coordinate of each interval3 chart's left end
+INTERVAL3_OFFSETS = (0.0, 0.5, 1.0)
+
+
+def _interval3_cover(res: int) -> dict:
+    """[0, 3] covered by three length-2 charts at INTERVAL3_OFFSETS, so all
+    three meet on [1, 2] (triple overlaps); the overlap maps are the
+    translations between chart coordinates, and every overlap edge lands on a
+    grid node."""
+    overlaps = []
+    for a, b in itertools.combinations(range(3), 2):
+        lo, hi = INTERVAL3_OFFSETS[b], INTERVAL3_OFFSETS[a] + 2.0
+        for alpha, beta in ((a, b), (b, a)):
+            off = INTERVAL3_OFFSETS[alpha]
+            overlaps.append(
+                {
+                    "alpha": alpha,
+                    "beta": beta,
+                    "region": [[lo - off, hi - off]],
+                    "map": {"matrix": [[1.0]], "offset": [off - INTERVAL3_OFFSETS[beta]]},
+                }
+            )
+    return {"dim": 1, "charts": [_interval_chart(0.0, 2.0, res)] * 3, "overlaps": overlaps}
+
+
 def manifold(name: str, refine: int = 1) -> ChartedManifold:
-    """Named fixture manifolds: interval1, circle2, circle4, disk2d, cyl2."""
+    """Named fixture manifolds: interval1, interval3, circle2, circle4, disk2d, cyl2."""
     res = _res(33, refine)
     if name == "interval1":
         return build_manifold({"dim": 1, "charts": [_interval_chart(0.0, 1.0, res)], "overlaps": []}, name)
+    if name == "interval3":
+        return build_manifold(_interval3_cover(res), name)
     if name == "circle2":
         return build_manifold(_circle_cover(2, res), name)
     if name == "circle4":
@@ -124,7 +153,7 @@ def manifold(name: str, refine: int = 1) -> ChartedManifold:
     raise InputError(f"unknown manifold fixture {name!r}")
 
 
-MANIFOLD_NAMES = ("interval1", "circle2", "circle4", "disk2d", "cyl2")
+MANIFOLD_NAMES = ("interval1", "interval3", "circle2", "circle4", "disk2d", "cyl2")
 
 
 # --- bundle fixtures ----------------------------------------------------------
@@ -159,6 +188,18 @@ def bundle(name: str, refine: int = 1) -> Trivialization:
             t = chart.grid_points()[..., 0]
             center = chart.node_point(chart.center)[0]
             frames.append(scipy.linalg.expm(np.multiply.outer(-(t - center) * TWIST_ANGLE, k)))
+        return Trivialization(g, m, tuple(frames))
+    if name == "interval3_so3_twisted":
+        # frames exp(-s * angle * ad(e3)) of the global coordinate s: every
+        # transition is the identity, and the cocycle is checked on each of
+        # the cover's six overlap triples
+        g = algebra("so3")
+        m = manifold("interval3", refine)
+        k = _rotation_generator()
+        frames = [
+            scipy.linalg.expm(np.multiply.outer(-(chart.grid_points()[..., 0] + off) * TWIST_ANGLE, k))
+            for chart, off in zip(m.charts, INTERVAL3_OFFSETS)
+        ]
         return Trivialization(g, m, tuple(frames))
     if name == "circle2_abelian2_twisted":
         # outer-twisted structure: the wrap transition is the constant
@@ -219,6 +260,7 @@ BUNDLE_NAMES = (
     "circle2_abelian2_varying",
     "disk2d_so3_bilinear",
     "cyl2_heis3_drift",
+    "interval3_so3_twisted",
 )
 
 

@@ -213,7 +213,21 @@ def _validate_triples(m: ChartedManifold) -> None:
 # --- fields ------------------------------------------------------------------
 # Fields are plain per-chart lists of numpy arrays whose leading axes match the
 # chart resolutions; trailing axes carry the value shape (scalar: none,
-# fiber vector: (n,), tangent vector: (dim,), frame: (n, n)).
+# fiber vector: (n,), tangent vector: (dim,), frame: (n, n)).  chart_grids
+# holds that contract for every entry point that takes such a field.
+
+def chart_grids(m: ChartedManifold, grids, value_shape: tuple, what: str) -> tuple:
+    """The per-chart field as float arrays, one per chart, each of shape
+    chart.resolution + value_shape; any other count or shape is an InputError."""
+    if len(grids) != len(m.charts):
+        raise InputError(f"{what}: {len(grids)} grids for {len(m.charts)} charts")
+    out = tuple(np.asarray(grid, dtype=float) for grid in grids)
+    for cid, (arr, chart) in enumerate(zip(out, m.charts)):
+        expected = chart.resolution + value_shape
+        if arr.shape != expected:
+            raise InputError(f"{what} grid {cid} has shape {arr.shape}, expected {expected}")
+    return out
+
 
 def grid_derivative(chart: Chart, values: np.ndarray, axis: int) -> np.ndarray:
     """Second-order finite difference along a grid axis (one-sided at edges).
@@ -229,7 +243,7 @@ def grid_partials(m: ChartedManifold, field: list) -> list:
     field whose leading axes are the chart resolution; any other grid is an
     InputError, since the stencil would use the wrong spacing."""
     if len(field) != len(m.charts):
-        raise InputError(f"field has {len(field)} chart grids, the manifold {len(m.charts)}")
+        raise InputError(f"field: {len(field)} grids for {len(m.charts)} charts")
     out = []
     for cid, chart in enumerate(m.charts):
         values = np.asarray(field[cid], dtype=float)

@@ -17,10 +17,12 @@ from labcoupling.bundles import (
     trivializations_equivalent,
     validate_lab,
 )
+from labcoupling.correspondence import verify_inverse
 from labcoupling.errors import InputError
 from labcoupling.manifolds import (
     ChartAssignment,
     ManifoldMap,
+    _overlap_triples,
     build_manifold,
     constant_map,
     identity_map,
@@ -277,6 +279,28 @@ def test_max_inner_residual_ignores_outer_ratios(name):
     assert all(group.max_inner_residual == 0.0 for group in rep.groups)
 
 
+# Inner ratios of interval3_so3_twisted at refine 1: the nodes of its six
+# overlap regions, 4 x 25 on the two chart pairs meeting over a length of 1.5
+# and 2 x 17 on the pair meeting over a length of 1.
+INTERVAL3_INNER = 134
+
+
+def test_interval3_fixture_checks_the_cocycle_on_six_triple_overlaps():
+    t = fx.bundle("interval3_so3_twisted")
+    m = t.manifold
+    spec = build_manifold(three_chart_interval_spec())
+    for o, ref in zip(m.overlaps, spec.overlaps, strict=True):
+        assert (o.alpha, o.beta) == (ref.alpha, ref.beta)
+        assert np.array_equal(o.region, ref.region) and np.array_equal(o.offset, ref.offset)
+    assert len(list(_overlap_triples(m))) == 6
+    rep = validate_lab(t)
+    assert rep.passed and rep.max_cocycle_residual <= 1e-15  # 2.2e-16 measured
+    chart = m.charts[0]  # the three charts are alike
+    assert sum(len(chart.axis_nodes(0)[region_slices(chart, o.region)]) for o in m.overlaps) == INTERVAL3_INNER
+    assert check_delta_continuity(t).counts() == {"inner": INTERVAL3_INNER, "outer": 0, "undecided": 0}
+    assert verify_inverse(t=t).passed
+
+
 def test_frames_are_a_read_only_copy_so_cached_transitions_stay_valid():
     t = fx.bundle("circle2_so3_twisted")
     grids = [grid.copy() for grid in t.frames]
@@ -357,7 +381,7 @@ def test_singular_frame_makes_structures_inequivalent(singular_side):
     assert not rep.passed
     assert rep.max_aut_residual == math.inf
     # only chart 0 holds the singular frame; chart 1 is swept as before
-    assert rep.groups[0].max_inner_residual == math.inf
+    assert rep.groups[0].max_aut_residual == math.inf
     assert rep.groups[1].inner > 0 and rep.groups[1].outer == 0
 
 
@@ -374,6 +398,13 @@ def test_equivalence_requires_same_cover():
     t = fx.bundle("circle2_so3_twisted")
     other = reference_trivialization(t.algebra, fx.manifold("interval1"))
     with pytest.raises(InputError):
+        trivializations_equivalent(t, other)
+
+
+def test_equivalence_requires_same_algebra():
+    t = fx.bundle("circle2_so3_twisted")
+    other = reference_trivialization(fx.algebra("heis3"), t.manifold)
+    with pytest.raises(InputError, match="trivializations live over different algebras"):
         trivializations_equivalent(t, other)
 
 

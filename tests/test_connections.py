@@ -6,12 +6,14 @@ import pytest
 
 from labcoupling import fixtures as fx
 from labcoupling.algebra import ad, bracket, unit_vector
-from labcoupling.bundles import reference_trivialization
+from labcoupling.algebroid import AlgebroidSection, algebroid_bracket
+from labcoupling.bundles import Trivialization, reference_trivialization
 from labcoupling.connections import (
     ConnectionForm,
     accordance,
     apply_connection,
     coupling_equivalent,
+    covariant_partials,
     curvature,
     pullback_connection,
     shift_by_inner,
@@ -87,6 +89,58 @@ def test_apply_connection_shape_mismatch():
     c = fx.connection("interval1_so3_flat")
     with pytest.raises(InputError):
         apply_connection(c, [np.zeros((33, 2))], [np.zeros((33, 1))])
+
+
+# --- the per-chart field contract at every entry point --------------------------
+
+def _fiber(c):
+    return constant_fields(c.manifold, [0.1, -0.2, 0.3])
+
+
+def _tangent(c):
+    return constant_fields(c.manifold, [1.0])
+
+
+def _section(u, x):
+    return AlgebroidSection(tuple(u), tuple(x))
+
+
+def _bracket_with(c, s):
+    curv = accordance(c).curvature
+    return algebroid_bracket(c, curv, _section(_fiber(c), _tangent(c)), s)
+
+
+# entry point -> (a valid per-chart field for it, the call with that field)
+ENTRY_POINTS = {
+    "Trivialization": (lambda c: list(c.bundle.frames), lambda c, f: Trivialization(c.algebra, c.manifold, f)),
+    "ConnectionForm": (lambda c: list(c.omega), lambda c, f: ConnectionForm(c.bundle, f)),
+    "covariant_partials": (_fiber, covariant_partials),
+    "apply_connection u": (_fiber, lambda c, f: apply_connection(c, f, _tangent(c))),
+    "apply_connection X": (_tangent, lambda c, f: apply_connection(c, _fiber(c), f)),
+    "algebroid_bracket u": (_fiber, lambda c, f: _bracket_with(c, _section(f, _tangent(c)))),
+    "algebroid_bracket X": (_tangent, lambda c, f: _bracket_with(c, _section(_fiber(c), f))),
+    "shift_by_inner": (
+        lambda c: [np.zeros(chart.resolution + (1, 3)) for chart in c.manifold.charts],
+        shift_by_inner,
+    ),
+}
+
+MALFORMED = {
+    "fewer grids": lambda f: f[:1],
+    "an extra grid": lambda f: f + f[:1],
+    "a grid off the chart resolution": lambda f: [f[0], f[1][:-1]],
+    "a wrong value shape": lambda f: [f[0], np.concatenate([f[1], f[1][..., :1]], axis=-1)],
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+@pytest.mark.parametrize("defect", MALFORMED)
+def test_every_entry_point_refuses_a_malformed_per_chart_field(entry, defect):
+    c = fx.connection("circle2_so3_twisted")  # two charts
+    valid, call = ENTRY_POINTS[entry]
+    call(c, valid(c))  # the well-formed field is accepted
+    with pytest.raises(InputError, match=r"grids for 2 charts|grid 1 has shape .*, expected"):
+        call(c, MALFORMED[defect](valid(c)))
 
 
 # --- validate_connection ------------------------------------------------------
@@ -334,6 +388,16 @@ def test_equivalence_requires_same_bundle():
     b = fx.connection("circle2_so3_twisted")
     with pytest.raises(InputError):
         coupling_equivalent(a, b)
+
+
+def test_equivalence_refuses_other_algebras_and_other_frames():
+    so3 = fx.connection("disk2d_so3_nonflat")
+    with pytest.raises(InputError, match="connections live over different algebras"):
+        coupling_equivalent(so3, fx.connection("disk2d_heis3_outer"))
+    frames = [np.broadcast_to(np.diag([1.0, -1.0, -1.0]), f.shape).copy() for f in so3.bundle.frames]
+    turned = ConnectionForm(Trivialization(so3.algebra, so3.manifold, tuple(frames)), so3.omega)
+    with pytest.raises(InputError, match="connections live over different bundles"):
+        coupling_equivalent(so3, turned)
 
 
 # --- pullback --------------------------------------------------------------------

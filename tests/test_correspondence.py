@@ -500,6 +500,16 @@ def test_round_trip_reports_non_couplings():
     assert "not a coupling" in rep.note
 
 
+@pytest.mark.parametrize(
+    "name, residual", [("disk2d_abelian2_nonflat", "1.000e+00"), ("disk2d_heis3_outer", "1.871e-01")]
+)
+def test_round_trip_note_names_the_accordance_residual(name, residual):
+    # the wording of f_map's refusal
+    rep = verify_inverse(c=fx.connection(name))
+    assert not rep.passed and rep.directions == {}
+    assert rep.note == f"not a coupling: accordance residual {residual} > 1.0e-04"
+
+
 def test_round_trip_requires_exactly_one_input():
     with pytest.raises(InputError):
         verify_inverse()
