@@ -51,37 +51,55 @@ def _transport(c: ConnectionForm, path: Path) -> np.ndarray:
     """Solve T' = A(t) T, T(0) = I, with A(t) = -sum_i v^i w_i(start + t v)
     and v = end - start, by classical RK4 in ``path.steps`` uniform steps,
     batched over the leading axes of ``path.end``.  A step's end value of A
-    is the next step's start value, so a solve costs 2 steps + 1 form
-    evaluations.  A chart box is convex: checking the two endpoints keeps
-    every sample inside it.
+    is the next step's start value, and a step's two new values (at
+    t0 + dt/2 and t0 + dt) come from one interpolation of a stacked
+    (2, ..., dim) point batch, so a solve makes steps + 1 interpolate calls
+    covering the 2 steps + 1 stage times.  A chart box is convex: checking
+    the two endpoints keeps every sample inside it.
 
     The state, the stage buffers and every form value are held as
     contiguous (n, n, N) arrays over the N batched segments, where one
     einsum product per stage runs about 3x faster than np.matmul over
     (N, n, n); the result has shape path.end.shape[:-1] + (n, n)."""
     chart = c.manifold.charts[path.chart_id]
-    if not (chart.contains(path.start) and chart.contains(path.end)):
+    start = np.asarray(path.start, dtype=float)
+    end = np.asarray(path.end, dtype=float)
+    if start.shape != (chart.dim,) or end.shape[-1:] != (chart.dim,):
+        raise InputError(
+            f"a path in a {chart.dim}-D chart needs a start of shape ({chart.dim},) "
+            f"and ends of shape (..., {chart.dim}), got {start.shape} and {end.shape}"
+        )
+    if not isinstance(path.steps, (int, np.integer)) or isinstance(path.steps, bool):
+        raise InputError(f"a path's step count must be an integer, got {path.steps!r}")
+    if not (chart.contains(start) and chart.contains(end)):
         raise InputError("path leaves its chart")
     if path.steps < 1:
         raise InputError("a path needs at least one step")
     omega = np.ascontiguousarray(c.omega[path.chart_id])
-    v = path.end - path.start
+    v = end - start
     n = c.algebra.dim
+    # sample points start[a] + t v[a] as per-axis rows, stage times on axis 1
+    origin = start.reshape((-1,) + (1,) * v.ndim)
+    rows = np.moveaxis(v, -1, 0)[:, None]
 
-    def form(t: float) -> np.ndarray:
-        w = interpolate(chart, omega, path.start + t * v)
-        a = np.einsum("...i,...iab->...ab", v, w).reshape(-1, n, n)
-        # one C-ordered (n, n, N) copy; an "abp" einsum output is a strided
-        # view, which would slow every product that reads it
-        return np.negative(a.transpose(1, 2, 0), order="C")
+    def forms(*times: float) -> list:
+        t = np.array(times).reshape((-1,) + (1,) * (v.ndim - 1))
+        w = interpolate(chart, omega, np.moveaxis(origin + t * rows, 0, -1))
+        out = []
+        for w_t in w:
+            a = np.einsum("...i,...iab->...ab", v, w_t).reshape(-1, n, n)
+            # one C-ordered (n, n, N) copy; an "abp" einsum output is a strided
+            # view, which would slow every product that reads it
+            out.append(np.negative(a.transpose(1, 2, 0), order="C"))
+        return out
 
-    a1 = form(0.0)
+    (a1,) = forms(0.0)
     t_mats = np.broadcast_to(np.eye(n)[..., None], a1.shape).copy()
     k1, k2, k3, k4, y = (np.empty_like(t_mats) for _ in range(5))
     dt = 1.0 / path.steps
     for s in range(path.steps):
         t0 = s * dt
-        a0, a_mid, a1 = a1, form(t0 + 0.5 * dt), form(t0 + dt)
+        a0, (a_mid, a1) = a1, forms(t0 + 0.5 * dt, t0 + dt)
         # k_{j+1} = A (T + h k_j), with T + h k_j formed in y as h k_j + T
         np.einsum("ikp,kjp->ijp", a0, t_mats, out=k1)
         np.multiply(k1, 0.5 * dt, out=y)

@@ -310,6 +310,11 @@ def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndar
     corners, in itertools.product((0, 1), ...) order.  CSR row accumulation
     adds the corner terms in that order onto a zero, so the result is
     bit-identical to summing ``weight * values[corner]`` corner by corner.
+
+    The operator is built on the contiguous rows of ``pts.T``: each axis
+    takes its cell index and its (1 - frac, frac) pair from one 1-D row and
+    folds the index into the flat one as ``flat * res[a] + cell``; each
+    corner's weight is then ``1.0 * f_0 * f_1 ...`` in axis order.
     """
     values = np.asarray(values, dtype=float)
     points = np.asarray(points, dtype=float)
@@ -322,21 +327,24 @@ def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndar
         raise InputError("interpolation point outside the chart box")
     value_shape = values.shape[chart.dim:]
 
-    normalized = (pts - chart.box[:, 0]) / chart.spacing
-    base = np.floor(normalized).astype(int)
-    base = np.minimum(np.maximum(base, 0), np.array(res) - 2)
-    frac = normalized - base
-    low, high = 1.0 - frac, frac
-    flat = np.ravel_multi_index(base.T, res)
+    flat, pairs = 0, []
+    for row, lo, h, r in zip(pts.T, chart.box[:, 0], chart.spacing, res):
+        normalized = (row - lo) / h
+        # the cell index as a float: its difference from normalized is the
+        # fraction that an integer index would give, bit for bit
+        cell = np.clip(np.floor(normalized), 0, r - 2)
+        frac = normalized - cell
+        flat = flat * r + cell.astype(int)
+        pairs.append((1.0 - frac, frac))
     corners = list(itertools.product((0, 1), repeat=chart.dim))
     weights = np.empty((len(pts), len(corners)))
     columns = np.empty(weights.shape, dtype=np.intp)
     for k, corner in enumerate(corners):
-        weight = np.ones(len(pts))
-        for a, c in enumerate(corner):
-            weight = weight * (high if c else low)[:, a]
+        weight = 1.0
+        for pair, c in zip(pairs, corner):
+            weight = weight * pair[c]
         weights[:, k] = weight
-        columns[:, k] = flat + np.ravel_multi_index(corner, res)
+        np.add(flat, np.ravel_multi_index(corner, res), out=columns[:, k])
     rows = np.arange(0, weights.size + 1, weights.shape[1])
     operator = scipy.sparse.csr_array(
         (weights.ravel(), columns.ravel(), rows), shape=(len(pts), int(np.prod(res)))

@@ -123,6 +123,22 @@ def test_transport_rejects_non_positive_step_counts(steps):
         parallel_transport(c, ray_path(c.manifold, 0, (32,), steps))
 
 
+@pytest.mark.parametrize(
+    "name,start,end,steps",
+    [
+        ("circle2_so3_twisted", [0.1, 0.2], [0.3], 8),  # two start points on a 1-D chart
+        ("circle2_so3_twisted", [0.1], [0.3], 2.5),
+        ("disk2d_so3_nonflat", [0.0, 0.0, 0.1, 0.1], [0.2, 0.2], 8),
+        ("disk2d_so3_nonflat", [0.0, 0.0], [[0.2, 0.2, 0.2]], 8),
+    ],
+    ids=["two-starts", "fractional-steps", "long-start", "3-D-ends"],
+)
+def test_transport_rejects_a_malformed_path(name, start, end, steps):
+    c = fx.connection(name)
+    with pytest.raises(InputError, match="path"):
+        parallel_transport(c, Path(0, np.array(start), np.array(end), steps))
+
+
 def reference_transport(c: ConnectionForm, path: Path) -> np.ndarray:
     """Classical RK4 for T' = A(t) T over (..., n, n) stacks with np.matmul,
     written out independently of the library kernel.  The form is sampled
@@ -174,6 +190,83 @@ def test_transport_kernel_matches_a_reference_rk4(fan):
     assert np.abs(got - expected).max(initial=0.0) <= 1e-13
     if fan == "grid":
         assert np.abs(got - np.eye(3)).max() > 0.1  # the transport is far from trivial
+
+
+def per_stage_transport(c: ConnectionForm, path: Path) -> np.ndarray:
+    """The structure-of-arrays RK4 kernel with one interpolation per stage
+    time: the same arithmetic as correspondence._transport, which instead
+    samples both new stage times of a step in one call."""
+    chart = c.manifold.charts[path.chart_id]
+    omega = np.ascontiguousarray(c.omega[path.chart_id])
+    v = path.end - path.start
+    n = c.algebra.dim
+
+    def form(t):
+        w = interpolate(chart, omega, path.start + t * v)
+        a = np.einsum("...i,...iab->...ab", v, w).reshape(-1, n, n)
+        return np.negative(a.transpose(1, 2, 0), order="C")
+
+    a1 = form(0.0)
+    t_mats = np.broadcast_to(np.eye(n)[..., None], a1.shape).copy()
+    k1, k2, k3, k4, y = (np.empty_like(t_mats) for _ in range(5))
+    dt = 1.0 / path.steps
+    for s in range(path.steps):
+        t0 = s * dt
+        a0, a_mid, a1 = a1, form(t0 + 0.5 * dt), form(t0 + dt)
+        np.einsum("ikp,kjp->ijp", a0, t_mats, out=k1)
+        np.multiply(k1, 0.5 * dt, out=y)
+        y += t_mats
+        np.einsum("ikp,kjp->ijp", a_mid, y, out=k2)
+        np.multiply(k2, 0.5 * dt, out=y)
+        y += t_mats
+        np.einsum("ikp,kjp->ijp", a_mid, y, out=k3)
+        np.multiply(k3, dt, out=y)
+        y += t_mats
+        np.einsum("ikp,kjp->ijp", a1, y, out=k4)
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= dt / 6.0
+        t_mats += k1
+    return np.ascontiguousarray(t_mats.transpose(2, 0, 1)).reshape(v.shape[:-1] + (n, n))
+
+
+@pytest.mark.parametrize("fan", ["point", "row", "grid", "empty", "circle"])
+def test_batched_transport_is_bitwise_the_per_stage_kernel(fan):
+    if fan == "circle":
+        c, cid = fx.connection("circle2_so3_twisted"), 1
+        chart = c.manifold.charts[cid]
+        start, end = chart.node_point((5,)), chart.grid_points()
+    else:
+        c0 = fx.connection("disk2d_so3_nonflat", refine=2)
+        rng = np.random.default_rng(11)
+        l = random_harmonic_field(rng, 2, (2, 3), amplitude=0.3, constant_scale=0.3)
+        c, cid = shift_by_inner(c0, l.sample(c0.manifold)), 0
+        chart = c.manifold.charts[cid]
+        grid = chart.grid_points()
+        # grid nodes and stage times are dyadic, so a start off every node
+        # makes start + t v round
+        start = np.array([0.1, -0.3])
+        end = {
+            "point": grid[3, 60],
+            "row": grid[:, 7],
+            "grid": grid[::4, ::5],
+            "empty": np.empty((0, 2, 2)),
+        }[fan]
+    path = Path(cid, start, end, 64)
+    got = correspondence._transport(c, path)
+    assert got.shape == end.shape[:-1] + (3, 3)
+    assert got.tobytes() == per_stage_transport(c, path).tobytes()
+
+
+def test_f_map_frames_are_bitwise_the_per_stage_kernel_frames(monkeypatch):
+    c = fx.connection("cyl2_so3_twisted")
+    frames = f_map(c).trivialization.frames
+    monkeypatch.setattr(correspondence, "_transport", per_stage_transport)
+    expected = f_map(c).trivialization.frames
+    assert [f.tobytes() for f in frames] == [f.tobytes() for f in expected]
 
 
 def test_circle_loop_transport_is_the_cocycle_constant():
@@ -232,16 +325,20 @@ def test_f_map_frames_are_ray_transports():
 
 @pytest.mark.parametrize("name,steps", [("disk2d_so3_nonflat", 64), ("circle2_so3_twisted", 8)])
 def test_f_map_evaluates_the_form_twice_per_step_plus_once(monkeypatch, name, steps):
+    # 2 steps + 1 stage times per chart, the two new ones of a step in one call;
+    # the point count would grow if any stage time were evaluated twice
     c = fx.connection(name)
-    calls = []
+    points = []
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return interpolate(*args, **kwargs)
+    def counted(chart, values, pts):
+        points.append(int(np.prod(np.shape(pts)[:-1])))
+        return interpolate(chart, values, pts)
 
     monkeypatch.setattr(correspondence, "interpolate", counted)
     f_map(c, ode_steps=steps)
-    assert len(calls) == len(c.manifold.charts) * (2 * steps + 1)
+    charts = c.manifold.charts
+    assert len(points) == len(charts) * (steps + 1)
+    assert sum(points) == (2 * steps + 1) * sum(int(np.prod(ch.resolution)) for ch in charts)
 
 
 def test_f_map_rejects_non_coupling():

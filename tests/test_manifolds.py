@@ -438,6 +438,14 @@ def test_sparse_interpolation_matches_the_corner_loop_bit_for_bit(name, value_sh
     got = interpolate(chart, values, pts)
     assert got.shape == pts.shape[:-1] + value_shape
     np.testing.assert_array_equal(got, corner_loop_interpolate(chart, values, pts))
+    # the same points read through other layouts: a (2, k, dim) moveaxis
+    # view of per-axis rows, and the transpose of a (dim, 2k) array (both
+    # non-contiguous unless dim is 1)
+    stacked = np.moveaxis(np.moveaxis(pts, -1, 0).copy(), 0, -1)
+    flat = pts.reshape(-1, chart.dim).T.copy().T
+    assert stacked.flags.c_contiguous == flat.flags.c_contiguous == (chart.dim == 1)
+    assert interpolate(chart, values, stacked).tobytes() == got.tobytes()
+    assert interpolate(chart, values, flat).tobytes() == got.reshape(flat.shape[:1] + value_shape).tobytes()
     # the same values, read through a strided (non-contiguous) view
     interleaved = np.stack([values, -values], axis=-1)
     view = interleaved[..., 0]
