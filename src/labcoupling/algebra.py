@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import InputError
-from .tolerances import ALG_TOL, INNER_TOL
+from .tolerances import ALG_TOL, INNER_AUT_TOL, INNER_TOL
 
 MAX_DIM = 16
 
@@ -315,7 +315,7 @@ def is_inner(
     g: LieAlgebra,
     a: np.ndarray,
     inner_tol: float = INNER_TOL,
-    aut_tol: float = 1e-6,
+    aut_tol: float = INNER_AUT_TOL,
 ) -> InnerVerdict:
     """Decide membership of a in Inn(g) = <exp(ad x)>.
 

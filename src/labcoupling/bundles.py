@@ -123,6 +123,7 @@ def validate_lab(t: Trivialization, tol: float = ALG_TOL) -> LabReport:
     ]
     max_trans = peak(*(res for _, res in transitions))
     max_cocycle = _cocycle_residual(t)
+    # a cocycle defect compounds three transitions, two interpolated: 10x the budget
     passed = max_frame <= tol and max_trans <= tol and max_cocycle <= 10 * tol
     return LabReport(bool(passed), max_frame, max_trans, max_cocycle, _worst_node(frames + transitions))
 
@@ -313,6 +314,7 @@ def trivializations_equivalent(
             continue
         a_idx, b_idx = _spanning_tree_edges(t.manifold.charts[cid].resolution)
         edges = flat[b_idx] @ np.linalg.inv(flat[a_idx])
+        # an edge is a ratio times another's inverse: 10x its gate, and at least TRANS_TOL
         groups.append(
             _verdict_sweep(g, edges, f"chart {cid}", inner_tol, max(10 * aut_tol, TRANS_TOL))
         )

@@ -27,7 +27,7 @@ from .connections import accordance, validate_connection
 from .correspondence import f_map, g_map, verify_inverse
 from .errors import ComputationError, CoverageError, InputError, PreconditionError
 from .manifolds import partition_of_unity
-from .tolerances import ACC_TOL, ALG_TOL, INNER_TOL, ODE_STEPS, TRANS_TOL, peak
+from .tolerances import ACC_TOL, ALG_TOL, INNER_TOL, LEIBNIZ_TOL, ODE_STEPS, SKEW_TOL, TRANS_TOL, peak
 
 EXIT_PASSED = 0
 EXIT_FAILED = 1
@@ -196,7 +196,7 @@ def cmd_axioms(args) -> int:
                     extra={"note": "not a coupling: accordance fails"})
         )
     rep = axiom_report(c, result.curvature, trials=args.trials, seed=args.seed)
-    passed = rep.max_skew <= 1e-12 and rep.max_leibniz <= 1e-4
+    passed = rep.max_skew <= SKEW_TOL and rep.max_leibniz <= LEIBNIZ_TOL
     return _emit(_report("axioms", passed, rep.residuals(), seed=args.seed))
 
 

@@ -12,6 +12,7 @@ inverse up to the respective equivalences.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .bundles import (
     trivializations_equivalent,
     validate_lab,
 )
-from .connections import ConnectionForm, accordance, coupling_equivalent
+from .connections import ConnectionForm, CouplingEquivalence, accordance, coupling_equivalent
 from .errors import ComputationError, InputError, PreconditionError
 from .manifolds import (
     PartitionOfUnity,
@@ -37,7 +38,15 @@ from .manifolds import (
     overlap_pair,
     partition_of_unity,
 )
-from .tolerances import ACC_TOL, ALG_TOL, INNER_TOL, ODE_STEPS, TRANS_TOL
+from .tolerances import (
+    ACC_TOL,
+    G_MAP_LAB_TOL,
+    INNER_TOL,
+    ODE_STEPS,
+    ROUNDTRIP_AUT_TOL,
+    TRANS_TOL,
+    WELL_DEFINED_AUT_TOL,
+)
 
 
 @dataclass(frozen=True)
@@ -171,6 +180,9 @@ def f_map(
         frames.append(frame)
     out = Trivialization(c.algebra, c.manifold, tuple(frames))
     lab = validate_lab(out, tol=aut_tol)
+    if not lab.passed:  # a structure outside LAB is not swept: nothing is certified
+        return FMapResult(out, lab, DeltaReport(False, False, (), math.inf, math.inf))
+    # an overlap ratio is a transition times another's inverse: 10x its gate
     delta = check_delta_continuity(out, inner_tol=inner_tol, aut_tol=10 * aut_tol)
     return FMapResult(out, lab, delta)
 
@@ -193,7 +205,7 @@ def g_map(
     if h.manifold is not t.manifold:
         raise InputError("partition of unity built over a different manifold")
     if check:
-        lab = validate_lab(t, tol=100 * ALG_TOL)
+        lab = validate_lab(t, tol=G_MAP_LAB_TOL)
         if not lab.passed:
             raise PreconditionError(f"structure does not validate ({lab.worst})")
         delta = check_delta_continuity(t, inner_tol=inner_tol)
@@ -233,29 +245,22 @@ def g_map(
     return ConnectionForm(reference_trivialization(t.algebra, m), omega)
 
 
-@dataclass(frozen=True)
-class WellDefinedReport:
-    passed: bool
-    max_residual: float
-
-
 def verify_g_well_defined(
     t: Trivialization,
     t_prime: Trivialization,
     h: PartitionOfUnity,
     h_prime: PartitionOfUnity,
-) -> WellDefinedReport:
+) -> CouplingEquivalence:
     """The class of g(structure, partition) depends on neither choice: the two
     assembled connections must differ by an inner-valued one-form (within
     ACC_TOL).  A structure outside LAB^delta is outside the theorem, so the
     first g_map runs its checks and raises PreconditionError for it."""
-    eq = trivializations_equivalent(t, t_prime, aut_tol=1e-6)
+    eq = trivializations_equivalent(t, t_prime, aut_tol=WELL_DEFINED_AUT_TOL)
     if not eq.passed:
         raise PreconditionError("structures are not equivalent")
     ca = g_map(t, h)
     cb = g_map(t_prime, h_prime, check=False)
-    result = coupling_equivalent(ca, cb, tol=ACC_TOL)
-    return WellDefinedReport(result.passed, result.max_residual)
+    return coupling_equivalent(ca, cb)
 
 
 @dataclass(frozen=True)
@@ -290,8 +295,8 @@ def verify_inverse(
     From a connection C = c and T = f(C); from a structure T = t and
     C = g(T), checked.  Then g(f(C)) must be coupling-equivalent to C, and
     f(g(T)) must be an equivalent structure to T (frame ratios automorphisms
-    within 1e-5).  Undecided inner verdicts mark the report inconclusive,
-    never failed.
+    within ROUNDTRIP_AUT_TOL).  Undecided inner verdicts mark the report
+    inconclusive, never failed.
     """
     if (c is None) == (t is None):
         raise InputError("exactly one of connection / trivialization is required")
@@ -313,7 +318,9 @@ def verify_inverse(
     # g(T) is g(f(C)) from a connection and C itself from a structure
     f_g_t = f(g_f_c) if from_connection else f_c
     eq = coupling_equivalent(g_f_c, c, tol=coupling_tol)
-    back_eq = trivializations_equivalent(f_g_t.trivialization, t, inner_tol=inner_tol, aut_tol=1e-5)
+    back_eq = trivializations_equivalent(
+        f_g_t.trivialization, t, inner_tol=inner_tol, aut_tol=ROUNDTRIP_AUT_TOL
+    )
     directions = {
         "connection_roundtrip": DirectionResult(
             eq.passed and f_c.delta.passed and not f_c.delta.undecided,

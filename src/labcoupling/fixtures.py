@@ -1,7 +1,10 @@
 """Canonical fixture algebras, manifolds, bundles, and connections.
 
 Everything here is generated from closed-form data so that fixtures can be
-rebuilt at refined grid resolutions for convergence studies.
+rebuilt at refined grid resolutions for convergence studies.  Each family
+has one builder: algebras from structure-constant tables, manifolds from
+cover specs, bundles from so3 exponent grids or chart-1 diagonals, and
+connections from one form table.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import LieAlgebra, ad, unit_vector
-from .bundles import Trivialization
+from .bundles import Trivialization, reference_trivialization
+from .connections import ConnectionForm
 from .errors import InputError
 from .manifolds import ChartedManifold, build_manifold
 
@@ -25,23 +29,25 @@ def _antisymmetrized(dim: int, entries: dict[tuple[int, int, int], float]) -> np
     return c
 
 
+# name -> (dim, {(i, j, k): c_ij^k}) with i < j listed once
+_ALGEBRAS = {
+    "abelian2": (2, {}),
+    # [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2
+    "so3": (3, {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0}),
+    # [e1,e2]=e3
+    "heis3": (3, {(0, 1, 2): 1.0}),
+    # [e1,e2]=e2
+    "aff1": (2, {(0, 1, 1): 1.0}),
+}
+ALGEBRA_NAMES = tuple(_ALGEBRAS)
+
+
 def algebra(name: str) -> LieAlgebra:
     """Named fixture algebras: abelian2, so3, heis3, aff1."""
-    if name == "abelian2":
-        return LieAlgebra("abelian2", 2, np.zeros((2, 2, 2)))
-    if name == "so3":
-        # [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2
-        return LieAlgebra("so3", 3, _antisymmetrized(3, {(0, 1, 2): 1.0, (1, 2, 0): 1.0, (2, 0, 1): 1.0}))
-    if name == "heis3":
-        # [e1,e2]=e3
-        return LieAlgebra("heis3", 3, _antisymmetrized(3, {(0, 1, 2): 1.0}))
-    if name == "aff1":
-        # [e1,e2]=e2
-        return LieAlgebra("aff1", 2, _antisymmetrized(2, {(0, 1, 1): 1.0}))
-    raise InputError(f"unknown algebra fixture {name!r}")
-
-
-ALGEBRA_NAMES = ("abelian2", "so3", "heis3", "aff1")
+    if name not in _ALGEBRAS:
+        raise InputError(f"unknown algebra fixture {name!r}")
+    dim, entries = _ALGEBRAS[name]
+    return LieAlgebra(name, dim, _antisymmetrized(dim, entries))
 
 
 def _res(base: int, refine: int) -> int:
@@ -86,6 +92,28 @@ def _circle_cover(n_charts: int, res: int) -> dict:
     return {"dim": 1, "charts": charts, "overlaps": overlaps}
 
 
+def _times_unit_interval(cover: dict, res: int) -> dict:
+    """A 1-D cover times [0, 1] (res nodes, centered): every chart, overlap
+    region and overlap map gains the second axis, which maps to itself."""
+    charts = [
+        {
+            "box": c["box"] + [[0.0, 1.0]],
+            "resolution": c["resolution"] + [res],
+            "center": c["center"] + [(res - 1) // 2],
+        }
+        for c in cover["charts"]
+    ]
+    overlaps = [
+        {
+            **o,
+            "region": o["region"] + [[0.0, 1.0]],
+            "map": {"matrix": [[1.0, 0.0], [0.0, 1.0]], "offset": o["map"]["offset"] + [0.0]},
+        }
+        for o in cover["overlaps"]
+    ]
+    return {"dim": 2, "charts": charts, "overlaps": overlaps}
+
+
 # global coordinate of each interval3 chart's left end
 INTERVAL3_OFFSETS = (0.0, 0.5, 1.0)
 
@@ -111,49 +139,29 @@ def _interval3_cover(res: int) -> dict:
     return {"dim": 1, "charts": [_interval_chart(0.0, 2.0, res)] * 3, "overlaps": overlaps}
 
 
+# name -> cover spec at res nodes per axis
+_MANIFOLDS = {
+    "interval1": lambda res: {"dim": 1, "charts": [_interval_chart(0.0, 1.0, res)], "overlaps": []},
+    "interval3": _interval3_cover,
+    "circle2": lambda res: _circle_cover(2, res),
+    "circle4": lambda res: _circle_cover(4, res),
+    "disk2d": lambda res: {
+        "dim": 2,
+        "charts": [
+            {"box": [[-1.0, 1.0], [-1.0, 1.0]], "resolution": [res, res], "center": [(res - 1) // 2] * 2}
+        ],
+        "overlaps": [],
+    },
+    "cyl2": lambda res: _times_unit_interval(_circle_cover(2, res), res),
+}
+MANIFOLD_NAMES = tuple(_MANIFOLDS)
+
+
 def manifold(name: str, refine: int = 1) -> ChartedManifold:
     """Named fixture manifolds: interval1, interval3, circle2, circle4, disk2d, cyl2."""
-    res = _res(33, refine)
-    if name == "interval1":
-        return build_manifold({"dim": 1, "charts": [_interval_chart(0.0, 1.0, res)], "overlaps": []}, name)
-    if name == "interval3":
-        return build_manifold(_interval3_cover(res), name)
-    if name == "circle2":
-        return build_manifold(_circle_cover(2, res), name)
-    if name == "circle4":
-        return build_manifold(_circle_cover(4, res), name)
-    if name == "disk2d":
-        chart = {"box": [[-1.0, 1.0], [-1.0, 1.0]], "resolution": [res, res], "center": [(res - 1) // 2] * 2}
-        return build_manifold({"dim": 2, "charts": [chart], "overlaps": []}, name)
-    if name == "cyl2":
-        flat = _circle_cover(2, res)
-        charts = []
-        for c in flat["charts"]:
-            charts.append(
-                {
-                    "box": [c["box"][0], [0.0, 1.0]],
-                    "resolution": [res, res],
-                    "center": [c["center"][0], (res - 1) // 2],
-                }
-            )
-        overlaps = []
-        for o in flat["overlaps"]:
-            overlaps.append(
-                {
-                    "alpha": o["alpha"],
-                    "beta": o["beta"],
-                    "region": [o["region"][0], [0.0, 1.0]],
-                    "map": {
-                        "matrix": [[1.0, 0.0], [0.0, 1.0]],
-                        "offset": [o["map"]["offset"][0], 0.0],
-                    },
-                }
-            )
-        return build_manifold({"dim": 2, "charts": charts, "overlaps": overlaps}, name)
-    raise InputError(f"unknown manifold fixture {name!r}")
-
-
-MANIFOLD_NAMES = ("interval1", "interval3", "circle2", "circle4", "disk2d", "cyl2")
+    if name not in _MANIFOLDS:
+        raise InputError(f"unknown manifold fixture {name!r}")
+    return build_manifold(_MANIFOLDS[name](_res(33, refine)), name)
 
 
 # --- bundle fixtures ----------------------------------------------------------
@@ -163,6 +171,8 @@ TWIST_ANGLE = 0.8
 # consistently (.3 - .2 = .1), and ad(x) is strictly off-diagonal.
 DRIFT = np.diag([0.3, -0.2, 0.1])
 DRIFT_RATE = 1.5
+# ad(e3) of so3, the generator of every so3 fixture's frames and forms
+_ROTATION = ad(algebra("so3"), unit_vector(3, 2))
 
 
 def smoothstep(u: np.ndarray) -> np.ndarray:
@@ -171,86 +181,62 @@ def smoothstep(u: np.ndarray) -> np.ndarray:
     return u**3 * (6.0 * u**2 - 15.0 * u + 10.0)
 
 
-def _rotation_generator() -> np.ndarray:
-    return ad(algebra("so3"), unit_vector(3, 2))
+def _so3_rotations(m: ChartedManifold, exponents: list, scale: float) -> Trivialization:
+    """Frames expm(s * scale * ad(e3)), one exponent grid s per chart."""
+    frames = (scipy.linalg.expm(np.multiply.outer(s * scale, _ROTATION)) for s in exponents)
+    return Trivialization(algebra("so3"), m, tuple(frames))
+
+
+def _identity_then_diagonal(g: LieAlgebra, m: ChartedManifold, diagonal: list) -> Trivialization:
+    """Identity frames on chart 0 and diagonal frames on chart 1, whose i-th
+    diagonal entry is diagonal[i] (a chart-1 grid or a constant)."""
+    n = g.dim
+    phi1 = np.zeros(m.charts[1].resolution + (n, n))
+    for i, d in enumerate(diagonal):
+        phi1[..., i, i] = d
+    eye = np.broadcast_to(np.eye(n), m.charts[0].resolution + (n, n)).copy()
+    return Trivialization(g, m, (eye, phi1))
 
 
 def bundle(name: str, refine: int = 1) -> Trivialization:
     """Named fixture bundles (local-trivialization structures)."""
+    if name not in BUNDLE_NAMES:
+        raise InputError(f"unknown bundle fixture {name!r}")
+    base, alg = name.split("_")[:2]
+    m = manifold(base, refine)
+    pts = [chart.grid_points() for chart in m.charts]
     if name in ("circle2_so3_twisted", "cyl2_so3_twisted"):
         # inner frames with linear exponent; transitions are constant inner
         # automorphisms on each overlap component
-        g = algebra("so3")
-        m = manifold(name.split("_")[0], refine)
-        k = _rotation_generator()
-        frames = []
-        for chart in m.charts:
-            t = chart.grid_points()[..., 0]
-            center = chart.node_point(chart.center)[0]
-            frames.append(scipy.linalg.expm(np.multiply.outer(-(t - center) * TWIST_ANGLE, k)))
-        return Trivialization(g, m, tuple(frames))
+        s = [-(p[..., 0] - chart.node_point(chart.center)[0]) for p, chart in zip(pts, m.charts)]
+        return _so3_rotations(m, s, TWIST_ANGLE)
     if name == "interval3_so3_twisted":
         # frames exp(-s * angle * ad(e3)) of the global coordinate s: every
         # transition is the identity, and the cocycle is checked on each of
         # the cover's six overlap triples
-        g = algebra("so3")
-        m = manifold("interval3", refine)
-        k = _rotation_generator()
-        frames = [
-            scipy.linalg.expm(np.multiply.outer(-(chart.grid_points()[..., 0] + off) * TWIST_ANGLE, k))
-            for chart, off in zip(m.charts, INTERVAL3_OFFSETS)
-        ]
-        return Trivialization(g, m, tuple(frames))
+        s = [-(p[..., 0] + off) for p, off in zip(pts, INTERVAL3_OFFSETS)]
+        return _so3_rotations(m, s, TWIST_ANGLE)
+    if name == "disk2d_so3_bilinear":
+        return _so3_rotations(m, [pts[0][..., 0] * pts[0][..., 1]], 0.25)
+    g = algebra(alg)
+    x1 = pts[1][..., 0]
     if name == "circle2_abelian2_twisted":
         # outer-twisted structure: the wrap transition is the constant
         # diag(1/2, 1); still delta-continuous (constant per component)
-        g = algebra("abelian2")
-        m = manifold("circle2", refine)
-        t1 = m.charts[1].grid_points()[..., 0]
-        s = smoothstep((t1 - 2.0 / 3.0) * 3.0)
-        phi1 = np.zeros(t1.shape + (2, 2))
-        phi1[..., 0, 0] = 2.0 ** (-s)
-        phi1[..., 1, 1] = 1.0
-        eye = np.broadcast_to(np.eye(2), m.charts[0].resolution + (2, 2)).copy()
-        return Trivialization(g, m, (eye, phi1))
+        return _identity_then_diagonal(g, m, [2.0 ** (-smoothstep((x1 - 2.0 / 3.0) * 3.0)), 1.0])
     if name == "circle2_abelian2_varying":
         # outer class drifts smoothly across the overlaps: delta check fails
-        g = algebra("abelian2")
-        m = manifold("circle2", refine)
-        frames = []
-        for chart in m.charts:
-            t = chart.grid_points()[..., 0]
-            phi = np.zeros(t.shape + (2, 2))
-            phi[..., 0, 0] = 1.0 + 0.3 * np.sin(2.0 * np.pi * t)
-            phi[..., 1, 1] = 1.0
-            frames.append(phi)
-        frames[0] = np.broadcast_to(np.eye(2), m.charts[0].resolution + (2, 2)).copy()
-        return Trivialization(g, m, tuple(frames))
-    if name == "cyl2_heis3_drift":
-        # outer class drifting along the axis: chart 0 carries identity
-        # frames, chart 1 exp(s D) with s = DRIFT_RATE * y and D an outer
-        # derivation, so an overlap ratio is exp(+-(s - s0) D) and its log's
-        # distance from span{ad} is |s - s0| ||D||_F: every ratio off its
-        # region's first row (y = 0) is outer, 1152 of 1188 at refine 1.
-        # The ratios at y >= 0.4375 (0 -> 1 overlaps) or y >= 0.46875
-        # (1 -> 0), 666 at refine 1, lie outside the 0.25 series radius and
-        # take the square-root route of principal_logs and its guard.
-        g = algebra("heis3")
-        m = manifold("cyl2", refine)
-        y = m.charts[1].grid_points()[..., 1]
-        phi1 = np.zeros(y.shape + (3, 3))
-        for i, d in enumerate(np.diag(DRIFT)):
-            phi1[..., i, i] = np.exp(DRIFT_RATE * y * d)
-        eye = np.broadcast_to(np.eye(3), m.charts[0].resolution + (3, 3)).copy()
-        return Trivialization(g, m, (eye, phi1))
-    if name == "disk2d_so3_bilinear":
-        g = algebra("so3")
-        m = manifold("disk2d", refine)
-        k = _rotation_generator()
-        pts = m.charts[0].grid_points()
-        frames = scipy.linalg.expm(np.multiply.outer(0.25 * pts[..., 0] * pts[..., 1], k))
-        return Trivialization(g, m, (frames,))
-    raise InputError(f"unknown bundle fixture {name!r}")
+        return _identity_then_diagonal(g, m, [1.0 + 0.3 * np.sin(2.0 * np.pi * x1), 1.0])
+    # cyl2_heis3_drift: outer class drifting along the axis: chart 0 carries
+    # identity frames, chart 1 exp(s D) with s = DRIFT_RATE * y and D an outer
+    # derivation, so an overlap ratio is exp(+-(s - s0) D) and its log's
+    # distance from span{ad} is |s - s0| ||D||_F: every ratio off its
+    # region's first row (y = 0) is outer, 1152 of 1188 at refine 1.
+    # The ratios at y >= 0.4375 (0 -> 1 overlaps) or y >= 0.46875
+    # (1 -> 0), 666 at refine 1, lie outside the 0.25 series radius and
+    # take the square-root route of principal_logs and its guard.
+    y1 = pts[1][..., 1]
+    return _identity_then_diagonal(g, m, [np.exp(DRIFT_RATE * y1 * d) for d in np.diag(DRIFT)])
 
 
 BUNDLE_NAMES = (
@@ -268,78 +254,44 @@ BUNDLE_NAMES = (
 
 DISK_SLOPE = 0.5
 
-
-def _disk_linear_omega(g: LieAlgebra, d: np.ndarray, refine: int) -> "ConnectionForm":
-    """omega_y = x * d over the identity frames on disk2d, so R_xy = d."""
-    from .bundles import reference_trivialization
-    from .connections import ConnectionForm
-
-    m = manifold("disk2d", refine)
-    pts = m.charts[0].grid_points()
-    w = np.zeros(m.charts[0].resolution + (2, g.dim, g.dim))
-    w[..., 1, :, :] = pts[..., 0, None, None] * d
-    return ConnectionForm(reference_trivialization(g, m), (w,))
-
-
-def connection(name: str, refine: int = 1) -> "ConnectionForm":
-    """Named fixture connections, all over identity-frame bundles."""
-    from .bundles import reference_trivialization
-    from .connections import ConnectionForm, zero_connection
-
-    if name == "interval1_so3_flat":
-        return zero_connection(reference_trivialization(algebra("so3"), manifold("interval1", refine)))
-    if name == "circle2_so3_twisted":
-        # constant omega = angle * ad(e3) dt: flat with holonomy exp(-angle ad(e3))
-        g = algebra("so3")
-        m = manifold("circle2", refine)
-        k = _rotation_generator()
-        omega = tuple(
-            np.broadcast_to(TWIST_ANGLE * k, chart.resolution + (1, 3, 3)).copy()
-            for chart in m.charts
-        )
-        return ConnectionForm(reference_trivialization(g, m), omega)
-    if name == "cyl2_so3_twisted":
-        g = algebra("so3")
-        m = manifold("cyl2", refine)
-        k = _rotation_generator()
-        omega = []
-        for chart in m.charts:
-            w = np.zeros(chart.resolution + (2, 3, 3))
-            w[..., 0, :, :] = TWIST_ANGLE * k
-            omega.append(w)
-        return ConnectionForm(reference_trivialization(g, m), tuple(omega))
-    if name == "disk2d_so3_nonflat":
-        # omega_y = slope * x * ad(e3): R_xy = slope * ad(e3) by construction
-        return _disk_linear_omega(algebra("so3"), DISK_SLOPE * _rotation_generator(), refine)
-    if name == "disk2d_abelian2_nonflat":
-        # nonzero curvature with ad = 0: accordance must fail with residual ||R||
-        return _disk_linear_omega(algebra("abelian2"), np.diag([1.0, 0.0]), refine)
-    if name == "disk2d_heis3_outer":
-        # omega_y = slope * x * DRIFT: R_xy = slope * DRIFT is an outer
-        # derivation, orthogonal to span{ad} (ad(x) is strictly off-diagonal),
-        # so accordance fails with residual slope * ||DRIFT||_F
-        return _disk_linear_omega(algebra("heis3"), DISK_SLOPE * DRIFT, refine)
-    if name == "circle2_abelian2_flat":
-        # constant non-inner omega: transports twist by a non-inner automorphism
-        g = algebra("abelian2")
-        m = manifold("circle2", refine)
-        d = np.diag([0.25, -0.4])
-        omega = tuple(
-            np.broadcast_to(d, chart.resolution + (1, 2, 2)).copy() for chart in m.charts
-        )
-        return ConnectionForm(reference_trivialization(g, m), omega)
-    raise InputError(f"unknown connection fixture {name!r}")
+# name -> (algebra, manifold, axis, matrix, profile): omega_axis is `matrix`
+# ("constant") or x * `matrix` ("linear", x the first chart coordinate) over
+# the identity frames, and every other axis of omega is zero
+_CONNECTIONS = {
+    "interval1_so3_flat": ("so3", "interval1", 0, np.zeros((3, 3)), "constant"),
+    # constant omega = angle * ad(e3) dt: flat with holonomy exp(-angle ad(e3))
+    "circle2_so3_twisted": ("so3", "circle2", 0, TWIST_ANGLE * _ROTATION, "constant"),
+    "cyl2_so3_twisted": ("so3", "cyl2", 0, TWIST_ANGLE * _ROTATION, "constant"),
+    # omega_y = slope * x * ad(e3): R_xy = slope * ad(e3) by construction
+    "disk2d_so3_nonflat": ("so3", "disk2d", 1, DISK_SLOPE * _ROTATION, "linear"),
+    # nonzero curvature with ad = 0: accordance must fail with residual ||R||
+    "disk2d_abelian2_nonflat": ("abelian2", "disk2d", 1, np.diag([1.0, 0.0]), "linear"),
+    # constant non-inner omega: transports twist by a non-inner automorphism
+    "circle2_abelian2_flat": ("abelian2", "circle2", 0, np.diag([0.25, -0.4]), "constant"),
+    # omega_y = slope * x * DRIFT: R_xy = slope * DRIFT is an outer
+    # derivation, orthogonal to span{ad} (ad(x) is strictly off-diagonal),
+    # so accordance fails with residual slope * ||DRIFT||_F
+    "disk2d_heis3_outer": ("heis3", "disk2d", 1, DISK_SLOPE * DRIFT, "linear"),
+}
+CONNECTION_NAMES = tuple(_CONNECTIONS)
 
 
-CONNECTION_NAMES = (
-    "interval1_so3_flat",
-    "circle2_so3_twisted",
-    "cyl2_so3_twisted",
-    "disk2d_so3_nonflat",
-    "disk2d_abelian2_nonflat",
-    "circle2_abelian2_flat",
-    "disk2d_heis3_outer",
-)
+def connection(name: str, refine: int = 1) -> ConnectionForm:
+    """Named fixture connections, all over identity-frame bundles; a linear
+    omega_y = x * d on disk2d has curvature R_xy = d."""
+    if name not in _CONNECTIONS:
+        raise InputError(f"unknown connection fixture {name!r}")
+    alg, base, axis, matrix, profile = _CONNECTIONS[name]
+    g = algebra(alg)
+    m = manifold(base, refine)
+    omega = []
+    for chart in m.charts:
+        w = np.zeros(chart.resolution + (m.dim, g.dim, g.dim))
+        x = chart.grid_points()[..., 0, None, None]
+        w[..., axis, :, :] = matrix if profile == "constant" else x * matrix
+        omega.append(w)
+    return ConnectionForm(reference_trivialization(g, m), tuple(omega))
+
 
 # connections that represent couplings (accordance passes)
 COUPLING_NAMES = (

@@ -30,6 +30,24 @@ TRANS_TOL = 1e-6
 # Default ODE step count for transports along chart rays.
 ODE_STEPS = 64
 
+# is_inner's automorphism gate: its inputs are ratios of RK4-transported frames.
+INNER_AUT_TOL = 1e-6
+
+# verify_g_well_defined's frame-ratio gate: its structures are typically transported.
+WELL_DEFINED_AUT_TOL = 1e-6
+
+# verify_inverse's f(g(T)) ~ T gate: FD stencils, then RK4, so 10x the transport budget.
+ROUNDTRIP_AUT_TOL = 1e-5
+
+# g_map's validate_lab gate: frames saved from RK4 transport need room over ALG_TOL.
+G_MAP_LAB_TOL = 100 * ALG_TOL
+
+# axioms' skew gate: the bracket is antisymmetric by construction, so round-off only.
+SKEW_TOL = 1e-12
+
+# axioms' Leibniz gate: the anchored rule carries the grids' FD error, the ACC_TOL budget.
+LEIBNIZ_TOL = 1e-4
+
 
 def peak(*arrays) -> float:
     """Largest entry over all arrays, 0.0 when they are empty; +inf as soon

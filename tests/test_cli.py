@@ -151,6 +151,31 @@ def test_roundtrip_requires_exactly_one_input(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("f-map", "--connection", "circle2_so3_twisted", "--ode-steps", "1"),
+        ("f-map", "--connection", "circle2_so3_twisted", "--trans-tol", "1e-16"),
+    ],
+)
+def test_f_map_on_a_structure_that_fails_validation_fails_without_verdicts(capsys, argv):
+    # the transitions miss the --trans-tol gate, so no ratio is swept: FAIL
+    # (exit 1) with max_inner "inf", not a verdict sweep on non-automorphisms
+    code, report = run_cli(capsys, *argv)
+    assert code == 1
+    assert not report["passed"] and not report["inconclusive"]
+    assert report["residuals"]["max_inner"] == "inf"
+    assert report["residuals"]["transition_automorphism"] > 1e-16
+    assert report["verdicts"] == {"inner": 0, "outer": 0, "undecided": 0}
+
+
+def test_roundtrip_fails_on_a_transport_that_fails_validation(capsys):
+    code, report = run_cli(capsys, "roundtrip", "--connection", "circle2_so3_twisted", "--ode-steps", "1")
+    assert code == 1 and not report["inconclusive"]
+    assert not report["directions"]["connection_roundtrip"]["passed"]
+    assert report["directions"]["connection_roundtrip"]["undecided"] == 0
+
+
 def test_f_map_writes_bundle_artifact(capsys, tmp_path):
     out = tmp_path / "out.json"
     code, report = run_cli(capsys, "f-map", "--connection", "circle2_so3_twisted", "--out", str(out))

@@ -5,6 +5,8 @@ transport composition for the flow property, and a literal re-evaluation of
 the defining h-weighted sum for the connection assembled by g_map.
 """
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,6 +14,7 @@ import scipy.linalg
 from labcoupling import correspondence, fixtures as fx
 from labcoupling.algebra import ad, unit_vector
 from labcoupling.bundles import (
+    DeltaReport,
     Trivialization,
     reference_trivialization,
     trivializations_equivalent,
@@ -353,6 +356,25 @@ def test_f_map_theorem_checks_on_every_fixture_coupling(name):
     assert fm.delta.passed
     counts = fm.delta.counts()
     assert counts["outer"] == 0 and counts["undecided"] == 0
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"ode_steps": 1},  # one RK4 step: transitions off Aut by 4.9e-6 > TRANS_TOL
+        {"aut_tol": 1e-16},  # round-off transitions (5.6e-15) fail a gate below it
+    ],
+)
+def test_f_map_sweeps_only_a_structure_that_validated(monkeypatch, kwargs):
+    # a structure outside LAB gets the "nothing swept" report, the one
+    # check_delta_continuity gives a singular frame, and no ratio is classified
+    def no_sweep(*args, **kw):
+        raise AssertionError("the continuity sweep ran on a structure that failed validation")
+
+    monkeypatch.setattr(correspondence, "check_delta_continuity", no_sweep)
+    fm = f_map(fx.connection("circle2_so3_twisted"), **kwargs)
+    assert not fm.lab_report.passed and not fm.passed
+    assert fm.delta == DeltaReport(False, False, (), math.inf, math.inf)
 
 
 def test_f_map_class_invariant_under_ray_system_choice():

@@ -1,10 +1,18 @@
-"""The shared residual reduction."""
+"""The shared residual reduction and the named gates."""
 
 import math
 
 import numpy as np
 
-from labcoupling.tolerances import peak
+from labcoupling.tolerances import (
+    G_MAP_LAB_TOL,
+    INNER_AUT_TOL,
+    LEIBNIZ_TOL,
+    ROUNDTRIP_AUT_TOL,
+    SKEW_TOL,
+    WELL_DEFINED_AUT_TOL,
+    peak,
+)
 
 
 def test_peak_is_the_largest_entry_and_reads_nan_as_inf():
@@ -13,3 +21,9 @@ def test_peak_is_the_largest_entry_and_reads_nan_as_inf():
     assert peak(np.array([1e-9, np.nan])) == math.inf
     assert peak([0.5], np.array([[np.nan]]), [2.0]) == math.inf  # max(0.5, nan) would be 0.5
     assert peak(np.array([np.inf, 1.0])) == math.inf
+
+
+def test_named_gates_have_their_pinned_values():
+    assert (INNER_AUT_TOL, WELL_DEFINED_AUT_TOL, ROUNDTRIP_AUT_TOL) == (1e-6, 1e-6, 1e-5)
+    assert G_MAP_LAB_TOL == 100 * 1e-9
+    assert (SKEW_TOL, LEIBNIZ_TOL) == (1e-12, 1e-4)
