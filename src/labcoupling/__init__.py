@@ -18,7 +18,6 @@ from .algebra import (
     center_basis,
     derivations_basis,
     is_inner,
-    principal_log,
     validate_algebra,
 )
 from .algebroid import AlgebroidSection, algebroid_bracket, axiom_report
@@ -90,7 +89,6 @@ __all__ = [
     "loop_transport",
     "parallel_transport",
     "partition_of_unity",
-    "principal_log",
     "pullback_connection",
     "pullback_lab",
     "ray_path",

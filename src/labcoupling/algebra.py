@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError
 from .tolerances import ALG_TOL, INNER_AUT_TOL, INNER_TOL
@@ -228,8 +227,9 @@ def principal_logs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _exp_by_squaring(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """exp(2^k x) of a stack as exp(x) squared k times per row.  Every x here
-    is a Mercator sum with ||x||_F <= -log(0.75) < 0.29, where the degree-12
-    Taylor polynomial (Horner form) leaves a remainder below 2e-17."""
+    is a Mercator sum with ||x||_F <= -log(0.75) < 0.29, or is_inner's shift
+    ad(y_j) with ||ad y_j||_F = 0.25 (k = 0); there the degree-12 Taylor
+    polynomial (Horner form) leaves a remainder below 2e-17."""
     eye = np.eye(x.shape[-1])
     e = eye + x / 12.0
     for j in range(11, 0, -1):
@@ -264,12 +264,6 @@ def _square_roots(a: np.ndarray) -> np.ndarray:
 def _inverses(m: np.ndarray) -> np.ndarray:
     """Inverses of a stack; a singular row (det 0) comes back NaN instead of raising."""
     return np.linalg.inv(np.where(np.linalg.det(m)[:, None, None] == 0.0, np.nan, m))
-
-
-def principal_log(a: np.ndarray) -> np.ndarray | None:
-    """Real principal logarithm of one matrix (see principal_logs), or None."""
-    logs, ok = principal_logs(np.asarray(a, dtype=float)[None])
-    return logs[0] if ok[0] else None
 
 
 @dataclass(frozen=True)
@@ -311,6 +305,28 @@ def inner_projection(g: LieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np.nd
     return coeff.reshape(lead + (g.dim,)), resid.reshape(lead)
 
 
+def inner_log_residuals(g: LieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Log-projection distances of a stack (m, n, n): (residuals, logs, ok);
+    a row without a real principal log has ok False and a zero log."""
+    logs, ok = principal_logs(mats)
+    return inner_projection(g, logs)[1], logs, ok
+
+
+def inner_log_verdicts(
+    g: LieAlgebra, mats: np.ndarray, inner_tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The log route of the inner/outer decision on a stack (m, n, n), as
+    (inner, outer, residuals, logs).  A small projection residual of the real
+    principal log certifies "inner"; a large one while the log is a
+    derivation certifies "outer" (locally, Inn is exactly exp of the inner
+    derivations).  A row with neither flag has no real log, or a log that is
+    not a derivation, and is left open."""
+    resid, logs, ok = inner_log_residuals(g, mats)
+    inner = ok & (resid <= inner_tol)
+    outer = ok & ~inner & (derivation_residuals(g, logs) <= ALG_TOL)
+    return inner, outer, resid, logs
+
+
 def is_inner(
     g: LieAlgebra,
     a: np.ndarray,
@@ -319,16 +335,18 @@ def is_inner(
 ) -> InnerVerdict:
     """Decide membership of a in Inn(g) = <exp(ad x)>.
 
-    Route 1: take the real principal log, project it onto span{ad(e_i)}.
-    A small projection residual certifies "inner"; a large one while the log
-    is a derivation certifies "outer" (locally, Inn is exactly exp of the
-    inner derivations).  Route 2 (no usable log): bounded multi-start search
-    for k <= 4 factors exp(ad x_j); failure is reported as "undecided".
+    Route 1 is inner_log_verdicts on a.  Route 2, for an a that route 1
+    leaves open: Inn is a group, so a and a exp(ad y) are inner together or
+    not at all.  Route 1 runs on a exp(ad y_j) for the fixed shifts
+    y_j = e_j / (4 ||ad e_j||_F), one per basis vector with ad(e_j) != 0.  An
+    inner row makes a inner (the smallest residual, factors (x_j, -y_j));
+    failing that, an outer row makes a outer, and otherwise a is
+    "undecided", both with residual ||a - I||_F.
 
-    Two cheap structural certificates short-circuit hopeless searches: every
-    product of exp(ad x_j) has positive determinant, so det(a) < 0 proves
-    "outer"; and when the inner span is trivial (ad = 0), Inn(g) = {id}, so
-    any a != id is "outer".
+    Two cheap structural certificates come before the shifts: every product
+    of exp(ad x_j) has positive determinant, so det(a) < 0 proves "outer";
+    and when the inner span is trivial (ad = 0), Inn(g) = {id}, so any
+    a != id is "outer".
     """
     a = np.asarray(a, dtype=float)
     if a.shape != (g.dim, g.dim):
@@ -338,102 +356,25 @@ def is_inner(
     if not (abs(det) > ALG_TOL) or not (aut_res <= aut_tol):
         raise InputError(f"input is not an automorphism (residual {aut_res:.3e})")
 
-    log = principal_log(a)
-    if log is not None:
-        x, resid = inner_projection(g, log)
-        if resid <= inner_tol:
-            return InnerVerdict("inner", float(resid), witness=x, factors=(x,))
-        if derivation_residuals(g, log) <= ALG_TOL:
-            return InnerVerdict("outer", float(resid))
+    inner, outer, resid, logs = inner_log_verdicts(g, a[None], inner_tol)
+    if inner[0]:
+        x = inner_projection(g, logs[0])[0]
+        return InnerVerdict("inner", float(resid[0]), witness=x, factors=(x,))
+    if outer[0]:
+        return InnerVerdict("outer", float(resid[0]))
     dist_id = float(np.linalg.norm(a - np.eye(g.dim)))
     if dist_id <= inner_tol:
         return InnerVerdict("inner", dist_id, witness=np.zeros(g.dim), factors=(np.zeros(g.dim),))
     if det < 0.0:
         return InnerVerdict("outer", dist_id)
-    if np.abs(g.ad_basis_matrix).max(initial=0.0) <= ALG_TOL:
+    live = np.abs(g.ad_basis_matrix).max(axis=0, initial=0.0) > ALG_TOL
+    if not live.any():
         return InnerVerdict("outer", dist_id)
-    return _factor_search(g, a, inner_tol)
-
-
-def _factor_search(g: LieAlgebra, a: np.ndarray, inner_tol: float) -> InnerVerdict:
-    """Gradient-free coordinate descent on || a - prod_j exp(ad x_j) ||_F.
-
-    A coarse search localizes the factors; a log-based polish (prepending the
-    inner correction exp(ad y) with ad(y) ~ log(a P^{-1})) then drives the
-    residual toward the tolerance.  At most 4 factors in total.  The restarts
-    draw from a generator seeded with 0, so the verdict is deterministic.
-    """
-    rng = np.random.default_rng(0)
-    n = g.dim
-
-    def product(xs) -> np.ndarray:
-        prod = np.eye(n)
-        for x in xs:
-            prod = prod @ scipy.linalg.expm(ad(g, x))
-        return prod
-
-    def objective(xs) -> float:
-        return float(np.linalg.norm(a - product(xs)))
-
-    def polish(xs: list, val: float) -> tuple[list, float]:
-        while len(xs) < 4:
-            b = a @ np.linalg.inv(product(xs))
-            log = principal_log(b)
-            if log is None:
-                break
-            y, resid = inner_projection(g, log)
-            if resid > 0.05 * (1.0 + np.linalg.norm(log)):
-                break
-            new = [y] + xs
-            new_val = objective(new)
-            if new_val >= val:
-                break
-            xs, val = new, new_val
-            if val <= inner_tol / 10:
-                break
-        return xs, val
-
-    best_val = np.inf
-    best_xs: list = []
-    for k in range(1, 5):
-        for _ in range(4):  # 16 restarts total across k = 1..4
-            xs = list(rng.normal(scale=0.8, size=(k, n)))
-            val = objective(xs)
-            step = 0.5
-            for _sweep in range(30):  # bounded-cost heuristic
-                if step <= 1e-3 or val <= inner_tol / 2:
-                    break
-                improved = False
-                for j in range(len(xs)):
-                    for i in range(n):
-                        for sign in (+1.0, -1.0):
-                            trial = [x.copy() for x in xs]
-                            trial[j][i] += sign * step
-                            tval = objective(trial)
-                            if tval < val:
-                                xs, val = trial, tval
-                                improved = True
-                                break
-                if not improved:
-                    step *= 0.5
-            if val < 0.2:
-                xs, val = polish(xs, val)
-            if val < best_val:
-                best_val, best_xs = val, xs
-            if best_val <= inner_tol:
-                break
-        if best_val <= inner_tol:
-            break
-    if best_val <= inner_tol:
-        factors = tuple(np.asarray(x).copy() for x in best_xs)
-        witness = factors[0] if len(factors) == 1 else None
-        return InnerVerdict("inner", best_val, witness=witness, factors=factors)
-    return InnerVerdict("undecided", best_val)
-
-
-def inner_log_residuals(g: LieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Log-projection distances of a stack (m, n, n): (residuals, logs, ok).
-    Rows without a real principal log (ok False, zero log) must go through
-    the scalar is_inner path."""
-    logs, ok = principal_logs(mats)
-    return inner_projection(g, logs)[1], logs, ok
+    y = np.eye(g.dim)[live] / (4.0 * np.linalg.norm(g.ad_basis_matrix[:, live], axis=0))[:, None]
+    shifted = a @ _exp_by_squaring(ad(g, y), np.zeros(len(y)))
+    inner, outer, resid, logs = inner_log_verdicts(g, shifted, inner_tol)
+    if inner.any():
+        j = np.flatnonzero(inner)[np.argmin(resid[inner])]
+        x = inner_projection(g, logs[j])[0]
+        return InnerVerdict("inner", float(resid[j]), factors=(x, -y[j]))
+    return InnerVerdict("outer" if outer.any() else "undecided", dist_id)

@@ -20,8 +20,7 @@ import numpy as np
 from .algebra import (
     LieAlgebra,
     automorphism_residuals,
-    derivation_residuals,
-    inner_log_residuals,
+    inner_log_verdicts,
     is_inner,
 )
 from .errors import InputError
@@ -219,25 +218,21 @@ def _verdict_sweep(
 ) -> VerdictGroup:
     """Classify a batch of automorphisms as inner/outer/undecided.
 
-    Every matrix goes through the batched principal-log projection (the rule
-    of is_inner's log route); only those without a real principal log, or
-    whose log is not a derivation, fall back to the scalar is_inner.  The
-    group's max_inner_residual is taken over the matrices certified inner.
+    Every matrix goes through the batched log route (inner_log_verdicts,
+    is_inner's route 1); only the rows it leaves open go to the scalar
+    is_inner, whose inner shifts decide them.  The group's
+    max_inner_residual is taken over the matrices certified inner.
     """
     mats = mats.reshape(-1, g.dim, g.dim)
     aut = peak(automorphism_residuals(g, mats))
     if aut > aut_tol:
         raise InputError(f"{scope}: ratio is not an automorphism within {aut_tol:.1e}")
-    resid, logs, ok = inner_log_residuals(g, mats)
-    inner_mask = ok & (resid <= inner_tol)
-    der = derivation_residuals(g, logs)
-    outer_mask = ok & ~inner_mask & (der <= ALG_TOL)
-    counts = {"inner": int(inner_mask.sum()), "outer": int(outer_mask.sum()), "undecided": 0}
-    decided = inner_mask | outer_mask
-    scalar = [is_inner(g, a, inner_tol=inner_tol, aut_tol=aut_tol) for a in mats[~decided]]
+    inner, outer, resid, _ = inner_log_verdicts(g, mats, inner_tol)
+    counts = {"inner": int(inner.sum()), "outer": int(outer.sum()), "undecided": 0}
+    scalar = [is_inner(g, a, inner_tol=inner_tol, aut_tol=aut_tol) for a in mats[~(inner | outer)]]
     for v in scalar:
         counts[v.verdict] += 1
-    max_res = peak(resid[inner_mask], [v.residual for v in scalar if v.inner])
+    max_res = peak(resid[inner], [v.residual for v in scalar if v.inner])
     return VerdictGroup(scope, max_res, counts["inner"], counts["outer"], counts["undecided"], aut)
 
 

@@ -268,7 +268,6 @@ class DirectionResult:
     passed: bool
     residual: float
     undecided: int
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -321,6 +320,13 @@ def verify_inverse(
     back_eq = trivializations_equivalent(
         f_g_t.trivialization, t, inner_tol=inner_tol, aut_tol=ROUNDTRIP_AUT_TOL
     )
+    # both structures compared must be in LAB; a structure T given as input passed g_map's check
+    labs = {"T = f(C)": f_c.lab_report} if from_connection else {}
+    failed = [
+        f"{name} fails validate_lab: residual {max(lab.residuals().values()):.3e} at {lab.worst}"
+        for name, lab in {**labs, "f(g(T))": f_g_t.lab_report}.items()
+        if not lab.passed
+    ]
     directions = {
         "connection_roundtrip": DirectionResult(
             eq.passed and f_c.delta.passed and not f_c.delta.undecided,
@@ -328,11 +334,11 @@ def verify_inverse(
             f_c.delta.counts()["undecided"],
         ),
         "trivialization_roundtrip": DirectionResult(
-            back_eq.passed, back_eq.max_aut_residual, back_eq.counts()["undecided"]
+            back_eq.passed and not failed, back_eq.max_aut_residual, back_eq.counts()["undecided"]
         ),
     }
     inconclusive = any(d.undecided > 0 for d in directions.values())
-    return RoundTripReport(directions, inconclusive)
+    return RoundTripReport(directions, inconclusive, note="; ".join(failed))
 
 
 # --- loop transport (holonomy around circle-like fixtures) --------------------

@@ -14,7 +14,7 @@ import numpy as np
 # Exact-arithmetic-grade identities (structure constants, SVD rank cuts).
 ALG_TOL = 1e-9
 
-# Inner-membership decisions (log projections, factor search).
+# Inner-membership decisions: log projections, of a and of is_inner's shifted a exp(ad y).
 INNER_TOL = 1e-6
 
 # Gauge-compatibility residuals on overlaps (FD-limited).

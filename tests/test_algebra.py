@@ -6,6 +6,10 @@ derivation/center dimensions, and closed-form rotation matrices for the
 exponentials.
 """
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -26,7 +30,6 @@ from labcoupling.algebra import (
     inner_log_residuals,
     inner_projection,
     is_inner,
-    principal_log,
     principal_logs,
     unit_vector,
     validate_algebra,
@@ -330,18 +333,20 @@ def test_exp_of_random_derivations_lands_in_aut(g):
 
 
 def test_log_of_identity_is_zero():
-    np.testing.assert_allclose(principal_log(np.eye(3)), np.zeros((3, 3)), atol=1e-14)
+    logs, ok = principal_logs(np.eye(3)[None])
+    assert ok[0]
+    np.testing.assert_allclose(logs[0], np.zeros((3, 3)), atol=1e-14)
 
 
 def test_log_roundtrip_on_so3_rotation():
     g = fx.algebra("so3")
     d = 0.7 * ad(g, unit_vector(3, 2))
-    log = principal_log(scipy.linalg.expm(d))
-    np.testing.assert_allclose(log, d, atol=1e-10)
+    logs, _ = principal_logs(scipy.linalg.expm(d)[None])
+    np.testing.assert_allclose(logs[0], d, atol=1e-10)
 
 
 def test_log_obstructed_by_negative_spectrum():
-    assert principal_log(np.diag([-1.0, -1.0])) is None
+    assert not principal_logs(np.diag([-1.0, -1.0])[None])[1][0]
 
 
 @pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
@@ -354,9 +359,9 @@ def test_log_inverts_exp_below_spectral_radius_pi(g):
         d = sum(c * b for c, b in zip(coeff, basis))
         if np.abs(np.linalg.eigvals(d)).max() >= np.pi - 0.2:
             continue
-        log = principal_log(scipy.linalg.expm(d))
-        assert log is not None
-        assert np.abs(log - d).max() <= 1e-8
+        logs, ok = principal_logs(scipy.linalg.expm(d)[None])
+        assert ok[0]
+        assert np.abs(logs[0] - d).max() <= 1e-8
         done += 1
 
 
@@ -385,21 +390,55 @@ def test_abelian_obstructed_log_still_outer():
 
 def test_genuinely_undecidable_case_reports_undecided():
     # heis3: diag(-1,-1,1) is an automorphism with det +1 and no principal
-    # log; it is not unipotent so the bounded search cannot certify it.
+    # log; every inner shift is unipotent, so a exp(ad y) keeps the
+    # eigenvalues -1 and no shifted row has a log either.
     g = fx.algebra("heis3")
     a = np.diag([-1.0, -1.0, 1.0])
     assert automorphism_residuals(g, a) <= 1e-12
     v = is_inner(g, a)
     assert v.undecided
+    assert v.residual == np.linalg.norm(a - np.eye(3))
 
 
-def test_search_certifies_rotation_by_pi():
-    # eigenvalues {-1,-1,1} obstruct the log; the factor search still finds
-    # the rotation because Aut(so3) = Inn(so3).
+@pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (1e-6, 0.6, 0.8)])
+def test_inner_shift_certifies_rotation_by_pi(axis):
+    # eigenvalues {-1,-1,1} obstruct the log; a shift along the axis turns
+    # the rotation away from pi, and Aut(so3) = Inn(so3) makes that row inner
     g = fx.algebra("so3")
-    a = scipy.linalg.expm(ad(g, np.array([0.0, 0.0, np.pi])))
+    a = scipy.linalg.expm(ad(g, np.pi * np.array(axis) / np.linalg.norm(axis)))
+    assert not principal_logs(a[None])[1][0]
     v = is_inner(g, a)
-    assert v.inner and v.residual <= 1e-6
+    assert v.inner and v.residual <= 1e-12
+    product = np.eye(3)
+    for x in v.factors:
+        product = product @ scipy.linalg.expm(ad(g, x))
+    np.testing.assert_allclose(product, a, rtol=0.0, atol=1e-12)
+
+
+def so3_plus_r() -> LieAlgebra:
+    """so3 + R: the so3 brackets on e1..e3 and a central e4."""
+    c = np.zeros((4, 4, 4))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        c[i, j, k], c[j, i, k] = 1.0, -1.0
+    return LieAlgebra("so3+R", 4, c)
+
+
+@pytest.mark.parametrize("scale, verdict", [(2.0, "outer"), (1.0, "inner")])
+def test_inner_shift_decides_rotation_by_pi_times_a_central_scale(scale, verdict):
+    # R_z(pi) + s has no real log; the shift along e3 gives one, whose part
+    # off the inner span is log(s) on the center, a derivation
+    g = so3_plus_r()
+    assert validate_algebra(g).passed
+    a = np.diag([-1.0, -1.0, 1.0, scale])
+    assert not principal_logs(a[None])[1][0]
+    assert is_inner(g, a).verdict == verdict
+
+
+def test_import_leaves_scipy_linalg_unloaded():
+    # a fresh interpreter, pointed at the package under test
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(algebra.__file__))}
+    code = "import sys, labcoupling; sys.exit('scipy.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_so3_exp_inner_with_recovered_witness():
@@ -514,7 +553,7 @@ def test_principal_logs_flag_rows_without_a_real_log():
     assert ok.tolist() == [False, False, True]
     assert not logs[:2].any()
     np.testing.assert_allclose(logs[2], ad(g, np.array([0.0, 0.0, 1.0])), atol=1e-13)
-    assert principal_log(rows[1]) is None
+    assert not principal_logs(rows[1][None])[1][0]
 
 
 def test_principal_logs_of_an_empty_stack():

@@ -205,7 +205,7 @@ def test_so3_inner_family_transitions_pass():
 def test_rotation_by_pi_ratio_falls_back_to_is_inner(monkeypatch):
     # one chart-1 node of the first overlap component carries a rotation by
     # pi: the two ratios through it have no real principal log, so they alone
-    # reach is_inner, whose factor search certifies them (Aut(so3) = Inn)
+    # reach is_inner, whose inner shifts certify them (Aut(so3) = Inn)
     g = fx.algebra("so3")
     m = fx.manifold("circle2")
     eye = np.broadcast_to(np.eye(3), m.charts[0].resolution + (3, 3)).copy()
@@ -318,7 +318,7 @@ def test_frames_are_a_read_only_copy_so_cached_transitions_stay_valid():
 def undecidable_heis3_bundle():
     """heis3 structure whose frames jump by diag(-1,-1,1) inside one overlap:
     the ratio has no principal log, positive determinant, and a nontrivial
-    inner span, so the bounded search cannot decide it."""
+    inner span, and no inner shift gives it a log, so is_inner cannot decide it."""
     g = fx.algebra("heis3")
     m = fx.manifold("circle2")
     jump = np.diag([-1.0, -1.0, 1.0])

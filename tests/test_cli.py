@@ -174,6 +174,11 @@ def test_roundtrip_fails_on_a_transport_that_fails_validation(capsys):
     assert code == 1 and not report["inconclusive"]
     assert not report["directions"]["connection_roundtrip"]["passed"]
     assert report["directions"]["connection_roundtrip"]["undecided"] == 0
+    # both structures it compares fail validate_lab: the note names that, and
+    # their equivalence is not certified
+    assert "T = f(C) fails validate_lab: residual 4.950e-06" in report["note"]
+    assert "f(g(T)) fails validate_lab" in report["note"]
+    assert not report["directions"]["trivialization_roundtrip"]["passed"]
 
 
 def test_f_map_writes_bundle_artifact(capsys, tmp_path):
