@@ -214,22 +214,27 @@ class DeltaReport:
 
 
 def _verdict_sweep(
-    g: LieAlgebra, mats: np.ndarray, scope: str, inner_tol: float, aut_tol: float
+    g: LieAlgebra, grid: np.ndarray, edges: tuple, scope: str, inner_tol: float, tol: float
 ) -> VerdictGroup:
-    """Classify a batch of automorphisms as inner/outer/undecided.
+    """Classify the ratios grid[b] grid[a]^{-1} over the edges (a, b) of a
+    spanning tree of the region's nodes as inner/outer/undecided.
 
-    Every matrix goes through the batched log route (inner_log_verdicts,
-    is_inner's route 1); only the rows it leaves open go to the scalar
-    is_inner, whose inner shifts decide them.  The group's
-    max_inner_residual is taken over the matrices certified inner.
+    A ratio is a node's matrix times another's inverse and grid passed tol,
+    so the ratios are gated at 10x tol, and at least TRANS_TOL.  The batched
+    log route (inner_log_verdicts) classifies them all; only the rows it
+    leaves open go to the scalar is_inner, with the same gate, whose inner
+    shifts decide them.  max_inner_residual is over the ratios certified inner.
     """
-    mats = mats.reshape(-1, g.dim, g.dim)
+    grid = grid.reshape(-1, g.dim, g.dim)
+    a, b = edges
+    mats = grid[b] @ np.linalg.inv(grid[a])
+    gate = max(10 * tol, TRANS_TOL)
     aut = peak(automorphism_residuals(g, mats))
-    if aut > aut_tol:
-        raise InputError(f"{scope}: ratio is not an automorphism within {aut_tol:.1e}")
+    if aut > gate:
+        raise InputError(f"{scope}: ratio is not an automorphism within {gate:.1e}")
     inner, outer, resid, _ = inner_log_verdicts(g, mats, inner_tol)
     counts = {"inner": int(inner.sum()), "outer": int(outer.sum()), "undecided": 0}
-    scalar = [is_inner(g, a, inner_tol=inner_tol, aut_tol=aut_tol) for a in mats[~(inner | outer)]]
+    scalar = [is_inner(g, mat, inner_tol=inner_tol, aut_tol=gate) for mat in mats[~(inner | outer)]]
     for v in scalar:
         counts[v.verdict] += 1
     max_res = peak(resid[inner], [v.residual for v in scalar if v.inner])
@@ -237,21 +242,23 @@ def _verdict_sweep(
 
 
 def check_delta_continuity(
-    t: Trivialization, inner_tol: float = INNER_TOL, aut_tol: float = TRANS_TOL
+    t: Trivialization, inner_tol: float = INNER_TOL, lab_tol: float = ALG_TOL
 ) -> DeltaReport:
     """Per overlap, test that every transition agrees with the base node's
     transition up to an inner automorphism (constant outer class on the
-    connected overlap region).  A singular frame (|det| <= ALG_TOL) anywhere
-    fails the sweep with residuals +inf, and nothing is inverted."""
+    connected overlap region; the sweep's tree is the star from node 0).
+    lab_tol is the gate the transitions passed.  A singular frame (|det| <=
+    ALG_TOL) anywhere fails the sweep with residuals +inf, and nothing is
+    inverted."""
     if any(_singular(grid).any() for grid in t.frames):
         return DeltaReport(False, False, (), math.inf, math.inf)
     g = t.algebra
     groups = []
     for k, o in enumerate(t.manifold.overlaps):
-        grid = t.transitions[k].reshape(-1, g.dim, g.dim)
-        ratios = grid @ np.linalg.inv(grid[0])
+        grid = t.transitions[k]
+        star = (np.zeros(1, int), np.arange(grid.size // g.dim**2))
         groups.append(
-            _verdict_sweep(g, ratios, f"overlap {k} ({o.alpha}->{o.beta})", inner_tol, aut_tol)
+            _verdict_sweep(g, grid, star, f"overlap {k} ({o.alpha}->{o.beta})", inner_tol, lab_tol)
         )
     undecided = any(x.undecided for x in groups)
     passed = all(x.outer == 0 and x.undecided == 0 for x in groups)
@@ -260,25 +267,13 @@ def check_delta_continuity(
     return DeltaReport(bool(passed), bool(undecided), tuple(groups), max_res, max_aut)
 
 
-def _spanning_tree_edges(shape: tuple) -> tuple:
-    """Row-major spanning tree of a grid: along the last axis within rows,
-    first-column spine along the remaining axes."""
-    idx = np.arange(int(np.prod(shape))).reshape(shape)
-    edges_a = []
-    edges_b = []
-    last = len(shape) - 1
-    for axis in range(len(shape)):
-        take_a = [slice(None)] * len(shape)
-        take_b = [slice(None)] * len(shape)
-        take_a[axis] = slice(None, -1)
-        take_b[axis] = slice(1, None)
-        if axis != last:
-            for later in range(axis + 1, len(shape)):
-                take_a[later] = slice(0, 1)
-                take_b[later] = slice(0, 1)
-        edges_a.append(idx[tuple(take_a)].ravel())
-        edges_b.append(idx[tuple(take_b)].ravel())
-    return np.concatenate(edges_a), np.concatenate(edges_b)
+def _snake_edges(shape: tuple) -> tuple:
+    """A path through every node of a 1-D or 2-D grid: row-major order with
+    odd rows reversed, so each step moves to a grid neighbour."""
+    path = np.arange(int(np.prod(shape))).reshape(-1, shape[-1])
+    path[1::2] = path[1::2, ::-1]
+    path = path.ravel()
+    return path[:-1], path[1:]
 
 
 def trivializations_equivalent(
@@ -289,9 +284,10 @@ def trivializations_equivalent(
 ) -> DeltaReport:
     """Equivalence of two structures over the same cover: the per-chart ratio
     phi'^{-1} phi must be automorphism-valued, and locally constant in the
-    discrete outer quotient (consecutive-ratio inner test along a spanning
-    tree of grid edges).  A chart where either structure has a singular
-    frame gets automorphism residual +inf, and nothing is inverted there."""
+    discrete outer quotient (consecutive-ratio inner test along a snake path:
+    the chart's nodes in row-major order with odd rows reversed).  A chart
+    where either structure has a singular frame gets automorphism residual
+    +inf, and nothing is inverted there."""
     _same_base(t, t_prime, "trivializations")
     g = t.algebra
     groups = []
@@ -301,18 +297,13 @@ def trivializations_equivalent(
             aut = math.inf
         else:
             ratios = np.linalg.inv(t_prime.frames[cid]) @ t.frames[cid]
-            flat = ratios.reshape(-1, g.dim, g.dim)
-            aut = peak(automorphism_residuals(g, flat))
+            aut = peak(automorphism_residuals(g, ratios))
         chart_aut.append(aut)
         if aut > aut_tol:
             groups.append(VerdictGroup(f"chart {cid}", 0.0, 0, 0, 0, aut))
             continue
-        a_idx, b_idx = _spanning_tree_edges(t.manifold.charts[cid].resolution)
-        edges = flat[b_idx] @ np.linalg.inv(flat[a_idx])
-        # an edge is a ratio times another's inverse: 10x its gate, and at least TRANS_TOL
-        groups.append(
-            _verdict_sweep(g, edges, f"chart {cid}", inner_tol, max(10 * aut_tol, TRANS_TOL))
-        )
+        snake = _snake_edges(t.manifold.charts[cid].resolution)
+        groups.append(_verdict_sweep(g, ratios, snake, f"chart {cid}", inner_tol, aut_tol))
     max_aut = peak(chart_aut)
     undecided = any(x.undecided for x in groups)
     passed = max_aut <= aut_tol and all(x.outer == 0 and x.undecided == 0 for x in groups)

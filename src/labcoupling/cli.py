@@ -88,7 +88,7 @@ def cmd_check_delta(args) -> int:
     lab = validate_lab(t, tol=args.alg_tol)
     if not lab.passed:
         return _emit(_report("check-delta", False, lab.residuals(), extra={"worst": lab.worst}))
-    rep = check_delta_continuity(t, inner_tol=args.inner_tol)
+    rep = check_delta_continuity(t, inner_tol=args.inner_tol, lab_tol=args.alg_tol)
     return _emit(
         _report(
             "check-delta",

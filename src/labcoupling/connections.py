@@ -162,9 +162,6 @@ class AccordanceResult:
     curvature: CurvatureData
     center_dim: int
 
-    def residuals(self) -> dict:
-        return {"accordance": self.max_residual}
-
 
 def accordance(c: ConnectionForm, tol: float = ACC_TOL) -> AccordanceResult:
     """Solve R_ij(p) ~ ad(Omega_ij(p)) nodewise by minimum-norm least squares.

@@ -182,8 +182,7 @@ def f_map(
     lab = validate_lab(out, tol=aut_tol)
     if not lab.passed:  # a structure outside LAB is not swept: nothing is certified
         return FMapResult(out, lab, DeltaReport(False, False, (), math.inf, math.inf))
-    # an overlap ratio is a transition times another's inverse: 10x its gate
-    delta = check_delta_continuity(out, inner_tol=inner_tol, aut_tol=10 * aut_tol)
+    delta = check_delta_continuity(out, inner_tol=inner_tol, lab_tol=aut_tol)
     return FMapResult(out, lab, delta)
 
 
@@ -208,7 +207,7 @@ def g_map(
         lab = validate_lab(t, tol=G_MAP_LAB_TOL)
         if not lab.passed:
             raise PreconditionError(f"structure does not validate ({lab.worst})")
-        delta = check_delta_continuity(t, inner_tol=inner_tol)
+        delta = check_delta_continuity(t, inner_tol=inner_tol, lab_tol=G_MAP_LAB_TOL)
         if not delta.passed:
             raise PreconditionError(
                 "structure is not continuous into the discrete outer quotient"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import LieAlgebra, ad, unit_vector
 from .bundles import Trivialization, reference_trivialization
@@ -183,6 +182,8 @@ def smoothstep(u: np.ndarray) -> np.ndarray:
 
 def _so3_rotations(m: ChartedManifold, exponents: list, scale: float) -> Trivialization:
     """Frames expm(s * scale * ad(e3)), one exponent grid s per chart."""
+    import scipy.linalg  # deferred: the CLI imports this module, and only so3 bundles need expm
+
     frames = (scipy.linalg.expm(np.multiply.outer(s * scale, _ROTATION)) for s in exponents)
     return Trivialization(algebra("so3"), m, tuple(frames))
 

@@ -17,7 +17,7 @@ from labcoupling.bundles import (
     trivializations_equivalent,
     validate_lab,
 )
-from labcoupling.correspondence import verify_inverse
+from labcoupling.correspondence import f_map, verify_inverse
 from labcoupling.errors import InputError
 from labcoupling.manifolds import (
     ChartAssignment,
@@ -29,7 +29,7 @@ from labcoupling.manifolds import (
     interpolate,
     region_slices,
 )
-from labcoupling.tolerances import INNER_TOL
+from labcoupling.tolerances import ALG_TOL, INNER_TOL
 from tests.test_manifolds import three_chart_interval_spec
 
 
@@ -366,6 +366,17 @@ def test_abelian_varying_reframe_is_inequivalent():
     assert not rep.passed
 
 
+@pytest.mark.parametrize("shape", [(9,), (33,), (9, 9), (33, 17), (65, 65)])
+def test_snake_is_a_path_of_grid_edges_through_every_node(shape):
+    a, b = bundles._snake_edges(shape)
+    n = math.prod(shape)
+    assert len(a) == len(b) == n - 1
+    steps = np.abs(np.array(np.unravel_index(a, shape)) - np.array(np.unravel_index(b, shape)))
+    assert (steps.sum(axis=0) == 1).all()  # 1 in exactly one index
+    assert sorted(np.append(a, b[-1])) == list(range(n))
+    assert (a[1:] == b[:-1]).all()
+
+
 def _with_singular_frame(t):
     frames = [grid.copy() for grid in t.frames]
     frames[0][16] = 0.0
@@ -383,6 +394,17 @@ def test_singular_frame_makes_structures_inequivalent(singular_side):
     # only chart 0 holds the singular frame; chart 1 is swept as before
     assert rep.groups[0].max_aut_residual == math.inf
     assert rep.groups[1].inner > 0 and rep.groups[1].outer == 0
+
+
+def test_delta_sweep_gates_ratios_at_ten_times_lab_tol_and_at_least_trans_tol():
+    # one RK4 step: transitions 4.9e-6 off Aut, their ratios to node 0 9.7e-6 off
+    t = f_map(fx.connection("circle2_so3_twisted"), ode_steps=1, aut_tol=1e-2).trivialization
+    rep = check_delta_continuity(t, lab_tol=1e-6)
+    assert 9e-6 < rep.max_aut_residual <= 1e-5
+    assert rep.counts() == {"inner": 4, "outer": 0, "undecided": 32}
+    for lab_tol, gate in ((4e-7, "4.0e-06"), (ALG_TOL, "1.0e-06")):
+        with pytest.raises(InputError, match=f"not an automorphism within {gate}"):
+            check_delta_continuity(t, lab_tol=lab_tol)
 
 
 def test_singular_frame_fails_the_delta_sweep():

@@ -1,6 +1,9 @@
 """CLI behaviour: subcommands, exit codes, report schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,6 +182,26 @@ def test_roundtrip_fails_on_a_transport_that_fails_validation(capsys):
     assert "T = f(C) fails validate_lab: residual 4.950e-06" in report["note"]
     assert "f(g(T)) fails validate_lab" in report["note"]
     assert not report["directions"]["trivialization_roundtrip"]["passed"]
+
+
+def test_check_delta_agrees_with_f_map_on_its_bundle(capsys, tmp_path):
+    # one RK4 step puts the transitions 4.9e-6 off Aut; with the gates widened
+    # to 1e-2 both commands sweep the same ratios under the same ratio gate
+    out = str(tmp_path / "b.json")
+    argv = ("--connection", "circle2_so3_twisted", "--ode-steps", "1", "--trans-tol", "1e-2", "--out", out)
+    code, mapped = run_cli(capsys, "f-map", *argv)
+    assert code == 2
+    assert mapped["verdicts"] == {"inner": 4, "outer": 0, "undecided": 32}
+    code, swept = run_cli(capsys, "check-delta", "--bundle", out, "--alg-tol", "1e-2")
+    assert code == 2
+    assert swept["verdicts"] == mapped["verdicts"]
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # a fresh interpreter, pointed at the package under test
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    code = "import sys, labcoupling.cli; sys.exit('scipy.linalg' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_f_map_writes_bundle_artifact(capsys, tmp_path):

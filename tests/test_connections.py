@@ -307,6 +307,19 @@ def test_abelian_accordance_iff_flat():
     assert float(np.linalg.norm(result.curvature.r[0], axis=(-2, -1)).max()) <= 1e-4
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1, defect B: a constant curvature below ACC_TOL passes on every grid",
+)
+def test_small_abelian_curvature_fails_accordance_at_every_refinement():
+    # omega_y = 5e-5 x diag(1, 0): R_xy = 5e-5 diag(1, 0) and ad = 0, so a
+    # coupling at no resolution; today accordance PASSes with 5.000e-05
+    for refine in (1, 2, 4):
+        c = fx.connection("disk2d_abelian2_nonflat", refine)
+        assert not accordance(ConnectionForm(c.bundle, tuple(5e-5 * w for w in c.omega))).passed
+
+
 # --- shift_by_inner ------------------------------------------------------------
 
 def test_zero_shift_keeps_connection():

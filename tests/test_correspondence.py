@@ -23,6 +23,7 @@ from labcoupling.connections import (
     ConnectionForm,
     accordance,
     apply_connection,
+    coupling_equivalent,
     shift_by_inner,
     validate_connection,
 )
@@ -627,6 +628,45 @@ def test_round_trip_note_names_the_accordance_residual(name, residual):
     rep = verify_inverse(c=fx.connection(name))
     assert not rep.passed and rep.directions == {}
     assert rep.note == f"not a coupling: accordance residual {residual} > 1.0e-04"
+
+
+def heis3_disk_coupling(refine: int) -> ConnectionForm:
+    """omega_y = x ad(e1) + DRIFT over identity frames on disk2d: R_xy =
+    ad(e1) is inner, so a coupling, whose transports carry an outer drift."""
+    g = fx.algebra("heis3")
+    m = fx.manifold("disk2d", refine)
+    omega = []
+    for chart in m.charts:
+        w = np.zeros(chart.resolution + (m.dim, g.dim, g.dim))
+        w[..., 1, :, :] = chart.grid_points()[..., 0, None, None] * ad(g, unit_vector(3, 0)) + fx.DRIFT
+        omega.append(w)
+    return ConnectionForm(reference_trivialization(g, m), tuple(omega))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 1, defect A: the round trip FAILs at refine 1 and PASSes at refine 2",
+)
+def test_heis3_disk_round_trip_verdict_does_not_flip_with_refinement():
+    # at refine 1, 990 of the 1088 snake edges of trivialization_roundtrip read outer
+    verdicts = {verify_inverse(c=heis3_disk_coupling(refine)).passed for refine in (1, 2)}
+    assert len(verdicts) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 3: the structure side reads a 2e-4 outer shift as equivalent at refine 8",
+)
+def test_coupling_and_structure_equivalence_agree_on_a_shifted_abelian_pair():
+    # abelian2 has Inn = {id}: the shift is outer, and coupling_equivalent
+    # FAILs at 2.0e-4 on every grid; the f_map images read 512 inner edges at refine 8
+    for refine in (1, 2, 4, 8):
+        c = fx.connection("circle2_abelian2_flat", refine)
+        shifted = ConnectionForm(c.bundle, tuple(w + 2e-4 * np.diag([1.0, 0.0]) for w in c.omega))
+        structures = trivializations_equivalent(f_map(c).trivialization, f_map(shifted).trivialization)
+        assert coupling_equivalent(c, shifted).passed == structures.passed, refine
 
 
 def test_round_trip_requires_exactly_one_input():
