@@ -241,20 +241,26 @@ def _exp_by_squaring(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 
 
 def _square_roots(a: np.ndarray) -> np.ndarray:
-    """Principal square roots of a stack by the Denman-Beavers iteration
-    Y <- (Y + Z^-1)/2, Z <- (Z + Y^-1)/2 from Y = a, Z = I.  Convergence is
+    """Principal square roots of a stack by the product form of the
+    Denman-Beavers iteration, one inverse per step (Higham, Functions of
+    Matrices, 2008, eq. 6.17; Cheng, Higham, Kenney & Laub, SIAM J. Matrix
+    Anal. Appl. 22(4), 2001): from M = Y = a, Y <- Y (I + M^-1)/2 and
+    M <- I/2 + (M + M^-1)/4, so M -> I and Y -> a^(1/2).  Convergence is
     quadratic, so a row is done after a step of at most 1e-8 relative.  A row
     with a singular or overflowing iterate, or not done in 100 steps, is NaN."""
+    eye = np.eye(a.shape[-1])
     y = a.copy()
-    z = np.broadcast_to(np.eye(a.shape[-1]), a.shape).copy()
+    m = a.copy()
     todo = np.arange(len(a))
     with np.errstate(all="ignore"):
         for _ in range(100):
-            y_old, z_old = y[todo], z[todo]
-            y[todo] = 0.5 * (y_old + _inverses(z_old))
-            z[todo] = 0.5 * (z_old + _inverses(y_old))
-            step = np.linalg.norm(y[todo] - y_old, axis=(-2, -1))
-            todo = todo[step > 1e-8 * np.linalg.norm(y[todo], axis=(-2, -1))]
+            y_old, m_old = y[todo], m[todo]
+            m_inv = _inverses(m_old)
+            y_new = 0.5 * np.matmul(y_old, eye + m_inv)
+            y[todo] = y_new
+            m[todo] = 0.5 * eye + 0.25 * (m_old + m_inv)
+            step = np.linalg.norm(y_new - y_old, axis=(-2, -1))
+            todo = todo[step > 1e-8 * np.linalg.norm(y_new, axis=(-2, -1))]
             if not todo.size:
                 break
     y[todo] = np.nan

@@ -323,7 +323,8 @@ def _same_base(t: Trivialization, t_prime: Trivialization, what: str) -> None:
 def _cover_signature(m: ChartedManifold):
     charts = tuple((tuple(map(tuple, c.box)), c.resolution) for c in m.charts)
     overlaps = tuple(
-        (o.alpha, o.beta, tuple(map(tuple, o.region))) for o in m.overlaps
+        (o.alpha, o.beta, tuple(map(tuple, o.region)), tuple(map(tuple, o.matrix)), tuple(o.offset))
+        for o in m.overlaps
     )
     return charts, overlaps
 

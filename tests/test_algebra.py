@@ -9,6 +9,7 @@ exponentials.
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -765,3 +766,80 @@ def test_bracket_bilinear_and_antisymmetric(xs, ys, s, t):
 def test_ad_output_satisfies_leibniz(xs):
     g = fx.algebra("so3")
     assert derivation_residuals(g, ad(g, np.array(xs))) <= 1e-12
+
+
+def derivation_exponentials(g: LieAlgebra, count: int, rng) -> np.ndarray:
+    """exp(d) for random derivations d of g with ||d||_F <= 2."""
+    basis = np.stack(derivations_basis(g))
+    d = np.einsum("ra,aij->rij", rng.normal(size=(count, len(basis))), basis)
+    d *= 2.0 * rng.uniform(size=(count, 1, 1)) / np.linalg.norm(d, axis=(-2, -1), keepdims=True)
+    return scipy.linalg.expm(d)
+
+
+SQUARE_ROOT_STACKS = {  # name: rng -> stack whose principal square roots are checked
+    "so3_3.1": lambda rng: so3_rotations(3.1, 200, rng),
+    "heis3_drift": lambda rng: heis3_drift_ratios(200, rng),
+    "derivations_n2": lambda rng: derivation_exponentials(fx.algebra("aff1"), 200, rng),
+    "derivations_n4": lambda rng: derivation_exponentials(LieAlgebra("abelian4", 4, np.zeros((4, 4, 4))), 200, rng),
+}
+
+
+@pytest.mark.parametrize("case", SQUARE_ROOT_STACKS)
+def test_square_roots_match_sqrtm(case):
+    mats = SQUARE_ROOT_STACKS[case](np.random.default_rng(37))
+    roots = _square_roots(mats)
+    for a, root in zip(mats, roots):
+        ref = scipy.linalg.sqrtm(a).real
+        assert np.abs(root - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_square_roots_invert_once_per_step(monkeypatch):
+    # the product form inverts only M, from M = a by M <- I/2 + (M + M^-1)/4;
+    # a second inverse per step (the Y/Z form) breaks the chain of arguments
+    inverses = algebra._inverses
+    calls = []
+
+    def counted(m):
+        calls.append(m.copy())
+        return inverses(m)
+
+    monkeypatch.setattr(algebra, "_inverses", counted)
+    a = so3_rotations(2.5, 1, np.random.default_rng(41))
+    root = _square_roots(a)
+    np.testing.assert_allclose(root[0], scipy.linalg.sqrtm(a[0]).real, rtol=0, atol=1e-14)
+    assert len(calls) >= 4
+    assert calls[0].tobytes() == a.tobytes()
+    for m, m_next in zip(calls, calls[1:]):
+        assert m_next.tobytes() == (0.5 * np.eye(3) + 0.25 * (m + inverses(m))).tobytes()
+    # a batch takes as many steps as its slowest row
+    one_row = []
+    for a in so3_rotations(3.1, 5, np.random.default_rng(43)):
+        calls.clear()
+        _square_roots(a[None])
+        one_row.append(len(calls))
+    calls.clear()
+    _square_roots(so3_rotations(3.1, 5, np.random.default_rng(43)))
+    assert len(calls) == max(one_row)
+    calls.clear()
+    _square_roots(np.eye(3)[None])
+    assert len(calls) == 1
+
+
+def test_square_roots_of_singular_or_overflowing_rows_are_nan_rowwise():
+    rng = np.random.default_rng(47)
+    mats = np.concatenate([
+        so3_rotations(3.1, 3, rng),
+        np.diag([1.0, 1.0, 0.0])[None],  # singular
+        heis3_drift_ratios(3, rng),
+        np.diag([1e-310, 1.0, 1.0])[None],  # its inverse overflows
+        so3_rotations(0.3, 2, rng),
+    ])
+    bad = [3, 7]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = _square_roots(mats)
+        one_row = np.stack([_square_roots(a[None])[0] for a in mats])
+    assert np.isnan(roots[bad]).all() and np.isnan(one_row[bad]).all()
+    good = np.setdiff1d(np.arange(len(mats)), bad)
+    assert np.isfinite(roots[good]).all()
+    assert roots[good].tobytes() == one_row[good].tobytes()

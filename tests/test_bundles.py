@@ -1,13 +1,14 @@
 """Bundle-structure tests: validation, discrete-quotient continuity,
 equivalence, and pullback."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from labcoupling import bundles, fixtures as fx
+from labcoupling import algebra, bundles, fixtures as fx
 from labcoupling.algebra import ad, automorphism_residuals, is_inner
 from labcoupling.bundles import (
     Trivialization,
@@ -17,16 +18,19 @@ from labcoupling.bundles import (
     trivializations_equivalent,
     validate_lab,
 )
+from labcoupling.connections import ConnectionForm, coupling_equivalent
 from labcoupling.correspondence import f_map, verify_inverse
 from labcoupling.errors import InputError
 from labcoupling.manifolds import (
     ChartAssignment,
     ManifoldMap,
     _overlap_triples,
+    _validate_overlaps,
     build_manifold,
     constant_map,
     identity_map,
     interpolate,
+    random_harmonic_field,
     region_slices,
 )
 from labcoupling.tolerances import ALG_TOL, INNER_TOL
@@ -200,6 +204,32 @@ def test_so3_inner_family_transitions_pass():
     rep = check_delta_continuity(t)
     assert rep.passed
     assert rep.counts()["outer"] == 0 and rep.counts()["undecided"] == 0
+
+
+def test_inner_ratios_on_the_square_root_route_read_inner(monkeypatch):
+    # no fixture has inner ratios outside the 0.25 series radius; here the
+    # cyl2 chart-1 frames exp(ad x(p)), |x| <= 0.4 rad, give overlap ratios
+    # up to 0.8 rad that take principal_logs' Denman-Beavers square roots
+    g = fx.algebra("so3")
+    m = fx.manifold("cyl2")
+    field = random_harmonic_field(np.random.default_rng(5), m.dim, (g.dim,), amplitude=1.0, constant_scale=0.0)
+    x = field(m.charts[1].grid_points())
+    x *= 0.4 / np.linalg.norm(x, axis=-1).max()
+    eye = np.broadcast_to(np.eye(3), m.charts[0].resolution + (3, 3))
+    t = Trivialization(g, m, (eye, scipy.linalg.expm(ad(g, x))))
+    assert validate_lab(t).passed
+    square_roots = algebra._square_roots
+    rows = []
+
+    def counted(a):
+        rows.append(len(a))
+        return square_roots(a)
+
+    monkeypatch.setattr(algebra, "_square_roots", counted)
+    rep = check_delta_continuity(t)
+    assert rep.counts() == {"inner": 1188, "outer": 0, "undecided": 0}
+    assert rep.passed and rep.max_inner_residual <= 1e-13
+    assert rows
 
 
 def test_rotation_by_pi_ratio_falls_back_to_is_inner(monkeypatch):
@@ -421,6 +451,33 @@ def test_equivalence_requires_same_cover():
     other = reference_trivialization(t.algebra, fx.manifold("interval1"))
     with pytest.raises(InputError):
         trivializations_equivalent(t, other)
+
+
+def circle2_with_flipped_gluing():
+    """circle2 with its 0<->1 gluing x -> 7/6 - x: the same chart boxes,
+    resolutions and overlap regions, a different cover."""
+    m = fx.manifold("circle2")
+    flipped = tuple(
+        dataclasses.replace(o, matrix=[[-1.0]], offset=[7.0 / 6.0]) if o.region[0, 0] == 0.5 else o
+        for o in m.overlaps
+    )
+    cover = dataclasses.replace(m, overlaps=flipped)
+    _validate_overlaps(cover)
+    assert sum(o is not p for o, p in zip(flipped, m.overlaps)) == 2
+    return cover
+
+
+def test_overlap_maps_tell_covers_apart():
+    c = fx.connection("circle2_so3_twisted")
+    t = c.bundle
+    flipped = circle2_with_flipped_gluing()
+    t_flipped = Trivialization(t.algebra, flipped, t.frames)
+    with pytest.raises(InputError, match="trivializations live over different covers"):
+        trivializations_equivalent(t, t_flipped)
+    with pytest.raises(InputError, match="connections live over different covers"):
+        coupling_equivalent(c, ConnectionForm(t_flipped, c.omega))
+    with pytest.raises(InputError, match="map target does not match"):
+        pullback_lab(t, identity_map(flipped))
 
 
 def test_equivalence_requires_same_algebra():
