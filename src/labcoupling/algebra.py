@@ -199,7 +199,8 @@ def principal_logs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     misses it by more than 100*ALG_TOL*(1 + ||a||_F)."""
     mats = np.asarray(mats, dtype=float)
     eye = np.eye(mats.shape[-1])
-    ok = np.linalg.norm(mats - eye, axis=(-2, -1)) < 0.25  # far rows are judged below
+    with np.errstate(over="ignore"):  # an overflowing norm is inf: the row is far
+        ok = np.linalg.norm(mats - eye, axis=(-2, -1)) < 0.25  # far rows are judged below
     far = np.flatnonzero(~ok & np.isfinite(mats).all(axis=(-2, -1)))  # non-finite: no log
     eig = np.linalg.eigvals(mats[far])
     far = far[~np.any((eig.real <= ALG_TOL) & (np.abs(eig.imag) <= ALG_TOL), axis=-1)]
@@ -220,7 +221,7 @@ def principal_logs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     logs = 2.0 ** k[:, None, None] * acc
     with np.errstate(all="ignore"):  # an overflowing or NaN row fails the check
         miss = np.linalg.norm(_exp_by_squaring(acc[far], k[far]) - mats[far], axis=(-2, -1))
-    ok[far] = miss <= 100 * ALG_TOL * (1.0 + np.linalg.norm(mats[far], axis=(-2, -1)))
+        ok[far] = miss <= 100 * ALG_TOL * (1.0 + np.linalg.norm(mats[far], axis=(-2, -1)))
     logs[~ok] = 0.0
     return logs, ok
 
@@ -246,8 +247,9 @@ def _square_roots(a: np.ndarray) -> np.ndarray:
     Matrices, 2008, eq. 6.17; Cheng, Higham, Kenney & Laub, SIAM J. Matrix
     Anal. Appl. 22(4), 2001): from M = Y = a, Y <- Y (I + M^-1)/2 and
     M <- I/2 + (M + M^-1)/4, so M -> I and Y -> a^(1/2).  Convergence is
-    quadratic, so a row is done after a step of at most 1e-8 relative.  A row
-    with a singular or overflowing iterate, or not done in 100 steps, is NaN."""
+    quadratic, so a row is done after a finite step of at most 1e-8
+    relative (a step whose norm overflows is no stop).  A row with a
+    singular or overflowing iterate, or not done in 100 steps, is NaN."""
     eye = np.eye(a.shape[-1])
     y = a.copy()
     m = a.copy()
@@ -260,7 +262,8 @@ def _square_roots(a: np.ndarray) -> np.ndarray:
             y[todo] = y_new
             m[todo] = 0.5 * eye + 0.25 * (m_old + m_inv)
             step = np.linalg.norm(y_new - y_old, axis=(-2, -1))
-            todo = todo[step > 1e-8 * np.linalg.norm(y_new, axis=(-2, -1))]
+            done = np.isfinite(step) & (step <= 1e-8 * np.linalg.norm(y_new, axis=(-2, -1)))
+            todo = todo[~done]
             if not todo.size:
                 break
     y[todo] = np.nan

@@ -60,9 +60,8 @@ def _partials(c: ConnectionForm, s: AlgebroidSection) -> tuple:
 
 
 def omega_contract(curv: CurvatureData, cid: int, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """Omega(X1, X2) = sum_{i<j} (X1^i X2^j - X1^j X2^i) Omega_ij nodewise."""
-    if not curv.omega_form:
-        raise InputError("curvature data carries no recovered two-form; run accordance first")
+    """Omega(X1, X2) = sum_{i<j} (X1^i X2^j - X1^j X2^i) Omega_ij nodewise,
+    from the coupling form that ``curvature`` recovers on chart cid."""
     form = curv.omega_form[cid]
     out = np.zeros(x1.shape[:-1] + (form.shape[-1],))
     for p, (i, j) in enumerate(curv.pairs):

@@ -125,18 +125,19 @@ def gauge_residual(c: ConnectionForm) -> float:
 
 @dataclass(frozen=True)
 class CurvatureData:
-    """Chartwise curvature matrices per unordered axis pair (i < j); the
-    recovered coupling form and its accordance residuals are filled in by
-    ``accordance``.  R_ji = -R_ij is implied, never stored."""
+    """Chartwise curvature matrices per unordered axis pair (i < j), and their
+    minimum-norm split R_ij ~ ad(Omega_ij) + residual (a Frobenius norm),
+    nodewise.  R_ji = -R_ij is implied, never stored."""
 
-    pairs: tuple             # ((i, j), ...) with i < j
-    r: tuple                 # per chart: (*resolution, P, n, n)
-    omega_form: tuple = ()   # per chart: (*resolution, P, n)
-    residuals: tuple = ()    # per chart: (*resolution, P)
+    pairs: tuple        # ((i, j), ...) with i < j
+    r: tuple            # per chart: (*resolution, P, n, n)
+    omega_form: tuple   # per chart: (*resolution, P, n)
+    residuals: tuple    # per chart: (*resolution, P)
 
 
 def curvature(c: ConnectionForm) -> CurvatureData:
-    """R_ij = d_i w_j - d_j w_i + [w_i, w_j], second-order FD chartwise."""
+    """R_ij = d_i w_j - d_j w_i + [w_i, w_j], second-order FD chartwise, with
+    its projection onto the inner derivations (``inner_projection``)."""
     m = c.manifold
     n = c.algebra.dim
     pairs = tuple(combinations(range(m.dim), 2))
@@ -150,7 +151,8 @@ def curvature(c: ConnectionForm) -> CurvatureData:
             comm = w[..., i, :, :] @ w[..., j, :, :] - w[..., j, :, :] @ w[..., i, :, :]
             out[..., p, :, :] = di_wj - dj_wi + comm
         grids.append(out)
-    return CurvatureData(pairs, tuple(grids))
+    omega_forms, residual_grids = zip(*(inner_projection(c.algebra, grid) for grid in grids))
+    return CurvatureData(pairs, tuple(grids), omega_forms, residual_grids)
 
 
 @dataclass(frozen=True)
@@ -164,18 +166,15 @@ class AccordanceResult:
 
 
 def accordance(c: ConnectionForm, tol: float = ACC_TOL) -> AccordanceResult:
-    """Solve R_ij(p) ~ ad(Omega_ij(p)) nodewise by minimum-norm least squares.
+    """Whether curvature's fit R_ij(p) ~ ad(Omega_ij(p)) holds within tol at every node.
 
     The recovered Omega is unique up to center directions; the minimum-norm
     solution has no center component, and the ambiguity dimension is
     reported.
     """
-    g = c.algebra
     curv = curvature(c)
-    omega_forms, residual_grids = zip(*(inner_projection(g, grid) for grid in curv.r))
-    worst = peak(*residual_grids)
-    data = CurvatureData(curv.pairs, curv.r, omega_forms, residual_grids)
-    return AccordanceResult(bool(worst <= tol), worst, data, len(center_basis(g)))
+    worst = peak(*curv.residuals)
+    return AccordanceResult(bool(worst <= tol), worst, curv, len(center_basis(c.algebra)))
 
 
 def shift_by_inner(c: ConnectionForm, l: list) -> ConnectionForm:

@@ -286,17 +286,12 @@ def tangent_overlap_residual(m: ChartedManifold, x_field: list) -> float:
 
 def region_slices(chart: Chart, region: np.ndarray) -> tuple:
     """Grid slices spanned by a node-aligned sub-box (inward rounding)."""
-    slices = []
-    for a in range(chart.dim):
-        h = chart.spacing[a]
-        lo_f = (region[a, 0] - chart.box[a, 0]) / h
-        hi_f = (region[a, 1] - chart.box[a, 0]) / h
-        lo = int(np.ceil(lo_f - 1e-6))
-        hi = int(np.floor(hi_f + 1e-6))
-        if hi < lo:
-            raise InputError("overlap region contains no grid nodes")
-        slices.append(slice(lo, hi + 1))
-    return tuple(slices)
+    edges = (region - chart.box[:, :1]) / chart.spacing[:, None]  # (dim, 2) in node steps
+    lo = np.ceil(edges[:, 0] - 1e-6).astype(int)
+    hi = np.floor(edges[:, 1] + 1e-6).astype(int)
+    if (hi < lo).any():
+        raise InputError("overlap region contains no grid nodes")
+    return tuple(slice(a, b) for a, b in zip(lo.tolist(), (hi + 1).tolist()))
 
 
 def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -388,23 +383,16 @@ class PartitionOfUnity:
     fields: tuple   # per chart normalized grids
 
     def raw_bump(self, chart_id: int, points: np.ndarray) -> np.ndarray:
+        """Product over the covered axes of the bump at r = (cov_lo + cov_hi) u - cov_lo,
+        u = (t - lo) / (hi - lo), so r spans [-1, 1], [-1, 0] or [0, 1]; a free
+        axis gives no factor, and two factors multiply exactly in any order."""
         chart = self.manifold.charts[chart_id]
-        points = np.asarray(points, dtype=float)
-        value = np.ones(points.shape[:-1])
-        for a in range(chart.dim):
-            lo, hi = chart.box[a]
-            cov_lo, cov_hi = self.covered[chart_id][a]
-            t = points[..., a]
-            if cov_lo and cov_hi:
-                r = 2.0 * (t - lo) / (hi - lo) - 1.0
-            elif cov_lo:
-                r = (t - lo) / (hi - lo) - 1.0
-            elif cov_hi:
-                r = (t - lo) / (hi - lo)
-            else:
-                continue
-            value = value * _bump_profile(r, self.sharpness)
-        return value
+        cov = np.array(self.covered[chart_id], dtype=float)  # (dim, 2)
+        bumped = cov.any(axis=1)
+        lo, hi = chart.box[bumped].T
+        u = (np.asarray(points, dtype=float)[..., bumped] - lo) / (hi - lo)
+        r = cov[bumped].sum(axis=1) * u - cov[bumped, 0]
+        return np.prod(_bump_profile(r, self.sharpness), axis=-1)
 
     def total(self, chart_id: int, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
@@ -412,9 +400,7 @@ class PartitionOfUnity:
         for o in self.manifold.overlaps_from(chart_id):
             mask = o.region_contains(points)
             if np.any(mask):
-                contrib = self.raw_bump(o.beta, o.apply(points[mask]))
-                total = total.copy()
-                total[mask] += contrib
+                total[mask] += self.raw_bump(o.beta, o.apply(points[mask]))
         return total
 
     def evaluate(self, chart_id: int, points: np.ndarray) -> np.ndarray:
@@ -437,22 +423,14 @@ def partition_of_unity(m: ChartedManifold, sharpness: float = 1.0) -> PartitionO
         raise InputError(f"bump sharpness must be finite and > 0, got {sharpness}")
     covered = []
     for cid, chart in enumerate(m.charts):
-        per_axis = []
-        for a in range(chart.dim):
-            cov = [False, False]
-            for side, edge in enumerate(chart.box[a]):
-                for o in m.overlaps_from(cid):
-                    if abs(o.region[a, side] - edge) <= 1e-9:
-                        per = [
-                            abs(o.region[ax, 0] - chart.box[ax, 0]) <= 1e-9
-                            and abs(o.region[ax, 1] - chart.box[ax, 1]) <= 1e-9
-                            for ax in range(chart.dim)
-                            if ax != a
-                        ]
-                        if all(per):
-                            cov[side] = True
-            per_axis.append(tuple(cov))
-        covered.append(tuple(per_axis))
+        # a side is covered when an overlap region reaches its edge and spans
+        # the box along every other axis
+        sides = np.zeros((chart.dim, 2), dtype=bool)
+        for o in m.overlaps_from(cid):
+            touch = np.abs(o.region - chart.box) <= 1e-9
+            spans = touch.all(axis=1)
+            sides |= touch & (spans.sum() - spans == chart.dim - 1)[:, None]
+        covered.append(tuple(map(tuple, sides.tolist())))
 
     pou = PartitionOfUnity(m, sharpness, tuple(covered), fields=())
     fields = []

@@ -843,3 +843,24 @@ def test_square_roots_of_singular_or_overflowing_rows_are_nan_rowwise():
     good = np.setdiff1d(np.arange(len(mats)), bad)
     assert np.isfinite(roots[good]).all()
     assert roots[good].tobytes() == one_row[good].tobytes()
+
+
+def test_principal_logs_leave_a_row_with_overflowing_norms_open(monkeypatch):
+    # the Frobenius norms of a 1e300 row overflow, and inf > 1e-8 * inf is
+    # False: a stop test phrased that way takes the first step as converged
+    # and feeds back a/2 (I + a^-1), not a root, about 500 times.  The row
+    # must stay open to the step cap, come back NaN, and read ok False after
+    # one batch, with no overflow warning from any norm.
+    calls = []
+    square_roots = algebra._square_roots
+
+    def counted(a):
+        calls.append(len(a))
+        return square_roots(a)
+
+    monkeypatch.setattr(algebra, "_square_roots", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs, ok = principal_logs(np.diag([1e300, 1e300, 1.0])[None])
+    assert len(calls) <= 1
+    assert ok.tolist() == [False] and not logs.any()

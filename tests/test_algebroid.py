@@ -20,6 +20,7 @@ from labcoupling.connections import (
     accordance,
     apply_connection,
     covariant_partials,
+    curvature,
     shift_by_inner,
     zero_connection,
 )
@@ -161,12 +162,17 @@ def test_omega_term_enters_with_area_factor():
     assert np.abs(out.u[0] - curv.omega_form[0][..., 0, :]).max() <= 1e-12
 
 
-def test_omega_contract_requires_recovered_form():
+def test_curvature_carries_the_recovered_form_of_accordance():
+    # curvature(c) is the whole decomposition R = ad(Omega) + residual, so the
+    # axiom report takes it directly, with the same numbers as accordance's
     c = fx.connection("disk2d_so3_nonflat")
-    from labcoupling.connections import curvature
-
-    with pytest.raises(InputError):
-        omega_contract(curvature(c), 0, np.zeros((3, 2)), np.zeros((3, 2)))
+    curv, acc = curvature(c), accordance(c).curvature
+    assert curv.pairs == acc.pairs
+    for field in ("r", "omega_form", "residuals"):
+        got, want = getattr(curv, field), getattr(acc, field)
+        assert len(got) == len(want) == len(c.manifold.charts)
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert axiom_report(c, curv, trials=2) == axiom_report(c, acc, trials=2)
 
 
 # --- over a flat connection: ([u, v] + X(v) - Y(u), [X, Y]) ----------------------

@@ -1,6 +1,7 @@
-"""Charted-manifold tests: atlas validation, partitions of unity,
-finite-difference calculus, vector-field brackets, ray paths, interpolation."""
+"""Charted-manifold tests: atlas validation, partitions of unity, overlap
+node slices, finite-difference calculus, vector-field brackets, ray paths, interpolation."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from labcoupling import fixtures as fx, manifolds
 from labcoupling.errors import CoverageError, InputError
 from labcoupling.manifolds import (
+    Chart,
     build_manifold,
     grid_derivative,
     grid_partials,
@@ -23,6 +25,7 @@ from labcoupling.manifolds import (
     region_slices,
     tangent_overlap_residual,
 )
+from tests.test_fixtures import digest
 
 FIXTURES = [fx.manifold(n) for n in fx.MANIFOLD_NAMES]
 
@@ -205,6 +208,58 @@ def test_nan_bump_total_is_a_coverage_failure(monkeypatch):
         partition_of_unity(fx.manifold("circle2"))
 
 
+# Every fixture partition of unity at refine 1 and 2, sharpness 1 and 2,
+# pinned by the SHA-256 digest of tests/test_fixtures.py (dtype, shape and
+# raw bytes) over its covered flags, its normalized node fields and evaluate
+# at 50 seeded random points per chart.  After an intended change, print a
+# fresh table with ``PYTHONPATH=src python -m tests.test_manifolds``.
+PARTITION_CASES = [(n, r, s) for n in fx.MANIFOLD_NAMES for r in (1, 2) for s in (1.0, 2.0)]
+
+PARTITION_DIGESTS = {
+    "interval1 1 1.0": "de3d91efbdecc7fc226b0b8f1184021ce742e14bc1870ab2bf938c96e69c333d",
+    "interval1 1 2.0": "de3d91efbdecc7fc226b0b8f1184021ce742e14bc1870ab2bf938c96e69c333d",
+    "interval1 2 1.0": "a2d7a5e8f4c2e1e1f1780651c17fac353cfcb699230d580f4b80915137ea5bad",
+    "interval1 2 2.0": "a2d7a5e8f4c2e1e1f1780651c17fac353cfcb699230d580f4b80915137ea5bad",
+    "interval3 1 1.0": "0a52571b536e47dfb946d5fb653f077a9ae8d7e8e3174b1e89973a5d6cefbcda",
+    "interval3 1 2.0": "3efe34b619fbc00e6b5f3be08df9f929bed77384d807ea2e12aeba4a51d17d0d",
+    "interval3 2 1.0": "73b9b2fe627be143bb1ca9123d2d25c341557b1b9e53cca0a61495e9dee2d9ef",
+    "interval3 2 2.0": "cce9791037e75f166e58968a470c1c23f5e2a20059eda3bded579b6a46a5989c",
+    "circle2 1 1.0": "0a14494024b55321df157f3e16e02c7e67809722b5d91f35a2f50baf1913e5da",
+    "circle2 1 2.0": "3fcbae4f8c14b0e8e0b55ba1aca6dc530afc6aa21218948c396d8abb8dd86246",
+    "circle2 2 1.0": "a549c08e3c2c41225cb0e8d6ad90f308a97a3fbff7136f4dd14cc496d42442ea",
+    "circle2 2 2.0": "089a4c8db30df01d90ce7588d2faa2020ec98c38f827e598a5dd3a0c31462c40",
+    "circle4 1 1.0": "8360230cdcb059785e8f5013bb58936158fb13b8d177a69e39cea4424efc176e",
+    "circle4 1 2.0": "b9b10d987adc068798229397d4a4100953635ec919d062635acae05e240315bf",
+    "circle4 2 1.0": "722902838062a8906a1ce0f7e59f8f4113fc84c3e00f7a28549c3b5088f8e0e3",
+    "circle4 2 2.0": "004d874cd1aa3124cf55b26ec7603fd4a67ddeb2d102f93074f41f25dd601870",
+    "disk2d 1 1.0": "4d1d3c7199b07a7b7ee6107f7fe0e454a54e056fd1f60b885f0ff54b502c59d2",
+    "disk2d 1 2.0": "4d1d3c7199b07a7b7ee6107f7fe0e454a54e056fd1f60b885f0ff54b502c59d2",
+    "disk2d 2 1.0": "d4def58579aa50b8505aee397d318c824cb850892f230dd5b84717b8f90ff31d",
+    "disk2d 2 2.0": "d4def58579aa50b8505aee397d318c824cb850892f230dd5b84717b8f90ff31d",
+    "cyl2 1 1.0": "1c57139d90987c4d99f8b4219c7dba2d7f90563e93e098978c9dd15f4594e7f9",
+    "cyl2 1 2.0": "262409325036f3e3d60c6c861b2beed02a6fd9c1c83259071aaabf531d8eb215",
+    "cyl2 2 1.0": "84063380ca982dd609887e0b2445ba0a0c2038ae15157d727991600f42e17d07",
+    "cyl2 2 2.0": "284847629211fe4325cbb5a1048875f03f927816d2c0450301a9e98184350599",
+}
+
+
+def partition_digest(pou) -> str:
+    m = pou.manifold
+    rng = np.random.default_rng(0)
+    arrays = [np.array(pou.covered)]
+    for cid, chart in enumerate(m.charts):
+        lo, hi = chart.box.T
+        arrays += [pou.fields[cid], pou.evaluate(cid, lo + (hi - lo) * rng.random((50, m.dim)))]
+    return digest(arrays)
+
+
+@pytest.mark.parametrize("name, refine, sharpness", PARTITION_CASES)
+def test_partition_of_unity_matches_its_digest(name, refine, sharpness):
+    pou = partition_of_unity(fx.manifold(name, refine), sharpness)
+    assert all(type(flag) is bool for sides in pou.covered for axis in sides for flag in axis)
+    assert partition_digest(pou) == PARTITION_DIGESTS[f"{name} {refine} {sharpness}"]
+
+
 # --- finite differences ------------------------------------------------------
 
 def test_constant_field_has_zero_derivative():
@@ -374,6 +429,37 @@ def test_rerayed_midpoint_is_truncated_ray():
     assert 2 * half.steps == full.steps
 
 
+# --- overlap node slices -----------------------------------------------------
+
+def overlap_slices() -> list:
+    """region_slices of every overlap of every fixture manifold at refine 1, 2, 4."""
+    out = []
+    for name in fx.MANIFOLD_NAMES:
+        for refine in (1, 2, 4):
+            m = fx.manifold(name, refine)
+            out += [region_slices(m.charts[o.alpha], o.region) for o in m.overlaps]
+    return out
+
+
+# the repr pins the bounds and their type (Python ints, step None)
+OVERLAP_SLICES_DIGEST = "1fd7e3b48858794a7adc2f49b73d587983e2e080d6b984534fd3966fb8b10f14"
+
+
+def test_region_slices_of_the_fixture_overlaps_match_their_digest():
+    slices = overlap_slices()
+    assert len(slices) == 66
+    assert hashlib.sha256(repr(slices).encode()).hexdigest() == OVERLAP_SLICES_DIGEST
+
+
+def test_region_slices_round_inward_and_refuse_a_region_between_nodes():
+    chart = Chart(np.array([[0.0, 1.0], [0.0, 2.0]]), (9, 9), (4, 4))  # spacing 0.125, 0.25
+    # a bound 5e-4 steps off a node rounds inward; within 1e-6 steps it is on the node
+    region = np.array([[0.25 + 6.25e-5, 0.5 - 6.25e-5], [0.5 + 1e-9, 1.5 - 1e-9]])
+    assert region_slices(chart, region) == (slice(3, 4), slice(2, 7))
+    with pytest.raises(InputError, match="overlap region contains no grid nodes"):
+        region_slices(chart, np.array([[0.0, 1.0], [0.3, 0.45]]))
+
+
 # --- interpolation -----------------------------------------------------------
 
 def test_interpolation_exact_at_nodes_and_bilinear():
@@ -532,3 +618,10 @@ def test_interpolation_reproduces_affine_functions(a, b, c, qx, qy):
     f = a * pts[..., 0] + b * pts[..., 1] + c
     val = interpolate(chart, f, np.array([[qx, qy]]))[0]
     assert abs(val - (a * qx + b * qy + c)) <= 1e-10 * (1 + abs(a) + abs(b) + abs(c))
+
+
+if __name__ == "__main__":
+    for name, refine, sharpness in PARTITION_CASES:
+        pou = partition_of_unity(fx.manifold(name, refine), sharpness)
+        print(f'    "{name} {refine} {sharpness}": "{partition_digest(pou)}",')
+    print(f'OVERLAP_SLICES_DIGEST = "{hashlib.sha256(repr(overlap_slices()).encode()).hexdigest()}"')
