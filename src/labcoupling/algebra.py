@@ -133,8 +133,6 @@ def ad(g: LieAlgebra, x: np.ndarray) -> np.ndarray:
 
 def _null_space(mat: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis (columns): singular values <= ALG_TOL."""
-    if mat.size == 0:
-        return np.eye(mat.shape[1])
     _, s, vh = np.linalg.svd(mat)
     s = np.concatenate([s, np.zeros(mat.shape[1] - len(s))])
     return vh[s <= ALG_TOL].T

@@ -16,7 +16,6 @@ sections.
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,23 +39,12 @@ class AlgebroidSection:
         return cls(tuple(np.asarray(g, dtype=float) for g in u), tuple(np.asarray(g, dtype=float) for g in x))
 
 
-# Inside one axiom_report trial: id(section) -> (section, its partials).  The
-# section is held so that its id cannot be reused while the trial runs.
-_TRIAL_PARTIALS: ContextVar = ContextVar("trial_partials", default=None)
-
-
 def _partials(c: ConnectionForm, s: AlgebroidSection) -> tuple:
-    """The covariant partials of u and the grid partials of X, per chart; each
-    section's are computed once per axiom_report trial and reused by every
-    bracket it enters; covariant_partials checks u, and X is checked here."""
-    memo = _TRIAL_PARTIALS.get()
-    if memo is not None and id(s) in memo:
-        return memo[id(s)][1]
+    """The pair (s, (covariant partials of u, grid partials of X)), per chart,
+    that ``_bracket`` reads; covariant_partials checks u, and X is checked
+    here."""
     x = chart_grids(c.manifold, s.x, (c.manifold.dim,), "section tangent part")
-    partials = (covariant_partials(c, s.u), grid_partials(c.manifold, x))
-    if memo is not None:
-        memo[id(s)] = (s, partials)
-    return partials
+    return s, (covariant_partials(c, s.u), grid_partials(c.manifold, x))
 
 
 def omega_contract(curv: CurvatureData, cid: int, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -70,14 +58,9 @@ def omega_contract(curv: CurvatureData, cid: int, x1: np.ndarray, x2: np.ndarray
     return out
 
 
-def algebroid_bracket(
-    c: ConnectionForm, curv: CurvatureData, s1: AlgebroidSection, s2: AlgebroidSection
-) -> AlgebroidSection:
-    """The coupling bracket in one argument order; swapping the arguments
-    negates the output exactly, term by term.  Each section's partials are
-    read once."""
-    cov1, dx1 = _partials(c, s1)
-    cov2, dx2 = _partials(c, s2)
+def _bracket(c: ConnectionForm, curv: CurvatureData, a: tuple, b: tuple) -> AlgebroidSection:
+    """The coupling bracket of two ``_partials`` pairs."""
+    (s1, (cov1, dx1)), (s2, (cov2, dx2)) = a, b
     u, x = [], []
     for cid in range(len(c.manifold.charts)):
         u1, x1, u2, x2 = s1.u[cid], s1.x[cid], s2.u[cid], s2.x[cid]
@@ -85,6 +68,15 @@ def algebroid_bracket(
         u.append(bracket(c.algebra, u1, u2) + nabla + omega_contract(curv, cid, x1, x2))
         x.append(lie_bracket_partials(x1, dx1[cid], x2, dx2[cid]))
     return AlgebroidSection(tuple(u), tuple(x))
+
+
+def algebroid_bracket(
+    c: ConnectionForm, curv: CurvatureData, s1: AlgebroidSection, s2: AlgebroidSection
+) -> AlgebroidSection:
+    """The coupling bracket in one argument order; swapping the arguments
+    negates the output exactly, term by term.  Each section's partials are
+    taken once."""
+    return _bracket(c, curv, _partials(c, s1), _partials(c, s2))
 
 
 def _max_norm(section: AlgebroidSection) -> float:
@@ -148,22 +140,20 @@ def axiom_report(
         s3 = random_section(c, rng)
         f = random_harmonic_field(rng, m.dim, (), amplitude=0.01).sample(m)
 
-        token = _TRIAL_PARTIALS.set({})
-        try:
-            b12 = algebroid_bracket(c, curv, s1, s2)
-            b21 = algebroid_bracket(c, curv, s2, s1)
-            skew.append(_max_norm(_combine(b12, b21, 1.0, 1.0)))
+        # each of the trial's seven sections has its partials taken once
+        p1, p2, p3 = (_partials(c, s) for s in (s1, s2, s3))
+        b12 = _bracket(c, curv, p1, p2)
+        b21 = _bracket(c, curv, p2, p1)
+        skew.append(_max_norm(_combine(b12, b21, 1.0, 1.0)))
 
-            lhs = algebroid_bracket(c, curv, s1, _times(f, s2))
-            anchored = [directional(x1, df) for x1, df in zip(s1.x, grid_partials(m, f))]
-            expected = _combine(_times(anchored, s2), _times(f, b12), 1.0, 1.0)
-            leibniz.append(_max_norm(_combine(lhs, expected, 1.0, -1.0)))
+        lhs = _bracket(c, curv, p1, _partials(c, _times(f, s2)))
+        anchored = [directional(x1, df) for x1, df in zip(s1.x, grid_partials(m, f))]
+        expected = _combine(_times(anchored, s2), _times(f, b12), 1.0, 1.0)
+        leibniz.append(_max_norm(_combine(lhs, expected, 1.0, -1.0)))
 
-            j1 = algebroid_bracket(c, curv, s1, algebroid_bracket(c, curv, s2, s3))
-            j2 = algebroid_bracket(c, curv, s3, b12)
-            j3 = algebroid_bracket(c, curv, s2, algebroid_bracket(c, curv, s3, s1))
-            total = _combine(_combine(j1, j2, 1.0, 1.0), j3, 1.0, 1.0)
-            jacobi.append(_max_norm(total))
-        finally:
-            _TRIAL_PARTIALS.reset(token)
+        j1 = _bracket(c, curv, p1, _partials(c, _bracket(c, curv, p2, p3)))
+        j2 = _bracket(c, curv, p3, _partials(c, b12))
+        j3 = _bracket(c, curv, p2, _partials(c, _bracket(c, curv, p3, p1)))
+        total = _combine(_combine(j1, j2, 1.0, 1.0), j3, 1.0, 1.0)
+        jacobi.append(_max_norm(total))
     return AxiomReport(trials, peak(skew), peak(leibniz), peak(jacobi))

@@ -309,7 +309,7 @@ def run(argv=None) -> int:
         return args.func(args)
     except (PreconditionError, ComputationError) as exc:
         return _emit(_report(args.command, False, {}, extra={"note": str(exc)}))
-    except (InputError, CoverageError, FileNotFoundError) as exc:
+    except (InputError, CoverageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

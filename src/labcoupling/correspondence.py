@@ -35,7 +35,6 @@ from .manifolds import (
     grid_derivative,
     interpolate,
     overlap_nodes,
-    overlap_pair,
     partition_of_unity,
 )
 from .tolerances import (
@@ -161,7 +160,6 @@ def f_map(
     acc_tol: float = ACC_TOL,
     aut_tol: float = TRANS_TOL,
     inner_tol: float = INNER_TOL,
-    centers: tuple | None = None,
 ) -> FMapResult:
     """Coupling -> structure: frames are ray transports composed with the
     bundle's frame at the chart center."""
@@ -172,8 +170,7 @@ def f_map(
         )
     frames = []
     for cid, chart in enumerate(c.manifold.charts):
-        base = chart.center if centers is None else centers[cid]
-        rays = Path(cid, chart.node_point(base), chart.grid_points(), ode_steps)
+        rays = Path(cid, chart.node_point(chart.center), chart.grid_points(), ode_steps)
         frame = c.bundle.frames[cid] @ _transport(c, rays)
         if not np.isfinite(frame).all():
             raise ComputationError(f"ray transport in chart {cid} is not finite")
@@ -230,7 +227,7 @@ def g_map(
         for o in m.overlaps_from(cid):
             slices, images = overlap_nodes(m, o)
             h_other = h.evaluate(o.beta, images)
-            _, p_other = overlap_pair(m, o, gauge_forms)
+            p_other = interpolate(m.charts[o.beta], gauge_forms[o.beta], images)
             pulled = np.einsum("ji,...jab->...iab", o.matrix, p_other)
             w[slices] += h_other[..., None, None, None] * pulled
         omega.append(w)

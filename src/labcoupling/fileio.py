@@ -1,7 +1,9 @@
 """JSON serialization for algebras, manifolds, bundles, and connections.
 
 References inside files (a bundle's algebra, a connection's bundle) may be a
-fixture name, a path to another JSON file, or an inline object.
+fixture name, a path to another JSON file, or an inline object.  A file that
+cannot be read or written (a directory, a missing parent, no permission) is
+an InputError, as is a malformed one.
 """
 
 from __future__ import annotations
@@ -128,7 +130,10 @@ def load_connection(ref) -> ConnectionForm:
 
 
 def save_json(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
+    try:
+        Path(path).write_text(json.dumps(payload, sort_keys=True))
+    except OSError as exc:
+        raise InputError(f"cannot write JSON file {path}: {exc}") from exc
 
 
 def emit_fixture(name: str, out_dir) -> Path:
@@ -138,7 +143,10 @@ def emit_fixture(name: str, out_dir) -> Path:
     with "connection:" to emit the connection instead.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"cannot write fixture file into {out_dir}: {exc}") from exc
     force_connection = name.startswith("connection:")
     if force_connection:
         name = name.split(":", 1)[1]

@@ -275,15 +275,6 @@ def lie_bracket_partials(x: np.ndarray, dx: tuple, y: np.ndarray, dy: tuple) -> 
     return bracket
 
 
-def tangent_overlap_residual(m: ChartedManifold, x_field: list) -> float:
-    """Worst mismatch of pushforwards across overlaps ("global" tangent check)."""
-    mismatches = []
-    for o in m.overlaps:
-        here, there = overlap_pair(m, o, x_field)
-        mismatches.append(np.abs(np.einsum("ij,...j->...i", o.matrix, here) - there))
-    return peak(*mismatches)
-
-
 def region_slices(chart: Chart, region: np.ndarray) -> tuple:
     """Grid slices spanned by a node-aligned sub-box (inward rounding)."""
     edges = (region - chart.box[:, :1]) / chart.spacing[:, None]  # (dim, 2) in node steps

@@ -368,10 +368,21 @@ def test_log_inverts_exp_below_spectral_radius_pi(g):
 
 # --- inner membership -------------------------------------------------------
 
-def test_identity_is_inner_with_zero_witness():
+@pytest.mark.parametrize(
+    "diagonal,kwargs",
+    [
+        ((1.0, 1.0, 1.0), {}),
+        # the log route leaves this one open (residual 0.01005 > inner_tol);
+        # the identity shortcut takes it, with residual ||a - I||_F = 0.01
+        ((0.99, 1.0, 1.0), {"inner_tol": 0.01 * (1 + 0.0025), "aut_tol": 0.1}),
+    ],
+)
+def test_identity_is_inner_with_zero_witness(diagonal, kwargs):
     g = fx.algebra("so3")
-    v = is_inner(g, np.eye(3))
+    a = np.diag(diagonal)
+    v = is_inner(g, a, **kwargs)
     assert v.inner
+    assert v.residual == pytest.approx(np.linalg.norm(a - np.eye(3)), abs=1e-12)
     np.testing.assert_allclose(v.witness, np.zeros(3), atol=1e-12)
 
 

@@ -71,8 +71,30 @@ def test_fixtures_unknown_name(capsys):
     assert code == 3
 
 
-def test_unknown_subcommand_exits_3(capsys):
-    assert cli.run(["frobnicate"]) == 3
+@pytest.mark.parametrize("argv", [["frobnicate"], []])
+def test_unknown_or_missing_subcommand_exits_3(capsys, argv):
+    assert cli.run(argv) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("f-map", "--connection", "circle2_so3_twisted", "--out"),
+        ("g-map", "--bundle", "circle2_so3_twisted", "--out"),
+        ("fixtures", "--emit", "so3", "--out-dir"),
+    ],
+)
+def test_unwritable_output_is_an_input_error(capsys, tmp_path, argv):
+    # --out names a directory, --out-dir an existing file
+    target = tmp_path
+    if argv[-1] == "--out-dir":
+        target = tmp_path / "taken"
+        target.write_text("")
+    assert cli.run([*argv, str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ") and str(target) in captured.err
 
 
 def test_validate_algebra_pass_and_residuals(capsys, tmp_path):
@@ -257,7 +279,7 @@ def test_tolerance_flags_are_honored(capsys):
     assert code == 1 and not report["passed"]
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0", "abc"])
 @pytest.mark.parametrize(
     "command,flag",
     [

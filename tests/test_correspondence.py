@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from labcoupling import correspondence, fixtures as fx
+from labcoupling import correspondence, fileio, fixtures as fx
 from labcoupling.algebra import ad, unit_vector
 from labcoupling.bundles import (
     DeltaReport,
@@ -38,6 +38,7 @@ from labcoupling.correspondence import (
 from labcoupling.errors import InputError, PreconditionError
 from labcoupling.manifolds import (
     Path,
+    build_manifold,
     grid_derivative,
     interpolate,
     partition_of_unity,
@@ -382,7 +383,11 @@ def test_f_map_class_invariant_under_ray_system_choice():
     # transporting from a different base node lands in the same equivalence class
     c = fx.connection("circle2_so3_twisted")
     default = f_map(c)
-    shifted = f_map(c, centers=((10,), (20,)))
+    spec = fileio.manifold_to_dict(c.manifold)
+    for chart, center in zip(spec["charts"], ([10], [20])):
+        chart["center"] = center
+    m = build_manifold(spec)
+    shifted = f_map(ConnectionForm(reference_trivialization(c.algebra, m), c.omega))
     rep = trivializations_equivalent(
         shifted.trivialization, default.trivialization, aut_tol=1e-5
     )

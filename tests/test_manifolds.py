@@ -23,7 +23,6 @@ from labcoupling.manifolds import (
     random_harmonic_field,
     ray_path,
     region_slices,
-    tangent_overlap_residual,
 )
 from tests.test_fixtures import digest
 
@@ -77,9 +76,32 @@ def test_region_leaving_chart_rejected():
         build_manifold(spec)
 
 
-def test_low_resolution_rejected():
-    spec = {"dim": 1, "charts": [{"box": [[0.0, 1.0]], "resolution": [5], "center": [2]}], "overlaps": []}
-    with pytest.raises(InputError, match="resolution"):
+def one_chart_spec(dim=1, overlaps=(), **chart) -> dict:
+    return {
+        "dim": dim,
+        "charts": [{"box": [[0.0, 1.0]], "resolution": [9], "center": [4], **chart}],
+        "overlaps": list(overlaps),
+    }
+
+
+UNKNOWN_PARTNER = {"alpha": 0, "beta": 1, "region": [[0.0, 1.0]], "map": {"matrix": [[1.0]], "offset": [0.0]}}
+
+
+@pytest.mark.parametrize(
+    "spec,match",
+    [
+        ({**one_chart_spec(), "charts": []}, "at least one chart"),
+        (one_chart_spec(dim=3, box=[[0.0, 1.0]] * 3, resolution=[9] * 3, center=[4] * 3), "only dim 1 and 2"),
+        (one_chart_spec(dim=2), "chart 0 has dim 1, expected 2"),
+        (one_chart_spec(resolution=[5], center=[2]), "resolution below"),
+        (one_chart_spec(box=[[1.0, 1.0]]), "empty box"),
+        (one_chart_spec(center=[9]), "center index out of range"),
+        (one_chart_spec(overlaps=[UNKNOWN_PARTNER]), "overlap 0 references an unknown chart"),
+    ],
+    ids=["no charts", "dim 3", "chart dim", "low resolution", "empty box", "center", "unknown chart"],
+)
+def test_invalid_manifold_spec_rejected(spec, match):
+    with pytest.raises(InputError, match=match):
         build_manifold(spec)
 
 
@@ -384,17 +406,6 @@ def test_harmonic_sample_is_bitwise_the_pointwise_field(name):
         pointwise = [f(chart.grid_points()) for chart in m.charts]
         for got, ref in zip(sampled, pointwise, strict=True):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-
-
-def test_tangent_overlap_residual_flags_global_fields():
-    m = fx.manifold("circle2")
-    rng = np.random.default_rng(9)
-    f = random_harmonic_field(rng, 1, (1,))
-    good = f.sample(m)
-    assert tangent_overlap_residual(m, good) <= 1e-4
-    bad = [g.copy() for g in good]
-    bad[1] += 0.5
-    assert tangent_overlap_residual(m, bad) > 0.1
 
 
 # --- paths -------------------------------------------------------------------
