@@ -58,6 +58,14 @@ class LieAlgebra:
         basis = np.stack([d.reshape(-1) for d in derivations_basis(self)], axis=1)
         return basis @ basis.T
 
+    @cached_property
+    def inner_shifts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The fixed inner shifts y_j = e_j / (4 ||ad e_j||_F), one per e_j with
+        ad(e_j) != 0, and exp(ad y_j), as stacks (J, n) and (J, n, n)."""
+        live = np.abs(self.ad_basis_matrix).max(axis=0, initial=0.0) > ALG_TOL
+        y = np.eye(self.dim)[live] / (4.0 * np.linalg.norm(self.ad_basis_matrix[:, live], axis=0))[:, None]
+        return y, _exp_by_squaring(ad(self, y), np.zeros(len(y)))
+
 
 def _pinv_cut(mat: np.ndarray) -> dict:
     # numpy's pinv rcond is relative to the largest singular value; convert
@@ -226,7 +234,7 @@ def principal_logs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _exp_by_squaring(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """exp(2^k x) of a stack as exp(x) squared k times per row.  Every x here
-    is a Mercator sum with ||x||_F <= -log(0.75) < 0.29, or is_inner's shift
+    is a Mercator sum with ||x||_F <= -log(0.75) < 0.29, or an inner shift
     ad(y_j) with ||ad y_j||_F = 0.25 (k = 0); there the degree-12 Taylor
     polynomial (Horner form) leaves a remainder below 2e-17."""
     eye = np.eye(x.shape[-1])
@@ -319,69 +327,68 @@ def inner_log_residuals(g: LieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np
     return inner_projection(g, logs)[1], logs, ok
 
 
-def inner_log_verdicts(
-    g: LieAlgebra, mats: np.ndarray, inner_tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The log route of the inner/outer decision on a stack (m, n, n), as
-    (inner, outer, residuals, logs).  A small projection residual of the real
-    principal log certifies "inner"; a large one while the log is a
-    derivation certifies "outer" (locally, Inn is exactly exp of the inner
-    derivations).  A row with neither flag has no real log, or a log that is
-    not a derivation, and is left open."""
+def _log_route(g: LieAlgebra, mats: np.ndarray, inner_tol: float) -> tuple:
+    """Route 1 of inner_verdicts on a stack, as (inner, outer, residuals, logs):
+    a real principal log within inner_tol of the inner span reads inner, a
+    farther one that is a derivation outer (locally, Inn = exp(ad g))."""
     resid, logs, ok = inner_log_residuals(g, mats)
     inner = ok & (resid <= inner_tol)
     outer = ok & ~inner & (derivation_residuals(g, logs) <= ALG_TOL)
     return inner, outer, resid, logs
 
 
-def is_inner(
-    g: LieAlgebra,
-    a: np.ndarray,
-    inner_tol: float = INNER_TOL,
-    aut_tol: float = INNER_AUT_TOL,
-) -> InnerVerdict:
-    """Decide membership of a in Inn(g) = <exp(ad x)>.
+def inner_verdicts(g: LieAlgebra, mats: np.ndarray, inner_tol: float) -> tuple:
+    """Membership in Inn(g) = <exp(ad x)> of a stack of automorphisms, as
+    (inner, outer, residuals, logs, shift); neither flag is "undecided".  A
+    row takes the first route that decides it: (1) its own log (_log_route);
+    (2) ||a - I||_F <= inner_tol: inner, log 0; (3) det < 0: outer, as every
+    exp(ad x) product has det > 0; (4) ad = 0: outer, as Inn(g) = {id};
+    (5) Inn is a group, so one _log_route call on a exp(ad y_j) over the open
+    rows and g.inner_shifts: the inner row of least residual makes a inner
+    (its residual and log, shift j), else the first outer one makes a outer.
+    shift is -1 where no shift decided; the residual is ||a - I||_F outside
+    routes 1 and 5-inner."""
+    mats = np.asarray(mats, dtype=float)
+    inner, outer, resid, logs = _log_route(g, mats, inner_tol)
+    shift = np.full(len(mats), -1)
+    rest = np.flatnonzero(~(inner | outer))
+    d = (mats[rest] - np.eye(g.dim)).reshape(len(rest), 1, g.dim**2)
+    resid[rest] = np.sqrt(d @ np.swapaxes(d, 1, 2)).ravel()  # ||a - I||_F as a dot, like np.linalg.norm
+    near = rest[resid[rest] <= inner_tol]
+    inner[near], logs[near] = True, 0.0
+    y, exp_y = g.inner_shifts
+    rest = rest[~inner[rest]]
+    outer[rest] = (np.linalg.det(mats[rest]) < 0.0) | (len(y) == 0)
+    rest = rest[~outer[rest]]
+    if rest.size:
+        shifted = (mats[rest, None] @ exp_y).reshape(-1, g.dim, g.dim)
+        hit, out, res, s_logs = (
+            v.reshape(len(rest), len(y), *v.shape[1:]) for v in _log_route(g, shifted, inner_tol)
+        )
+        j = np.where(hit.any(axis=1), np.argmin(np.where(hit, res, np.inf), axis=1), np.argmax(out, axis=1))
+        pick = (np.arange(len(rest)), j)
+        inner[rest], outer[rest] = hit[pick], out[pick]
+        done = hit[pick] | out[pick]
+        shift[rest[done]], logs[rest[done]] = j[done], s_logs[pick][done]
+        resid[rest] = np.where(hit[pick], res[pick], resid[rest])
+    return inner, outer, resid, logs, shift
 
-    Route 1 is inner_log_verdicts on a.  Route 2, for an a that route 1
-    leaves open: Inn is a group, so a and a exp(ad y) are inner together or
-    not at all.  Route 1 runs on a exp(ad y_j) for the fixed shifts
-    y_j = e_j / (4 ||ad e_j||_F), one per basis vector with ad(e_j) != 0.  An
-    inner row makes a inner (the smallest residual, factors (x_j, -y_j));
-    failing that, an outer row makes a outer, and otherwise a is
-    "undecided", both with residual ||a - I||_F.
 
-    Two cheap structural certificates come before the shifts: every product
-    of exp(ad x_j) has positive determinant, so det(a) < 0 proves "outer";
-    and when the inner span is trivial (ad = 0), Inn(g) = {id}, so any
-    a != id is "outer".
-    """
+def is_inner(g: LieAlgebra, a: np.ndarray, inner_tol: float = INNER_TOL) -> InnerVerdict:
+    """inner_verdicts on one automorphism a, gated at INNER_AUT_TOL.  The
+    witness x projects the deciding log, with factors (x,); a shift-decided
+    a has no witness and factors (x_j, -y_j)."""
     a = np.asarray(a, dtype=float)
     if a.shape != (g.dim, g.dim):
         raise InputError(f"expected {(g.dim, g.dim)} matrix, got {a.shape}")
-    det = np.linalg.det(a)
     aut_res = float(automorphism_residuals(g, a))
-    if not (abs(det) > ALG_TOL) or not (aut_res <= aut_tol):
+    if not (abs(np.linalg.det(a)) > ALG_TOL) or not (aut_res <= INNER_AUT_TOL):
         raise InputError(f"input is not an automorphism (residual {aut_res:.3e})")
 
-    inner, outer, resid, logs = inner_log_verdicts(g, a[None], inner_tol)
-    if inner[0]:
-        x = inner_projection(g, logs[0])[0]
+    inner, outer, resid, logs, shift = inner_verdicts(g, a[None], inner_tol)
+    if not inner[0]:
+        return InnerVerdict("outer" if outer[0] else "undecided", float(resid[0]))
+    x = inner_projection(g, logs[0])[0]
+    if shift[0] < 0:
         return InnerVerdict("inner", float(resid[0]), witness=x, factors=(x,))
-    if outer[0]:
-        return InnerVerdict("outer", float(resid[0]))
-    dist_id = float(np.linalg.norm(a - np.eye(g.dim)))
-    if dist_id <= inner_tol:
-        return InnerVerdict("inner", dist_id, witness=np.zeros(g.dim), factors=(np.zeros(g.dim),))
-    if det < 0.0:
-        return InnerVerdict("outer", dist_id)
-    live = np.abs(g.ad_basis_matrix).max(axis=0, initial=0.0) > ALG_TOL
-    if not live.any():
-        return InnerVerdict("outer", dist_id)
-    y = np.eye(g.dim)[live] / (4.0 * np.linalg.norm(g.ad_basis_matrix[:, live], axis=0))[:, None]
-    shifted = a @ _exp_by_squaring(ad(g, y), np.zeros(len(y)))
-    inner, outer, resid, logs = inner_log_verdicts(g, shifted, inner_tol)
-    if inner.any():
-        j = np.flatnonzero(inner)[np.argmin(resid[inner])]
-        x = inner_projection(g, logs[j])[0]
-        return InnerVerdict("inner", float(resid[j]), factors=(x, -y[j]))
-    return InnerVerdict("outer" if outer.any() else "undecided", dist_id)
+    return InnerVerdict("inner", float(resid[0]), factors=(x, -g.inner_shifts[0][shift[0]]))

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    LieAlgebra,
-    automorphism_residuals,
-    inner_log_verdicts,
-    is_inner,
-)
+from .algebra import LieAlgebra, automorphism_residuals, inner_verdicts
 from .errors import InputError
 from .manifolds import (
     ChartedManifold,
@@ -206,25 +201,17 @@ class DeltaReport:
     max_aut_residual: float = 0.0
 
     def counts(self) -> dict:
-        return {
-            "inner": sum(x.inner for x in self.groups),
-            "outer": sum(x.outer for x in self.groups),
-            "undecided": sum(x.undecided for x in self.groups),
-        }
+        return {k: sum(getattr(x, k) for x in self.groups) for k in ("inner", "outer", "undecided")}
 
 
 def _verdict_sweep(
     g: LieAlgebra, grid: np.ndarray, edges: tuple, scope: str, inner_tol: float, tol: float
 ) -> VerdictGroup:
-    """Classify the ratios grid[b] grid[a]^{-1} over the edges (a, b) of a
-    spanning tree of the region's nodes as inner/outer/undecided.
-
-    A ratio is a node's matrix times another's inverse and grid passed tol,
-    so the ratios are gated at 10x tol, and at least TRANS_TOL.  The batched
-    log route (inner_log_verdicts) classifies them all; only the rows it
-    leaves open go to the scalar is_inner, with the same gate, whose inner
-    shifts decide them.  max_inner_residual is over the ratios certified inner.
-    """
+    """Decide the ratios grid[b] grid[a]^{-1} over the edges (a, b) of a
+    spanning tree of the region's nodes with one inner_verdicts call.  A
+    ratio is one matrix times another's inverse and grid passed tol, so the
+    ratios are gated at 10x tol, and at least TRANS_TOL.  max_inner_residual
+    is over the ratios certified inner."""
     grid = grid.reshape(-1, g.dim, g.dim)
     a, b = edges
     mats = grid[b] @ np.linalg.inv(grid[a])
@@ -232,13 +219,21 @@ def _verdict_sweep(
     aut = peak(automorphism_residuals(g, mats))
     if aut > gate:
         raise InputError(f"{scope}: ratio is not an automorphism within {gate:.1e}")
-    inner, outer, resid, _ = inner_log_verdicts(g, mats, inner_tol)
-    counts = {"inner": int(inner.sum()), "outer": int(outer.sum()), "undecided": 0}
-    scalar = [is_inner(g, mat, inner_tol=inner_tol, aut_tol=gate) for mat in mats[~(inner | outer)]]
-    for v in scalar:
-        counts[v.verdict] += 1
-    max_res = peak(resid[inner], [v.residual for v in scalar if v.inner])
-    return VerdictGroup(scope, max_res, counts["inner"], counts["outer"], counts["undecided"], aut)
+    inner, outer, resid, _, _ = inner_verdicts(g, mats, inner_tol)
+    undecided = ~(inner | outer)
+    return VerdictGroup(scope, peak(resid[inner]), int(inner.sum()), int(outer.sum()), int(undecided.sum()), aut)
+
+
+def _delta_report(groups: list | None = None, max_aut: float = math.inf, passed: bool = True) -> DeltaReport:
+    """A sweep's report from its verdict groups: passed when `passed` holds and
+    every ratio was certified inner.  Without groups, the report of a sweep
+    that did not run: FAIL, with residuals +inf."""
+    if groups is None:
+        return DeltaReport(False, False, (), math.inf, math.inf)
+    passed = passed and all(x.outer == 0 and x.undecided == 0 for x in groups)
+    undecided = any(x.undecided for x in groups)
+    max_res = peak([x.max_inner_residual for x in groups])
+    return DeltaReport(bool(passed), bool(undecided), tuple(groups), max_res, max_aut)
 
 
 def check_delta_continuity(
@@ -251,20 +246,14 @@ def check_delta_continuity(
     ALG_TOL) anywhere fails the sweep with residuals +inf, and nothing is
     inverted."""
     if any(_singular(grid).any() for grid in t.frames):
-        return DeltaReport(False, False, (), math.inf, math.inf)
+        return _delta_report()
     g = t.algebra
-    groups = []
-    for k, o in enumerate(t.manifold.overlaps):
-        grid = t.transitions[k]
-        star = (np.zeros(1, int), np.arange(grid.size // g.dim**2))
-        groups.append(
-            _verdict_sweep(g, grid, star, f"overlap {k} ({o.alpha}->{o.beta})", inner_tol, lab_tol)
-        )
-    undecided = any(x.undecided for x in groups)
-    passed = all(x.outer == 0 and x.undecided == 0 for x in groups)
-    max_res = peak([x.max_inner_residual for x in groups])
-    max_aut = peak([x.max_aut_residual for x in groups])
-    return DeltaReport(bool(passed), bool(undecided), tuple(groups), max_res, max_aut)
+    groups = [
+        _verdict_sweep(g, grid, (np.zeros(1, int), np.arange(grid.size // g.dim**2)),
+                       f"overlap {k} ({o.alpha}->{o.beta})", inner_tol, lab_tol)
+        for k, (o, grid) in enumerate(zip(t.manifold.overlaps, t.transitions))
+    ]
+    return _delta_report(groups, peak([x.max_aut_residual for x in groups]))
 
 
 def _snake_edges(shape: tuple) -> tuple:
@@ -305,10 +294,7 @@ def trivializations_equivalent(
         snake = _snake_edges(t.manifold.charts[cid].resolution)
         groups.append(_verdict_sweep(g, ratios, snake, f"chart {cid}", inner_tol, aut_tol))
     max_aut = peak(chart_aut)
-    undecided = any(x.undecided for x in groups)
-    passed = max_aut <= aut_tol and all(x.outer == 0 and x.undecided == 0 for x in groups)
-    max_res = peak([x.max_inner_residual for x in groups])
-    return DeltaReport(bool(passed), bool(undecided), tuple(groups), max_res, max_aut)
+    return _delta_report(groups, max_aut, max_aut <= aut_tol)
 
 
 def _same_base(t: Trivialization, t_prime: Trivialization, what: str) -> None:

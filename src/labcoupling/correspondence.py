@@ -12,7 +12,6 @@ inverse up to the respective equivalences.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +21,7 @@ from .bundles import (
     DeltaReport,
     LabReport,
     Trivialization,
+    _delta_report,
     check_delta_continuity,
     reference_trivialization,
     trivializations_equivalent,
@@ -178,7 +178,7 @@ def f_map(
     out = Trivialization(c.algebra, c.manifold, tuple(frames))
     lab = validate_lab(out, tol=aut_tol)
     if not lab.passed:  # a structure outside LAB is not swept: nothing is certified
-        return FMapResult(out, lab, DeltaReport(False, False, (), math.inf, math.inf))
+        return FMapResult(out, lab, _delta_report())
     delta = check_delta_continuity(out, inner_tol=inner_tol, lab_tol=aut_tol)
     return FMapResult(out, lab, delta)
 

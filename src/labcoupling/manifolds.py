@@ -31,8 +31,8 @@ class Chart:
         if not np.isfinite(box).all():
             raise InputError("chart box has non-finite entries")
         object.__setattr__(self, "box", box)
-        object.__setattr__(self, "resolution", tuple(int(r) for r in self.resolution))
-        object.__setattr__(self, "center", tuple(int(i) for i in self.center))
+        object.__setattr__(self, "resolution", tuple(_integer(r, "resolution") for r in self.resolution))
+        object.__setattr__(self, "center", tuple(_integer(i, "center") for i in self.center))
 
     @property
     def dim(self) -> int:
@@ -76,6 +76,8 @@ class Overlap:
     offset: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", _integer(self.alpha, "alpha"))
+        object.__setattr__(self, "beta", _integer(self.beta, "beta"))
         object.__setattr__(self, "region", np.atleast_2d(np.asarray(self.region, dtype=float)))
         object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
         object.__setattr__(self, "offset", np.atleast_1d(np.asarray(self.offset, dtype=float)))
@@ -110,19 +112,10 @@ def build_manifold(spec: dict, name: str = "") -> ChartedManifold:
     overlaps (alpha/beta/region/map{matrix,offset}).
     """
     try:
-        dim = int(spec["dim"])
-        charts = tuple(
-            Chart(np.asarray(c["box"], dtype=float), tuple(c["resolution"]), tuple(c["center"]))
-            for c in spec["charts"]
-        )
+        dim = _integer(spec["dim"], "dim")
+        charts = tuple(Chart(c["box"], tuple(c["resolution"]), tuple(c["center"])) for c in spec["charts"])
         overlaps = tuple(
-            Overlap(
-                int(o["alpha"]),
-                int(o["beta"]),
-                np.asarray(o["region"], dtype=float),
-                np.asarray(o["map"]["matrix"], dtype=float),
-                np.asarray(o["map"]["offset"], dtype=float),
-            )
+            Overlap(o["alpha"], o["beta"], o["region"], o["map"]["matrix"], o["map"]["offset"])
             for o in spec.get("overlaps", [])
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -145,6 +138,13 @@ def build_manifold(spec: dict, name: str = "") -> ChartedManifold:
     m = ChartedManifold(dim, charts, overlaps, name=name)
     _validate_overlaps(m)
     return m
+
+
+def _integer(value, field: str) -> int:
+    """An integer field of a chart or manifold spec: an int, or a float with an integral value."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)) or value % 1 != 0:
+        raise InputError(f"{field} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _validate_overlaps(m: ChartedManifold) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 # Exact-arithmetic-grade identities (structure constants, SVD rank cuts).
 ALG_TOL = 1e-9
 
-# Inner-membership decisions: log projections, of a and of is_inner's shifted a exp(ad y).
+# Inner-membership decisions: log projections, of a and of its shifted a exp(ad y_j).
 INNER_TOL = 1e-6
 
 # Gauge-compatibility residuals on overlaps (FD-limited).
@@ -30,7 +30,7 @@ TRANS_TOL = 1e-6
 # Default ODE step count for transports along chart rays.
 ODE_STEPS = 64
 
-# is_inner's automorphism gate: its inputs are ratios of RK4-transported frames.
+# is_inner's gate on a caller's matrix (sweeps gate their own ratios): TRANS_TOL's room.
 INNER_AUT_TOL = 1e-6
 
 # verify_g_well_defined's frame-ratio gate: its structures are typically transported.

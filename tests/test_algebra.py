@@ -30,6 +30,7 @@ from labcoupling.algebra import (
     derivations_basis,
     inner_log_residuals,
     inner_projection,
+    inner_verdicts,
     is_inner,
     principal_logs,
     unit_vector,
@@ -368,22 +369,22 @@ def test_log_inverts_exp_below_spectral_radius_pi(g):
 
 # --- inner membership -------------------------------------------------------
 
-@pytest.mark.parametrize(
-    "diagonal,kwargs",
-    [
-        ((1.0, 1.0, 1.0), {}),
-        # the log route leaves this one open (residual 0.01005 > inner_tol);
-        # the identity shortcut takes it, with residual ||a - I||_F = 0.01
-        ((0.99, 1.0, 1.0), {"inner_tol": 0.01 * (1 + 0.0025), "aut_tol": 0.1}),
-    ],
-)
-def test_identity_is_inner_with_zero_witness(diagonal, kwargs):
+def test_identity_is_inner_with_zero_witness():
     g = fx.algebra("so3")
-    a = np.diag(diagonal)
-    v = is_inner(g, a, **kwargs)
-    assert v.inner
-    assert v.residual == pytest.approx(np.linalg.norm(a - np.eye(3)), abs=1e-12)
+    v = is_inner(g, np.eye(3))
+    assert v.inner and v.residual == 0.0
     np.testing.assert_allclose(v.witness, np.zeros(3), atol=1e-12)
+
+
+def test_identity_route_decides_a_row_near_the_identity():
+    # the log route leaves this one open (residual 0.01005 > inner_tol); the
+    # identity route takes it, with residual ||a - I||_F = 0.01 and log 0
+    g = fx.algebra("so3")
+    a = np.diag([0.99, 1.0, 1.0])
+    inner, outer, resid, logs, shift = inner_verdicts(g, a[None], 0.01 * (1 + 0.0025))
+    assert inner[0] and not outer[0] and shift[0] == -1
+    assert resid[0] == pytest.approx(0.01, abs=1e-12)
+    assert not logs[0].any()
 
 
 def test_abelian_nonidentity_is_outer():
@@ -444,6 +445,53 @@ def test_inner_shift_decides_rotation_by_pi_times_a_central_scale(scale, verdict
     a = np.diag([-1.0, -1.0, 1.0, scale])
     assert not principal_logs(a[None])[1][0]
     assert is_inner(g, a).verdict == verdict
+
+
+def rotation_by_pi(g: LieAlgebra, axis) -> np.ndarray:
+    return scipy.linalg.expm(ad(g, np.pi * np.array(axis) / np.linalg.norm(axis)))
+
+
+# Per algebra: an inner_tol and (row, verdict, decided by a shift) triples
+# that reach every route of inner_verdicts.
+ROUTE_STACKS = {
+    "so3": (0.01 * (1 + 0.0025), [
+        (scipy.linalg.expm(ad(fx.algebra("so3"), np.array([0.3, -0.2, 0.5]))), "inner", False),  # log
+        (np.diag([0.99, 1.0, 1.0]), "inner", False),  # identity
+        (rotation_by_pi(fx.algebra("so3"), (0.0, 0.0, 1.0)), "inner", True),
+        (rotation_by_pi(fx.algebra("so3"), (1e-6, 0.6, 0.8)), "inner", True),
+    ]),
+    "abelian2": (1e-6, [
+        (np.diag([2.0, 1.0]), "outer", False),  # log
+        (np.diag([-1.0, 2.0]), "outer", False),  # det < 0
+        (np.diag([-1.0, -1.0]), "outer", False),  # ad = 0
+        (np.eye(2), "inner", False),
+    ]),
+    "aff1": (1e-6, [(np.diag([1.0, -1.0]), "outer", False), (np.eye(2), "inner", False)]),  # det < 0
+    "so3+R": (1e-6, [
+        (np.diag([-1.0, -1.0, 1.0, 2.0]), "outer", True),
+        (np.diag([-1.0, -1.0, 1.0, 1.0]), "inner", True),
+    ]),
+    "heis3": (1e-6, [
+        (np.diag([-1.0, -1.0, 1.0]), "undecided", False),
+        (scipy.linalg.expm(ad(fx.algebra("heis3"), np.array([0.4, -0.7, 0.2]))), "inner", False),
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", ROUTE_STACKS)
+def test_inner_verdicts_rows_are_independent(name):
+    # one stacked call equals the single-row calls bit for bit, on every route
+    g = so3_plus_r() if name == "so3+R" else fx.algebra(name)
+    inner_tol, rows = ROUTE_STACKS[name]
+    stack = np.stack([row for row, _, _ in rows])
+    together = inner_verdicts(g, stack, inner_tol)
+    alone = [inner_verdicts(g, row[None], inner_tol) for row in stack]
+    for k, field in enumerate(together):
+        assert np.concatenate([single[k] for single in alone]).tobytes() == field.tobytes()
+    inner, outer, _, _, shift = together
+    verdicts = np.where(inner, "inner", np.where(outer, "outer", "undecided"))
+    assert verdicts.tolist() == [v for _, v, _ in rows]
+    assert (shift >= 0).tolist() == [s for _, _, s in rows]
 
 
 def test_import_leaves_scipy_linalg_unloaded():

@@ -9,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from labcoupling import algebra, bundles, fixtures as fx
-from labcoupling.algebra import ad, automorphism_residuals, is_inner
+from labcoupling.algebra import ad, automorphism_residuals, inner_verdicts
 from labcoupling.bundles import (
     Trivialization,
     check_delta_continuity,
@@ -232,10 +232,9 @@ def test_inner_ratios_on_the_square_root_route_read_inner(monkeypatch):
     assert rows
 
 
-def test_rotation_by_pi_ratio_falls_back_to_is_inner(monkeypatch):
-    # one chart-1 node of the first overlap component carries a rotation by
-    # pi: the two ratios through it have no real principal log, so they alone
-    # reach is_inner, whose inner shifts certify them (Aut(so3) = Inn)
+def rotation_by_pi_bundle() -> Trivialization:
+    """so3 on circle2 whose chart-1 node 4 carries a rotation by pi: the two
+    ratios through it have no real principal log."""
     g = fx.algebra("so3")
     m = fx.manifold("circle2")
     eye = np.broadcast_to(np.eye(3), m.charts[0].resolution + (3, 3)).copy()
@@ -243,17 +242,53 @@ def test_rotation_by_pi_ratio_falls_back_to_is_inner(monkeypatch):
     phi1[4] = scipy.linalg.expm(ad(g, np.array([0.0, 0.0, np.pi])))
     t = Trivialization(g, m, (eye, phi1))
     assert validate_lab(t).passed
-    verdicts = []
+    return t
+
+
+def test_rotation_by_pi_ratios_are_decided_by_an_inner_shift(monkeypatch):
+    # the two ratios through the pi node are the only ones the log route
+    # leaves open; the kernel's inner shifts certify them (Aut(so3) = Inn)
+    shifted = []
 
     def counted(*args, **kwargs):
-        v = is_inner(*args, **kwargs)
-        verdicts.append(v.verdict)
-        return v
+        out = inner_verdicts(*args, **kwargs)
+        shifted.extend(out[0][out[4] >= 0].tolist())  # inner flags of the shift-decided rows
+        return out
 
-    monkeypatch.setattr(bundles, "is_inner", counted)
-    rep = check_delta_continuity(t)
-    assert verdicts == ["inner", "inner"]
+    monkeypatch.setattr(bundles, "inner_verdicts", counted)
+    rep = check_delta_continuity(rotation_by_pi_bundle())
+    assert shifted == [True, True]
     assert rep.passed and rep.counts() == {"inner": 36, "outer": 0, "undecided": 0}
+
+
+def test_rotation_by_pi_sweep_takes_each_log_once(monkeypatch):
+    # one log batch per overlap, and one shift batch (3 shifts) per open
+    # ratio: 4 x 9 + 2 x 3 rows; the pi ratios' own logs are not retried
+    t = rotation_by_pi_bundle()
+    principal_logs = algebra.principal_logs
+    rows = []
+
+    def counted(mats):
+        rows.append(len(mats))
+        return principal_logs(mats)
+
+    monkeypatch.setattr(algebra, "principal_logs", counted)
+    check_delta_continuity(t)
+    assert (sum(rows), len(rows)) == (42, 6)
+
+
+def test_ratio_with_a_small_determinant_is_decided_not_refused():
+    # frames 10 I and -1e-4 I give the ratio -1e-5 I (det 1e-10): a valid
+    # abelian2 automorphism without a real log, outer since ad = 0
+    g = fx.algebra("abelian2")
+    m = fx.manifold("circle2")
+    f0 = np.broadcast_to(10.0 * np.eye(2), m.charts[0].resolution + (2, 2)).copy()
+    f1 = f0.copy()
+    f1[0] = -1e-4 * np.eye(2)
+    t = Trivialization(g, m, (f0, f1))
+    assert validate_lab(t).passed
+    rep = check_delta_continuity(t)
+    assert not rep.passed and rep.counts() == {"inner": 20, "outer": 16, "undecided": 0}
 
 
 def test_delta_report_groups_cover_all_overlaps():
@@ -348,7 +383,7 @@ def test_frames_are_a_read_only_copy_so_cached_transitions_stay_valid():
 def undecidable_heis3_bundle():
     """heis3 structure whose frames jump by diag(-1,-1,1) inside one overlap:
     the ratio has no principal log, positive determinant, and a nontrivial
-    inner span, and no inner shift gives it a log, so is_inner cannot decide it."""
+    inner span, and no inner shift gives it a log, so inner_verdicts cannot decide it."""
     g = fx.algebra("heis3")
     m = fx.manifold("circle2")
     jump = np.diag([-1.0, -1.0, 1.0])

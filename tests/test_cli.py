@@ -383,6 +383,17 @@ def test_malformed_files_exit_3(capsys, tmp_path, command, flag, text):
     assert run_strict(capsys, command, flag, str(path)) == (3, None)
 
 
+def test_check_delta_on_a_fractional_resolution_exits_3(capsys, tmp_path):
+    # 33.7 nodes once read as 33, which the frames happen to fit
+    data = fileio.bundle_to_dict(fx.bundle("circle2_so3_twisted"))
+    data["manifold"]["charts"][0]["resolution"] = [33.7]
+    path = tmp_path / "fractional.json"
+    path.write_text(json.dumps(data))
+    assert cli.run(["check-delta", "--bundle", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "resolution must be an integer, got 33.7" in err
+
+
 def _singular_frame_bundle(node: int) -> dict:
     """circle2_so3_twisted with the zero matrix as chart 0's frame at one node
     (node 0 lies in an overlap region, node 16 in none)."""

@@ -97,12 +97,29 @@ UNKNOWN_PARTNER = {"alpha": 0, "beta": 1, "region": [[0.0, 1.0]], "map": {"matri
         (one_chart_spec(box=[[1.0, 1.0]]), "empty box"),
         (one_chart_spec(center=[9]), "center index out of range"),
         (one_chart_spec(overlaps=[UNKNOWN_PARTNER]), "overlap 0 references an unknown chart"),
+        # integer fields are not truncated: 33.7 nodes is no grid, "7" no index
+        (one_chart_spec(resolution=[33.7], center=[16]), "resolution must be an integer, got 33.7"),
+        (one_chart_spec(resolution=[33], center=[16.9]), "center must be an integer, got 16.9"),
+        (one_chart_spec(center="7"), "center must be an integer, got '7'"),
+        (one_chart_spec(dim=1.9), "dim must be an integer, got 1.9"),
+        (one_chart_spec(overlaps=[{**UNKNOWN_PARTNER, "alpha": 0.5}]), "alpha must be an integer"),
+        (one_chart_spec(overlaps=[{**UNKNOWN_PARTNER, "beta": True}]), "beta must be an integer"),
     ],
-    ids=["no charts", "dim 3", "chart dim", "low resolution", "empty box", "center", "unknown chart"],
+    ids=[
+        "no charts", "dim 3", "chart dim", "low resolution", "empty box", "center", "unknown chart",
+        "fractional resolution", "fractional center", "string center", "fractional dim",
+        "fractional alpha", "boolean beta",
+    ],
 )
 def test_invalid_manifold_spec_rejected(spec, match):
     with pytest.raises(InputError, match=match):
         build_manifold(spec)
+
+
+def test_integral_floats_read_as_integers():
+    m = build_manifold(one_chart_spec(dim=1.0, resolution=[33.0], center=[16.0]))
+    assert (m.dim, m.charts[0].resolution, m.charts[0].center) == (1, (33,), (16,))
+    assert all(type(i) is int for i in m.charts[0].resolution + m.charts[0].center)
 
 
 def three_chart_interval_spec(shift: float = 0.0) -> dict:
