@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import LieAlgebra, automorphism_residuals, inner_verdicts
+# nothing here calls is_inner; the name stays bound for perfbench, whose self-test reads it
+from .algebra import LieAlgebra, automorphism_residuals, inner_verdicts, is_inner  # noqa: F401
 from .errors import InputError
 from .manifolds import (
     ChartedManifold,
@@ -72,13 +73,11 @@ class Trivialization:
 
 
 def reference_trivialization(algebra: LieAlgebra, manifold: ChartedManifold) -> Trivialization:
-    """The identity-frame structure (the bundle's own ambient coordinates)."""
+    """The identity-frame structure (the bundle's own ambient coordinates);
+    Trivialization copies the broadcast identity grids."""
     n = algebra.dim
-    frames = [
-        np.broadcast_to(np.eye(n), chart.resolution + (n, n)).copy()
-        for chart in manifold.charts
-    ]
-    return Trivialization(algebra, manifold, tuple(frames))
+    frames = tuple(np.broadcast_to(np.eye(n), chart.resolution + (n, n)) for chart in manifold.charts)
+    return Trivialization(algebra, manifold, frames)
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,11 @@ class DeltaReport:
     max_aut_residual: float = 0.0
 
     def counts(self) -> dict:
-        return {k: sum(getattr(x, k) for x in self.groups) for k in ("inner", "outer", "undecided")}
+        return {
+            "inner": sum(x.inner for x in self.groups),
+            "outer": sum(x.outer for x in self.groups),
+            "undecided": sum(x.undecided for x in self.groups),
+        }
 
 
 def _verdict_sweep(
@@ -224,12 +227,13 @@ def _verdict_sweep(
     return VerdictGroup(scope, peak(resid[inner]), int(inner.sum()), int(outer.sum()), int(undecided.sum()), aut)
 
 
-def _delta_report(groups: list | None = None, max_aut: float = math.inf, passed: bool = True) -> DeltaReport:
+# The report of a sweep that did not run: FAIL, with residuals +inf.
+UNSWEPT = DeltaReport(False, False, (), math.inf, math.inf)
+
+
+def _delta_report(groups: list, max_aut: float, passed: bool) -> DeltaReport:
     """A sweep's report from its verdict groups: passed when `passed` holds and
-    every ratio was certified inner.  Without groups, the report of a sweep
-    that did not run: FAIL, with residuals +inf."""
-    if groups is None:
-        return DeltaReport(False, False, (), math.inf, math.inf)
+    every ratio was certified inner."""
     passed = passed and all(x.outer == 0 and x.undecided == 0 for x in groups)
     undecided = any(x.undecided for x in groups)
     max_res = peak([x.max_inner_residual for x in groups])
@@ -246,14 +250,16 @@ def check_delta_continuity(
     ALG_TOL) anywhere fails the sweep with residuals +inf, and nothing is
     inverted."""
     if any(_singular(grid).any() for grid in t.frames):
-        return _delta_report()
+        return UNSWEPT
     g = t.algebra
-    groups = [
-        _verdict_sweep(g, grid, (np.zeros(1, int), np.arange(grid.size // g.dim**2)),
-                       f"overlap {k} ({o.alpha}->{o.beta})", inner_tol, lab_tol)
-        for k, (o, grid) in enumerate(zip(t.manifold.overlaps, t.transitions))
-    ]
-    return _delta_report(groups, peak([x.max_aut_residual for x in groups]))
+    groups = []
+    for k, o in enumerate(t.manifold.overlaps):
+        grid = t.transitions[k]
+        star = (np.zeros(1, int), np.arange(grid.size // g.dim**2))
+        groups.append(
+            _verdict_sweep(g, grid, star, f"overlap {k} ({o.alpha}->{o.beta})", inner_tol, lab_tol)
+        )
+    return _delta_report(groups, peak([x.max_aut_residual for x in groups]), True)
 
 
 def _snake_edges(shape: tuple) -> tuple:

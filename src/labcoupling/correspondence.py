@@ -20,8 +20,8 @@ from .algebra import automorphism_residuals
 from .bundles import (
     DeltaReport,
     LabReport,
+    UNSWEPT,
     Trivialization,
-    _delta_report,
     check_delta_continuity,
     reference_trivialization,
     trivializations_equivalent,
@@ -178,7 +178,7 @@ def f_map(
     out = Trivialization(c.algebra, c.manifold, tuple(frames))
     lab = validate_lab(out, tol=aut_tol)
     if not lab.passed:  # a structure outside LAB is not swept: nothing is certified
-        return FMapResult(out, lab, _delta_report())
+        return FMapResult(out, lab, UNSWEPT)
     delta = check_delta_continuity(out, inner_tol=inner_tol, lab_tol=aut_tol)
     return FMapResult(out, lab, delta)
 
