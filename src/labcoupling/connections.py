@@ -25,7 +25,6 @@ from .manifolds import (
     directional,
     grid_derivative,
     grid_partials,
-    interpolate,
     overlap_pair,
 )
 from .tolerances import ACC_TOL, ALG_TOL, GAUGE_TOL, peak
@@ -227,12 +226,5 @@ def coupling_equivalent(
 
 def pullback_connection(c: ConnectionForm, f: ManifoldMap) -> ConnectionForm:
     """omega'_i(p) = sum_j J_ji omega_j(f(p)) over the pulled-back bundle."""
-    new_bundle = pullback_lab(c.bundle, f)
-    m = c.manifold
-    omega = []
-    for cid, chart in enumerate(f.source.charts):
-        asg = f.assignments[cid]
-        pts = asg.apply(chart.grid_points())
-        w_target = interpolate(m.charts[asg.target_chart], c.omega[asg.target_chart], pts)
-        omega.append(np.einsum("ji,...jab->...iab", asg.matrix, w_target))
-    return ConnectionForm(new_bundle, tuple(omega))
+    omega = (np.einsum("ji,...jab->...iab", asg.matrix, w) for asg, w in zip(f.assignments, f.pull(c.omega)))
+    return ConnectionForm(pullback_lab(c.bundle, f), tuple(omega))

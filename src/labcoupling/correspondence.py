@@ -339,14 +339,6 @@ def verify_inverse(
 
 # --- loop transport (holonomy around circle-like fixtures) --------------------
 
-def coordinate_change_at(t: Trivialization, overlap_index: int, point: np.ndarray) -> np.ndarray:
-    """Section-coordinate change alpha -> beta at one alpha point."""
-    o = t.manifold.overlaps[overlap_index]
-    f_alpha = interpolate(t.manifold.charts[o.alpha], t.frames[o.alpha], point[None, :])[0]
-    f_beta = interpolate(t.manifold.charts[o.beta], t.frames[o.beta], o.apply(point[None, :]))[0]
-    return np.linalg.inv(f_beta) @ f_alpha
-
-
 def loop_transport(c: ConnectionForm) -> np.ndarray:
     """Transport around the closed cycle of charts along the first axis
     (circle and cylinder covers), in ODE_STEPS steps per leg, switching
@@ -376,6 +368,7 @@ def loop_transport(c: ConnectionForm) -> np.ndarray:
         switch = current.copy()
         switch[0] = 0.5 * (o.region[0, 0] + o.region[0, 1])
         total = _transport(c, Path(cid, current, switch, ODE_STEPS)) @ total
-        total = coordinate_change_at(c.bundle, k, switch) @ total
+        f_alpha, f_beta = c.bundle.frames_at(k, switch[None, :])
+        total = np.linalg.inv(f_beta[0]) @ f_alpha[0] @ total
         current = o.apply(switch[None, :])[0]
     return _transport(c, Path(order[0], current, start, ODE_STEPS)) @ total

@@ -18,7 +18,7 @@ from .algebra import LieAlgebra
 from .bundles import Trivialization
 from .connections import ConnectionForm
 from .errors import InputError
-from .manifolds import ChartedManifold, build_manifold
+from .manifolds import ChartedManifold, _integer, build_manifold
 
 
 def _load(ref, cls, kind: str, fixture, make):
@@ -60,7 +60,7 @@ def algebra_to_dict(g: LieAlgebra) -> dict:
 def load_algebra(ref) -> LieAlgebra:
     return _load(
         ref, LieAlgebra, "algebra", fixtures.algebra,
-        lambda d: LieAlgebra(str(d["name"]), int(d["dim"]), np.asarray(d["c"], dtype=float)),
+        lambda d: LieAlgebra(str(d["name"]), _integer(d["dim"], "dim"), np.asarray(d["c"], dtype=float)),
     )
 
 

@@ -128,6 +128,9 @@ def build_manifold(spec: dict, name: str = "") -> ChartedManifold:
     for idx, chart in enumerate(charts):
         if chart.dim != dim:
             raise InputError(f"chart {idx} has dim {chart.dim}, expected {dim}")
+        _check_shape(f"chart {idx} box", chart.box, (dim, 2))
+        _check_shape(f"chart {idx} resolution", chart.resolution, (dim,))
+        _check_shape(f"chart {idx} center", chart.center, (dim,))
         if any(r < MIN_RESOLUTION for r in chart.resolution):
             raise InputError(f"chart {idx} resolution below {MIN_RESOLUTION}")
         if np.any(chart.box[:, 1] <= chart.box[:, 0]):
@@ -141,14 +144,23 @@ def build_manifold(spec: dict, name: str = "") -> ChartedManifold:
 
 
 def _integer(value, field: str) -> int:
-    """An integer field of a chart or manifold spec: an int, or a float with an integral value."""
+    """An integer field of an input file: an int, or a float with an integral value."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer, float)) or value % 1 != 0:
         raise InputError(f"{field} must be an integer, got {value!r}")
     return int(value)
 
 
+def _check_shape(what: str, value, expected: tuple) -> None:
+    """An InputError unless the array field ``what`` has the shape ``expected``."""
+    if np.shape(value) != expected:
+        raise InputError(f"{what} has shape {np.shape(value)}, expected {expected}")
+
+
 def _validate_overlaps(m: ChartedManifold) -> None:
     for k, o in enumerate(m.overlaps):
+        _check_shape(f"overlap {k} region", o.region, (m.dim, 2))
+        _check_shape(f"overlap {k} matrix", o.matrix, (m.dim, m.dim))
+        _check_shape(f"overlap {k} offset", o.offset, (m.dim,))
         if not (0 <= o.alpha < len(m.charts) and 0 <= o.beta < len(m.charts)):
             raise InputError(f"overlap {k} references an unknown chart")
         corners = np.array(list(itertools.product(*o.region)))
@@ -507,6 +519,14 @@ class ManifoldMap:
                 raise InputError(
                     f"image of source chart {cid} leaves target chart {asg.target_chart}"
                 )
+
+    def pull(self, field) -> list:
+        """A per-chart field of the target read at the image of every source
+        node: one grid per source chart, interpolated in its target chart."""
+        return [
+            interpolate(self.target.charts[asg.target_chart], field[asg.target_chart], asg.apply(chart.grid_points()))
+            for chart, asg in zip(self.source.charts, self.assignments)
+        ]
 
 
 def identity_map(m: ChartedManifold) -> ManifoldMap:

@@ -2,6 +2,7 @@
 equivalence, and pullback."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -90,26 +91,37 @@ def test_cocycle_is_compared_on_every_triple_overlap_node(monkeypatch):
     monkeypatch.setattr(bundles, "interpolate", counted)
     rep = validate_lab(t)
     assert rep.passed and rep.max_cocycle_residual <= 1e-12
-    # six orderings of the three charts, each sampling two transitions on
-    # the five nodes of [1, 2]
-    assert queried == [5] * 12
+    # six orderings of the three charts, each forming three legs from two
+    # frames read on the five nodes of [1, 2]
+    assert queried == [5] * 36
 
 
-def test_cocycle_check_embeds_each_transition_grid_once(monkeypatch):
-    m = build_manifold(three_chart_interval_spec())
-    t = reference_trivialization(fx.algebra("so3"), m)
-    embedded = []
-    embed_on_chart = bundles._embed_on_chart
+def offset_interval_spec(offsets: tuple, resolution: int) -> dict:
+    """[0, 2] charts at the given global offsets, each pair glued by the
+    translation on the part they share."""
+    overlaps = []
+    for a, b in itertools.permutations(range(len(offsets)), 2):
+        d = offsets[b] - offsets[a]
+        region = [[max(0.0, d), min(2.0, 2.0 + d)]]
+        overlaps.append({"alpha": a, "beta": b, "region": region, "map": {"matrix": [[1.0]], "offset": [-d]}})
+    chart = {"box": [[0.0, 2.0]], "resolution": [resolution], "center": [resolution // 2]}
+    return {"dim": 1, "charts": [chart] * len(offsets), "overlaps": overlaps}
 
-    def counted(t, overlap_index, grid):
-        embedded.append(overlap_index)
-        return embed_on_chart(t, overlap_index, grid)
 
-    monkeypatch.setattr(bundles, "_embed_on_chart", counted)
-    assert validate_lab(t).passed
-    # the 12 second and third legs of the six triples use each of the six
-    # overlaps, and each is embedded into its alpha chart only once
-    assert sorted(embedded) == list(range(len(m.overlaps)))
+@pytest.mark.parametrize("resolution", [33, 65, 129])
+def test_cocycle_of_constant_frames_holds_with_overlap_edges_off_the_nodes(resolution):
+    # charts at 0, 0.53 and 1.01: no overlap edge is a node, so a transition
+    # grid padded with the identity once read 0.820, 1.009 and 0.441 here
+    g = fx.algebra("so3")
+    m = build_manifold(offset_interval_spec((0.0, 0.53, 1.01), resolution))
+    steps = [e / m.charts[0].spacing[0] for o in m.overlaps for e in o.region[0] if 0.0 < e < 2.0]
+    assert len(steps) == 6 and all(abs(x - round(x)) > 1e-6 for x in steps)
+    frames = tuple(
+        np.broadcast_to(scipy.linalg.expm(theta * ad(g, np.array([0.0, 0.0, 1.0]))), chart.resolution + (3, 3)).copy()
+        for theta, chart in zip((0.0, 0.7, 1.9), m.charts)
+    )
+    rep = validate_lab(Trivialization(g, m, frames))
+    assert rep.passed and rep.max_cocycle_residual <= 1e-15
 
 
 def test_validate_lab_builds_each_transition_grid_once(monkeypatch):

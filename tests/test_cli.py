@@ -394,6 +394,29 @@ def test_check_delta_on_a_fractional_resolution_exits_3(capsys, tmp_path):
     assert out == "" and "resolution must be an integer, got 33.7" in err
 
 
+def test_validate_lab_on_a_second_resolution_axis_exits_3(capsys, tmp_path):
+    # a 1-D chart with resolution [33, 33] and frames on that grid once PASSed
+    data = fileio.bundle_to_dict(reference_trivialization(fx.algebra("so3"), fx.manifold("interval1")))
+    data["manifold"]["charts"][0]["resolution"] = [33, 33]
+    data["frames"] = [np.broadcast_to(np.eye(3), (33, 33, 3, 3)).tolist()]
+    path = tmp_path / "two_axes.json"
+    path.write_text(json.dumps(data))
+    assert cli.run(["validate-lab", "--bundle", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "chart 0 resolution has shape (2,), expected (1,)" in err
+
+
+@pytest.mark.parametrize("dim", [3.7, True, "3"])
+def test_validate_algebra_on_a_non_integer_dim_exits_3(capsys, tmp_path, dim):
+    # 3.7 once loaded as 3 and true as 1
+    data = {**fileio.algebra_to_dict(fx.algebra("so3")), "dim": dim}
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(data))
+    assert cli.run(["validate-algebra", "--algebra", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and f"dim must be an integer, got {dim!r}" in err
+
+
 def _singular_frame_bundle(node: int) -> dict:
     """circle2_so3_twisted with the zero matrix as chart 0's frame at one node
     (node 0 lies in an overlap region, node 16 in none)."""

@@ -16,14 +16,17 @@ from labcoupling.algebra import ad, unit_vector
 from labcoupling.bundles import (
     DeltaReport,
     Trivialization,
+    pullback_lab,
     reference_trivialization,
     trivializations_equivalent,
+    validate_lab,
 )
 from labcoupling.connections import (
     ConnectionForm,
     accordance,
     apply_connection,
     coupling_equivalent,
+    pullback_connection,
     shift_by_inner,
     validate_connection,
 )
@@ -39,6 +42,7 @@ from labcoupling.errors import InputError, PreconditionError
 from labcoupling.manifolds import (
     Path,
     build_manifold,
+    constant_map,
     grid_derivative,
     interpolate,
     partition_of_unity,
@@ -46,6 +50,8 @@ from labcoupling.manifolds import (
     ray_path,
     region_slices,
 )
+from tests.test_bundles import degree2_circle_map
+from tests.test_fixtures import digest
 
 SO3 = fx.algebra("so3")
 K = ad(SO3, unit_vector(3, 2))
@@ -286,6 +292,59 @@ def test_abelian_loop_transport_has_non_inner_holonomy():
     hol = loop_transport(c)
     expected = scipy.linalg.expm(-np.diag([0.25, -0.4]))
     assert np.abs(hol - expected).max() <= 1e-8
+
+
+# --- cross-chart reads ------------------------------------------------------------
+# validate_lab on every fixture bundle at refine 1 and 2, loop_transport on the
+# loop covers, and both pullbacks along the doubling map and a constant map,
+# pinned by the SHA-256 digest of tests/test_fixtures.py.  After an intended
+# change, print a fresh table with ``PYTHONPATH=src python -m tests.test_correspondence``.
+CROSS_CHART_CASES = (
+    [f"lab {name} {refine}" for name in fx.BUNDLE_NAMES for refine in (1, 2)]
+    + [f"loop {name}" for name in ("circle2_so3_twisted", "cyl2_so3_twisted", "circle2_abelian2_flat")]
+    + [f"pull {name} {f}" for name in ("circle2_so3_twisted", "circle2_abelian2_flat") for f in ("degree2", "constant")]
+)
+
+CROSS_CHART_DIGESTS = {
+    "lab circle2_so3_twisted 1": "3ee9e9a815b106963eba38ec209021fecca9f55a57727e464c9d061be1758ce1",
+    "lab circle2_so3_twisted 2": "a95e0545c7702fb5f8b46013edd964e367fa8a1700b6bb246fd9c1563d9cbc29",
+    "lab cyl2_so3_twisted 1": "3ee9e9a815b106963eba38ec209021fecca9f55a57727e464c9d061be1758ce1",
+    "lab cyl2_so3_twisted 2": "a95e0545c7702fb5f8b46013edd964e367fa8a1700b6bb246fd9c1563d9cbc29",
+    "lab circle2_abelian2_twisted 1": "b668c416cdbf82c37544d5831968a42a87cb49c02c4e10331ed8a9f2ba5aeaf8",
+    "lab circle2_abelian2_twisted 2": "b668c416cdbf82c37544d5831968a42a87cb49c02c4e10331ed8a9f2ba5aeaf8",
+    "lab circle2_abelian2_varying 1": "b668c416cdbf82c37544d5831968a42a87cb49c02c4e10331ed8a9f2ba5aeaf8",
+    "lab circle2_abelian2_varying 2": "b668c416cdbf82c37544d5831968a42a87cb49c02c4e10331ed8a9f2ba5aeaf8",
+    "lab disk2d_so3_bilinear 1": "23b81ab2847a7dba830efd9e0e5267418a432f50eec65761b6b33a59305e9d16",
+    "lab disk2d_so3_bilinear 2": "23b81ab2847a7dba830efd9e0e5267418a432f50eec65761b6b33a59305e9d16",
+    "lab cyl2_heis3_drift 1": "753ef51518f7bdc7dd4f48adea4e2ddae86bcfe6a2f6255a57a15d03879d8a88",
+    "lab cyl2_heis3_drift 2": "753ef51518f7bdc7dd4f48adea4e2ddae86bcfe6a2f6255a57a15d03879d8a88",
+    "lab interval3_so3_twisted 1": "bc8a959cc942c3aeccead75fba6b491c9b8a323dd66a3810edf3214e17b49500",
+    "lab interval3_so3_twisted 2": "a34d930bafbd3706fdd89539f14f0004449c98a8e81dddb4da0fdc6c2be4adae",
+    "loop circle2_so3_twisted": "9e3db499a4b5b8cf79b94bbd21ecda26515b30a56118d1f76de23147b62f40b7",
+    "loop cyl2_so3_twisted": "9e3db499a4b5b8cf79b94bbd21ecda26515b30a56118d1f76de23147b62f40b7",
+    "loop circle2_abelian2_flat": "1be2f39415ea0839c5b7145246a2e5e85907314a4572912ad1bb37d59f5b664e",
+    "pull circle2_so3_twisted degree2": "197065ff218e9f61f00a953921abf8edba70d546b013eda9dbdb4f99c99eebbb",
+    "pull circle2_so3_twisted constant": "f0beaf51c764ff6db702643a9f8e362e807d90905eeb9b45dd1f7ba0f4cdd8de",
+    "pull circle2_abelian2_flat degree2": "a3831c2dd415f758de12d0c24e546586f986301409cce1735cb8b4f0e901f3c2",
+    "pull circle2_abelian2_flat constant": "26e55f7cfeabb17bebdced327f7d4ad2dcc96e6b2f173f104a215b013df341d2",
+}
+
+
+def cross_chart_arrays(case: str) -> list:
+    kind, name, *arg = case.split()
+    if kind == "lab":
+        rep = validate_lab(fx.bundle(name, int(arg[0])))
+        return [np.array([rep.passed]), np.array(list(rep.residuals().values()))]
+    c = fx.connection(name)
+    if kind == "loop":
+        return [loop_transport(c)]
+    f = degree2_circle_map() if arg == ["degree2"] else constant_map(fx.manifold("circle4"), c.manifold, 0, [0.25])
+    return [*pullback_lab(c.bundle, f).frames, *pullback_connection(c, f).omega]
+
+
+@pytest.mark.parametrize("case", CROSS_CHART_CASES)
+def test_cross_chart_reads_match_their_digest(case):
+    assert digest(cross_chart_arrays(case)) == CROSS_CHART_DIGESTS[case]
 
 
 # --- f_map -----------------------------------------------------------------------
@@ -677,3 +736,8 @@ def test_coupling_and_structure_equivalence_agree_on_a_shifted_abelian_pair():
 def test_round_trip_requires_exactly_one_input():
     with pytest.raises(InputError):
         verify_inverse()
+
+
+if __name__ == "__main__":
+    for case in CROSS_CHART_CASES:
+        print(f'    "{case}": "{digest(cross_chart_arrays(case))}",')

@@ -22,6 +22,11 @@ def test_algebra_file_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.c, g.c)
 
 
+def test_integral_float_algebra_dim_reads_as_an_integer():
+    loaded = fileio.load_algebra({**fileio.algebra_to_dict(fx.algebra("so3")), "dim": 3.0})
+    assert type(loaded.dim) is int and loaded.dim == 3
+
+
 def test_manifold_file_roundtrip(tmp_path):
     m = fx.manifold("circle2")
     path = tmp_path / "circle2.json"

@@ -104,11 +104,29 @@ UNKNOWN_PARTNER = {"alpha": 0, "beta": 1, "region": [[0.0, 1.0]], "map": {"matri
         (one_chart_spec(dim=1.9), "dim must be an integer, got 1.9"),
         (one_chart_spec(overlaps=[{**UNKNOWN_PARTNER, "alpha": 0.5}]), "alpha must be an integer"),
         (one_chart_spec(overlaps=[{**UNKNOWN_PARTNER, "beta": True}]), "beta must be an integer"),
+        # every array matches dim: a third box column is not dropped, a second
+        # resolution is not a 2-D grid under a 1-D box
+        (one_chart_spec(box=[[0.0, 1.0, 5.0]]), r"chart 0 box has shape \(1, 3\), expected \(1, 2\)"),
+        (one_chart_spec(resolution=[33, 33], center=[16]), r"chart 0 resolution has shape \(2,\), expected \(1,\)"),
+        (one_chart_spec(center=[4, 4]), r"chart 0 center has shape \(2,\), expected \(1,\)"),
+        (
+            one_chart_spec(overlaps=[{**UNKNOWN_PARTNER, "region": [[0.0, 1.0]] * 2}]),
+            r"overlap 0 region has shape \(2, 2\), expected \(1, 2\)",
+        ),
+        (
+            one_chart_spec(overlaps=[{**UNKNOWN_PARTNER, "map": {"matrix": np.eye(2).tolist(), "offset": [0.0]}}]),
+            r"overlap 0 matrix has shape \(2, 2\), expected \(1, 1\)",
+        ),
+        (
+            one_chart_spec(overlaps=[{**UNKNOWN_PARTNER, "map": {"matrix": [[1.0]], "offset": [0.0, 0.0]}}]),
+            r"overlap 0 offset has shape \(2,\), expected \(1,\)",
+        ),
     ],
     ids=[
         "no charts", "dim 3", "chart dim", "low resolution", "empty box", "center", "unknown chart",
         "fractional resolution", "fractional center", "string center", "fractional dim",
-        "fractional alpha", "boolean beta",
+        "fractional alpha", "boolean beta", "box columns", "resolution length", "center length",
+        "region shape", "matrix shape", "offset length",
     ],
 )
 def test_invalid_manifold_spec_rejected(spec, match):
