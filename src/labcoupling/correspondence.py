@@ -36,6 +36,7 @@ from .manifolds import (
     interpolate,
     overlap_nodes,
     partition_of_unity,
+    _interpolate_axes,
 )
 from .tolerances import (
     ACC_TOL,
@@ -55,44 +56,49 @@ class TransportResult:
     ode_steps: int
 
 
-def _transport(c: ConnectionForm, path: Path) -> np.ndarray:
+def _transport(c: ConnectionForm, chart_id: int, start, ends, steps: int) -> np.ndarray:
     """Solve T' = A(t) T, T(0) = I, with A(t) = -sum_i v^i w_i(start + t v)
-    and v = end - start, by classical RK4 in ``path.steps`` uniform steps,
-    batched over the leading axes of ``path.end``.  A step's end value of A
-    is the next step's start value, and a step's two new values (at
-    t0 + dt/2 and t0 + dt) come from one interpolation of a stacked
-    (2, ..., dim) point batch, so a solve makes steps + 1 interpolate calls
+    and v = end - start, by classical RK4 in ``steps`` uniform steps, for a
+    fan of segments from one start.  ``ends`` holds the fan's end points per
+    axis: ends[a] are their axis-a coordinates, arrays that broadcast
+    against each other to the fan shape, so a chart's open mesh (np.ix_ of
+    its axis nodes) is the fan to every node.
+
+    A stage's sample points start[a] + t v_a stay per axis, at each
+    array's own size, and go to the interpolation kernel as they are.  A
+    step's end value of A is the next step's start value, and a step's two
+    new values (at t0 + dt/2 and t0 + dt) come from one kernel call on
+    (2, ...) coordinate arrays, so a solve makes steps + 1 kernel calls
     covering the 2 steps + 1 stage times.  A chart box is convex: checking
-    the two endpoints keeps every sample inside it.
+    the start and the ends keeps every sample inside it.
 
     The state, the stage buffers and every form value are held as
     contiguous (n, n, N) arrays over the N batched segments, where one
     einsum product per stage runs about 3x faster than np.matmul over
-    (N, n, n); the result has shape path.end.shape[:-1] + (n, n)."""
-    chart = c.manifold.charts[path.chart_id]
-    start = np.asarray(path.start, dtype=float)
-    end = np.asarray(path.end, dtype=float)
-    if start.shape != (chart.dim,) or end.shape[-1:] != (chart.dim,):
+    (N, n, n); the result has shape fan shape + (n, n)."""
+    chart = c.manifold.charts[chart_id]
+    start = np.asarray(start, dtype=float)
+    ends = [np.asarray(e, dtype=float) for e in ends]
+    if start.shape != (chart.dim,) or len(ends) != chart.dim:
         raise InputError(
             f"a path in a {chart.dim}-D chart needs a start of shape ({chart.dim},) "
-            f"and ends of shape (..., {chart.dim}), got {start.shape} and {end.shape}"
+            f"and {chart.dim} end coordinates, got {start.shape} and {len(ends)}"
         )
-    if not isinstance(path.steps, (int, np.integer)) or isinstance(path.steps, bool):
-        raise InputError(f"a path's step count must be an integer, got {path.steps!r}")
-    if not (chart.contains(start) and chart.contains(end)):
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
+        raise InputError(f"a path's step count must be an integer, got {steps!r}")
+    if not (chart.contains(start) and chart.contains_axes(ends)):
         raise InputError("path leaves its chart")
-    if path.steps < 1:
+    if steps < 1:
         raise InputError("a path needs at least one step")
-    omega = np.ascontiguousarray(c.omega[path.chart_id])
-    v = end - start
+    omega = np.ascontiguousarray(c.omega[chart_id])
+    rows = [e - s for e, s in zip(ends, start)]
+    v = np.stack(np.broadcast_arrays(*rows), axis=-1)
     n = c.algebra.dim
-    # sample points start[a] + t v[a] as per-axis rows, stage times on axis 1
-    origin = start.reshape((-1,) + (1,) * v.ndim)
-    rows = np.moveaxis(v, -1, 0)[:, None]
 
     def forms(*times: float) -> list:
+        # stage times on a new leading axis of every coordinate array
         t = np.array(times).reshape((-1,) + (1,) * (v.ndim - 1))
-        w = interpolate(chart, omega, np.moveaxis(origin + t * rows, 0, -1))
+        w = _interpolate_axes(chart, omega, [s + t * row for s, row in zip(start, rows)])
         out = []
         for w_t in w:
             a = np.einsum("...i,...iab->...ab", v, w_t).reshape(-1, n, n)
@@ -104,8 +110,8 @@ def _transport(c: ConnectionForm, path: Path) -> np.ndarray:
     (a1,) = forms(0.0)
     t_mats = np.broadcast_to(np.eye(n)[..., None], a1.shape).copy()
     k1, k2, k3, k4, y = (np.empty_like(t_mats) for _ in range(5))
-    dt = 1.0 / path.steps
-    for s in range(path.steps):
+    dt = 1.0 / steps
+    for s in range(steps):
         t0 = s * dt
         a0, (a_mid, a1) = a1, forms(t0 + 0.5 * dt, t0 + dt)
         # k_{j+1} = A (T + h k_j), with T + h k_j formed in y as h k_j + T
@@ -134,7 +140,9 @@ def parallel_transport(c: ConnectionForm, path: Path) -> TransportResult:
     """Solve T' = -w(gamma')(gamma) T, T(0) = I along a straight chart
     segment; the result is an automorphism up to integrator error because
     the form is pointwise a bracket derivation."""
-    t_mat = _transport(c, path)
+    end = np.asarray(path.end, dtype=float)
+    columns = np.moveaxis(end, -1, 0) if end.ndim else ()  # the ends per axis
+    t_mat = _transport(c, path.chart_id, path.start, columns, path.steps)
     res = float(automorphism_residuals(c.algebra, t_mat))
     return TransportResult(t_mat, res, path.steps)
 
@@ -154,6 +162,26 @@ class FMapResult:
         return self.lab_report.passed and self.delta.passed
 
 
+def _ray_frames(c: ConnectionForm, ode_steps: int, acc_tol: float) -> Trivialization:
+    """The structure f(C) before its checks: after the accordance
+    precondition, each chart's frames are the bundle's frame at the chart
+    center times the transports along the fan of rays from the center to
+    the chart's open mesh of nodes."""
+    result = accordance(c, tol=acc_tol)
+    if not result.passed:
+        raise PreconditionError(
+            f"not a coupling: accordance residual {result.max_residual:.3e} > {acc_tol:.1e}"
+        )
+    frames = []
+    for cid, chart in enumerate(c.manifold.charts):
+        mesh = np.ix_(*(chart.axis_nodes(a) for a in range(chart.dim)))
+        frame = c.bundle.frames[cid] @ _transport(c, cid, chart.node_point(chart.center), mesh, ode_steps)
+        if not np.isfinite(frame).all():
+            raise ComputationError(f"ray transport in chart {cid} is not finite")
+        frames.append(frame)
+    return Trivialization(c.algebra, c.manifold, tuple(frames))
+
+
 def f_map(
     c: ConnectionForm,
     ode_steps: int = ODE_STEPS,
@@ -163,19 +191,7 @@ def f_map(
 ) -> FMapResult:
     """Coupling -> structure: frames are ray transports composed with the
     bundle's frame at the chart center."""
-    result = accordance(c, tol=acc_tol)
-    if not result.passed:
-        raise PreconditionError(
-            f"not a coupling: accordance residual {result.max_residual:.3e} > {acc_tol:.1e}"
-        )
-    frames = []
-    for cid, chart in enumerate(c.manifold.charts):
-        rays = Path(cid, chart.node_point(chart.center), chart.grid_points(), ode_steps)
-        frame = c.bundle.frames[cid] @ _transport(c, rays)
-        if not np.isfinite(frame).all():
-            raise ComputationError(f"ray transport in chart {cid} is not finite")
-        frames.append(frame)
-    out = Trivialization(c.algebra, c.manifold, tuple(frames))
+    out = _ray_frames(c, ode_steps, acc_tol)
     lab = validate_lab(out, tol=aut_tol)
     if not lab.passed:  # a structure outside LAB is not swept: nothing is certified
         return FMapResult(out, lab, UNSWEPT)
@@ -308,19 +324,21 @@ def verify_inverse(
         c = g_map(t, h, inner_tol=inner_tol)
         f_c = f(c)
     g_f_c = g_map(f_c.trivialization, h, check=False)
+    # g(T) is g(f(C)) from a connection and C itself from a structure
     if from_connection:
         t = f_c.trivialization
-    # g(T) is g(f(C)) from a connection and C itself from a structure
-    f_g_t = f(g_f_c) if from_connection else f_c
+        # of f(g(T)) only its frames and validate_lab are read: no verdict sweep
+        f_g_t = _ray_frames(g_f_c, ode_steps, coupling_tol)
+        f_g_t_lab = validate_lab(f_g_t, tol=TRANS_TOL)
+    else:
+        f_g_t, f_g_t_lab = f_c.trivialization, f_c.lab_report
     eq = coupling_equivalent(g_f_c, c, tol=coupling_tol)
-    back_eq = trivializations_equivalent(
-        f_g_t.trivialization, t, inner_tol=inner_tol, aut_tol=ROUNDTRIP_AUT_TOL
-    )
+    back_eq = trivializations_equivalent(f_g_t, t, inner_tol=inner_tol, aut_tol=ROUNDTRIP_AUT_TOL)
     # both structures compared must be in LAB; a structure T given as input passed g_map's check
     labs = {"T = f(C)": f_c.lab_report} if from_connection else {}
     failed = [
         f"{name} fails validate_lab: residual {max(lab.residuals().values()):.3e} at {lab.worst}"
-        for name, lab in {**labs, "f(g(T))": f_g_t.lab_report}.items()
+        for name, lab in {**labs, "f(g(T))": f_g_t_lab}.items()
         if not lab.passed
     ]
     directions = {
@@ -367,8 +385,8 @@ def loop_transport(c: ConnectionForm) -> np.ndarray:
             raise InputError(f"no forward overlap from chart {cid} along axis 0")
         switch = current.copy()
         switch[0] = 0.5 * (o.region[0, 0] + o.region[0, 1])
-        total = _transport(c, Path(cid, current, switch, ODE_STEPS)) @ total
+        total = _transport(c, cid, current, switch, ODE_STEPS) @ total
         f_alpha, f_beta = c.bundle.frames_at(k, switch[None, :])
         total = np.linalg.inv(f_beta[0]) @ f_alpha[0] @ total
         current = o.apply(switch[None, :])[0]
-    return _transport(c, Path(order[0], current, start, ODE_STEPS)) @ total
+    return _transport(c, order[0], current, start, ODE_STEPS) @ total

@@ -9,6 +9,7 @@ circles, and cylinders while keeping every transition formula exact.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +57,21 @@ class Chart:
         return np.stack(mesh, axis=-1)
 
     def contains(self, points: np.ndarray) -> bool:
-        """Whether every point of a (..., dim) batch lies in the box, with a
-        1e-9 margin; an empty batch passes and a NaN coordinate fails.  The
-        box is axis-aligned, so per-axis column extremes decide it, at a
-        third of the cost of a pointwise mask (a min over axis 0 costs more)."""
-        pts = np.asarray(points, dtype=float).reshape(-1, self.dim)
+        """Whether every point of a (..., dim) batch lies in the box: the
+        rule of contains_axes on the batch's coordinate columns."""
+        return self.contains_axes(np.asarray(points, dtype=float).reshape(-1, self.dim).T)
+
+    def contains_axes(self, coords) -> bool:
+        """Whether every point whose axis-a coordinates are coords[a] (arrays
+        that broadcast against each other) lies in the box, with a 1e-9
+        margin; an empty batch (some array is empty) passes and a NaN
+        coordinate fails.  The box is axis-aligned and a non-empty broadcast
+        reads every element of every array, so each array's own extremes
+        decide it, at that array's size (a third of the cost of a pointwise
+        mask on a column)."""
         lo, hi = self.box[:, 0] - 1e-9, self.box[:, 1] + 1e-9
-        return not len(pts) or all(
-            pts[:, a].min() >= lo[a] and pts[:, a].max() <= hi[a] for a in range(self.dim)
+        return not all(np.size(t) for t in coords) or all(
+            np.min(t) >= lo[a] and np.max(t) <= hi[a] for a, t in enumerate(coords)
         )
 
 
@@ -301,7 +309,20 @@ def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndar
     """Multilinear interpolation of a gridded field at arbitrary chart points.
 
     values has shape (*resolution, *value_shape); points (..., dim).  Points
-    may sit on the box boundary; anything outside raises InputError.
+    may sit on the box boundary; anything outside raises InputError.  This
+    is _interpolate_axes on the coordinate columns of the points.
+    """
+    points = np.asarray(points, dtype=float)
+    pts = points.reshape(-1, chart.dim)
+    out = _interpolate_axes(chart, values, pts.T)
+    return out.reshape(points.shape[:-1] + out.shape[1:])
+
+
+def _interpolate_axes(chart: Chart, values: np.ndarray, coords) -> np.ndarray:
+    """Multilinear interpolation at the points whose axis-a coordinates are
+    coords[a], arrays that broadcast against each other to the point shape
+    (an open mesh from np.ix_, say); the result has shape
+    point shape + value_shape.
 
     One sparse gather-and-weight operator: row p of a CSR matrix holds the
     2^dim corner weights of point p at the flat indices of its cell's
@@ -309,25 +330,28 @@ def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndar
     adds the corner terms in that order onto a zero, so the result is
     bit-identical to summing ``weight * values[corner]`` corner by corner.
 
-    The operator is built on the contiguous rows of ``pts.T``: each axis
-    takes its cell index and its (1 - frac, frac) pair from one 1-D row and
-    folds the index into the flat one as ``flat * res[a] + cell``; each
-    corner's weight is then ``1.0 * f_0 * f_1 ...`` in axis order.
+    Each axis takes its cell index and its (1 - frac, frac) pair from its own
+    coordinate array, at that array's size, and folds the index into the
+    flat one as ``flat * res[a] + cell``; each corner's weight is then
+    ``1.0 * f_0 * f_1 ...`` in axis order.  Only those products broadcast to
+    the point shape, and every element goes through the same float
+    operations whatever the layout, so any broadcast of the same points
+    gives the same bits.
     """
     values = np.asarray(values, dtype=float)
-    points = np.asarray(points, dtype=float)
     res = chart.resolution
     if values.shape[: chart.dim] != res:
         raise InputError(f"value grid {values.shape} does not match the chart resolution {res}")
-    lead = points.shape[:-1]
-    pts = points.reshape(-1, chart.dim)
-    if not chart.contains(pts):
+    coords = [np.asarray(t, dtype=float) for t in coords]
+    if not chart.contains_axes(coords):
         raise InputError("interpolation point outside the chart box")
-    value_shape = values.shape[chart.dim:]
+    lead = np.broadcast_shapes(*(t.shape for t in coords))
+    if not math.prod(lead):  # no point reads a coordinate, NaN or not
+        coords = np.broadcast_arrays(*coords)
 
     flat, pairs = 0, []
-    for row, lo, h, r in zip(pts.T, chart.box[:, 0], chart.spacing, res):
-        normalized = (row - lo) / h
+    for t, lo, h, r in zip(coords, chart.box[:, 0], chart.spacing, res):
+        normalized = (t - lo) / h
         # the cell index as a float: its difference from normalized is the
         # fraction that an integer index would give, bit for bit
         cell = np.clip(np.floor(normalized), 0, r - 2)
@@ -335,20 +359,20 @@ def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndar
         flat = flat * r + cell.astype(int)
         pairs.append((1.0 - frac, frac))
     corners = list(itertools.product((0, 1), repeat=chart.dim))
-    weights = np.empty((len(pts), len(corners)))
+    weights = np.empty(lead + (len(corners),))
     columns = np.empty(weights.shape, dtype=np.intp)
     for k, corner in enumerate(corners):
         weight = 1.0
         for pair, c in zip(pairs, corner):
             weight = weight * pair[c]
-        weights[:, k] = weight
-        np.add(flat, np.ravel_multi_index(corner, res), out=columns[:, k])
-    rows = np.arange(0, weights.size + 1, weights.shape[1])
+        weights[..., k] = weight
+        np.add(flat, np.ravel_multi_index(corner, res), out=columns[..., k])
+    rows = np.arange(0, weights.size + 1, len(corners))
     operator = scipy.sparse.csr_array(
-        (weights.ravel(), columns.ravel(), rows), shape=(len(pts), int(np.prod(res)))
+        (weights.ravel(), columns.ravel(), rows), shape=(math.prod(lead), math.prod(res))
     )
     out = operator @ values.reshape(operator.shape[1], -1)
-    return out.reshape(lead + value_shape)
+    return out.reshape(lead + values.shape[chart.dim:])
 
 
 def overlap_nodes(m: ChartedManifold, o: Overlap) -> tuple:

@@ -16,6 +16,7 @@ from labcoupling.algebra import ad, unit_vector
 from labcoupling.bundles import (
     DeltaReport,
     Trivialization,
+    check_delta_continuity,
     pullback_lab,
     reference_trivialization,
     trivializations_equivalent,
@@ -49,6 +50,7 @@ from labcoupling.manifolds import (
     random_harmonic_field,
     ray_path,
     region_slices,
+    _interpolate_axes,
 )
 from tests.test_bundles import degree2_circle_map
 from tests.test_fixtures import digest
@@ -150,6 +152,11 @@ def test_transport_rejects_a_malformed_path(name, start, end, steps):
         parallel_transport(c, Path(0, np.array(start), np.array(end), steps))
 
 
+def fan_transport(c: ConnectionForm, path: Path) -> np.ndarray:
+    """The library's RK4 kernel on a batched Path, its ends split per axis."""
+    return correspondence._transport(c, path.chart_id, path.start, np.moveaxis(path.end, -1, 0), path.steps)
+
+
 def reference_transport(c: ConnectionForm, path: Path) -> np.ndarray:
     """Classical RK4 for T' = A(t) T over (..., n, n) stacks with np.matmul,
     written out independently of the library kernel.  The form is sampled
@@ -195,7 +202,7 @@ def test_transport_kernel_matches_a_reference_rk4(fan):
         "empty": np.empty((0, m.dim)),
     }[fan]
     path = Path(0, chart.node_point(chart.center), end, 64)
-    got = correspondence._transport(c, path)
+    got = fan_transport(c, path)
     expected = reference_transport(c, path)
     assert got.shape == end.shape[:-1] + (3, 3) == expected.shape
     assert np.abs(got - expected).max(initial=0.0) <= 1e-13
@@ -204,9 +211,10 @@ def test_transport_kernel_matches_a_reference_rk4(fan):
 
 
 def per_stage_transport(c: ConnectionForm, path: Path) -> np.ndarray:
-    """The structure-of-arrays RK4 kernel with one interpolation per stage
-    time: the same arithmetic as correspondence._transport, which instead
-    samples both new stage times of a step in one call."""
+    """The structure-of-arrays RK4 kernel with one interpolation of a
+    (..., dim) point array per stage time: the same arithmetic as
+    correspondence._transport, which instead samples both new stage times
+    of a step in one call on per-axis coordinate arrays."""
     chart = c.manifold.charts[path.chart_id]
     omega = np.ascontiguousarray(c.omega[path.chart_id])
     v = path.end - path.start
@@ -244,7 +252,7 @@ def per_stage_transport(c: ConnectionForm, path: Path) -> np.ndarray:
     return np.ascontiguousarray(t_mats.transpose(2, 0, 1)).reshape(v.shape[:-1] + (n, n))
 
 
-@pytest.mark.parametrize("fan", ["point", "row", "grid", "empty", "circle"])
+@pytest.mark.parametrize("fan", ["point", "row", "grid", "empty", "circle", "mesh"])
 def test_batched_transport_is_bitwise_the_per_stage_kernel(fan):
     if fan == "circle":
         c, cid = fx.connection("circle2_so3_twisted"), 1
@@ -265,9 +273,14 @@ def test_batched_transport_is_bitwise_the_per_stage_kernel(fan):
             "row": grid[:, 7],
             "grid": grid[::4, ::5],
             "empty": np.empty((0, 2, 2)),
+            "mesh": grid,
         }[fan]
     path = Path(cid, start, end, 64)
-    got = correspondence._transport(c, path)
+    if fan == "mesh":  # the fan to every node, given as the chart's open mesh
+        mesh = np.ix_(*(chart.axis_nodes(a) for a in range(chart.dim)))
+        got = correspondence._transport(c, cid, start, mesh, 64)
+    else:
+        got = fan_transport(c, path)
     assert got.shape == end.shape[:-1] + (3, 3)
     assert got.tobytes() == per_stage_transport(c, path).tobytes()
 
@@ -275,7 +288,12 @@ def test_batched_transport_is_bitwise_the_per_stage_kernel(fan):
 def test_f_map_frames_are_bitwise_the_per_stage_kernel_frames(monkeypatch):
     c = fx.connection("cyl2_so3_twisted")
     frames = f_map(c).trivialization.frames
-    monkeypatch.setattr(correspondence, "_transport", per_stage_transport)
+
+    def on_points(c, chart_id, start, ends, steps):
+        end = np.stack(np.broadcast_arrays(*ends), axis=-1)
+        return per_stage_transport(c, Path(chart_id, start, end, steps))
+
+    monkeypatch.setattr(correspondence, "_transport", on_points)
     expected = f_map(c).trivialization.frames
     assert [f.tobytes() for f in frames] == [f.tobytes() for f in expected]
 
@@ -348,6 +366,46 @@ def test_cross_chart_reads_match_their_digest(case):
 
 
 # --- f_map -----------------------------------------------------------------------
+# f_map's frames on every fixture coupling at refine 1 and 2, and on the
+# benchmark's `transport` input of seed 1, pinned by the SHA-256 digest of
+# tests/test_fixtures.py.  The table prints with the one above.
+F_MAP_CASES = [f"{name} {refine}" for name in fx.COUPLING_NAMES for refine in (1, 2)] + ["transport 1"]
+
+F_MAP_DIGESTS = {
+    "interval1_so3_flat 1": "6e684d7c1e5ec1af2517ed455d494e94aafe8145922a013ebd5b958dbd0f5d6d",
+    "interval1_so3_flat 2": "6bc91cbfa99fa228390fefaef06415b04ebb50c611eeb54c439564aa795d0b99",
+    "circle2_so3_twisted 1": "d1b0a18198f79c5c7aa343b56653377e3782be503dad33e26e542b8758e8d302",
+    "circle2_so3_twisted 2": "0b19030ce45bf57409a5be48eb87c850c2368499ab591deef51fbe94ff28054f",
+    "cyl2_so3_twisted 1": "262a1d4e597e15d8859ac71b9dc41ecb93fa3e6beefba41802c0da15ca67b6d7",
+    "cyl2_so3_twisted 2": "01ba369f8a9f27f352f371059a3f5a2ba227ae60430eee06aa751c57bba57c9d",
+    "disk2d_so3_nonflat 1": "f72eeaec938083a412aa2fff65b6d0ed55366a5311f39380afd1ea97a1c8124b",
+    "disk2d_so3_nonflat 2": "105de87e644d39ce1e017a8fb36de8bd543c5e8492f389c933c31049860ef802",
+    "circle2_abelian2_flat 1": "3d2bcdeb327e2f92a8e328eee5d98a2e70b3ab2165001b4cace670e4edee9ce6",
+    "circle2_abelian2_flat 2": "112520e118be8e3c9209036657bb8c7bc5b97c445af771a10597c5ad4e03b83d",
+    "transport 1": "52be80ffc308d7e45be79e7751b5e51f39aa4d7eb13b0aaaa51d6e84af83b984",
+}
+
+
+def benchmark_transport_input(seed: int) -> ConnectionForm:
+    """perfbench's `transport` input for the first timed operation at a seed
+    (its rng is default_rng([seed, 1, 0])): disk2d_so3_nonflat at refine 2
+    shifted by ad(l), l a band-limited one-form of amplitude 0.3."""
+    c0 = fx.connection("disk2d_so3_nonflat", refine=2)
+    rng = np.random.default_rng([seed, 1, 0])
+    l = random_harmonic_field(rng, 2, (2, 3), amplitude=0.3, constant_scale=0.3)
+    return shift_by_inner(c0, l.sample(c0.manifold))
+
+
+def f_map_frames(case: str) -> tuple:
+    name, arg = case.split()
+    c = benchmark_transport_input(int(arg)) if name == "transport" else fx.connection(name, int(arg))
+    return f_map(c).trivialization.frames
+
+
+@pytest.mark.parametrize("case", F_MAP_CASES)
+def test_f_map_frames_match_their_digest(case):
+    assert digest(f_map_frames(case)) == F_MAP_DIGESTS[case]
+
 
 def test_f_map_of_flat_identity_data_is_trivial():
     c = fx.connection("interval1_so3_flat")
@@ -389,20 +447,36 @@ def test_f_map_frames_are_ray_transports():
 
 @pytest.mark.parametrize("name,steps", [("disk2d_so3_nonflat", 64), ("circle2_so3_twisted", 8)])
 def test_f_map_evaluates_the_form_twice_per_step_plus_once(monkeypatch, name, steps):
-    # 2 steps + 1 stage times per chart, the two new ones of a step in one call;
-    # the point count would grow if any stage time were evaluated twice
+    # 2 steps + 1 stage times per chart, the two new ones of a step in one
+    # kernel call on per-axis coordinates; the point count (the size of their
+    # broadcast) would grow if any stage time were evaluated twice
     c = fx.connection(name)
     points = []
 
-    def counted(chart, values, pts):
-        points.append(int(np.prod(np.shape(pts)[:-1])))
-        return interpolate(chart, values, pts)
+    def counted(chart, values, coords):
+        points.append(math.prod(np.broadcast_shapes(*(np.shape(t) for t in coords))))
+        return _interpolate_axes(chart, values, coords)
 
-    monkeypatch.setattr(correspondence, "interpolate", counted)
+    monkeypatch.setattr(correspondence, "_interpolate_axes", counted)
     f_map(c, ode_steps=steps)
     charts = c.manifold.charts
     assert len(points) == len(charts) * (steps + 1)
     assert sum(points) == (2 * steps + 1) * sum(int(np.prod(ch.resolution)) for ch in charts)
+
+
+def test_round_trip_from_a_connection_sweeps_only_f_of_c(monkeypatch):
+    # of f(g(f(C))) the report reads the frames and validate_lab, so the
+    # verdict sweep runs on f(C) alone
+    swept = []
+
+    def counted(t, *args, **kwargs):
+        swept.append(t)
+        return check_delta_continuity(t, *args, **kwargs)
+
+    monkeypatch.setattr(correspondence, "check_delta_continuity", counted)
+    rep = verify_inverse(c=fx.connection("cyl2_so3_twisted"))
+    assert rep.passed and not rep.inconclusive
+    assert len(swept) == 1
 
 
 def test_f_map_rejects_non_coupling():
@@ -741,3 +815,6 @@ def test_round_trip_requires_exactly_one_input():
 if __name__ == "__main__":
     for case in CROSS_CHART_CASES:
         print(f'    "{case}": "{digest(cross_chart_arrays(case))}",')
+    print()
+    for case in F_MAP_CASES:
+        print(f'    "{case}": "{digest(f_map_frames(case))}",')
