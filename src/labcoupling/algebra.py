@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .tolerances import ALG_TOL, INNER_AUT_TOL, INNER_TOL
+from .tolerances import ALG_TOL, CHARACTER_AUT_TOL, INNER_AUT_TOL, INNER_TOL, character_gate
 
 MAX_DIM = 16
 
@@ -65,6 +65,23 @@ class LieAlgebra:
         live = np.abs(self.ad_basis_matrix).max(axis=0, initial=0.0) > ALG_TOL
         y = np.eye(self.dim)[live] / (4.0 * np.linalg.norm(self.ad_basis_matrix[:, live], axis=0))[:, None]
         return y, _exp_by_squaring(ad(self, y), np.zeros(len(y)))
+
+    @cached_property
+    def center(self) -> np.ndarray:
+        """Orthonormal basis (columns) of the center z(g) = ker(x -> ad(x));
+        read-only, as center_basis hands out views of it."""
+        basis = _null_space(self.ad_basis_matrix)
+        basis.flags.writeable = False
+        return basis
+
+    @cached_property
+    def character_bases(self) -> tuple:
+        """Orthonormal bases (columns) of [g,g]^perp, which stands for
+        g/[g,g], and of z(g), the nonempty ones: Inn(g) acts on both as the
+        identity, so a's compressions B^T a B are its outer characters."""
+        n = self.dim
+        bases = (_null_space(self.c.reshape(n * n, n)), self.center)
+        return tuple(b for b in bases if b.size)
 
 
 def _pinv_cut(mat: np.ndarray) -> dict:
@@ -147,9 +164,8 @@ def _null_space(mat: np.ndarray) -> np.ndarray:
 
 
 def center_basis(g: LieAlgebra) -> list[np.ndarray]:
-    """Orthonormal basis of Z(g) = ker(x -> ad(x))."""
-    stacked = g.ad_basis_matrix  # (dim^2, dim)
-    return [v for v in _null_space(stacked).T]
+    """Orthonormal basis of Z(g) = ker(x -> ad(x)), from the cached g.center."""
+    return list(g.center.T)
 
 
 def _leibniz_defects(g: LieAlgebra, d: np.ndarray) -> np.ndarray:
@@ -328,7 +344,7 @@ def inner_log_residuals(g: LieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np
 
 
 def _log_route(g: LieAlgebra, mats: np.ndarray, inner_tol: float) -> tuple:
-    """Route 1 of inner_verdicts on a stack, as (inner, outer, residuals, logs):
+    """Route 2 of inner_verdicts on a stack, as (inner, outer, residuals, logs):
     a real principal log within inner_tol of the inner span reads inner, a
     farther one that is a derivation outer (locally, Inn = exp(ad g))."""
     resid, logs, ok = inner_log_residuals(g, mats)
@@ -337,30 +353,52 @@ def _log_route(g: LieAlgebra, mats: np.ndarray, inner_tol: float) -> tuple:
     return inner, outer, resid, logs
 
 
+def _character_route(g: LieAlgebra, mats: np.ndarray, inner_tol: float) -> tuple:
+    """Route 1 of inner_verdicts on a stack, as (outer, distances): the
+    character distance max_B ||B^T a B - I||_F over g.character_bases, and
+    outer where it passes character_gate(inner_tol) on a row that is an
+    automorphism within CHARACTER_AUT_TOL.  The characters of exp(L) are the
+    exponentials of L's compressions, which vanish on span{ad} and do not
+    raise the Frobenius norm, so no row of log residual <= inner_tol passes."""
+    dist = np.zeros(len(mats))
+    with np.errstate(all="ignore"):  # a non-finite distance or defect fails a gate
+        for b in g.character_bases:
+            d = (b.T @ mats @ b - np.eye(b.shape[1])).reshape(len(mats), 1, -1)
+            dist = np.maximum(dist, np.sqrt(d @ np.swapaxes(d, 1, 2)).ravel())
+        outer = dist > character_gate(inner_tol)
+        if outer.any():
+            outer[outer] = automorphism_residuals(g, mats[outer]) <= CHARACTER_AUT_TOL
+    return outer, dist
+
+
 def inner_verdicts(g: LieAlgebra, mats: np.ndarray, inner_tol: float) -> tuple:
     """Membership in Inn(g) = <exp(ad x)> of a stack of automorphisms, as
     (inner, outer, residuals, logs, shift); neither flag is "undecided".  A
-    row takes the first route that decides it: (1) its own log (_log_route);
-    (2) ||a - I||_F <= inner_tol: inner, log 0; (3) det < 0: outer, as every
-    exp(ad x) product has det > 0; (4) ad = 0: outer, as Inn(g) = {id};
-    (5) Inn is a group, so one _log_route call on a exp(ad y_j) over the open
-    rows and g.inner_shifts: the inner row of least residual makes a inner
-    (its residual and log, shift j), else the first outer one makes a outer.
+    row takes the first route that decides it: (1) its outer characters,
+    a on g/[g,g] and on z(g), on which Inn acts trivially
+    (_character_route): outer, with residual its character distance;
+    (2) its own log (_log_route); (3) ||a - I||_F <= inner_tol: inner, log 0;
+    (4) det < 0: outer, as every exp(ad x) product has det > 0; (5) Inn is a
+    group, so one _log_route call on a exp(ad y_j) over the open rows and
+    g.inner_shifts: the inner row of least residual makes a inner (its
+    residual and log, shift j), else the first outer one makes a outer.
     shift is -1 where no shift decided; the residual is ||a - I||_F outside
-    routes 1 and 5-inner."""
+    routes 1, 2 and 5-inner, and the log 0 outside routes 2 and 5."""
     mats = np.asarray(mats, dtype=float)
-    inner, outer, resid, logs = _log_route(g, mats, inner_tol)
-    shift = np.full(len(mats), -1)
-    rest = np.flatnonzero(~(inner | outer))
+    outer, resid = _character_route(g, mats, inner_tol)
+    inner, logs, shift = np.zeros(len(mats), bool), np.zeros(mats.shape), np.full(len(mats), -1)
+    rest = np.flatnonzero(~outer)
+    inner[rest], outer[rest], resid[rest], logs[rest] = _log_route(g, mats[rest], inner_tol)
+    rest = rest[~(inner[rest] | outer[rest])]
     d = (mats[rest] - np.eye(g.dim)).reshape(len(rest), 1, g.dim**2)
     resid[rest] = np.sqrt(d @ np.swapaxes(d, 1, 2)).ravel()  # ||a - I||_F as a dot, like np.linalg.norm
     near = rest[resid[rest] <= inner_tol]
     inner[near], logs[near] = True, 0.0
     y, exp_y = g.inner_shifts
     rest = rest[~inner[rest]]
-    outer[rest] = (np.linalg.det(mats[rest]) < 0.0) | (len(y) == 0)
+    outer[rest] = np.linalg.det(mats[rest]) < 0.0
     rest = rest[~outer[rest]]
-    if rest.size:
+    if rest.size and len(y):  # an abelian g has no shift; characters decide its finite rows
         shifted = (mats[rest, None] @ exp_y).reshape(-1, g.dim, g.dim)
         hit, out, res, s_logs = (
             v.reshape(len(rest), len(y), *v.shape[1:]) for v in _log_route(g, shifted, inner_tol)
@@ -377,7 +415,8 @@ def inner_verdicts(g: LieAlgebra, mats: np.ndarray, inner_tol: float) -> tuple:
 def is_inner(g: LieAlgebra, a: np.ndarray, inner_tol: float = INNER_TOL) -> InnerVerdict:
     """inner_verdicts on one automorphism a, gated at INNER_AUT_TOL.  The
     witness x projects the deciding log, with factors (x,); a shift-decided
-    a has no witness and factors (x_j, -y_j)."""
+    a has no witness and factors (x_j, -y_j).  An a that its outer
+    characters decide has as residual its character distance."""
     a = np.asarray(a, dtype=float)
     if a.shape != (g.dim, g.dim):
         raise InputError(f"expected {(g.dim, g.dim)} matrix, got {a.shape}")

@@ -17,6 +17,19 @@ ALG_TOL = 1e-9
 # Inner-membership decisions: log projections, of a and of its shifted a exp(ad y_j).
 INNER_TOL = 1e-6
 
+# The outer-character route reads only rows that are automorphisms to
+# 100 ALG_TOL: on those, a's action on g/[g,g] and on z(g) is a character to
+# round-off, so its distance from I measures the class, not the defect.
+CHARACTER_AUT_TOL = 100 * ALG_TOL
+
+
+def character_gate(inner_tol: float) -> float:
+    """The outer-character route's gate: a row whose log is within inner_tol
+    of span{ad} has characters within expm1(inner_tol) of I, and the margin
+    of one more inner_tol covers the CHARACTER_AUT_TOL defect of its input."""
+    return math.expm1(inner_tol) + inner_tol
+
+
 # Gauge-compatibility residuals on overlaps (FD-limited).
 GAUGE_TOL = 1e-4
 

@@ -14,12 +14,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from labcoupling import algebra, fixtures as fx
 from labcoupling.algebra import (
     LieAlgebra,
+    _character_route,
     _exp_by_squaring,
     _square_roots,
     ad,
@@ -37,7 +38,7 @@ from labcoupling.algebra import (
     validate_algebra,
 )
 from labcoupling.errors import InputError
-from labcoupling.tolerances import ALG_TOL
+from labcoupling.tolerances import ALG_TOL, INNER_TOL, character_gate
 
 ALL = [fx.algebra(n) for n in fx.ALGEBRA_NAMES]
 
@@ -250,6 +251,15 @@ def test_heis3_center_is_e3():
     np.testing.assert_allclose(np.abs(basis[0]), [0.0, 0.0, 1.0], atol=1e-12)
 
 
+def test_center_basis_reads_the_cached_center_read_only():
+    g = fx.algebra("abelian2")
+    first = center_basis(g)
+    assert all(np.shares_memory(v, g.center) for v in first)
+    with pytest.raises(ValueError):
+        first[0][0] = 5.0  # a caller cannot corrupt the next caller's basis
+    assert [v.tolist() for v in center_basis(g)] == [v.tolist() for v in first]
+
+
 @pytest.mark.parametrize(
     "name,expected", [("abelian2", 4), ("so3", 3), ("heis3", 6), ("aff1", 2)]
 )
@@ -388,10 +398,12 @@ def test_identity_route_decides_a_row_near_the_identity():
 
 
 def test_abelian_nonidentity_is_outer():
+    # the characters decide it before any log: g/[g,g] = z(g) = g, so the
+    # residual is the character distance ||A - I||_F
     g = fx.algebra("abelian2")
     v = is_inner(g, np.diag([2.0, 1.0]))
     assert v.outer
-    assert abs(v.residual - np.log(2.0)) <= 1e-12  # || log A ||
+    assert abs(v.residual - 1.0) <= 1e-12
 
 
 def test_abelian_obstructed_log_still_outer():
@@ -401,16 +413,18 @@ def test_abelian_obstructed_log_still_outer():
     assert v.outer
 
 
-def test_genuinely_undecidable_case_reports_undecided():
-    # heis3: diag(-1,-1,1) is an automorphism with det +1 and no principal
-    # log; every inner shift is unipotent, so a exp(ad y) keeps the
-    # eigenvalues -1 and no shifted row has a log either.
+@pytest.mark.parametrize("diagonal, distance", [((-1.0, -1.0, 1.0), 8**0.5), ((-1.0, 1.0, -1.0), 2.0)])
+def test_heis3_sign_flips_are_outer_by_their_characters(diagonal, distance):
+    # det +1 and no principal log, and every inner shift is unipotent, so no
+    # shifted row has a log either; but a acts on g/[g,g] = span{e1, e2} (and
+    # the second on z = span{e3}) with an eigenvalue -1, which Inn never does
     g = fx.algebra("heis3")
-    a = np.diag([-1.0, -1.0, 1.0])
+    a = np.diag(diagonal)
     assert automorphism_residuals(g, a) <= 1e-12
+    assert not principal_logs(a[None])[1][0]
     v = is_inner(g, a)
-    assert v.undecided
-    assert v.residual == np.linalg.norm(a - np.eye(3))
+    assert v.outer
+    assert abs(v.residual - distance) <= 1e-12
 
 
 @pytest.mark.parametrize("axis", [(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (1e-6, 0.6, 0.8)])
@@ -460,20 +474,27 @@ ROUTE_STACKS = {
         (rotation_by_pi(fx.algebra("so3"), (0.0, 0.0, 1.0)), "inner", True),
         (rotation_by_pi(fx.algebra("so3"), (1e-6, 0.6, 0.8)), "inner", True),
     ]),
-    "abelian2": (1e-6, [
-        (np.diag([2.0, 1.0]), "outer", False),  # log
-        (np.diag([-1.0, 2.0]), "outer", False),  # det < 0
-        (np.diag([-1.0, -1.0]), "outer", False),  # ad = 0
-        (np.eye(2), "inner", False),
+    "abelian2": (1e-6, [  # g/[g,g] = z(g) = g: the characters decide every row but I
+        (np.diag([2.0, 1.0]), "outer", False),
+        (np.diag([-1.0, 2.0]), "outer", False),
+        (np.diag([-1.0, -1.0]), "outer", False),
+        (np.eye(2), "inner", False),  # log
     ]),
     "aff1": (1e-6, [(np.diag([1.0, -1.0]), "outer", False), (np.eye(2), "inner", False)]),  # det < 0
     "so3+R": (1e-6, [
-        (np.diag([-1.0, -1.0, 1.0, 2.0]), "outer", True),
+        (np.diag([-1.0, -1.0, 1.0, 2.0]), "outer", False),  # characters: 2 on the center
         (np.diag([-1.0, -1.0, 1.0, 1.0]), "inner", True),
     ]),
     "heis3": (1e-6, [
-        (np.diag([-1.0, -1.0, 1.0]), "undecided", False),
-        (scipy.linalg.expm(ad(fx.algebra("heis3"), np.array([0.4, -0.7, 0.2]))), "inner", False),
+        (np.diag([-1.0, -1.0, 1.0]), "outer", False),  # characters
+        (np.diag([-1.0, 1.0, -1.0]), "outer", False),  # characters
+        (np.diag([2.0, 1.0, 1.0]), "undecided", False),  # no automorphism: the characters pass it on
+        (scipy.linalg.expm(ad(fx.algebra("heis3"), np.array([0.4, -0.7, 0.2]))), "inner", False),  # log
+        (  # characters, far from the identity: ||a - I||_F = 10.7
+            scipy.linalg.expm(8.0 * fx.DRIFT) @ scipy.linalg.expm(ad(fx.algebra("heis3"), np.array([1.5, 0.5, -2.0]))),
+            "outer",
+            False,
+        ),
     ]),
 }
 
@@ -492,6 +513,88 @@ def test_inner_verdicts_rows_are_independent(name):
     verdicts = np.where(inner, "inner", np.where(outer, "outer", "undecided"))
     assert verdicts.tolist() == [v for _, v, _ in rows]
     assert (shift >= 0).tolist() == [s for _, _, s in rows]
+
+
+def test_characters_decide_every_abelian_row_the_log_leaves_open():
+    # abelian2: every matrix is a derivation, so the log route decides each
+    # row with a real log, and det < 0 rows are outer; what is left, det > 0
+    # and no log (both eigenvalues negative, or a log the exp guard rejects),
+    # is outer because Inn = {id}, and the character distance ||a - I||_F
+    # decides each such row on its own
+    g = fx.algebra("abelian2")
+    rng = np.random.default_rng(53)
+    theta = rng.uniform(0.0, np.pi, size=100)
+    rot = np.stack([np.cos(theta), -np.sin(theta), np.sin(theta), np.cos(theta)], axis=1).reshape(-1, 2, 2)
+    p = rot * rng.uniform(0.1, 10.0, size=(100, 1, 2))  # columns scaled: condition numbers up to 100
+    negative = np.einsum("rij,rj,rjk->rik", p, -rng.uniform(0.01, 100.0, size=(100, 2)), np.linalg.inv(p))
+    jordan = np.array([[[-1.0, t], [0.0, -1.0]] for t in (1e-6, 0.5, 30.0)])
+    c, s = np.cos(np.pi - 1e-8), np.sin(np.pi - 1e-8)
+    near_pi = np.diag([1.0, 1e4]) @ np.array([[c, -s], [s, c]]) @ np.diag([1.0, 1e-4])
+    rows = np.concatenate([negative, jordan, -np.eye(2)[None], near_pi[None]])
+    assert not principal_logs(rows)[1].any() and (np.linalg.det(rows) > 0.0).all()
+    assert _character_route(g, rows, 1e-6)[0].all()
+    inner, outer, resid, logs, shift = inner_verdicts(g, rows, 1e-6)
+    assert outer.all() and not inner.any() and (shift == -1).all() and not logs.any()
+    np.testing.assert_allclose(resid, np.linalg.norm(rows - np.eye(2), axis=(-2, -1)), rtol=1e-12)
+
+
+def test_a_row_no_route_decides_on_an_algebra_without_shifts_stays_undecided():
+    # abelian2 has no inner shift, so the shift route has nothing to run on
+    g = fx.algebra("abelian2")
+    with np.errstate(all="ignore"):
+        inner, outer, _, _, shift = inner_verdicts(g, np.full((1, 2, 2), np.nan), 1e-6)
+    assert not inner[0] and not outer[0] and shift[0] == -1
+
+
+def character_norm(g: LieAlgebra, d: np.ndarray) -> float:
+    """max_B ||B^T d B||_F over g.character_bases: d's characters' size."""
+    return max((np.linalg.norm(b.T @ d @ b) for b in g.character_bases), default=0.0)
+
+
+PROPERTY_ALGEBRAS = {"heis3": fx.algebra("heis3"), "abelian2": fx.algebra("abelian2"), "so3+R": so3_plus_r()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(PROPERTY_ALGEBRAS)),
+    st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6),
+    st.lists(
+        st.tuples(st.booleans(), st.floats(-3.0, 3.0), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)),
+        min_size=1,
+        max_size=5,
+    ),
+)
+def test_characters_never_overrule_the_log_route(name, coeffs, draws):
+    # stacks exp(s D) exp(ad y) with D a unit derivation off span{ad}; s is
+    # either free in [-3, 3] or a multiple in [-3, 3] of the s at which D's
+    # characters reach the gate, so rows fall on both sides of it
+    g = PROPERTY_ALGEBRAS[name]
+    basis = np.stack(derivations_basis(g))
+    d = np.tensordot(coeffs[: len(basis)], basis, 1)
+    d -= ad(g, inner_projection(g, d)[0])
+    assume(np.linalg.norm(d) > 0.1)
+    d /= np.linalg.norm(d)
+    assume(character_norm(g, d) > 1e-3)
+    at_gate = character_gate(INNER_TOL) / character_norm(g, d)
+    stack = np.stack([
+        scipy.linalg.expm((t * at_gate if near else t) * d) @ scipy.linalg.expm(ad(g, np.array(y[: g.dim])))
+        for near, t, y in draws
+    ])
+    log_inner, log_outer, _, _ = algebra._log_route(g, stack, INNER_TOL)
+    together = inner_verdicts(g, stack, INNER_TOL)
+    inner, outer = together[:2]
+    by_log = log_inner | log_outer
+    assert (inner[by_log] == log_inner[by_log]).all() and (outer[by_log] == log_outer[by_log]).all()
+    by_chi, distances = _character_route(g, stack, INNER_TOL)
+    assert not (by_chi & log_inner).any()
+    # row by row: the characters bit for bit, and every verdict and shift (a
+    # log's projection residual may move in the last bit with the stack size)
+    alone = [_character_route(g, row[None], INNER_TOL) for row in stack]
+    assert np.concatenate([chi for chi, _ in alone]).tolist() == by_chi.tolist()
+    assert np.concatenate([dist for _, dist in alone]).tobytes() == distances.tobytes()
+    alone = [inner_verdicts(g, row[None], INNER_TOL) for row in stack]
+    for k in (0, 1, 4):
+        assert np.concatenate([single[k] for single in alone]).tolist() == together[k].tolist()
 
 
 def test_import_leaves_scipy_linalg_unloaded():

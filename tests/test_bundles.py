@@ -392,10 +392,10 @@ def test_frames_are_a_read_only_copy_so_cached_transitions_stay_valid():
         copy.transitions[0][0] = 0.0
 
 
-def undecidable_heis3_bundle():
+def heis3_jump_bundle():
     """heis3 structure whose frames jump by diag(-1,-1,1) inside one overlap:
-    the ratio has no principal log, positive determinant, and a nontrivial
-    inner span, and no inner shift gives it a log, so inner_verdicts cannot decide it."""
+    the ratio has no principal log, and no inner shift gives it one, but it
+    acts on g/[g,g] = span{e1, e2} as -1, which no inner automorphism does."""
     g = fx.algebra("heis3")
     m = fx.manifold("circle2")
     jump = np.diag([-1.0, -1.0, 1.0])
@@ -405,10 +405,27 @@ def undecidable_heis3_bundle():
     return Trivialization(g, m, (eye, phi1))
 
 
-def test_undecided_verdicts_flag_inconclusive_not_refuted():
-    t = undecidable_heis3_bundle()
+def one_step_transport_bundle():
+    """f_map's structure for circle2_so3_twisted with one RK4 step, passed at
+    aut_tol 1e-2: its ratios are automorphisms to about 1e-3 only, so their
+    logs are no derivations, so3 has no outer character, and 32 of them stay
+    undecided when swept at lab_tol 1e-2."""
+    return f_map(fx.connection("circle2_so3_twisted"), ode_steps=1, aut_tol=1e-2).trivialization
+
+
+def test_heis3_jump_is_refuted_by_its_characters():
+    t = heis3_jump_bundle()
     assert validate_lab(t).passed  # pointwise the jump is a fine automorphism
     rep = check_delta_continuity(t)
+    assert not rep.passed and not rep.undecided
+    # the two ratios across the jump are outer; the other 34 are the identity
+    assert rep.counts() == {"inner": 34, "outer": 2, "undecided": 0}
+
+
+def test_undecided_verdicts_flag_inconclusive_not_refuted():
+    t = one_step_transport_bundle()
+    assert validate_lab(t, tol=1e-2).passed
+    rep = check_delta_continuity(t, lab_tol=1e-2)
     assert not rep.passed
     assert rep.undecided
     counts = rep.counts()

@@ -138,14 +138,26 @@ def test_check_delta_passing_bundle(capsys):
 
 def test_check_delta_undecided_exits_2(capsys, tmp_path):
     from labcoupling import fileio
-    from tests.test_bundles import undecidable_heis3_bundle
+    from tests.test_bundles import one_step_transport_bundle
 
     path = tmp_path / "undecidable.json"
-    fileio.save_json(path, fileio.bundle_to_dict(undecidable_heis3_bundle()))
-    code, report = run_cli(capsys, "check-delta", "--bundle", str(path))
+    fileio.save_json(path, fileio.bundle_to_dict(one_step_transport_bundle()))
+    code, report = run_cli(capsys, "check-delta", "--bundle", str(path), "--alg-tol", "1e-2")
     assert code == 2
     assert report["inconclusive"] and not report["passed"]
     assert report["verdicts"]["undecided"] > 0
+
+
+def test_check_delta_refutes_the_heis3_jump(capsys, tmp_path):
+    from labcoupling import fileio
+    from tests.test_bundles import heis3_jump_bundle
+
+    path = tmp_path / "jump.json"
+    fileio.save_json(path, fileio.bundle_to_dict(heis3_jump_bundle()))
+    code, report = run_cli(capsys, "check-delta", "--bundle", str(path))
+    assert code == 1
+    assert not report["inconclusive"] and not report["passed"]
+    assert report["verdicts"]["outer"] > 0 and report["verdicts"]["undecided"] == 0
 
 
 def test_roundtrip_flagship_fixture(capsys):
