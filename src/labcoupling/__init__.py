@@ -15,7 +15,6 @@ from .algebra import (
     LieAlgebra,
     ad,
     bracket,
-    center_basis,
     derivations_basis,
     is_inner,
     validate_algebra,
@@ -33,7 +32,6 @@ from .bundles import (
 from .connections import (
     ConnectionForm,
     accordance,
-    apply_connection,
     coupling_equivalent,
     curvature,
     pullback_connection,
@@ -55,7 +53,6 @@ from .manifolds import (
     ManifoldMap,
     build_manifold,
     partition_of_unity,
-    ray_path,
 )
 
 __all__ = [
@@ -74,11 +71,9 @@ __all__ = [
     "accordance",
     "ad",
     "algebroid_bracket",
-    "apply_connection",
     "axiom_report",
     "bracket",
     "build_manifold",
-    "center_basis",
     "check_delta_continuity",
     "coupling_equivalent",
     "curvature",
@@ -91,7 +86,6 @@ __all__ = [
     "partition_of_unity",
     "pullback_connection",
     "pullback_lab",
-    "ray_path",
     "reference_trivialization",
     "shift_by_inner",
     "trivializations_equivalent",

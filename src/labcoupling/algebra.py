@@ -69,7 +69,7 @@ class LieAlgebra:
     @cached_property
     def center(self) -> np.ndarray:
         """Orthonormal basis (columns) of the center z(g) = ker(x -> ad(x));
-        read-only, as center_basis hands out views of it."""
+        read-only, so no caller can corrupt the cached basis."""
         basis = _null_space(self.ad_basis_matrix)
         basis.flags.writeable = False
         return basis
@@ -161,11 +161,6 @@ def _null_space(mat: np.ndarray) -> np.ndarray:
     _, s, vh = np.linalg.svd(mat)
     s = np.concatenate([s, np.zeros(mat.shape[1] - len(s))])
     return vh[s <= ALG_TOL].T
-
-
-def center_basis(g: LieAlgebra) -> list[np.ndarray]:
-    """Orthonormal basis of Z(g) = ker(x -> ad(x)), from the cached g.center."""
-    return list(g.center.T)
 
 
 def _leibniz_defects(g: LieAlgebra, d: np.ndarray) -> np.ndarray:

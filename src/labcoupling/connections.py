@@ -16,13 +16,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import LieAlgebra, ad, center_basis, derivation_residuals, inner_projection
+from .algebra import LieAlgebra, ad, derivation_residuals, inner_projection
 from .bundles import Trivialization, pullback_lab, _same_base, _worst_node
 from .errors import InputError
 from .manifolds import (
     ManifoldMap,
     chart_grids,
-    directional,
     grid_derivative,
     grid_partials,
     overlap_pair,
@@ -73,12 +72,6 @@ def covariant_partials(c: ConnectionForm, u: list) -> list:
         tuple(d + np.einsum("...kj,...j->...k", w[..., i, :, :], grid) for i, d in enumerate(partials))
         for grid, w, partials in zip(uu, c.omega, grid_partials(m, uu))
     ]
-
-
-def apply_connection(c: ConnectionForm, u: list, x: list) -> list:
-    """(nabla_X u)(p) = sum_i X^i(p) (d_i u(p) + w_i(p) u(p)), chartwise."""
-    xx = chart_grids(c.manifold, x, (c.manifold.dim,), "tangent field")
-    return [directional(grid, partials) for grid, partials in zip(xx, covariant_partials(c, u))]
 
 
 @dataclass(frozen=True)
@@ -173,7 +166,7 @@ def accordance(c: ConnectionForm, tol: float = ACC_TOL) -> AccordanceResult:
     """
     curv = curvature(c)
     worst = peak(*curv.residuals)
-    return AccordanceResult(bool(worst <= tol), worst, curv, len(center_basis(c.algebra)))
+    return AccordanceResult(bool(worst <= tol), worst, curv, c.algebra.center.shape[1])
 
 
 def shift_by_inner(c: ConnectionForm, l: list) -> ConnectionForm:

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import automorphism_residuals
 from .bundles import (
     DeltaReport,
     LabReport,
@@ -31,7 +30,6 @@ from .connections import ConnectionForm, CouplingEquivalence, accordance, coupli
 from .errors import ComputationError, InputError, PreconditionError
 from .manifolds import (
     PartitionOfUnity,
-    Path,
     grid_derivative,
     interpolate,
     overlap_nodes,
@@ -47,13 +45,6 @@ from .tolerances import (
     TRANS_TOL,
     WELL_DEFINED_AUT_TOL,
 )
-
-
-@dataclass(frozen=True)
-class TransportResult:
-    matrix: np.ndarray
-    aut_residual: float
-    ode_steps: int
 
 
 def _transport(c: ConnectionForm, chart_id: int, start, ends, steps: int) -> np.ndarray:
@@ -136,15 +127,14 @@ def _transport(c: ConnectionForm, chart_id: int, start, ends, steps: int) -> np.
     return np.ascontiguousarray(t_mats.transpose(2, 0, 1)).reshape(v.shape[:-1] + (n, n))
 
 
-def parallel_transport(c: ConnectionForm, path: Path) -> TransportResult:
-    """Solve T' = -w(gamma')(gamma) T, T(0) = I along a straight chart
-    segment; the result is an automorphism up to integrator error because
-    the form is pointwise a bracket derivation."""
-    end = np.asarray(path.end, dtype=float)
-    columns = np.moveaxis(end, -1, 0) if end.ndim else ()  # the ends per axis
-    t_mat = _transport(c, path.chart_id, path.start, columns, path.steps)
-    res = float(automorphism_residuals(c.algebra, t_mat))
-    return TransportResult(t_mat, res, path.steps)
+def parallel_transport(c: ConnectionForm, chart_id: int, start, end, steps: int) -> np.ndarray:
+    """Solve T' = -w(gamma')(gamma) T, T(0) = I along the straight chart
+    segments from ``start`` (dim,) to ``end`` (..., dim) in ``steps`` RK4
+    steps; the result, of shape end.shape[:-1] + (n, n), is an automorphism
+    up to integrator error because the form is pointwise a bracket
+    derivation."""
+    end = np.asarray(end, dtype=float)
+    return _transport(c, chart_id, start, np.moveaxis(end, -1, 0) if end.ndim else (), steps)
 
 
 @dataclass(frozen=True)

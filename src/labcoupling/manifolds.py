@@ -487,26 +487,6 @@ def partition_sum_residual(pou: PartitionOfUnity) -> float:
     return peak(*defects)
 
 
-# --- paths -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Path:
-    """Straight segment start + t (end - start), t in [0, 1], inside one
-    chart, cut into ``steps`` uniform steps; ``end`` may be batched
-    (..., dim), a fan of segments from one start."""
-
-    chart_id: int
-    start: np.ndarray  # (dim,)
-    end: np.ndarray    # (..., dim)
-    steps: int
-
-
-def ray_path(m: ChartedManifold, chart_id: int, node: tuple, steps: int) -> Path:
-    """Straight segment in chart coordinates from the chart center to a node."""
-    chart = m.charts[chart_id]
-    return Path(chart_id, chart.node_point(chart.center), chart.node_point(node), steps)
-
-
 # --- smooth maps between charted manifolds -----------------------------------
 
 @dataclass(frozen=True)

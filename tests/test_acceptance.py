@@ -26,7 +26,6 @@ from labcoupling.manifolds import (
     grid_derivative,
     partition_of_unity,
     random_harmonic_field,
-    ray_path,
 )
 from tests.test_algebra import derivation_constraint_oracle, null_dim_oracle
 from tests.test_bundles import degree2_circle_map
@@ -179,10 +178,8 @@ def test_criterion_8_discretization_orders():
     omega = tuple(np.broadcast_to(d, ch.resolution + (1, 3, 3)).copy() for ch in m.charts)
     c = ConnectionForm(reference_trivialization(g, m), omega)
     exact = scipy.linalg.expm(-0.5 * d)
-    errs = [
-        np.abs(parallel_transport(c, ray_path(m, 0, (32,), steps)).matrix - exact).max()
-        for steps in (8, 16)
-    ]
+    start, end = m.charts[0].node_point((16,)), m.charts[0].node_point((32,))
+    errs = [np.abs(parallel_transport(c, 0, start, end, steps) - exact).max() for steps in (8, 16)]
     rk4_ratio = errs[0] / errs[1]
     fd_errs = []
     for refine in (1, 2):

@@ -26,7 +26,6 @@ from labcoupling.algebra import (
     ad,
     automorphism_residuals,
     bracket,
-    center_basis,
     derivation_residuals,
     derivations_basis,
     inner_log_residuals,
@@ -239,25 +238,24 @@ def test_ad_is_a_lie_homomorphism(g):
 )
 def test_center_dimensions(name, expected):
     g = fx.algebra(name)
-    basis = center_basis(g)
-    assert len(basis) == expected
+    assert g.center.shape == (g.dim, expected)
     stacked = np.stack([ad(g, unit_vector(g.dim, i)).reshape(-1) for i in range(g.dim)], axis=1)
     assert null_dim_oracle(stacked) == expected
 
 
 def test_heis3_center_is_e3():
-    basis = center_basis(fx.algebra("heis3"))
-    assert len(basis) == 1
-    np.testing.assert_allclose(np.abs(basis[0]), [0.0, 0.0, 1.0], atol=1e-12)
+    basis = fx.algebra("heis3").center
+    assert basis.shape == (3, 1)
+    np.testing.assert_allclose(np.abs(basis[:, 0]), [0.0, 0.0, 1.0], atol=1e-12)
 
 
-def test_center_basis_reads_the_cached_center_read_only():
+def test_center_is_cached_read_only():
     g = fx.algebra("abelian2")
-    first = center_basis(g)
-    assert all(np.shares_memory(v, g.center) for v in first)
+    first = g.center
+    before = first.tolist()
     with pytest.raises(ValueError):
-        first[0][0] = 5.0  # a caller cannot corrupt the next caller's basis
-    assert [v.tolist() for v in center_basis(g)] == [v.tolist() for v in first]
+        first[0, 0] = 5.0  # a caller cannot corrupt the next caller's basis
+    assert g.center is first and g.center.tolist() == before
 
 
 @pytest.mark.parametrize(
@@ -283,7 +281,7 @@ def test_so3_derivations_span_equals_inner_span():
 @pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
 def test_inner_span_dim_is_dim_minus_center(g):
     rank = np.linalg.matrix_rank(g.ad_basis_matrix, tol=1e-9)
-    assert rank == g.dim - len(center_basis(g))
+    assert rank == g.dim - g.center.shape[1]
 
 
 # --- exp / log --------------------------------------------------------------
@@ -501,7 +499,10 @@ ROUTE_STACKS = {
 
 @pytest.mark.parametrize("name", ROUTE_STACKS)
 def test_inner_verdicts_rows_are_independent(name):
-    # one stacked call equals the single-row calls bit for bit, on every route
+    # one stacked call equals the single-row calls bit for bit, on every route;
+    # this holds on these rows only: inner_projection's BLAS path depends on
+    # the stack, so on so3+R the residual of exp(ad(0.6484375 e3)) reads
+    # 7.99e-16 in the stack [I, exp(ad(0.6484375 e3))] and 7.83e-16 alone
     g = so3_plus_r() if name == "so3+R" else fx.algebra(name)
     inner_tol, rows = ROUTE_STACKS[name]
     stack = np.stack([row for row, _, _ in rows])

@@ -11,7 +11,6 @@ from labcoupling.bundles import Trivialization, reference_trivialization
 from labcoupling.connections import (
     ConnectionForm,
     accordance,
-    apply_connection,
     coupling_equivalent,
     covariant_partials,
     curvature,
@@ -21,7 +20,7 @@ from labcoupling.connections import (
     zero_connection,
 )
 from labcoupling.errors import InputError
-from labcoupling.manifolds import grid_derivative, identity_map, overlap_pair, random_harmonic_field
+from labcoupling.manifolds import directional, grid_derivative, identity_map, overlap_pair, random_harmonic_field
 from labcoupling.tolerances import peak
 from tests.test_bundles import degree2_circle_map
 
@@ -33,15 +32,15 @@ def constant_fields(m, vec):
     return [np.broadcast_to(np.asarray(vec, float), c.resolution + (len(vec),)).copy() for c in m.charts]
 
 
-# --- apply_connection ---------------------------------------------------------
+# --- covariant derivative ------------------------------------------------------
 
 def test_flat_constant_section_has_zero_derivative():
     c = fx.connection("interval1_so3_flat")
     m = c.manifold
     u = constant_fields(m, [1.0, -2.0, 0.5])
     x = constant_fields(m, [1.0])
-    out = apply_connection(c, u, x)
-    assert np.abs(out[0]).max() == 0.0
+    out = directional(x[0], covariant_partials(c, u)[0])
+    assert np.abs(out).max() == 0.0
 
 
 def test_flat_linear_section_recovers_plain_derivative():
@@ -50,7 +49,7 @@ def test_flat_linear_section_recovers_plain_derivative():
     t = m.charts[0].grid_points()[..., 0]
     u = [np.stack([t, np.zeros_like(t), np.zeros_like(t)], axis=-1)]
     x = constant_fields(m, [1.0])
-    out = apply_connection(c, u, x)[0]
+    out = directional(x[0], covariant_partials(c, u)[0])
     np.testing.assert_allclose(out, np.broadcast_to([1.0, 0.0, 0.0], out.shape), atol=1e-10)
 
 
@@ -62,33 +61,26 @@ def test_fiberwise_leibniz_in_the_bracket():
     v = [random_harmonic_field(rng, 2, (3,))(m.charts[0].grid_points())]
     x = [random_harmonic_field(rng, 2, (2,), constant_scale=0.6)(m.charts[0].grid_points())]
     uv = [bracket(SO3, u[0], v[0])]
-    lhs = apply_connection(c, uv, x)[0]
-    rhs = bracket(SO3, apply_connection(c, u, x)[0], v[0]) + bracket(
-        SO3, u[0], apply_connection(c, v, x)[0]
-    )
+    lhs, nabla_u, nabla_v = (directional(x[0], covariant_partials(c, w)[0]) for w in (uv, u, v))
+    rhs = bracket(SO3, nabla_u, v[0]) + bracket(SO3, u[0], nabla_v)
     assert np.abs(lhs - rhs).max() <= 1e-4
 
 
 @pytest.mark.parametrize("name", ["interval1_so3_flat", "circle2_so3_twisted", "disk2d_so3_nonflat"])
-def test_apply_connection_is_bitwise_the_per_axis_loop(name):
+def test_covariant_derivative_is_bitwise_the_per_axis_loop(name):
     c = fx.connection(name)
     m = c.manifold
     rng = np.random.default_rng(8)
     u = random_harmonic_field(rng, m.dim, (3,), amplitude=0.3).sample(m)
     x = random_harmonic_field(rng, m.dim, (m.dim,), amplitude=0.3).sample(m)
-    for cid, (chart, got) in enumerate(zip(m.charts, apply_connection(c, u, x), strict=True)):
+    for cid, (chart, cov) in enumerate(zip(m.charts, covariant_partials(c, u), strict=True)):
+        got = directional(x[cid], cov)
         ref = np.zeros_like(u[cid])
         for i in range(m.dim):
             covar = grid_derivative(chart, u[cid], i)
             covar = covar + np.einsum("...kj,...j->...k", c.omega[cid][..., i, :, :], u[cid])
             ref += x[cid][..., i : i + 1] * covar
         assert got.tobytes() == ref.tobytes()
-
-
-def test_apply_connection_shape_mismatch():
-    c = fx.connection("interval1_so3_flat")
-    with pytest.raises(InputError):
-        apply_connection(c, [np.zeros((33, 2))], [np.zeros((33, 1))])
 
 
 # --- the per-chart field contract at every entry point --------------------------
@@ -115,8 +107,6 @@ ENTRY_POINTS = {
     "Trivialization": (lambda c: list(c.bundle.frames), lambda c, f: Trivialization(c.algebra, c.manifold, f)),
     "ConnectionForm": (lambda c: list(c.omega), lambda c, f: ConnectionForm(c.bundle, f)),
     "covariant_partials": (_fiber, covariant_partials),
-    "apply_connection u": (_fiber, lambda c, f: apply_connection(c, f, _tangent(c))),
-    "apply_connection X": (_tangent, lambda c, f: apply_connection(c, _fiber(c), f)),
     "algebroid_bracket u": (_fiber, lambda c, f: _bracket_with(c, _section(f, _tangent(c)))),
     "algebroid_bracket X": (_tangent, lambda c, f: _bracket_with(c, _section(_fiber(c), f))),
     "shift_by_inner": (
@@ -310,7 +300,7 @@ def test_abelian_accordance_iff_flat():
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 1, defect B: a constant curvature below ACC_TOL passes on every grid",
+    reason="ROADMAP item 3, defect B: a constant curvature below ACC_TOL passes on every grid",
 )
 def test_small_abelian_curvature_fails_accordance_at_every_refinement():
     # omega_y = 5e-5 x diag(1, 0): R_xy = 5e-5 diag(1, 0) and ad = 0, so a

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 from labcoupling import correspondence, fileio, fixtures as fx
-from labcoupling.algebra import ad, unit_vector
+from labcoupling.algebra import ad, automorphism_residuals, unit_vector
 from labcoupling.bundles import (
     DeltaReport,
     Trivialization,
@@ -25,8 +25,8 @@ from labcoupling.bundles import (
 from labcoupling.connections import (
     ConnectionForm,
     accordance,
-    apply_connection,
     coupling_equivalent,
+    covariant_partials,
     pullback_connection,
     shift_by_inner,
     validate_connection,
@@ -41,14 +41,13 @@ from labcoupling.correspondence import (
 )
 from labcoupling.errors import InputError, PreconditionError
 from labcoupling.manifolds import (
-    Path,
     build_manifold,
     constant_map,
+    directional,
     grid_derivative,
     interpolate,
     partition_of_unity,
     random_harmonic_field,
-    ray_path,
     region_slices,
     _interpolate_axes,
 )
@@ -72,19 +71,17 @@ def constant_connection(manifold_name: str, matrix: np.ndarray, algebra=SO3) -> 
 
 def test_flat_transport_is_identity():
     c = fx.connection("interval1_so3_flat")
-    path = ray_path(c.manifold, 0, (32,), 64)
-    res = parallel_transport(c, path)
-    assert np.abs(res.matrix - np.eye(3)).max() == 0.0
+    t_mat = parallel_transport(c, 0, [0.5], [1.0], 64)
+    assert np.abs(t_mat - np.eye(3)).max() == 0.0
 
 
 def test_constant_form_transport_matches_matrix_exponential():
     d = 0.9 * K  # ||d|| <= 1
     c = constant_connection("interval1", d)
-    path = ray_path(c.manifold, 0, (32,), 64)  # 0.5 -> 1.0
-    res = parallel_transport(c, path)
+    t_mat = parallel_transport(c, 0, [0.5], [1.0], 64)
     exact = scipy.linalg.expm(-0.5 * d)
-    assert np.abs(res.matrix - exact).max() <= 1e-8
-    assert res.aut_residual <= 1e-10
+    assert np.abs(t_mat - exact).max() <= 1e-8
+    assert automorphism_residuals(SO3, t_mat) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -104,9 +101,9 @@ def test_transport_flow_property_on_split_rays(name, nodes):
             continue
         end = chart.node_point(node)
         mid = 0.5 * (start + end)
-        full = parallel_transport(c, ray_path(m, cid, node, 64)).matrix
-        first = parallel_transport(c, Path(cid, start, mid, 32)).matrix
-        second = parallel_transport(c, Path(cid, mid, end, 32)).matrix
+        full = parallel_transport(c, cid, start, end, 64)
+        first = parallel_transport(c, cid, start, mid, 32)
+        second = parallel_transport(c, cid, mid, end, 32)
         assert np.abs(second @ first - full).max() <= 1e-6
 
 
@@ -116,24 +113,22 @@ def test_rk4_order_four_against_closed_form():
     exact = scipy.linalg.expm(-0.5 * d)
     errors = []
     for steps in (8, 16):
-        res = parallel_transport(c, ray_path(c.manifold, 0, (32,), steps))
-        errors.append(np.abs(res.matrix - exact).max())
+        errors.append(np.abs(parallel_transport(c, 0, [0.5], [1.0], steps) - exact).max())
     assert 12.0 <= errors[0] / errors[1] <= 20.0
 
 
 def test_transport_rejects_escaping_path():
     c = fx.connection("interval1_so3_flat")
-    path = ray_path(c.manifold, 0, (32,), 8)  # 0.5 -> 1.0
-    for start, end in ((path.start + 0.4, path.end + 0.4), (path.end + 0.4, path.start)):
+    for start, end in (([0.9], [1.4]), ([1.4], [0.5])):  # the ray 0.5 -> 1.0, moved by 0.4
         with pytest.raises(InputError, match="leaves"):
-            parallel_transport(c, Path(0, start, end, 8))
+            parallel_transport(c, 0, start, end, 8)
 
 
 @pytest.mark.parametrize("steps", [0, -1])
 def test_transport_rejects_non_positive_step_counts(steps):
     c = fx.connection("interval1_so3_flat")
     with pytest.raises(InputError, match="step"):
-        parallel_transport(c, ray_path(c.manifold, 0, (32,), steps))
+        parallel_transport(c, 0, [0.5], [1.0], steps)
 
 
 @pytest.mark.parametrize(
@@ -149,31 +144,26 @@ def test_transport_rejects_non_positive_step_counts(steps):
 def test_transport_rejects_a_malformed_path(name, start, end, steps):
     c = fx.connection(name)
     with pytest.raises(InputError, match="path"):
-        parallel_transport(c, Path(0, np.array(start), np.array(end), steps))
+        parallel_transport(c, 0, np.array(start), np.array(end), steps)
 
 
-def fan_transport(c: ConnectionForm, path: Path) -> np.ndarray:
-    """The library's RK4 kernel on a batched Path, its ends split per axis."""
-    return correspondence._transport(c, path.chart_id, path.start, np.moveaxis(path.end, -1, 0), path.steps)
-
-
-def reference_transport(c: ConnectionForm, path: Path) -> np.ndarray:
+def reference_transport(c: ConnectionForm, chart_id: int, start, end, steps: int) -> np.ndarray:
     """Classical RK4 for T' = A(t) T over (..., n, n) stacks with np.matmul,
     written out independently of the library kernel.  The form is sampled
     at t = 0 once, then at the midpoint and end of each step, whose end
     value is reused as the next step's start value."""
-    chart = c.manifold.charts[path.chart_id]
-    v = path.end - path.start
+    chart = c.manifold.charts[chart_id]
+    v = end - start
     n = c.algebra.dim
 
     def form(t):
-        w = interpolate(chart, c.omega[path.chart_id], path.start + t * v)
+        w = interpolate(chart, c.omega[chart_id], start + t * v)
         return -np.einsum("...i,...iab->...ab", v, w)
 
     t_mats = np.broadcast_to(np.eye(n), v.shape[:-1] + (n, n))
-    dt = 1.0 / path.steps
+    dt = 1.0 / steps
     a1 = form(0.0)
-    for s in range(path.steps):
+    for s in range(steps):
         t0 = s * dt
         a0, a_mid, a1 = a1, form(t0 + 0.5 * dt), form(t0 + dt)
         k1 = a0 @ t_mats
@@ -187,7 +177,7 @@ def reference_transport(c: ConnectionForm, path: Path) -> np.ndarray:
 @pytest.mark.parametrize("fan", ["point", "row", "grid", "empty"])
 def test_transport_kernel_matches_a_reference_rk4(fan):
     # an inner shift makes omega non-commuting along rays, so only the
-    # integrator fixes the transport; every lead shape of Path.end is covered
+    # integrator fixes the transport; every lead shape of the ends is covered
     c0 = fx.connection("disk2d_so3_nonflat", refine=2)
     m = c0.manifold
     rng = np.random.default_rng(11)
@@ -201,35 +191,35 @@ def test_transport_kernel_matches_a_reference_rk4(fan):
         "grid": grid[::4, ::5],
         "empty": np.empty((0, m.dim)),
     }[fan]
-    path = Path(0, chart.node_point(chart.center), end, 64)
-    got = fan_transport(c, path)
-    expected = reference_transport(c, path)
+    start = chart.node_point(chart.center)
+    got = parallel_transport(c, 0, start, end, 64)
+    expected = reference_transport(c, 0, start, end, 64)
     assert got.shape == end.shape[:-1] + (3, 3) == expected.shape
     assert np.abs(got - expected).max(initial=0.0) <= 1e-13
     if fan == "grid":
         assert np.abs(got - np.eye(3)).max() > 0.1  # the transport is far from trivial
 
 
-def per_stage_transport(c: ConnectionForm, path: Path) -> np.ndarray:
+def per_stage_transport(c: ConnectionForm, chart_id: int, start, end, steps: int) -> np.ndarray:
     """The structure-of-arrays RK4 kernel with one interpolation of a
     (..., dim) point array per stage time: the same arithmetic as
     correspondence._transport, which instead samples both new stage times
     of a step in one call on per-axis coordinate arrays."""
-    chart = c.manifold.charts[path.chart_id]
-    omega = np.ascontiguousarray(c.omega[path.chart_id])
-    v = path.end - path.start
+    chart = c.manifold.charts[chart_id]
+    omega = np.ascontiguousarray(c.omega[chart_id])
+    v = end - start
     n = c.algebra.dim
 
     def form(t):
-        w = interpolate(chart, omega, path.start + t * v)
+        w = interpolate(chart, omega, start + t * v)
         a = np.einsum("...i,...iab->...ab", v, w).reshape(-1, n, n)
         return np.negative(a.transpose(1, 2, 0), order="C")
 
     a1 = form(0.0)
     t_mats = np.broadcast_to(np.eye(n)[..., None], a1.shape).copy()
     k1, k2, k3, k4, y = (np.empty_like(t_mats) for _ in range(5))
-    dt = 1.0 / path.steps
-    for s in range(path.steps):
+    dt = 1.0 / steps
+    for s in range(steps):
         t0 = s * dt
         a0, a_mid, a1 = a1, form(t0 + 0.5 * dt), form(t0 + dt)
         np.einsum("ikp,kjp->ijp", a0, t_mats, out=k1)
@@ -275,14 +265,13 @@ def test_batched_transport_is_bitwise_the_per_stage_kernel(fan):
             "empty": np.empty((0, 2, 2)),
             "mesh": grid,
         }[fan]
-    path = Path(cid, start, end, 64)
     if fan == "mesh":  # the fan to every node, given as the chart's open mesh
         mesh = np.ix_(*(chart.axis_nodes(a) for a in range(chart.dim)))
         got = correspondence._transport(c, cid, start, mesh, 64)
     else:
-        got = fan_transport(c, path)
+        got = parallel_transport(c, cid, start, end, 64)
     assert got.shape == end.shape[:-1] + (3, 3)
-    assert got.tobytes() == per_stage_transport(c, path).tobytes()
+    assert got.tobytes() == per_stage_transport(c, cid, start, end, 64).tobytes()
 
 
 def test_f_map_frames_are_bitwise_the_per_stage_kernel_frames(monkeypatch):
@@ -291,7 +280,7 @@ def test_f_map_frames_are_bitwise_the_per_stage_kernel_frames(monkeypatch):
 
     def on_points(c, chart_id, start, ends, steps):
         end = np.stack(np.broadcast_arrays(*ends), axis=-1)
-        return per_stage_transport(c, Path(chart_id, start, end, steps))
+        return per_stage_transport(c, chart_id, start, end, steps)
 
     monkeypatch.setattr(correspondence, "_transport", on_points)
     expected = f_map(c).trivialization.frames
@@ -439,9 +428,10 @@ def test_f_map_frames_are_ray_transports():
     l = random_harmonic_field(rng, 2, (2, 3), amplitude=0.3, constant_scale=0.3).sample(m)
     c = shift_by_inner(c0, l)
     frames = f_map(c).trivialization.frames[0]
+    chart = m.charts[0]
     for _ in range(20):
-        node = tuple(int(rng.integers(0, r)) for r in m.charts[0].resolution)
-        ray = parallel_transport(c, ray_path(m, 0, node, 64)).matrix
+        node = tuple(int(rng.integers(0, r)) for r in chart.resolution)
+        ray = parallel_transport(c, 0, chart.node_point(chart.center), chart.node_point(node), 64)
         assert np.abs(frames[node] - c.bundle.frames[0][node] @ ray).max() <= 1e-14
 
 
@@ -631,10 +621,10 @@ def test_g_map_operator_agrees_with_defining_sum_single_chart():
     rng = np.random.default_rng(77)
     u = random_harmonic_field(rng, 2, (3,), amplitude=0.01).sample(m)
     x = random_harmonic_field(rng, 2, (2,), amplitude=0.01, constant_scale=0.8).sample(m)
-    lhs = apply_connection(c, u, x)
+    lhs = directional(x[0], covariant_partials(c, u)[0])
     rhs = _defining_sum(t, h, u)
     contracted = np.einsum("...i,...ia->...a", x[0], rhs[0])
-    assert np.abs(lhs[0] - contracted).max() <= 1e-4
+    assert np.abs(lhs - contracted).max() <= 1e-4
 
 
 def test_g_map_operator_agrees_with_defining_sum_two_charts():
@@ -649,7 +639,7 @@ def test_g_map_operator_agrees_with_defining_sum_two_charts():
     rng = np.random.default_rng(77)
     u = random_harmonic_field(rng, 1, (3,), amplitude=0.01).sample(m)
     x = random_harmonic_field(rng, 1, (1,), amplitude=0.01, constant_scale=0.8).sample(m)
-    lhs = apply_connection(c, u, x)
+    lhs = [directional(xx, cov) for xx, cov in zip(x, covariant_partials(c, u))]
     rhs = _defining_sum(t, h, u)
     for cid, chart in enumerate(m.charts):
         contracted = np.einsum("...i,...ia->...a", x[cid], rhs[cid])
@@ -795,7 +785,7 @@ def test_heis3_disk_round_trip_verdict_does_not_flip_with_refinement():
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP item 3: the structure side reads a 2e-4 outer shift as equivalent at refine 8",
+    reason="ROADMAP item 1: the structure side reads a 2e-4 outer shift as equivalent at refine 8",
 )
 def test_coupling_and_structure_equivalence_agree_on_a_shifted_abelian_pair():
     # abelian2 has Inn = {id}: the shift is outer, and coupling_equivalent
@@ -805,6 +795,21 @@ def test_coupling_and_structure_equivalence_agree_on_a_shifted_abelian_pair():
         shifted = ConnectionForm(c.bundle, tuple(w + 2e-4 * np.diag([1.0, 0.0]) for w in c.omega))
         structures = trivializations_equivalent(f_map(c).trivialization, f_map(shifted).trivialization)
         assert coupling_equivalent(c, shifted).passed == structures.passed, refine
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP defect C, items 3, 8 and 9: a structure in LAB^delta FAILs its round trip",
+)
+def test_abelian_twisted_bundle_round_trip_does_not_fail():
+    # the bundle passes validate-lab and check-delta, so the theorem says its
+    # round trip holds; today connection_roundtrip reads 0.0714 and 0.0225 at
+    # refine 1 and 2 against ACC_TOL = 1e-4, an O(h^2) error, and f(g(T))
+    # reads outer star ratios where the 64-step rays cross the kinks of omega
+    for refine in (1, 2):
+        rep = verify_inverse(t=fx.bundle("circle2_abelian2_twisted", refine))
+        assert rep.passed or rep.inconclusive, refine
 
 
 def test_round_trip_requires_exactly_one_input():

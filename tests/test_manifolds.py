@@ -1,5 +1,5 @@
 """Charted-manifold tests: atlas validation, partitions of unity, overlap
-node slices, finite-difference calculus, vector-field brackets, ray paths, interpolation."""
+node slices, finite-difference calculus, vector-field brackets, interpolation."""
 
 import hashlib
 import itertools
@@ -21,7 +21,6 @@ from labcoupling.manifolds import (
     partition_of_unity,
     partition_sum_residual,
     random_harmonic_field,
-    ray_path,
     region_slices,
 )
 from tests.test_fixtures import digest
@@ -441,38 +440,6 @@ def test_harmonic_sample_is_bitwise_the_pointwise_field(name):
         pointwise = [f(chart.grid_points()) for chart in m.charts]
         for got, ref in zip(sampled, pointwise, strict=True):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
-
-
-# --- paths -------------------------------------------------------------------
-
-def test_ray_to_center_is_constant():
-    m = fx.manifold("interval1")
-    p = ray_path(m, 0, (16,), 4)
-    assert np.abs(p.start - 0.5).max() == 0.0
-    assert np.abs(p.end - p.start).max() == 0.0
-    assert p.steps == 4
-
-
-def test_ray_sample_points_match_arithmetic():
-    m = fx.manifold("interval1")
-    p = ray_path(m, 0, (32,), 4)
-    np.testing.assert_allclose(p.start, [0.5])
-    np.testing.assert_allclose(p.end, [1.0])
-    assert (p.chart_id, p.steps) == (0, 4)
-
-
-def test_rerayed_midpoint_is_truncated_ray():
-    m = fx.manifold("disk2d")
-    full = ray_path(m, 0, (32, 24), 8)
-    mid = full.start + 0.5 * (full.end - full.start)
-    idx = tuple(
-        int(round((mid[a] - m.charts[0].box[a, 0]) / m.charts[0].spacing[a])) for a in range(2)
-    )
-    half = ray_path(m, 0, idx, 4)
-    np.testing.assert_array_equal(half.start, full.start)
-    np.testing.assert_allclose(half.end, mid, atol=1e-12)
-    # same step length, so half's samples are full's first five
-    assert 2 * half.steps == full.steps
 
 
 # --- overlap node slices -----------------------------------------------------
