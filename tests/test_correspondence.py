@@ -107,6 +107,58 @@ def test_transport_flow_property_on_split_rays(name, nodes):
         assert np.abs(second @ first - full).max() <= 1e-6
 
 
+def random_chart_nodes(chart, rng, count: int) -> list:
+    return [tuple(int(rng.integers(0, r)) for r in chart.resolution) for _ in range(count)]
+
+
+@pytest.mark.parametrize("name", ["interval1_so3_flat", "circle2_so3_twisted", "disk2d_so3_nonflat"])
+def test_transport_along_a_zero_length_path_is_the_identity(name):
+    # v = 0 makes every stage matrix zero, so RK4 leaves T(0) = I untouched
+    c = fx.connection(name)
+    for cid, chart in enumerate(c.manifold.charts):
+        center = chart.node_point(chart.center)
+        assert parallel_transport(c, cid, center, center, 8).tobytes() == np.eye(3).tobytes()
+
+
+@pytest.mark.parametrize("name", ["disk2d_so3_nonflat", "cyl2_so3_twisted", "disk2d_heis3_outer"])
+def test_reversed_transport_inverts_the_forward_one(name):
+    c = fx.connection(name)
+    rng = np.random.default_rng(31)
+    for cid, chart in enumerate(c.manifold.charts):
+        start = chart.node_point(chart.center)
+        for node in random_chart_nodes(chart, rng, 8):
+            end = chart.node_point(node)
+            there = parallel_transport(c, cid, start, end, 64)
+            back = parallel_transport(c, cid, end, start, 64)
+            assert np.abs(back @ there - np.eye(3)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("batch", [(), (6,), (2, 3)], ids=["one-end", "a-row-of-ends", "a-grid-of-ends"])
+def test_transport_shape_follows_the_ends(batch):
+    # the result is end.shape[:-1] + (n, n), and each segment of the fan is
+    # bitwise its own transport
+    c = fx.connection("disk2d_so3_nonflat")
+    chart = c.manifold.charts[0]
+    start = chart.node_point(chart.center)
+    nodes = random_chart_nodes(chart, np.random.default_rng(5), math.prod(batch))
+    ends = np.array([chart.node_point(node) for node in nodes]).reshape(batch + (2,))
+    got = parallel_transport(c, 0, start, ends, 64)
+    assert got.shape == batch + (3, 3)
+    for idx in np.ndindex(batch):
+        assert got[idx].tobytes() == parallel_transport(c, 0, start, ends[idx], 64).tobytes()
+
+
+@pytest.mark.parametrize("name", ["disk2d_so3_nonflat", "disk2d_heis3_outer"])
+def test_transport_to_every_node_is_an_automorphism(name):
+    # the form is pointwise a derivation of the bracket, so T is an automorphism
+    c = fx.connection(name)
+    for cid, chart in enumerate(c.manifold.charts):
+        ends = chart.grid_points()
+        got = parallel_transport(c, cid, chart.node_point(chart.center), ends, 64)
+        assert got.shape == ends.shape[:-1] + (3, 3)
+        assert np.max(automorphism_residuals(c.algebra, got.reshape(-1, 3, 3))) <= 1e-10
+
+
 def test_rk4_order_four_against_closed_form():
     d = K.copy()
     c = constant_connection("interval1", d)
