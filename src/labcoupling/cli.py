@@ -27,7 +27,7 @@ from .connections import accordance, validate_connection
 from .correspondence import f_map, g_map, verify_inverse
 from .errors import ComputationError, CoverageError, InputError, PreconditionError
 from .manifolds import partition_of_unity
-from .tolerances import ACC_TOL, ALG_TOL, INNER_TOL, LEIBNIZ_TOL, ODE_STEPS, SKEW_TOL, TRANS_TOL, peak
+from .tolerances import ACC_TOL, ALG_TOL, EDGE_STEPS, INNER_TOL, LEIBNIZ_TOL, SKEW_TOL, TRANS_TOL, peak
 
 EXIT_PASSED = 0
 EXIT_FAILED = 1
@@ -264,11 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
                 "--alg-tol", "--acc-tol")
     p.add_argument("--connection", required=True)
 
-    p = command("f-map", cmd_f_map, "coupling -> bundle structure by ray transport",
+    p = command("f-map", cmd_f_map, "coupling -> bundle structure by comb transport",
                 "--acc-tol", "--trans-tol", "--inner-tol")
     p.add_argument("--connection", required=True)
     p.add_argument("--out")
-    p.add_argument("--ode-steps", type=int, default=ODE_STEPS)
+    p.add_argument("--ode-steps", type=int, default=EDGE_STEPS, help="RK4 steps per grid edge of the transport")
 
     p = command("g-map", cmd_g_map, "bundle structure -> coupling connection",
                 "--alg-tol", "--acc-tol", "--inner-tol")
@@ -280,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "--acc-tol", "--inner-tol")
     p.add_argument("--bundle")
     p.add_argument("--connection")
-    p.add_argument("--ode-steps", type=int, default=ODE_STEPS)
+    p.add_argument("--ode-steps", type=int, default=EDGE_STEPS, help="RK4 steps per grid edge of the transport")
 
     p = command("axioms", cmd_axioms, "bracket axiom residuals on random sections", "--acc-tol")
     p.add_argument("--connection", required=True)

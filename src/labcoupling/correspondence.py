@@ -1,8 +1,10 @@
 """The two classification maps and their round-trip verification.
 
 ``f_map`` turns a coupling (a connection whose curvature lies in the inner
-span) into a local-trivialization structure by parallel transport along the
-rays from each chart center.  ``g_map`` goes back: given a structure and a
+span) into a local-trivialization structure by parallel transport from each
+chart center along a comb of grid edges.  Its class does not depend on the
+paths: the curvature is inner-valued, so transports along homotopic paths
+differ by an inner automorphism.  ``g_map`` goes back: given a structure and a
 partition of unity it assembles the connection whose chartwise form is the
 h-weighted sum of the pure-gauge forms phi_alpha d(phi_alpha^{-1}).  The
 round-trip checks assert, numerically, that the two maps are mutually
@@ -38,6 +40,7 @@ from .manifolds import (
 )
 from .tolerances import (
     ACC_TOL,
+    EDGE_STEPS,
     G_MAP_LAB_TOL,
     INNER_TOL,
     ODE_STEPS,
@@ -47,64 +50,27 @@ from .tolerances import (
 )
 
 
-def _transport(c: ConnectionForm, chart_id: int, start, ends, steps: int) -> np.ndarray:
-    """Solve T' = A(t) T, T(0) = I, with A(t) = -sum_i v^i w_i(start + t v)
-    and v = end - start, by classical RK4 in ``steps`` uniform steps, for a
-    fan of segments from one start.  ``ends`` holds the fan's end points per
-    axis: ends[a] are their axis-a coordinates, arrays that broadcast
-    against each other to the fan shape, so a chart's open mesh (np.ix_ of
-    its axis nodes) is the fan to every node.
+def _rk4(stages, steps: int) -> np.ndarray:
+    """Classical RK4 for T' = A(t) T, T(0) = I over t in [0, 1] in ``steps``
+    uniform steps, for N problems at once.  ``stages(*times)`` returns the
+    stage values of A at the given times, a list of contiguous (n, n, N)
+    arrays; it is called at t = 0 and then once per step for the step's
+    midpoint and end, whose end value is the next step's start value.
 
-    A stage's sample points start[a] + t v_a stay per axis, at each
-    array's own size, and go to the interpolation kernel as they are.  A
-    step's end value of A is the next step's start value, and a step's two
-    new values (at t0 + dt/2 and t0 + dt) come from one kernel call on
-    (2, ...) coordinate arrays, so a solve makes steps + 1 kernel calls
-    covering the 2 steps + 1 stage times.  A chart box is convex: checking
-    the start and the ends keeps every sample inside it.
-
-    The state, the stage buffers and every form value are held as
-    contiguous (n, n, N) arrays over the N batched segments, where one
-    einsum product per stage runs about 3x faster than np.matmul over
-    (N, n, n); the result has shape fan shape + (n, n)."""
-    chart = c.manifold.charts[chart_id]
-    start = np.asarray(start, dtype=float)
-    ends = [np.asarray(e, dtype=float) for e in ends]
-    if start.shape != (chart.dim,) or len(ends) != chart.dim:
-        raise InputError(
-            f"a path in a {chart.dim}-D chart needs a start of shape ({chart.dim},) "
-            f"and {chart.dim} end coordinates, got {start.shape} and {len(ends)}"
-        )
+    The state and the stage buffers are contiguous (n, n, N) arrays too,
+    where one einsum product per stage runs about 3x faster than np.matmul
+    over (N, n, n); T(1) is returned in that layout."""
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
         raise InputError(f"a path's step count must be an integer, got {steps!r}")
-    if not (chart.contains(start) and chart.contains_axes(ends)):
-        raise InputError("path leaves its chart")
     if steps < 1:
         raise InputError("a path needs at least one step")
-    omega = np.ascontiguousarray(c.omega[chart_id])
-    rows = [e - s for e, s in zip(ends, start)]
-    v = np.stack(np.broadcast_arrays(*rows), axis=-1)
-    n = c.algebra.dim
-
-    def forms(*times: float) -> list:
-        # stage times on a new leading axis of every coordinate array
-        t = np.array(times).reshape((-1,) + (1,) * (v.ndim - 1))
-        w = _interpolate_axes(chart, omega, [s + t * row for s, row in zip(start, rows)])
-        out = []
-        for w_t in w:
-            a = np.einsum("...i,...iab->...ab", v, w_t).reshape(-1, n, n)
-            # one C-ordered (n, n, N) copy; an "abp" einsum output is a strided
-            # view, which would slow every product that reads it
-            out.append(np.negative(a.transpose(1, 2, 0), order="C"))
-        return out
-
-    (a1,) = forms(0.0)
-    t_mats = np.broadcast_to(np.eye(n)[..., None], a1.shape).copy()
+    (a1,) = stages(0.0)
+    t_mats = np.broadcast_to(np.eye(a1.shape[0])[..., None], a1.shape).copy()
     k1, k2, k3, k4, y = (np.empty_like(t_mats) for _ in range(5))
     dt = 1.0 / steps
     for s in range(steps):
         t0 = s * dt
-        a0, (a_mid, a1) = a1, forms(t0 + 0.5 * dt, t0 + dt)
+        a0, (a_mid, a1) = a1, stages(t0 + 0.5 * dt, t0 + dt)
         # k_{j+1} = A (T + h k_j), with T + h k_j formed in y as h k_j + T
         np.einsum("ikp,kjp->ijp", a0, t_mats, out=k1)
         np.multiply(k1, 0.5 * dt, out=y)
@@ -124,22 +90,57 @@ def _transport(c: ConnectionForm, chart_id: int, start, ends, steps: int) -> np.
         k1 += k4
         k1 *= dt / 6.0
         t_mats += k1
-    return np.ascontiguousarray(t_mats.transpose(2, 0, 1)).reshape(v.shape[:-1] + (n, n))
+    return t_mats
 
 
 def parallel_transport(c: ConnectionForm, chart_id: int, start, end, steps: int) -> np.ndarray:
-    """Solve T' = -w(gamma')(gamma) T, T(0) = I along the straight chart
-    segments from ``start`` (dim,) to ``end`` (..., dim) in ``steps`` RK4
-    steps; the result, of shape end.shape[:-1] + (n, n), is an automorphism
-    up to integrator error because the form is pointwise a bracket
-    derivation."""
+    """Solve T' = A(t) T, T(0) = I, with A(t) = -sum_i v^i w_i(start + t v)
+    and v = end - start, by classical RK4 in ``steps`` uniform steps along
+    the straight chart segments from ``start`` (dim,) to each point of
+    ``end`` (..., dim).  The result, of shape end.shape[:-1] + (n, n), is an
+    automorphism up to integrator error because the form is pointwise a
+    bracket derivation.
+
+    A stage's sample points start + t v go to the interpolation kernel as
+    per-axis coordinate arrays.  A step's two new values of A (at t0 + dt/2
+    and t0 + dt) come from one kernel call on (2, ...) coordinate arrays, so
+    a solve makes steps + 1 kernel calls covering the 2 steps + 1 stage
+    times.  A chart box is convex: checking the start and the ends keeps
+    every sample inside it."""
+    chart = c.manifold.charts[chart_id]
+    start = np.asarray(start, dtype=float)
     end = np.asarray(end, dtype=float)
-    return _transport(c, chart_id, start, np.moveaxis(end, -1, 0) if end.ndim else (), steps)
+    if start.shape != (chart.dim,) or end.shape[-1:] != (chart.dim,):
+        raise InputError(
+            f"a path in a {chart.dim}-D chart needs a start of shape ({chart.dim},) "
+            f"and ends of shape (..., {chart.dim}), got {start.shape} and {end.shape}"
+        )
+    if not (chart.contains(start) and chart.contains(end)):
+        raise InputError("path leaves its chart")
+    omega = np.ascontiguousarray(c.omega[chart_id])
+    v = end - start
+    rows = np.moveaxis(v, -1, 0)
+    n = c.algebra.dim
+
+    def forms(*times: float) -> list:
+        # stage times on a new leading axis of every coordinate array
+        t = np.array(times).reshape((-1,) + (1,) * (v.ndim - 1))
+        w = _interpolate_axes(chart, omega, [s + t * row for s, row in zip(start, rows)])
+        out = []
+        for w_t in w:
+            a = np.einsum("...i,...iab->...ab", v, w_t).reshape(-1, n, n)
+            # one C-ordered (n, n, N) copy; an "abp" einsum output is a strided
+            # view, which would slow every product that reads it
+            out.append(np.negative(a.transpose(1, 2, 0), order="C"))
+        return out
+
+    t_mats = _rk4(forms, steps)
+    return np.ascontiguousarray(t_mats.transpose(2, 0, 1)).reshape(v.shape[:-1] + (n, n))
 
 
 @dataclass(frozen=True)
 class FMapResult:
-    """Trivialization built by ray transport, with its embedded theorem
+    """Trivialization built by comb transport, with its embedded theorem
     checks: transitions must be pointwise automorphisms and the structure
     must pass the discrete-quotient continuity sweep."""
 
@@ -152,36 +153,77 @@ class FMapResult:
         return self.lab_report.passed and self.delta.passed
 
 
-def _ray_frames(c: ConnectionForm, ode_steps: int, acc_tol: float) -> Trivialization:
+def _comb_transports(c: ConnectionForm, chart_id: int, steps: int) -> np.ndarray:
+    """Transports from the chart center to every node along the node comb,
+    a spanning tree of grid edges: the axis-0 line through the center, then
+    from each of its nodes the axis-1 line, and so on for each later axis.
+    A node's transport is the product of the edge transports on its comb
+    path; the result has shape resolution + (n, n).
+
+    On the grid edge from node k to k + 1 along axis a the multilinear
+    interpolant of w is linear in t, so the edge's A(t) = -h_a w_a(t) is the
+    blend a0 + t (a1 - a0) of its two node values and needs no interpolation
+    call; an edge run from k + 1 to k negates both.  All edges of one axis
+    pass, forward (from k to k + 1 at and above the center index) and
+    backward (from k + 1 to k below it), are one RK4 batch of ``steps``
+    steps per edge.  Then each edge's transport multiplies the one of the
+    node it leaves: a batched product per node index, in (n, n, L) slices
+    over the L lines along axis a in grid order."""
+    chart = c.manifold.charts[chart_id]
+    n = c.algebra.dim
+    covered = np.eye(n)[..., None]  # the center alone, (n, n, 1)
+    for a, (center, r, h) in enumerate(zip(chart.center, chart.resolution, chart.spacing)):
+        # -h_a w_a on the lines along axis a: axes before a full, later axes at the center
+        index = tuple(slice(None) if b <= a else i for b, i in enumerate(chart.center))
+        nodes = np.moveaxis(c.omega[chart_id][index + (a,)], a, 0) * -h
+        nodes = np.moveaxis(nodes.reshape(r, -1, n, n), (2, 3), (0, 1))  # (n, n, r, L)
+        # forward edges k -> k + 1 for k >= center, then backward edges k + 1 -> k
+        a0 = np.concatenate([nodes[:, :, center:-1], -nodes[:, :, 1 : center + 1]], axis=2)
+        a1 = np.concatenate([nodes[:, :, center + 1 :], -nodes[:, :, :center]], axis=2)
+        shape = a0.shape
+        a0, d = a0.reshape(n, n, -1), (a1 - a0).reshape(n, n, -1)
+        edges = _rk4(lambda *times: [a0 + t * d for t in times], steps).reshape(shape)
+        line = np.empty(nodes.shape)
+        line[:, :, center] = covered
+        for k in range(center, r - 1):
+            np.einsum("ikp,kjp->ijp", edges[:, :, k - center], line[:, :, k], out=line[:, :, k + 1])
+        for k in range(center - 1, -1, -1):
+            np.einsum("ikp,kjp->ijp", edges[:, :, r - 1 - center + k], line[:, :, k + 1], out=line[:, :, k])
+        # grid order: the lines' axes before axis a
+        covered = line.transpose(0, 1, 3, 2).reshape(n, n, -1)
+    return np.ascontiguousarray(covered.transpose(2, 0, 1)).reshape(chart.resolution + (n, n))
+
+
+def _comb_frames(c: ConnectionForm, ode_steps: int, acc_tol: float) -> Trivialization:
     """The structure f(C) before its checks: after the accordance
-    precondition, each chart's frames are the bundle's frame at the chart
-    center times the transports along the fan of rays from the center to
-    the chart's open mesh of nodes."""
+    precondition, each node's frame is the bundle's frame there times the
+    transport to it from the chart center along the node comb, in
+    ``ode_steps`` RK4 steps per grid edge."""
     result = accordance(c, tol=acc_tol)
     if not result.passed:
         raise PreconditionError(
             f"not a coupling: accordance residual {result.max_residual:.3e} > {acc_tol:.1e}"
         )
     frames = []
-    for cid, chart in enumerate(c.manifold.charts):
-        mesh = np.ix_(*(chart.axis_nodes(a) for a in range(chart.dim)))
-        frame = c.bundle.frames[cid] @ _transport(c, cid, chart.node_point(chart.center), mesh, ode_steps)
+    for cid in range(len(c.manifold.charts)):
+        frame = c.bundle.frames[cid] @ _comb_transports(c, cid, ode_steps)
         if not np.isfinite(frame).all():
-            raise ComputationError(f"ray transport in chart {cid} is not finite")
+            raise ComputationError(f"comb transport in chart {cid} is not finite")
         frames.append(frame)
     return Trivialization(c.algebra, c.manifold, tuple(frames))
 
 
 def f_map(
     c: ConnectionForm,
-    ode_steps: int = ODE_STEPS,
+    ode_steps: int = EDGE_STEPS,
     acc_tol: float = ACC_TOL,
     aut_tol: float = TRANS_TOL,
     inner_tol: float = INNER_TOL,
 ) -> FMapResult:
-    """Coupling -> structure: frames are ray transports composed with the
-    bundle's frame at the chart center."""
-    out = _ray_frames(c, ode_steps, acc_tol)
+    """Coupling -> structure: each node's frame is the bundle's frame times
+    the transport to the node from its chart's center along the node comb,
+    in ``ode_steps`` RK4 steps per grid edge."""
+    out = _comb_frames(c, ode_steps, acc_tol)
     lab = validate_lab(out, tol=aut_tol)
     if not lab.passed:  # a structure outside LAB is not swept: nothing is certified
         return FMapResult(out, lab, UNSWEPT)
@@ -286,7 +328,7 @@ class RoundTripReport:
 def verify_inverse(
     c: ConnectionForm | None = None,
     t: Trivialization | None = None,
-    ode_steps: int = ODE_STEPS,
+    ode_steps: int = EDGE_STEPS,
     coupling_tol: float = ACC_TOL,
     inner_tol: float = INNER_TOL,
 ) -> RoundTripReport:
@@ -318,7 +360,7 @@ def verify_inverse(
     if from_connection:
         t = f_c.trivialization
         # of f(g(T)) only its frames and validate_lab are read: no verdict sweep
-        f_g_t = _ray_frames(g_f_c, ode_steps, coupling_tol)
+        f_g_t = _comb_frames(g_f_c, ode_steps, coupling_tol)
         f_g_t_lab = validate_lab(f_g_t, tol=TRANS_TOL)
     else:
         f_g_t, f_g_t_lab = f_c.trivialization, f_c.lab_report
@@ -375,8 +417,8 @@ def loop_transport(c: ConnectionForm) -> np.ndarray:
             raise InputError(f"no forward overlap from chart {cid} along axis 0")
         switch = current.copy()
         switch[0] = 0.5 * (o.region[0, 0] + o.region[0, 1])
-        total = _transport(c, cid, current, switch, ODE_STEPS) @ total
+        total = parallel_transport(c, cid, current, switch, ODE_STEPS) @ total
         f_alpha, f_beta = c.bundle.frames_at(k, switch[None, :])
         total = np.linalg.inv(f_beta[0]) @ f_alpha[0] @ total
         current = o.apply(switch[None, :])[0]
-    return _transport(c, order[0], current, start, ODE_STEPS) @ total
+    return parallel_transport(c, order[0], current, start, ODE_STEPS) @ total

@@ -188,16 +188,29 @@ def test_roundtrip_requires_exactly_one_input(capsys):
     )
 
 
+def steep_connection_file(tmp_path) -> str:
+    """tests.test_bundles.steep_circle_coupling saved as a connection file."""
+    from tests.test_bundles import steep_circle_coupling
+
+    path = tmp_path / "steep.json"
+    fileio.save_json(path, fileio.connection_to_dict(steep_circle_coupling()))
+    return str(path)
+
+
+STEEP = "<steep circle coupling file>"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ("f-map", "--connection", "circle2_so3_twisted", "--ode-steps", "1"),
+        ("f-map", "--connection", STEEP, "--ode-steps", "1"),
         ("f-map", "--connection", "circle2_so3_twisted", "--trans-tol", "1e-16"),
     ],
 )
-def test_f_map_on_a_structure_that_fails_validation_fails_without_verdicts(capsys, argv):
+def test_f_map_on_a_structure_that_fails_validation_fails_without_verdicts(capsys, tmp_path, argv):
     # the transitions miss the --trans-tol gate, so no ratio is swept: FAIL
     # (exit 1) with max_inner "inf", not a verdict sweep on non-automorphisms
+    argv = [steep_connection_file(tmp_path) if arg == STEEP else arg for arg in argv]
     code, report = run_cli(capsys, *argv)
     assert code == 1
     assert not report["passed"] and not report["inconclusive"]
@@ -206,23 +219,23 @@ def test_f_map_on_a_structure_that_fails_validation_fails_without_verdicts(capsy
     assert report["verdicts"] == {"inner": 0, "outer": 0, "undecided": 0}
 
 
-def test_roundtrip_fails_on_a_transport_that_fails_validation(capsys):
-    code, report = run_cli(capsys, "roundtrip", "--connection", "circle2_so3_twisted", "--ode-steps", "1")
+def test_roundtrip_fails_on_a_transport_that_fails_validation(capsys, tmp_path):
+    code, report = run_cli(capsys, "roundtrip", "--connection", steep_connection_file(tmp_path), "--ode-steps", "1")
     assert code == 1 and not report["inconclusive"]
     assert not report["directions"]["connection_roundtrip"]["passed"]
     assert report["directions"]["connection_roundtrip"]["undecided"] == 0
     # both structures it compares fail validate_lab: the note names that, and
     # their equivalence is not certified
-    assert "T = f(C) fails validate_lab: residual 4.950e-06" in report["note"]
+    assert "T = f(C) fails validate_lab: residual 5.383e-05" in report["note"]
     assert "f(g(T)) fails validate_lab" in report["note"]
     assert not report["directions"]["trivialization_roundtrip"]["passed"]
 
 
 def test_check_delta_agrees_with_f_map_on_its_bundle(capsys, tmp_path):
-    # one RK4 step puts the transitions 4.9e-6 off Aut; with the gates widened
-    # to 1e-2 both commands sweep the same ratios under the same ratio gate
+    # one RK4 step per edge puts the steep form's transitions 2.7e-5 off Aut; with
+    # the gates widened to 1e-2 both commands sweep the same ratios under the same ratio gate
     out = str(tmp_path / "b.json")
-    argv = ("--connection", "circle2_so3_twisted", "--ode-steps", "1", "--trans-tol", "1e-2", "--out", out)
+    argv = ("--connection", steep_connection_file(tmp_path), "--ode-steps", "1", "--trans-tol", "1e-2", "--out", out)
     code, mapped = run_cli(capsys, "f-map", *argv)
     assert code == 2
     assert mapped["verdicts"] == {"inner": 4, "outer": 0, "undecided": 32}
@@ -464,7 +477,7 @@ def test_failed_precondition_is_a_fail_report(capsys, argv, note):
 
 
 def test_transport_overflow_is_a_fail_report(capsys, tmp_path):
-    # accordance passes at --acc-tol 1e300, but the ray transport overflows
+    # accordance passes at --acc-tol 1e300, but the comb transport overflows
     data = fileio.connection_to_dict(fx.connection("circle2_so3_twisted"))
     data["omega"] = [(np.asarray(grid) * 1e150).tolist() for grid in data["omega"]]
     path = tmp_path / "huge.json"
@@ -472,7 +485,7 @@ def test_transport_overflow_is_a_fail_report(capsys, tmp_path):
     with np.errstate(over="ignore", invalid="ignore"):
         code, report = run_strict(capsys, "f-map", "--connection", str(path), "--acc-tol", "1e300")
     assert code == 1 and not report["passed"]
-    assert report["note"] == "ray transport in chart 0 is not finite"
+    assert report["note"] == "comb transport in chart 0 is not finite"
 
 
 def _leaves(tree, path=()):

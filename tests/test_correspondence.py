@@ -5,6 +5,7 @@ transport composition for the flow property, and a literal re-evaluation of
 the defining h-weighted sum for the connection assembled by g_map.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -51,7 +52,8 @@ from labcoupling.manifolds import (
     region_slices,
     _interpolate_axes,
 )
-from tests.test_bundles import degree2_circle_map
+from labcoupling.tolerances import EDGE_STEPS, TRANS_TOL
+from tests.test_bundles import degree2_circle_map, steep_circle_coupling
 from tests.test_fixtures import digest
 
 SO3 = fx.algebra("so3")
@@ -255,8 +257,8 @@ def test_transport_kernel_matches_a_reference_rk4(fan):
 def per_stage_transport(c: ConnectionForm, chart_id: int, start, end, steps: int) -> np.ndarray:
     """The structure-of-arrays RK4 kernel with one interpolation of a
     (..., dim) point array per stage time: the same arithmetic as
-    correspondence._transport, which instead samples both new stage times
-    of a step in one call on per-axis coordinate arrays."""
+    parallel_transport, which instead samples both new stage times of a
+    step in one call on per-axis coordinate arrays."""
     chart = c.manifold.charts[chart_id]
     omega = np.ascontiguousarray(c.omega[chart_id])
     v = end - start
@@ -315,28 +317,69 @@ def test_batched_transport_is_bitwise_the_per_stage_kernel(fan):
             "row": grid[:, 7],
             "grid": grid[::4, ::5],
             "empty": np.empty((0, 2, 2)),
-            "mesh": grid,
+            "mesh": grid,  # the fan to every node
         }[fan]
-    if fan == "mesh":  # the fan to every node, given as the chart's open mesh
-        mesh = np.ix_(*(chart.axis_nodes(a) for a in range(chart.dim)))
-        got = correspondence._transport(c, cid, start, mesh, 64)
-    else:
-        got = parallel_transport(c, cid, start, end, 64)
+    got = parallel_transport(c, cid, start, end, 64)
     assert got.shape == end.shape[:-1] + (3, 3)
     assert got.tobytes() == per_stage_transport(c, cid, start, end, 64).tobytes()
 
 
-def test_f_map_frames_are_bitwise_the_per_stage_kernel_frames(monkeypatch):
+def comb_path(chart, node) -> list:
+    """The comb's path from the chart center to a node, as its list of nodes:
+    along axis 0 first, then axis 1, and so on."""
+    path = [tuple(chart.center)]
+    for a, target in enumerate(node):
+        while path[-1][a] != target:
+            step = list(path[-1])
+            step[a] += 1 if target > step[a] else -1
+            path.append(tuple(step))
+    return path
+
+
+def per_edge_comb(c: ConnectionForm, chart_id: int, steps: int) -> np.ndarray:
+    """The comb's transports solved one grid edge at a time, in (n, n, 1)
+    arrays, with the kernel's stage blends and products written out: A(t) =
+    a0 + t (a1 - a0) from the node values -h_a w_a (negated on an edge that
+    runs toward lower indices), then each node's transport is its edge's
+    times that of the node the edge leaves."""
+    chart = c.manifold.charts[chart_id]
+    n = c.algebra.dim
+    omega = c.omega[chart_id]
+    out = {tuple(chart.center): np.eye(n)[..., None]}
+    # by comb-path length, so that every node's parent is done before it
+    order = sorted(np.ndindex(chart.resolution), key=lambda node: len(comb_path(chart, node)))
+    for node in order[1:]:
+        parent = comb_path(chart, node)[-2]
+        a = next(b for b in range(chart.dim) if parent[b] != node[b])
+        a0, a1 = (omega[end][a][..., None] * -chart.spacing[a] for end in (parent, node))
+        if node[a] < parent[a]:
+            a0, a1 = -a0, -a1
+        d = a1 - a0
+        t_mats = np.eye(n)[..., None].copy()
+        dt = 1.0 / steps
+        b1 = a0 + 0.0 * d
+        for s in range(steps):
+            t0 = s * dt
+            b0, b_mid, b1 = b1, a0 + (t0 + 0.5 * dt) * d, a0 + (t0 + dt) * d
+            k1 = np.einsum("ikp,kjp->ijp", b0, t_mats)
+            k2 = np.einsum("ikp,kjp->ijp", b_mid, k1 * (0.5 * dt) + t_mats)
+            k3 = np.einsum("ikp,kjp->ijp", b_mid, k2 * (0.5 * dt) + t_mats)
+            k4 = np.einsum("ikp,kjp->ijp", b1, k3 * dt + t_mats)
+            t_mats = t_mats + (((k1 + k2 * 2.0) + k3 * 2.0) + k4) * (dt / 6.0)
+        out[node] = np.einsum("ikp,kjp->ijp", t_mats, out[parent])
+    return np.stack([out[node][..., 0] for node in np.ndindex(chart.resolution)]).reshape(
+        chart.resolution + (n, n)
+    )
+
+
+def test_f_map_frames_are_bitwise_the_per_stage_kernel_frames():
+    # batching the edges of an axis pass into one RK4 solve, and the
+    # prefix products into slices of one array, changes no bit of a frame
     c = fx.connection("cyl2_so3_twisted")
-    frames = f_map(c).trivialization.frames
-
-    def on_points(c, chart_id, start, ends, steps):
-        end = np.stack(np.broadcast_arrays(*ends), axis=-1)
-        return per_stage_transport(c, chart_id, start, end, steps)
-
-    monkeypatch.setattr(correspondence, "_transport", on_points)
-    expected = f_map(c).trivialization.frames
-    assert [f.tobytes() for f in frames] == [f.tobytes() for f in expected]
+    frames = f_map(c, ode_steps=3).trivialization.frames
+    for cid, frame in enumerate(frames):
+        expected = c.bundle.frames[cid] @ per_edge_comb(c, cid, 3)
+        assert frame.tobytes() == expected.tobytes()
 
 
 def test_circle_loop_transport_is_the_cocycle_constant():
@@ -415,15 +458,15 @@ F_MAP_CASES = [f"{name} {refine}" for name in fx.COUPLING_NAMES for refine in (1
 F_MAP_DIGESTS = {
     "interval1_so3_flat 1": "6e684d7c1e5ec1af2517ed455d494e94aafe8145922a013ebd5b958dbd0f5d6d",
     "interval1_so3_flat 2": "6bc91cbfa99fa228390fefaef06415b04ebb50c611eeb54c439564aa795d0b99",
-    "circle2_so3_twisted 1": "d1b0a18198f79c5c7aa343b56653377e3782be503dad33e26e542b8758e8d302",
-    "circle2_so3_twisted 2": "0b19030ce45bf57409a5be48eb87c850c2368499ab591deef51fbe94ff28054f",
-    "cyl2_so3_twisted 1": "262a1d4e597e15d8859ac71b9dc41ecb93fa3e6beefba41802c0da15ca67b6d7",
-    "cyl2_so3_twisted 2": "01ba369f8a9f27f352f371059a3f5a2ba227ae60430eee06aa751c57bba57c9d",
-    "disk2d_so3_nonflat 1": "f72eeaec938083a412aa2fff65b6d0ed55366a5311f39380afd1ea97a1c8124b",
-    "disk2d_so3_nonflat 2": "105de87e644d39ce1e017a8fb36de8bd543c5e8492f389c933c31049860ef802",
-    "circle2_abelian2_flat 1": "3d2bcdeb327e2f92a8e328eee5d98a2e70b3ab2165001b4cace670e4edee9ce6",
-    "circle2_abelian2_flat 2": "112520e118be8e3c9209036657bb8c7bc5b97c445af771a10597c5ad4e03b83d",
-    "transport 1": "52be80ffc308d7e45be79e7751b5e51f39aa4d7eb13b0aaaa51d6e84af83b984",
+    "circle2_so3_twisted 1": "c4571ab87859c883dd2f963253bb2da2a4c99810f2b26872f289c81cfcf2638d",
+    "circle2_so3_twisted 2": "40bbe8b30fc6f20a54c8e2d570f0b85e9642a22b5f180123797ef4ca29668a42",
+    "cyl2_so3_twisted 1": "bbf1f7609d72403930cdc38fad075560c825821608ecb1aae1533dfdc096b42f",
+    "cyl2_so3_twisted 2": "d7c740d23538abf18fc85bf82947ebdb1db9525bfa04c3e20b8fc43d3296fbe4",
+    "disk2d_so3_nonflat 1": "45ea6686c86f2646560ff554efd83f44f955ffd3d755fd51df6669707ae93e46",
+    "disk2d_so3_nonflat 2": "91d504000c2a9ac164358c124b6a5e7cb95f6cf0436d91780067806da1720411",
+    "circle2_abelian2_flat 1": "0536e5ba96bc0b7d1615e046006764c7b671d00bf99ba2b5739fce82daaf6453",
+    "circle2_abelian2_flat 2": "3155e7795baf9a2ec211f7672711107c16e044644e6d7d7e00e8a60d847cc7fe",
+    "transport 1": "21b59906271ea2fefd34d236d5638ddd63471c6ede9bea64a070883215e63d7a",
 }
 
 
@@ -471,9 +514,11 @@ def test_f_map_on_single_chart_nonflat_validates():
     assert len(c.manifold.overlaps) == 0
 
 
-def test_f_map_frames_are_ray_transports():
-    # an inner shift makes omega non-commuting along rays, so the transport
-    # is no exponential of an integral and only the integrator fixes it
+def test_f_map_frames_are_comb_transports():
+    # an inner shift makes omega non-commuting along grid lines, so the
+    # transport is no exponential of an integral and only the integrator
+    # fixes it: a node's frame is the product of straight-path solves along
+    # the grid edges of its comb path, axis 0 first
     c0 = fx.connection("disk2d_so3_nonflat")
     m = c0.manifold
     rng = np.random.default_rng(5)
@@ -481,29 +526,74 @@ def test_f_map_frames_are_ray_transports():
     c = shift_by_inner(c0, l)
     frames = f_map(c).trivialization.frames[0]
     chart = m.charts[0]
-    for _ in range(20):
-        node = tuple(int(rng.integers(0, r)) for r in chart.resolution)
-        ray = parallel_transport(c, 0, chart.node_point(chart.center), chart.node_point(node), 64)
-        assert np.abs(frames[node] - c.bundle.frames[0][node] @ ray).max() <= 1e-14
+    corners = list(itertools.product(*((0, r - 1) for r in chart.resolution)))
+    for node in corners + random_chart_nodes(chart, rng, 16):
+        path = comb_path(chart, node)
+        product = np.eye(3)
+        for start, end in zip(path, path[1:]):
+            edge = parallel_transport(c, 0, chart.node_point(start), chart.node_point(end), EDGE_STEPS)
+            product = edge @ product
+        assert np.abs(frames[node] - c.bundle.frames[0][node] @ product).max() <= 1e-13
 
 
 @pytest.mark.parametrize("name,steps", [("disk2d_so3_nonflat", 64), ("circle2_so3_twisted", 8)])
-def test_f_map_evaluates_the_form_twice_per_step_plus_once(monkeypatch, name, steps):
-    # 2 steps + 1 stage times per chart, the two new ones of a step in one
-    # kernel call on per-axis coordinates; the point count (the size of their
-    # broadcast) would grow if any stage time were evaluated twice
+def test_f_map_solves_one_edge_batch_per_chart_axis(monkeypatch, name, steps):
+    # on a grid edge the interpolant of omega is linear, so f_map reads no
+    # interpolation; each chart axis is one RK4 solve over the edges of its
+    # pass, and the passes together solve each of the comb's nodes - 1 edges once
     c = fx.connection(name)
-    points = []
+    interpolated, solves = [], []
+    rk4 = correspondence._rk4
 
-    def counted(chart, values, coords):
-        points.append(math.prod(np.broadcast_shapes(*(np.shape(t) for t in coords))))
+    def counted_interpolation(chart, values, coords):
+        interpolated.append(chart)
         return _interpolate_axes(chart, values, coords)
 
-    monkeypatch.setattr(correspondence, "_interpolate_axes", counted)
+    def counted_solve(stages, steps):
+        solves.append((stages(0.0)[0].shape[-1], steps))
+        return rk4(stages, steps)
+
+    monkeypatch.setattr(correspondence, "_interpolate_axes", counted_interpolation)
+    monkeypatch.setattr(correspondence, "_rk4", counted_solve)
     f_map(c, ode_steps=steps)
     charts = c.manifold.charts
-    assert len(points) == len(charts) * (steps + 1)
-    assert sum(points) == (2 * steps + 1) * sum(int(np.prod(ch.resolution)) for ch in charts)
+    assert interpolated == []
+    assert len(solves) == sum(chart.dim for chart in charts)
+    assert {s for _, s in solves} == {steps}
+    assert sum(edges for edges, _ in solves) == sum(math.prod(chart.resolution) - 1 for chart in charts)
+
+
+def ray_fan_structure(c: ConnectionForm) -> Trivialization:
+    """The structure whose frames are the bundle's frames times the 64-step
+    transports along the straight rays from each chart's center."""
+    frames = []
+    for cid, chart in enumerate(c.manifold.charts):
+        rays = parallel_transport(c, cid, chart.node_point(chart.center), chart.grid_points(), 64)
+        frames.append(c.bundle.frames[cid] @ rays)
+    return Trivialization(c.algebra, c.manifold, tuple(frames))
+
+
+@pytest.mark.parametrize("name", fx.COUPLING_NAMES)
+def test_comb_and_ray_frames_are_equivalent_structures(name):
+    # a coupling's curvature is inner-valued, so transports along homotopic
+    # paths differ by an inner automorphism and f's class does not depend on
+    # the paths; the gate is TRANS_TOL, not ALG_TOL, because 64-step ray
+    # frames sit up to 3.4e-9 off Aut on the benchmark's shifted disk
+    c = fx.connection(name)
+    rep = trivializations_equivalent(f_map(c).trivialization, ray_fan_structure(c), aut_tol=TRANS_TOL)
+    assert rep.passed
+    assert rep.counts()["outer"] == rep.counts()["undecided"] == 0 < rep.counts()["inner"]
+
+
+@pytest.mark.parametrize("refine", [1, 2])
+def test_f_of_g_of_the_abelian_twisted_bundle_is_delta_continuous(refine):
+    # defect C's delta half: the comb steps on the kinks of the interpolant
+    # of omega, so f(g(T)) reads no outer ratio (64-step ray frames, which
+    # step across the kinks, read 16 and 28 outer at refine 1 and 2)
+    t = fx.bundle("circle2_abelian2_twisted", refine)
+    fm = f_map(g_map(t, partition_of_unity(t.manifold)))
+    assert fm.passed
+    assert fm.delta.counts()["outer"] == fm.delta.counts()["undecided"] == 0
 
 
 def test_round_trip_from_a_connection_sweeps_only_f_of_c(monkeypatch):
@@ -538,8 +628,10 @@ def test_f_map_theorem_checks_on_every_fixture_coupling(name):
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"ode_steps": 1},  # one RK4 step: transitions off Aut by 4.9e-6 > TRANS_TOL
-        {"aut_tol": 1e-16},  # round-off transitions (5.6e-15) fail a gate below it
+        # one RK4 step per edge on the steep form: transitions off Aut by 2.7e-5 > TRANS_TOL
+        {"c": steep_circle_coupling, "ode_steps": 1},
+        # round-off transitions (7.5e-14) fail a gate below them
+        {"c": lambda: fx.connection("circle2_so3_twisted"), "aut_tol": 1e-16},
     ],
 )
 def test_f_map_sweeps_only_a_structure_that_validated(monkeypatch, kwargs):
@@ -549,7 +641,7 @@ def test_f_map_sweeps_only_a_structure_that_validated(monkeypatch, kwargs):
         raise AssertionError("the continuity sweep ran on a structure that failed validation")
 
     monkeypatch.setattr(correspondence, "check_delta_continuity", no_sweep)
-    fm = f_map(fx.connection("circle2_so3_twisted"), **kwargs)
+    fm = f_map(**{**kwargs, "c": kwargs["c"]()})
     assert not fm.lab_report.passed and not fm.passed
     assert fm.delta == DeltaReport(False, False, (), math.inf, math.inf)
 
@@ -852,13 +944,13 @@ def test_coupling_and_structure_equivalence_agree_on_a_shifted_abelian_pair():
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
-    reason="ROADMAP defect C, items 3, 8 and 9: a structure in LAB^delta FAILs its round trip",
+    reason="ROADMAP defect C, items 3 and 9: a structure in LAB^delta FAILs its round trip",
 )
 def test_abelian_twisted_bundle_round_trip_does_not_fail():
     # the bundle passes validate-lab and check-delta, so the theorem says its
     # round trip holds; today connection_roundtrip reads 0.0714 and 0.0225 at
-    # refine 1 and 2 against ACC_TOL = 1e-4, an O(h^2) error, and f(g(T))
-    # reads outer star ratios where the 64-step rays cross the kinks of omega
+    # refine 1 and 2 against ACC_TOL = 1e-4, an O(h^2) error that also makes
+    # f(g(T)) drift off T (f(g(T)) itself is delta-continuous, see above)
     for refine in (1, 2):
         rep = verify_inverse(t=fx.bundle("circle2_abelian2_twisted", refine))
         assert rep.passed or rep.inconclusive, refine
