@@ -77,11 +77,29 @@ class LieAlgebra:
     @cached_property
     def character_bases(self) -> tuple:
         """Orthonormal bases (columns) of [g,g]^perp, which stands for
-        g/[g,g], and of z(g), the nonempty ones: Inn(g) acts on both as the
-        identity, so a's compressions B^T a B are its outer characters."""
+        g/[g,g], and of z(g), the nonempty ones, each subspace once: Inn(g)
+        acts on both as the identity, so a's compressions B^T a B are its
+        outer characters.  ||B^T a B - I||_F does not depend on which
+        orthonormal basis B spans a subspace, so a second basis of a kept
+        subspace (abelian g, where both are g) adds nothing and is dropped."""
         n = self.dim
-        bases = (_null_space(self.c.reshape(n * n, n)), self.center)
-        return tuple(b for b in bases if b.size)
+        kept = []
+        for b in (_null_space(self.c.reshape(n * n, n)), self.center):
+            if b.size and not any(k.shape == b.shape and np.linalg.norm(k @ (k.T @ b) - b) <= ALG_TOL for k in kept):
+                kept.append(b)
+        return tuple(kept)
+
+    @cached_property
+    def bracket_rows(self) -> tuple:
+        """The nonzero rows c[m, :, l] of the structure constants, as index
+        arrays m and l and the rows (R, dim): the only terms of
+        [x, y]_l = sum_m x_m sum_p c_mpl y_p that the bracket defect kernel
+        (_defects) sums."""
+        m, l = np.nonzero(np.abs(self.c).max(axis=1))
+        rows = self.c[m, :, l]
+        for arr in (m, l, rows):
+            arr.flags.writeable = False
+        return m, l, rows
 
 
 def _pinv_cut(mat: np.ndarray) -> dict:
@@ -163,13 +181,57 @@ def _null_space(mat: np.ndarray) -> np.ndarray:
     return vh[s <= ALG_TOL].T
 
 
-def _leibniz_defects(g: LieAlgebra, d: np.ndarray) -> np.ndarray:
-    """d [e_i, e_j] - [d e_i, e_j] - [e_i, d e_j] as (..., i, j, l); broadcasts
-    over leading axes of d."""
-    lhs = np.einsum("...lk,ijk->...ijl", d, g.c)
-    t1 = np.einsum("...mi,mjl->...ijl", d, g.c)
-    t2 = np.einsum("...mj,iml->...ijl", d, g.c)
-    return lhs - t1 - t2
+def _defects(g: LieAlgebra, x: np.ndarray, linear: bool) -> np.ndarray:
+    """Bracket defects of a nodes-last stack x (n, n, N), x[m, i] = x_mi at
+    each of N nodes, as a contiguous (l, i, j, N) array: the automorphism
+    defect x [e_i, e_j] - [x e_i, x e_j], or, when linear, its
+    linearization at the identity, the Leibniz defect
+    x [e_i, e_j] - [x e_i, e_j] - [e_i, x e_j].
+
+    x [e_i, e_j]_l = sum_k c_ijk x_lk is one batched product of
+    c.reshape(n^2, n) with the rows x[l], which writes every entry.  The
+    bracket side sums only over g.bracket_rows, the nonzero rows c[m, :, l]:
+    with w_j = sum_p c_mpl x_pj, [x e_i, x e_j]_l takes the outer product
+    x_mi w_j from each.  The Leibniz defect subtracts every
+    [x e_i, e_j]_l = sum_m x_mi c_mjl first and then [e_i, x e_j]_l = w_j
+    at i = m, the order of the three-term sum.  A bracket term never
+    multiplies a zero constant, so a non-finite x_mi need not reach the
+    result: callers that must see it check x themselves."""
+    n, count = g.dim, x.shape[-1]
+    out = np.empty((n, n, n, count))
+    np.matmul(g.c.reshape(n * n, n), x, out=out.reshape(n, n * n, count))
+    flat = x.reshape(n, n * count)
+    buf = np.empty((n, n, count))
+    m_idx, l_idx, rows = g.bracket_rows
+    if linear:
+        for m, l, row in zip(m_idx, l_idx, rows):
+            out[l] -= np.multiply(x[m, :, None], row[:, None], out=buf)
+    for m, l, row in zip(m_idx, l_idx, rows):
+        w = (row @ flat).reshape(n, count)
+        if linear:
+            out[l, m] -= w
+        else:
+            out[l] -= np.multiply(x[m, :, None], w, out=buf)
+    return out
+
+
+def _pair_residuals(g: LieAlgebra, a: np.ndarray, linear: bool) -> np.ndarray:
+    """Per matrix of a (..., n, n), the max over basis pairs (i, j) of the
+    2-norm over l of its _defects; the stack goes to the kernel nodes last.
+    A matrix with a non-finite entry reads NaN, whichever constants its
+    entries meet, and no RuntimeWarning escapes."""
+    a = np.asarray(a, dtype=float)
+    n = g.dim
+    nodes = np.ascontiguousarray(np.moveaxis(a.reshape(-1, n, n), 0, -1))
+    with np.errstate(invalid="ignore", over="ignore"):
+        sq = _defects(g, nodes, linear)
+        np.square(sq, out=sq)
+        total = sq[0]  # sum over l in place, in the order of np.linalg.norm's
+        for part in sq[1:]:
+            total += part
+        res = np.sqrt(total.reshape(n * n, -1).max(axis=0))
+    res[~np.isfinite(nodes).all(axis=(0, 1))] = np.nan
+    return res.reshape(a.shape[:-2])[()]
 
 
 def derivation_residuals(g: LieAlgebra, d: np.ndarray) -> np.ndarray:
@@ -177,22 +239,12 @@ def derivation_residuals(g: LieAlgebra, d: np.ndarray) -> np.ndarray:
 
     Residual per pair (i, j): || d [e_i, e_j] - [d e_i, e_j] - [e_i, d e_j] ||_2.
     """
-    per_pair = np.linalg.norm(_leibniz_defects(g, np.asarray(d, dtype=float)), axis=-1)
-    return per_pair.max(axis=(-2, -1))
+    return _pair_residuals(g, d, linear=True)
 
 
 def automorphism_residuals(g: LieAlgebra, a: np.ndarray) -> np.ndarray:
     """Max-over-basis-pairs residual || a [e_i, e_j] - [a e_i, a e_j] ||_2."""
-    a = np.asarray(a, dtype=float)
-    n = g.dim
-    at = np.swapaxes(a, -1, -2)
-    cube = a.shape[:-2] + (n, n, n)
-    # Three GEMMs: lhs_ijl = c_ijk a_lk, t_ipl = a_mi c_mpl, rhs_ijl = a_pj t_ipl.
-    lhs = (g.c.reshape(n * n, n) @ at).reshape(cube)
-    t = (at @ g.c.reshape(n, n * n)).reshape(cube)
-    rhs = at[..., None, :, :] @ t
-    per_pair = np.linalg.norm(lhs - rhs, axis=-1)
-    return per_pair.max(axis=(-2, -1))
+    return _pair_residuals(g, a, linear=False)
 
 
 def derivations_basis(g: LieAlgebra) -> list[np.ndarray]:
@@ -201,8 +253,9 @@ def derivations_basis(g: LieAlgebra) -> list[np.ndarray]:
     The inner derivations span{ad(e_i)} are always a subspace of the result.
     """
     n = g.dim
-    units = np.eye(n * n).reshape(n * n, n, n)
-    constraint = _leibniz_defects(g, units).reshape(n * n, n * n * n).T  # rows: (i,j,l)
+    units = np.eye(n * n).reshape(n, n, n * n)  # column u is the u-th unit matrix
+    defects = _defects(g, units, linear=True)
+    constraint = defects.transpose(1, 2, 0, 3).reshape(n**3, n * n)  # rows: (i,j,l)
     return [v.reshape(n, n) for v in _null_space(constraint).T]
 
 
@@ -341,10 +394,12 @@ def inner_log_residuals(g: LieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np
 def _log_route(g: LieAlgebra, mats: np.ndarray, inner_tol: float) -> tuple:
     """Route 2 of inner_verdicts on a stack, as (inner, outer, residuals, logs):
     a real principal log within inner_tol of the inner span reads inner, a
-    farther one that is a derivation outer (locally, Inn = exp(ad g))."""
+    farther one that is a derivation outer (locally, Inn = exp(ad g)).  Only
+    those farther rows have their Leibniz residual taken."""
     resid, logs, ok = inner_log_residuals(g, mats)
     inner = ok & (resid <= inner_tol)
-    outer = ok & ~inner & (derivation_residuals(g, logs) <= ALG_TOL)
+    outer = ok & ~inner
+    outer[outer] = derivation_residuals(g, logs[outer]) <= ALG_TOL
     return inner, outer, resid, logs
 
 

@@ -58,6 +58,15 @@ class Trivialization:
         return f_beta @ np.linalg.inv(f_alpha)
 
     @functools.cached_property
+    def singular(self) -> tuple:
+        """Per chart, the nodes whose frame is not invertible, |det| <= ALG_TOL;
+        one det pass per structure, read-only like the frames it reads."""
+        masks = tuple(np.abs(np.linalg.det(grid)) <= ALG_TOL for grid in self.frames)
+        for mask in masks:
+            mask.flags.writeable = False
+        return masks
+
+    @functools.cached_property
     def transitions(self) -> tuple:
         """Every overlap's transition grid, built once per structure; read-only."""
         grids = tuple(self.transition_grid(k) for k in range(len(self.manifold.overlaps)))
@@ -119,7 +128,7 @@ def validate_lab(t: Trivialization, tol: float = ALG_TOL) -> LabReport:
     g = t.algebra
     frames = []
     for cid, grid in enumerate(t.frames):
-        frames.append((f"frame chart {cid}", np.where(_singular(grid), np.inf, automorphism_residuals(g, grid))))
+        frames.append((f"frame chart {cid}", np.where(t.singular[cid], np.inf, automorphism_residuals(g, grid))))
     max_frame = peak(*(res for _, res in frames))
     if math.isinf(max_frame):
         return LabReport(False, max_frame, math.inf, math.inf, _worst_node(frames))
@@ -132,11 +141,6 @@ def validate_lab(t: Trivialization, tol: float = ALG_TOL) -> LabReport:
     # a cocycle defect compounds three transitions, from frames read off the nodes: 10x the budget
     passed = max_frame <= tol and max_trans <= tol and max_cocycle <= 10 * tol
     return LabReport(bool(passed), max_frame, max_trans, max_cocycle, _worst_node(frames + transitions))
-
-
-def _singular(frames: np.ndarray) -> np.ndarray:
-    """Nodes whose frame is not invertible: |det| <= ALG_TOL."""
-    return np.abs(np.linalg.det(frames)) <= ALG_TOL
 
 
 def _worst_node(located: list) -> str:
@@ -248,7 +252,7 @@ def check_delta_continuity(
     lab_tol is the gate the transitions passed.  A singular frame (|det| <=
     ALG_TOL) anywhere fails the sweep with residuals +inf, and nothing is
     inverted."""
-    if any(_singular(grid).any() for grid in t.frames):
+    if any(mask.any() for mask in t.singular):
         return UNSWEPT
     g = t.algebra
     groups = []
@@ -287,7 +291,7 @@ def trivializations_equivalent(
     groups = []
     chart_aut = []
     for cid in range(len(t.manifold.charts)):
-        if _singular(t.frames[cid]).any() or _singular(t_prime.frames[cid]).any():
+        if t.singular[cid].any() or t_prime.singular[cid].any():
             aut = math.inf
         else:
             ratios = np.linalg.inv(t_prime.frames[cid]) @ t.frames[cid]

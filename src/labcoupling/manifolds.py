@@ -62,13 +62,11 @@ class Chart:
         return self.contains_axes(np.asarray(points, dtype=float).reshape(-1, self.dim).T)
 
     def contains_axes(self, coords) -> bool:
-        """Whether every point whose axis-a coordinates are coords[a] (arrays
-        that broadcast against each other) lies in the box, with a 1e-9
-        margin; an empty batch (some array is empty) passes and a NaN
-        coordinate fails.  The box is axis-aligned and a non-empty broadcast
-        reads every element of every array, so each array's own extremes
-        decide it, at that array's size (a third of the cost of a pointwise
-        mask on a column)."""
+        """Whether every point whose axis-a coordinates are coords[a]
+        (equal-shape arrays) lies in the box, with a 1e-9 margin; an empty
+        batch passes and a NaN coordinate fails.  The box is axis-aligned,
+        so each array's own extremes decide it (a third of the cost of a
+        pointwise mask on a column)."""
         lo, hi = self.box[:, 0] - 1e-9, self.box[:, 1] + 1e-9
         return not all(np.size(t) for t in coords) or all(
             np.min(t) >= lo[a] and np.max(t) <= hi[a] for a, t in enumerate(coords)
@@ -320,8 +318,7 @@ def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndar
 
 def _interpolate_axes(chart: Chart, values: np.ndarray, coords) -> np.ndarray:
     """Multilinear interpolation at the points whose axis-a coordinates are
-    coords[a], arrays that broadcast against each other to the point shape
-    (an open mesh from np.ix_, say); the result has shape
+    coords[a], equal-shape arrays of the point shape; the result has shape
     point shape + value_shape.
 
     One sparse gather-and-weight operator: row p of a CSR matrix holds the
@@ -331,12 +328,9 @@ def _interpolate_axes(chart: Chart, values: np.ndarray, coords) -> np.ndarray:
     bit-identical to summing ``weight * values[corner]`` corner by corner.
 
     Each axis takes its cell index and its (1 - frac, frac) pair from its own
-    coordinate array, at that array's size, and folds the index into the
-    flat one as ``flat * res[a] + cell``; each corner's weight is then
-    ``1.0 * f_0 * f_1 ...`` in axis order.  Only those products broadcast to
-    the point shape, and every element goes through the same float
-    operations whatever the layout, so any broadcast of the same points
-    gives the same bits.
+    coordinate array and folds the index into the flat one as
+    ``flat * res[a] + cell``; each corner's weight is then
+    ``1.0 * f_0 * f_1 ...`` in axis order.
     """
     values = np.asarray(values, dtype=float)
     res = chart.resolution
@@ -345,9 +339,7 @@ def _interpolate_axes(chart: Chart, values: np.ndarray, coords) -> np.ndarray:
     coords = [np.asarray(t, dtype=float) for t in coords]
     if not chart.contains_axes(coords):
         raise InputError("interpolation point outside the chart box")
-    lead = np.broadcast_shapes(*(t.shape for t in coords))
-    if not math.prod(lead):  # no point reads a coordinate, NaN or not
-        coords = np.broadcast_arrays(*coords)
+    lead = coords[0].shape
 
     flat, pairs = 0, []
     for t, lo, h, r in zip(coords, chart.box[:, 0], chart.spacing, res):

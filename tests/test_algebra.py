@@ -756,11 +756,73 @@ def test_automorphism_residuals_match_the_einsum_oracle(g, lead):
 
 
 def test_automorphism_residuals_of_a_nan_frame_are_nan():
-    g = fx.algebra("so3")
-    a = np.broadcast_to(np.eye(3), (4, 3, 3)).copy()
-    a[2, 1, 0] = np.nan
-    out = automorphism_residuals(g, a)
-    assert np.isnan(out).tolist() == [False, False, True, False]
+    # the bracket side sums only the nonzero constants, so it never reads
+    # some entries (heis3's a_20 and a_21, every entry on abelian2): a
+    # non-finite one must still read NaN, with no RuntimeWarning
+    for g in ALL + [so3_in_random_basis()]:
+        for bad in (np.nan, np.inf, -np.inf):
+            for pos in np.ndindex(g.dim, g.dim):
+                a = np.broadcast_to(np.eye(g.dim), (4, g.dim, g.dim)).copy()
+                a[2][pos] = bad
+                out = automorphism_residuals(g, a)
+                assert np.isnan(out).tolist() == [False, False, True, False], (g.name, bad, pos)
+                assert out[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
+
+
+def test_derivation_residuals_of_a_nan_derivation_are_nan():
+    for g in ALL + [so3_in_random_basis()]:
+        d0 = derivations_basis(g)[0]
+        for bad in (np.nan, np.inf, -np.inf):
+            for pos in np.ndindex(g.dim, g.dim):
+                d = np.broadcast_to(d0, (4, g.dim, g.dim)).copy()
+                d[2][pos] = bad
+                out = derivation_residuals(g, d)
+                assert np.isnan(out).tolist() == [False, False, True, False], (g.name, bad, pos)
+                assert np.all(out[[0, 1, 3]] <= 1e-14)
+
+
+def derivation_residuals_oracle(c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The three-einsum form: max over (i, j) of
+    || c_ijk d_lk - d_mi c_mjl - d_mj c_iml ||_2."""
+    lhs = np.einsum("...lk,ijk->...ijl", d, c)
+    t1 = np.einsum("...mi,mjl->...ijl", d, c)
+    t2 = np.einsum("...mj,iml->...ijl", d, c)
+    return np.linalg.norm(lhs - t1 - t2, axis=-1).max(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("lead", [(), (257,), (4, 5), (0,)], ids=str)
+@pytest.mark.parametrize("g", ALL + [so3_in_random_basis()], ids=lambda g: g.name)
+def test_derivation_residuals_match_the_einsum_oracle(g, lead):
+    # half exact derivations, where the three terms cancel, half perturbed
+    # ones with O(1) residuals
+    rng = np.random.default_rng(29)
+    basis = np.stack(derivations_basis(g))
+    count = int(np.prod(lead))
+    d = np.einsum("ra,aij->rij", rng.normal(size=(count, len(basis))), basis)
+    d[1::2] += 0.3 * rng.normal(size=d[1::2].shape)
+    d = d.reshape(lead + (g.dim, g.dim))
+    out = derivation_residuals(g, d)
+    expected = derivation_residuals_oracle(g.c, d)
+    assert np.shape(out) == expected.shape == lead
+    if count:
+        scale = max(1.0, np.abs(d).max()) * np.abs(g.c).sum()
+        assert np.abs(out - expected).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("g", ALL + [so3_in_random_basis()], ids=lambda g: g.name)
+def test_derivation_projector_matches_the_oracle_constraint(g):
+    # the projector onto the null space of the literal Leibniz system
+    _, s, vh = np.linalg.svd(derivation_constraint_oracle(g))
+    s = np.concatenate([s, np.zeros(g.dim**2 - len(s))])
+    basis = vh[s <= ALG_TOL].T
+    assert np.abs(g.derivation_projector - basis @ basis.T).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name, counts", [("abelian2", [2]), ("so3", []), ("heis3", [2, 1]), ("aff1", [1])])
+def test_character_bases_keep_each_subspace_once(name, counts):
+    # abelian2's [g,g]^perp and center are both g: one basis
+    g = fx.algebra(name)
+    assert [b.shape[1] for b in g.character_bases] == counts
 
 
 def principal_logs_scipy_guard(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -616,47 +616,6 @@ def test_interpolation_box_check_agrees_with_chart_contains(case):
             interpolate(chart, values, points)
 
 
-@st.composite
-def open_mesh_case(draw):
-    """A 1-D or 2-D chart and per-axis coordinate arrays in an open-mesh
-    layout (T, k_0, 1) x (T, 1, k_1), T stage times on the leading axis.
-    Each coordinate is a node, a box face or a cell interior point; an axis
-    may be empty, and in some cases one coordinate is NaN or outside the box."""
-    chart = draw(st.sampled_from([fx.manifold(n).charts[0] for n in ("interval1", "disk2d")]))
-    stages = draw(st.integers(1, 2))
-    coords = []
-    for a, (lo, hi) in enumerate(chart.box):
-        value = st.one_of(st.sampled_from(list(chart.axis_nodes(a))), st.sampled_from([lo, hi]), st.floats(lo, hi))
-        size = draw(st.integers(0, 4))
-        rows = draw(st.lists(value, min_size=stages * size, max_size=stages * size))
-        shape = (stages,) + (1,) * a + (size,) + (1,) * (chart.dim - 1 - a)
-        coords.append(np.array(rows, dtype=float).reshape(shape))
-    if draw(st.booleans()):
-        a = draw(st.integers(0, chart.dim - 1))
-        if coords[a].size:
-            lo, hi = chart.box[a]
-            flat = coords[a].reshape(-1)  # a view: the write lands in coords[a]
-            flat[draw(st.integers(0, flat.size - 1))] = draw(st.sampled_from([np.nan, lo - 0.25, hi + 2e-9]))
-    return chart, coords
-
-
-@settings(max_examples=300, deadline=None)
-@given(open_mesh_case())
-def test_interpolation_kernel_on_an_open_mesh_is_bitwise_the_point_array(case):
-    chart, coords = case
-    values = np.random.default_rng(chart.dim).standard_normal(chart.resolution + (3,))
-    points = np.stack(np.broadcast_arrays(*coords), axis=-1)
-    try:
-        expected = interpolate(chart, values, points)
-    except InputError as exc:
-        with pytest.raises(InputError, match=f"^{exc}$"):
-            manifolds._interpolate_axes(chart, values, coords)
-        return
-    got = manifolds._interpolate_axes(chart, values, coords)
-    assert got.shape == expected.shape == points.shape[:-1] + (3,)
-    assert got.tobytes() == expected.tobytes()
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     st.floats(-2.0, 2.0),
