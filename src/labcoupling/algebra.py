@@ -90,6 +90,17 @@ class LieAlgebra:
         return tuple(kept)
 
     @cached_property
+    def bracket_pairs(self) -> tuple:
+        """The pair form of the bracket: index arrays i < j and the skew part
+        0.5 (c[i, j] - c[j, i]) (P, dim) that the areas x_i y_j - x_j y_i
+        multiply; on an antisymmetric c it is c[i, j] to the bit."""
+        i, j = np.triu_indices(self.dim, 1)
+        skew = 0.5 * (self.c[i, j] - self.c[j, i])
+        for arr in (i, j, skew):
+            arr.flags.writeable = False
+        return i, j, skew
+
+    @cached_property
     def bracket_rows(self) -> tuple:
         """The nonzero rows c[m, :, l] of the structure constants, as index
         arrays m and l and the rows (R, dim): the only terms of
@@ -159,10 +170,10 @@ def bracket(g: LieAlgebra, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise InputError(f"coordinate length must be {g.dim}")
     # Pair form, one GEMM: sum_{i<j} (x_i y_j - x_j y_i) times the skew part
     # of c_ijk.  Each area negates exactly when x and y swap, so does the
-    # result; on an antisymmetric c the skew part is c[i, j] to the bit.
-    i, j = np.triu_indices(g.dim, 1)
+    # result.
+    i, j, skew = g.bracket_pairs
     area = x[..., i] * y[..., j] - x[..., j] * y[..., i]
-    return area @ (0.5 * (g.c[i, j] - g.c[j, i]))
+    return area @ skew
 
 
 def ad(g: LieAlgebra, x: np.ndarray) -> np.ndarray:
@@ -399,7 +410,8 @@ def _log_route(g: LieAlgebra, mats: np.ndarray, inner_tol: float) -> tuple:
     resid, logs, ok = inner_log_residuals(g, mats)
     inner = ok & (resid <= inner_tol)
     outer = ok & ~inner
-    outer[outer] = derivation_residuals(g, logs[outer]) <= ALG_TOL
+    if outer.any():
+        outer[outer] = derivation_residuals(g, logs[outer]) <= ALG_TOL
     return inner, outer, resid, logs
 
 

@@ -12,6 +12,7 @@ fiber-valued two-form Omega, recovered here by least squares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -53,6 +54,17 @@ class ConnectionForm:
     def manifold(self):
         return self.bundle.manifold
 
+    @cached_property
+    def omega_leading(self) -> tuple:
+        """omega with the grid axes last, per chart (mdim, n, n, *resolution):
+        the layout of covariant_partials; read-only, like the grids."""
+        grids = []
+        for w in self.omega:
+            lead = np.ascontiguousarray(np.moveaxis(w, range(self.manifold.dim), range(-self.manifold.dim, 0)))
+            lead.flags.writeable = False
+            grids.append(lead)
+        return tuple(grids)
+
 
 def zero_connection(bundle: Trivialization) -> ConnectionForm:
     n = bundle.algebra.dim
@@ -64,14 +76,33 @@ def zero_connection(bundle: Trivialization) -> ConnectionForm:
 
 
 def covariant_partials(c: ConnectionForm, u: list) -> list:
-    """Per chart, the covariant partials (nabla_0 u, ..., nabla_{dim-1} u) of a
-    fiber field, nabla_i u = d_i u + w_i u."""
+    """Per chart, the covariant partials (nabla_0 u, ..., nabla_{dim-1} u),
+    nabla_i u = d_i u + w_i u, of a fiber field whose components lead and
+    whose grid axes trail: u[cid] has shape (n, *batch, *resolution), and so
+    has each partial.  (w_i u)_k sums w_kj u_j in the order of j."""
     m = c.manifold
-    uu = chart_grids(m, u, (c.algebra.dim,), "fiber field")
-    return [
-        tuple(d + np.einsum("...kj,...j->...k", w[..., i, :, :], grid) for i, d in enumerate(partials))
-        for grid, w, partials in zip(uu, c.omega, grid_partials(m, uu))
-    ]
+    n = c.algebra.dim
+    if len(u) != len(m.charts):
+        raise InputError(f"fiber field: {len(u)} grids for {len(m.charts)} charts")
+    uu = tuple(np.asarray(grid, dtype=float) for grid in u)
+    for cid, (grid, chart) in enumerate(zip(uu, m.charts)):
+        if grid.shape[:1] != (n,) or grid.shape[grid.ndim - m.dim :] != chart.resolution:
+            raise InputError(
+                f"fiber field grid {cid} has shape {grid.shape}, expected ({n}, *batch) + {chart.resolution}"
+            )
+    out = []
+    for grid, w, partials in zip(uu, c.omega_leading, grid_partials(m, uu)):
+        chart_out = []
+        for i, d in enumerate(partials):
+            cov = np.empty_like(d)
+            for k in range(n):
+                acc = w[i, k, 0] * grid[0]
+                for j in range(1, n):
+                    acc += w[i, k, j] * grid[j]
+                cov[k] = d[k] + acc
+            chart_out.append(cov)
+        out.append(tuple(chart_out))
+    return out
 
 
 @dataclass(frozen=True)

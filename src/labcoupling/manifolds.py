@@ -250,46 +250,49 @@ def chart_grids(m: ChartedManifold, grids, value_shape: tuple, what: str) -> tup
 def grid_derivative(chart: Chart, values: np.ndarray, axis: int) -> np.ndarray:
     """Second-order finite difference along a grid axis (one-sided at edges).
 
-    values may be sampled on a sub-grid; along an axis with fewer than 3
-    samples the stencil drops to first order."""
+    axis is chart axis i when the grid axes of values lead, or i - dim when
+    they trail.  values may be sampled on a sub-grid; along an axis with
+    fewer than 3 samples the stencil drops to first order."""
     order = 2 if np.shape(values)[axis] >= 3 else 1
     return np.gradient(values, chart.spacing[axis], axis=axis, edge_order=order)
 
 
 def grid_partials(m: ChartedManifold, field: list) -> list:
     """Per chart, the grid partials (d_0 F, ..., d_{dim-1} F) of a per-chart
-    field whose leading axes are the chart resolution; any other grid is an
-    InputError, since the stencil would use the wrong spacing."""
+    field whose trailing axes are the chart resolution (values lead); any
+    other grid is an InputError, since the stencil would use the wrong
+    spacing."""
     if len(field) != len(m.charts):
         raise InputError(f"field: {len(field)} grids for {len(m.charts)} charts")
     out = []
     for cid, chart in enumerate(m.charts):
         values = np.asarray(field[cid], dtype=float)
-        if values.shape[: m.dim] != chart.resolution:
+        if values.shape[values.ndim - m.dim :] != chart.resolution:
             raise InputError(
                 f"field grid {cid} has shape {values.shape}, not on the chart resolution {chart.resolution}"
             )
-        out.append(tuple(grid_derivative(chart, values, i) for i in range(m.dim)))
+        out.append(tuple(grid_derivative(chart, values, i - m.dim) for i in range(m.dim)))
     return out
 
 
 def directional(x: np.ndarray, partials: tuple) -> np.ndarray:
-    """X(F) = sum_i X^i d_i F nodewise from a tangent grid (*grid, dim) and
-    the partials of F, accumulated in axis order onto zeros."""
+    """X(F) = sum_i X^i d_i F nodewise, accumulated in axis order onto zeros,
+    from a tangent field x whose components lead, (dim, ..., *grid), and the
+    partials of F, (*value_shape, ..., *grid)."""
     total = np.zeros(np.shape(partials[0]))
-    for i, p in enumerate(partials):
-        xi = x[..., i]
-        total += xi.reshape(xi.shape + (1,) * (p.ndim - xi.ndim)) * p
+    for xi, p in zip(x, partials):
+        total += xi * p
     return total
 
 
 def lie_bracket_partials(x: np.ndarray, dx: tuple, y: np.ndarray, dy: tuple) -> np.ndarray:
-    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i) on one chart grid, from
-    the two fields and their grid partials.  Each j enters as one term, which
-    negates exactly when the fields swap, so the bracket does too."""
+    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i) from two tangent fields
+    whose components lead, (dim, ..., *grid), and their grid partials.  Each
+    j enters as one term, which negates exactly when the fields swap, so the
+    bracket does too."""
     bracket = np.zeros_like(x)
     for j in range(len(dx)):
-        bracket += x[..., j : j + 1] * dy[j] - y[..., j : j + 1] * dx[j]
+        bracket += x[j] * dy[j] - y[j] * dx[j]
     return bracket
 
 
@@ -555,32 +558,53 @@ class HarmonicField:
     coeffs_sin: np.ndarray
     constant: np.ndarray    # (*value_shape)
 
+    @classmethod
+    def stack(cls, fields: list) -> "HarmonicField":
+        """One field whose values are those of the given fields, on a new
+        axis after their common value shape: (*value_shape, len(fields))."""
+        return cls(
+            np.stack([f.coeffs_cos for f in fields], axis=-3),
+            np.stack([f.coeffs_sin for f in fields], axis=-3),
+            np.stack([f.constant for f in fields], axis=-1),
+        )
+
     def __call__(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
-        return self._on_axes([points[..., a] for a in range(points.shape[-1])])
+        return self._values_last(self._on_axes([points[..., a] for a in range(points.shape[-1])]))
 
     def sample(self, m: ChartedManifold) -> list:
-        """The field on every chart grid; each harmonic depends on one axis
+        """The field on every chart grid, (*resolution, *value_shape), with
+        the same sums as at ``grid_points()``."""
+        return [self._values_last(grid) for grid in self.sample_leading(m)]
+
+    def sample_leading(self, m: ChartedManifold) -> list:
+        """The field on every chart grid with the value axes leading,
+        (*value_shape, *resolution).  Each harmonic depends on one axis
         coordinate only, so it is taken on that axis' nodes (an open mesh)
-        and broadcast, with the same sums as at ``grid_points()``."""
+        and broadcast."""
         return [
             self._on_axes(np.ix_(*(chart.axis_nodes(a) for a in range(chart.dim))))
             for chart in m.charts
         ]
 
+    def _values_last(self, out: np.ndarray) -> np.ndarray:
+        k = self.constant.ndim
+        return np.ascontiguousarray(np.moveaxis(out, range(k), range(out.ndim - k, out.ndim)))
+
     def _on_axes(self, coords) -> np.ndarray:
-        """The field at the points whose axis-a coordinates are coords[a];
-        the coordinate arrays broadcast against each other to the point grid."""
+        """The field, value axes first, at the points whose axis-a coordinates
+        are coords[a]; the coordinate arrays broadcast against each other to
+        the point grid."""
         lead = np.broadcast_shapes(*(t.shape for t in coords))
         value_shape = self.constant.shape
-        out = np.broadcast_to(self.constant, lead + value_shape).copy()
+        out = np.broadcast_to(self.constant.reshape(value_shape + (1,) * len(lead)), value_shape + lead).copy()
         kmax = self.coeffs_cos.shape[-1]
+        coeff_shape = value_shape + (1,) * len(lead)
         for a, t in enumerate(coords):
-            cshape = t.shape + (1,) * len(value_shape)
             for k in range(1, kmax + 1):
                 phase = 2.0 * np.pi * k * t
-                out += np.cos(phase).reshape(cshape) * self.coeffs_cos[..., a, k - 1]
-                out += np.sin(phase).reshape(cshape) * self.coeffs_sin[..., a, k - 1]
+                out += np.cos(phase) * self.coeffs_cos[..., a, k - 1].reshape(coeff_shape)
+                out += np.sin(phase) * self.coeffs_sin[..., a, k - 1].reshape(coeff_shape)
         return out
 
 

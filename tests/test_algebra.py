@@ -516,6 +516,30 @@ def test_inner_verdicts_rows_are_independent(name):
     assert (shift >= 0).tolist() == [s for _, _, s in rows]
 
 
+def test_log_route_takes_no_leibniz_residual_of_an_all_inner_stack(monkeypatch):
+    # _log_route takes the Leibniz residual of its candidate outer rows only,
+    # and makes no call at all when there are none
+    g = fx.algebra("so3")
+    mats = so3_rotations(2.5, 40, np.random.default_rng(59))
+    expected = inner_verdicts(g, mats, INNER_TOL)
+    assert expected[0].all()
+    residuals = algebra.derivation_residuals
+    calls = []
+
+    def counted(g, x):
+        calls.append(len(x))
+        return residuals(g, x)
+
+    monkeypatch.setattr(algebra, "derivation_residuals", counted)
+    got = inner_verdicts(g, mats, INNER_TOL)
+    assert calls == []
+    for a, b in zip(got, expected, strict=True):
+        assert a.tobytes() == b.tobytes()
+    # with no inner tolerance every real log is a candidate outer row
+    algebra._log_route(g, mats, 0.0)
+    assert calls == [len(mats)]
+
+
 def test_characters_decide_every_abelian_row_the_log_leaves_open():
     # abelian2: every matrix is a derivation, so the log route decides each
     # row with a real log, and det < 0 rows are outer; what is left, det > 0

@@ -12,21 +12,18 @@ from labcoupling.algebroid import (
     AlgebroidSection,
     algebroid_bracket,
     axiom_report,
-    omega_contract,
     random_section,
 )
 from labcoupling.bundles import reference_trivialization
 from labcoupling.connections import (
     accordance,
-    covariant_partials,
     curvature,
     shift_by_inner,
     zero_connection,
 )
 from labcoupling.errors import InputError
-from labcoupling.manifolds import directional, grid_derivative, random_harmonic_field
+from labcoupling.manifolds import grid_derivative, random_harmonic_field
 from tests.test_algebra import so3_in_random_basis
-from tests.test_manifolds import vector_bracket
 
 SO3 = fx.algebra("so3")
 
@@ -39,6 +36,118 @@ def constant_section(m, u_vec, x_vec):
     u = [np.broadcast_to(np.asarray(u_vec, float), c.resolution + (len(u_vec),)).copy() for c in m.charts]
     x = [np.broadcast_to(np.asarray(x_vec, float), c.resolution + (len(x_vec),)).copy() for c in m.charts]
     return AlgebroidSection.of(u, x)
+
+
+# --- the value-last reference ----------------------------------------------------
+# The bracket as it was formed one section at a time, with the values on the
+# last axis: the covariant term through einsum, every partial through
+# grid_derivative, every sum onto zeros in axis order.
+
+def along(x, partials):
+    """X(F) = sum_i X^i d_i F on a value-last grid."""
+    total = np.zeros(np.shape(partials[0]))
+    for i, p in enumerate(partials):
+        xi = x[..., i]
+        total += xi.reshape(xi.shape + (1,) * (p.ndim - xi.ndim)) * p
+    return total
+
+
+def value_last_partials(c, s):
+    """The pair (s, covariant partials of u, grid partials of X), per chart."""
+    m = c.manifold
+    cov, dx = [], []
+    for cid, chart in enumerate(m.charts):
+        u, w = s.u[cid], c.omega[cid]
+        cov.append(
+            [grid_derivative(chart, u, i) + np.einsum("...kj,...j->...k", w[..., i, :, :], u) for i in range(m.dim)]
+        )
+        dx.append([grid_derivative(chart, s.x[cid], i) for i in range(m.dim)])
+    return s, cov, dx
+
+
+def omega_area(curv, cid, x1, x2):
+    """Omega(X1, X2) = sum_{i<j} (X1^i X2^j - X1^j X2^i) Omega_ij nodewise."""
+    form = curv.omega_form[cid]
+    out = np.zeros(x1.shape[:-1] + (form.shape[-1],))
+    for p, (i, j) in enumerate(curv.pairs):
+        area = x1[..., i] * x2[..., j] - x1[..., j] * x2[..., i]
+        out += area[..., None] * form[..., p, :]
+    return out
+
+
+def vector_field_bracket(x, dx, y, dy):
+    """[X, Y]^i = sum_j (X^j d_j Y^i - Y^j d_j X^i) on a value-last grid."""
+    out = np.zeros_like(x)
+    for j in range(len(dx)):
+        out += x[..., j : j + 1] * dy[j] - y[..., j : j + 1] * dx[j]
+    return out
+
+
+def value_last_bracket(c, curv, a, b):
+    """The coupling bracket of two ``value_last_partials`` triples."""
+    (s1, cov1, dx1), (s2, cov2, dx2) = a, b
+    u, x = [], []
+    for cid in range(len(c.manifold.charts)):
+        u1, x1, u2, x2 = s1.u[cid], s1.x[cid], s2.u[cid], s2.x[cid]
+        nabla = along(x1, cov2[cid]) - along(x2, cov1[cid])
+        u.append(bracket(c.algebra, u1, u2) + nabla + omega_area(curv, cid, x1, x2))
+        x.append(vector_field_bracket(x1, dx1[cid], x2, dx2[cid]))
+    return AlgebroidSection(tuple(u), tuple(x))
+
+
+def reference_axiom_report(c, curv, trials, seed):
+    """The axiom probes one trial at a time, value-last: each trial draws
+    s1, s2, s3 (u then X) and f, and each of its seven sections has its
+    partials taken once."""
+    rng = np.random.default_rng(seed)
+    m = c.manifold
+
+    def sample(value_shape, **kw):
+        return random_harmonic_field(rng, m.dim, value_shape, amplitude=0.01, **kw).sample(m)
+
+    def section():
+        u = sample((c.algebra.dim,))
+        return AlgebroidSection.of(u, sample((m.dim,), constant_scale=0.5))
+
+    def norm(s):
+        return max(np.abs(g).max() for g in s.u + s.x)
+
+    def combine(a, b, sb):
+        return AlgebroidSection(
+            tuple(x + sb * y for x, y in zip(a.u, b.u)), tuple(x + sb * y for x, y in zip(a.x, b.x))
+        )
+
+    def times(f, s):
+        return AlgebroidSection(
+            tuple(fc[..., None] * u for fc, u in zip(f, s.u)),
+            tuple(fc[..., None] * x for fc, x in zip(f, s.x)),
+        )
+
+    def br(a, b):
+        return value_last_bracket(c, curv, a, b)
+
+    def partials(s):
+        return value_last_partials(c, s)
+
+    skew, leibniz, jacobi = [], [], []
+    for _ in range(trials):
+        s1, s2, s3 = section(), section(), section()
+        f = sample(())
+        p1, p2, p3 = partials(s1), partials(s2), partials(s3)
+        b12 = br(p1, p2)
+        skew.append(norm(combine(b12, br(p2, p1), 1.0)))
+        lhs = br(p1, partials(times(f, s2)))
+        anchored = [
+            along(x1, [grid_derivative(chart, fc, i) for i in range(m.dim)])
+            for x1, fc, chart in zip(s1.x, f, m.charts)
+        ]
+        expected = combine(times(anchored, s2), times(f, b12), 1.0)
+        leibniz.append(norm(combine(lhs, expected, -1.0)))
+        j1 = br(p1, partials(br(p2, p3)))
+        j2 = br(p3, partials(b12))
+        j3 = br(p2, partials(br(p3, p1)))
+        jacobi.append(norm(combine(combine(j1, j2, 1.0), j3, 1.0)))
+    return max(skew), max(leibniz), max(jacobi)
 
 
 # --- algebroid_bracket ---------------------------------------------------------
@@ -67,7 +176,7 @@ def test_mixed_section_reduces_to_covariant_derivative():
     )
     s2 = AlgebroidSection.of(v, [np.zeros(m.charts[0].resolution + (2,))])
     out = algebroid_bracket(c, curv, s1, s2)
-    expected = directional(s1.x[0], covariant_partials(c, list(s2.u))[0])
+    expected = along(s1.x[0], value_last_partials(c, s2)[1][0])
     assert np.abs(out.u[0] - expected).max() <= 1e-12
     assert np.abs(out.x[0]).max() <= 1e-12
 
@@ -88,16 +197,18 @@ def two_order_bracket(c, curv, s1, s2):
     """Reference: the raw bracket in each argument order, then halved."""
 
     def raw(a, b):
-        nabla_ab = [directional(x, cov) for x, cov in zip(a.x, covariant_partials(c, list(b.u)))]
-        nabla_ba = [directional(x, cov) for x, cov in zip(b.x, covariant_partials(c, list(a.u)))]
+        (_, cov_a, dx_a), (_, cov_b, dx_b) = value_last_partials(c, a), value_last_partials(c, b)
+        nabla_ab = [along(x, cov) for x, cov in zip(a.x, cov_b)]
+        nabla_ba = [along(x, cov) for x, cov in zip(b.x, cov_a)]
         u = [
             bracket(c.algebra, a.u[cid], b.u[cid])
             + nabla_ab[cid]
             - nabla_ba[cid]
-            + omega_contract(curv, cid, a.x[cid], b.x[cid])
+            + omega_area(curv, cid, a.x[cid], b.x[cid])
             for cid in range(len(c.manifold.charts))
         ]
-        return u, vector_bracket(c.manifold, list(a.x), list(b.x))
+        x = [vector_field_bracket(*args) for args in zip(a.x, dx_a, b.x, dx_b)]
+        return u, x
 
     u12, x12 = raw(s1, s2)
     u21, x21 = raw(s2, s1)
@@ -117,10 +228,11 @@ def test_each_covariant_derivative_once_and_bitwise_the_two_order_formula(name, 
     u_ref, x_ref = two_order_bracket(c, curv, s1, s2)
 
     calls = []
+    kernel = algebroid.covariant_partials
 
     def counting(*args):
         calls.append(1)
-        return covariant_partials(*args)
+        return kernel(*args)
 
     monkeypatch.setattr(algebroid, "covariant_partials", counting)
     out = algebroid_bracket(c, curv, s1, s2)
@@ -131,10 +243,12 @@ def test_each_covariant_derivative_once_and_bitwise_the_two_order_formula(name, 
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
-    # one trial: s1, s2, s3, f s2, [s2, s3], [s3, s1] and [s1, s2], once each
-    calls.clear()
-    axiom_report(c, curv, trials=2, seed=0)
-    assert len(calls) == 2 * 7
+    # one pass stacks up to two trials: s1, s2, s3, f s2, [s2, s3], [s3, s1]
+    # and [s1, s2] have their covariant partials taken once each per pass
+    for trials, passes in ((2, 1), (3, 2)):
+        calls.clear()
+        axiom_report(c, curv, trials=trials, seed=0)
+        assert len(calls) == passes * 7
 
 
 def test_section_with_wrong_chart_count_is_an_input_error():
@@ -305,6 +419,23 @@ def test_axiom_report_is_bitwise_the_per_call_formula(name):
         # sum moves it by up to ~1e-11 of itself.
         ref = per_call_axiom_report(c, curv, trials=2, seed=seed)
         assert got == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
+ACCORDANT = [name for name in fx.CONNECTION_NAMES if accordance(fx.connection(name)).passed]
+
+
+@pytest.mark.parametrize("name", ACCORDANT)
+def test_axiom_report_is_bitwise_the_value_last_loop(name):
+    # one trial (a lone pass), two (one full pass), three (an odd last pass)
+    # and ten; the fixtures span the 1-D, two-chart and disk covers
+    c = fx.connection(name)
+    curv = accordance(c).curvature
+    for trials in (1, 2, 3, 10):
+        for seed in range(3):
+            rep = axiom_report(c, curv, trials=trials, seed=seed)
+            got = [float(v).hex() for v in (rep.max_skew, rep.max_leibniz, rep.max_jacobi)]
+            ref = [float(v).hex() for v in reference_axiom_report(c, curv, trials, seed)]
+            assert got == ref, (trials, seed)
 
 
 def test_jacobi_residual_decays_at_second_order():

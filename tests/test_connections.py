@@ -32,6 +32,17 @@ def constant_fields(m, vec):
     return [np.broadcast_to(np.asarray(vec, float), c.resolution + (len(vec),)).copy() for c in m.charts]
 
 
+def leading(field):
+    """Per-chart value-last grids with their value axis moved first."""
+    return [np.moveaxis(np.asarray(g, dtype=float), -1, 0) for g in field]
+
+
+def covariant_along(c, x, u):
+    """nabla_X u per chart, value-last in and out, from covariant_partials and
+    directional in their values-first layout."""
+    return [np.moveaxis(directional(xx, cov), 0, -1) for xx, cov in zip(leading(x), covariant_partials(c, leading(u)))]
+
+
 # --- covariant derivative ------------------------------------------------------
 
 def test_flat_constant_section_has_zero_derivative():
@@ -39,7 +50,7 @@ def test_flat_constant_section_has_zero_derivative():
     m = c.manifold
     u = constant_fields(m, [1.0, -2.0, 0.5])
     x = constant_fields(m, [1.0])
-    out = directional(x[0], covariant_partials(c, u)[0])
+    out = covariant_along(c, x, u)[0]
     assert np.abs(out).max() == 0.0
 
 
@@ -49,7 +60,7 @@ def test_flat_linear_section_recovers_plain_derivative():
     t = m.charts[0].grid_points()[..., 0]
     u = [np.stack([t, np.zeros_like(t), np.zeros_like(t)], axis=-1)]
     x = constant_fields(m, [1.0])
-    out = directional(x[0], covariant_partials(c, u)[0])
+    out = covariant_along(c, x, u)[0]
     np.testing.assert_allclose(out, np.broadcast_to([1.0, 0.0, 0.0], out.shape), atol=1e-10)
 
 
@@ -61,7 +72,7 @@ def test_fiberwise_leibniz_in_the_bracket():
     v = [random_harmonic_field(rng, 2, (3,))(m.charts[0].grid_points())]
     x = [random_harmonic_field(rng, 2, (2,), constant_scale=0.6)(m.charts[0].grid_points())]
     uv = [bracket(SO3, u[0], v[0])]
-    lhs, nabla_u, nabla_v = (directional(x[0], covariant_partials(c, w)[0]) for w in (uv, u, v))
+    lhs, nabla_u, nabla_v = (covariant_along(c, x, w)[0] for w in (uv, u, v))
     rhs = bracket(SO3, nabla_u, v[0]) + bracket(SO3, u[0], nabla_v)
     assert np.abs(lhs - rhs).max() <= 1e-4
 
@@ -73,8 +84,7 @@ def test_covariant_derivative_is_bitwise_the_per_axis_loop(name):
     rng = np.random.default_rng(8)
     u = random_harmonic_field(rng, m.dim, (3,), amplitude=0.3).sample(m)
     x = random_harmonic_field(rng, m.dim, (m.dim,), amplitude=0.3).sample(m)
-    for cid, (chart, cov) in enumerate(zip(m.charts, covariant_partials(c, u), strict=True)):
-        got = directional(x[cid], cov)
+    for cid, (chart, got) in enumerate(zip(m.charts, covariant_along(c, x, u), strict=True)):
         ref = np.zeros_like(u[cid])
         for i in range(m.dim):
             covar = grid_derivative(chart, u[cid], i)
@@ -106,7 +116,7 @@ def _bracket_with(c, s):
 ENTRY_POINTS = {
     "Trivialization": (lambda c: list(c.bundle.frames), lambda c, f: Trivialization(c.algebra, c.manifold, f)),
     "ConnectionForm": (lambda c: list(c.omega), lambda c, f: ConnectionForm(c.bundle, f)),
-    "covariant_partials": (_fiber, covariant_partials),
+    "covariant_partials": (_fiber, lambda c, f: covariant_partials(c, leading(f))),
     "algebroid_bracket u": (_fiber, lambda c, f: _bracket_with(c, _section(f, _tangent(c)))),
     "algebroid_bracket X": (_tangent, lambda c, f: _bracket_with(c, _section(_fiber(c), f))),
     "shift_by_inner": (

@@ -27,7 +27,6 @@ from labcoupling.connections import (
     ConnectionForm,
     accordance,
     coupling_equivalent,
-    covariant_partials,
     pullback_connection,
     shift_by_inner,
     validate_connection,
@@ -44,7 +43,6 @@ from labcoupling.errors import InputError, PreconditionError
 from labcoupling.manifolds import (
     build_manifold,
     constant_map,
-    directional,
     grid_derivative,
     interpolate,
     partition_of_unity,
@@ -54,6 +52,7 @@ from labcoupling.manifolds import (
 )
 from labcoupling.tolerances import EDGE_STEPS, TRANS_TOL
 from tests.test_bundles import degree2_circle_map, steep_circle_coupling
+from tests.test_connections import covariant_along
 from tests.test_fixtures import digest
 
 SO3 = fx.algebra("so3")
@@ -765,7 +764,7 @@ def test_g_map_operator_agrees_with_defining_sum_single_chart():
     rng = np.random.default_rng(77)
     u = random_harmonic_field(rng, 2, (3,), amplitude=0.01).sample(m)
     x = random_harmonic_field(rng, 2, (2,), amplitude=0.01, constant_scale=0.8).sample(m)
-    lhs = directional(x[0], covariant_partials(c, u)[0])
+    lhs = covariant_along(c, x, u)[0]
     rhs = _defining_sum(t, h, u)
     contracted = np.einsum("...i,...ia->...a", x[0], rhs[0])
     assert np.abs(lhs - contracted).max() <= 1e-4
@@ -783,7 +782,7 @@ def test_g_map_operator_agrees_with_defining_sum_two_charts():
     rng = np.random.default_rng(77)
     u = random_harmonic_field(rng, 1, (3,), amplitude=0.01).sample(m)
     x = random_harmonic_field(rng, 1, (1,), amplitude=0.01, constant_scale=0.8).sample(m)
-    lhs = [directional(xx, cov) for xx, cov in zip(x, covariant_partials(c, u))]
+    lhs = covariant_along(c, x, u)
     rhs = _defining_sum(t, h, u)
     for cid, chart in enumerate(m.charts):
         contracted = np.einsum("...i,...ia->...a", x[cid], rhs[cid])

@@ -360,10 +360,12 @@ def test_directional_derivative_node_accessor():
 # --- vector field brackets ---------------------------------------------------
 
 def vector_bracket(m, x_field, y_field):
-    """[X, Y] chartwise from the grid partials of both fields."""
+    """[X, Y] chartwise from the grid partials of both fields, value-last in
+    and out; the kernel takes the components first."""
+    x_lead, y_lead = ([np.moveaxis(np.asarray(g, dtype=float), -1, 0) for g in f] for f in (x_field, y_field))
     return [
-        lie_bracket_partials(x, dx, y, dy)
-        for x, dx, y, dy in zip(x_field, grid_partials(m, x_field), y_field, grid_partials(m, y_field))
+        np.moveaxis(lie_bracket_partials(x, dx, y, dy), 0, -1)
+        for x, dx, y, dy in zip(x_lead, grid_partials(m, x_lead), y_lead, grid_partials(m, y_lead))
     ]
 
 
