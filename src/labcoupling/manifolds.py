@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .errors import CoverageError, InputError
 from .tolerances import ALG_TOL, peak
@@ -363,6 +362,8 @@ def _interpolate_axes(chart: Chart, values: np.ndarray, coords) -> np.ndarray:
         weights[..., k] = weight
         np.add(flat, np.ravel_multi_index(corner, res), out=columns[..., k])
     rows = np.arange(0, weights.size + 1, len(corners))
+    import scipy.sparse  # deferred: the CLI imports this module, and only cross-chart reads interpolate
+
     operator = scipy.sparse.csr_array(
         (weights.ravel(), columns.ravel(), rows), shape=(math.prod(lead), math.prod(res))
     )

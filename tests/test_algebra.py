@@ -6,9 +6,6 @@ derivation/center dimensions, and closed-form rotation matrices for the
 exponentials.
 """
 
-import os
-import subprocess
-import sys
 import warnings
 
 import numpy as np
@@ -620,13 +617,6 @@ def test_characters_never_overrule_the_log_route(name, coeffs, draws):
     alone = [inner_verdicts(g, row[None], INNER_TOL) for row in stack]
     for k in (0, 1, 4):
         assert np.concatenate([single[k] for single in alone]).tolist() == together[k].tolist()
-
-
-def test_import_leaves_scipy_linalg_unloaded():
-    # a fresh interpreter, pointed at the package under test
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(algebra.__file__))}
-    code = "import sys, labcoupling; sys.exit('scipy.linalg' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_so3_exp_inner_with_recovered_witness():

@@ -1,9 +1,6 @@
 """CLI behaviour: subcommands, exit codes, report schema, determinism."""
 
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -242,13 +239,6 @@ def test_check_delta_agrees_with_f_map_on_its_bundle(capsys, tmp_path):
     code, swept = run_cli(capsys, "check-delta", "--bundle", out, "--alg-tol", "1e-2")
     assert code == 2
     assert swept["verdicts"] == mapped["verdicts"]
-
-
-def test_cli_import_leaves_scipy_linalg_unloaded():
-    # a fresh interpreter, pointed at the package under test
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
-    code = "import sys, labcoupling.cli; sys.exit('scipy.linalg' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_f_map_writes_bundle_artifact(capsys, tmp_path):

@@ -14,7 +14,10 @@ import io
 import json
 from pathlib import Path
 
+import pytest
+
 from labcoupling import cli, fixtures as fx
+from tests.test_package import fresh_interpreter
 
 SNAPSHOT = Path(__file__).with_name("cli_snapshot.json")
 COMMANDS = (
@@ -66,6 +69,30 @@ def test_reports_match_snapshot():
     assert [r["argv"] for r in expected] == [r["argv"] for r in actual]
     for e, a in zip(expected, actual):
         assert_close(e, a, " ".join(e["argv"]))
+
+
+# snapshot rows run in a fresh interpreter each, and whether the run reads
+# across charts, which loads scipy.sparse; none of them needs scipy.linalg
+COLD_RUNS = [
+    (["axioms", "--connection", "circle2_so3_twisted"], False),
+    (["f-map", "--connection", "disk2d_so3_nonflat"], False),
+    (["roundtrip", "--connection", "disk2d_so3_nonflat"], False),
+    (["roundtrip", "--connection", "circle2_so3_twisted"], True),
+]
+
+
+@pytest.mark.parametrize("argv, reads_across", COLD_RUNS, ids=[f"{argv[0]}-{argv[2]}" for argv, _ in COLD_RUNS])
+def test_cold_runs_match_snapshot_and_load_scipy_only_to_interpolate(argv, reads_across):
+    # the in-process sweep above runs after scipy is loaded, so a deferred
+    # import that fails shows only here
+    expected = next(r for r in json.loads(SNAPSHOT.read_text()) if r["argv"] == argv)
+    child, loaded = fresh_interpreter("from labcoupling.cli import main; main()", *argv)
+    assert child.returncode == expected["exit"]
+    assert_close(expected["report"], json.loads(child.stdout), " ".join(argv))
+    if reads_across:
+        assert "scipy.sparse" in loaded and "scipy.linalg" not in loaded
+    else:
+        assert loaded == []
 
 
 def merge_rows(stored: list, fresh: list) -> list:

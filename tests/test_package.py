@@ -1,8 +1,31 @@
-"""The package's public surface: ``__all__`` names exactly what it binds."""
+"""The package's public surface: ``__all__`` names exactly what it binds,
+and importing it loads no scipy module."""
 
+import json
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
+
+import pytest
 
 import labcoupling
+
+
+def fresh_interpreter(statement: str, *args: str) -> tuple:
+    """Run one statement in a new interpreter pointed at the package under
+    test, with args as its sys.argv[1:]; return the finished process and the
+    scipy modules loaded when it ended, which the process writes as the last
+    line of its stderr.  An earlier test has loaded scipy in this process, so
+    only a new interpreter shows what an import or a command loads."""
+    env = {**os.environ, "PYTHONPATH": str(Path(labcoupling.__file__).parents[1])}
+    program = (
+        f"import json, sys\ntry:\n    {statement}\nfinally:\n"
+        "    print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')), file=sys.stderr)"
+    )
+    child = subprocess.run([sys.executable, "-c", program, *args], env=env, capture_output=True, text=True)
+    return child, json.loads(child.stderr.splitlines()[-1])
 
 
 def test_all_lists_every_public_binding():
@@ -22,3 +45,11 @@ def test_removed_names_stay_removed():
     assert not hasattr(labcoupling.correspondence, "TransportResult")
     assert not hasattr(labcoupling.connections, "apply_connection")
     assert not hasattr(labcoupling.algebra, "center_basis")
+
+
+@pytest.mark.parametrize("module", ["labcoupling", "labcoupling.cli"])
+def test_import_loads_no_scipy(module):
+    # scipy.sparse loads on the first interpolation, scipy.linalg for so3 fixture bundles
+    child, loaded = fresh_interpreter(f"import {module}")
+    assert child.returncode == 0
+    assert loaded == []
