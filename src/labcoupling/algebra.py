@@ -351,9 +351,48 @@ def _square_roots(a: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(y), y, np.nan)
 
 
+# adj_k = m_p m_q - m_r m_s over the row-major entries k = (i, j) of a 3x3 adjugate:
+# adj_ij is the cofactor C_ji, whose sign the cyclic indices (mod 3) build in
+_ADJ3 = tuple(3 * (np.arange(a, 9 + a) % 3) + (np.arange(9) // 3 + b) % 3 for a, b in ((1, 1), (2, 2), (1, 2), (2, 1)))
+
+
+def _cofactors(m: np.ndarray, k: np.ndarray) -> tuple:
+    """A stack (..., n, n), n <= 3, nodes-last as f (n^2, N), and entries k of its adjugates."""
+    n = m.shape[-1]
+    f = np.ascontiguousarray(m.reshape(-1, n * n).T)
+    if n == 3:
+        p, q, r, s = (t[k] for t in _ADJ3)
+        return f, f[p] * f[q] - f[r] * f[s]
+    if n == 2:  # adj [[a, b], [c, d]] = [[d, -b], [-c, a]]
+        return f, f[np.array([3, 1, 2, 0])[k]] * np.where(k % 3, -1.0, 1.0)[:, None]
+    return f, np.ones((len(k), f.shape[1]))
+
+
+def _dets(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack (..., n, n): for n <= 3 by cofactor expansion
+    along row 0, nodes-last, so a row's bits do not depend on its stack;
+    larger n by np.linalg.det."""
+    n = m.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite row has a non-finite det
+        if n > 3:
+            return np.linalg.det(m)
+        f, col = _cofactors(m, np.arange(0, n * n, n))
+        return (f[:n] * col).sum(axis=0).reshape(m.shape[:-2])
+
+
 def _inverses(m: np.ndarray) -> np.ndarray:
-    """Inverses of a stack; a singular row (det 0) comes back NaN instead of raising."""
-    return np.linalg.inv(np.where(np.linalg.det(m)[:, None, None] == 0.0, np.nan, m))
+    """Inverses of a stack (..., n, n), for n <= 3 the adjugate over the
+    determinant of _dets, nodes-last, else by np.linalg.inv; a row whose det
+    is 0 or not finite comes back NaN, and no RuntimeWarning escapes."""
+    n = m.shape[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n > 3:
+            det = _dets(m)
+            return np.linalg.inv(np.where((np.isfinite(det) & (det != 0.0))[..., None, None], m, np.nan))
+        f, adj = _cofactors(m, np.arange(n * n))
+        det = (f[:n] * adj[::n]).sum(axis=0)
+        adj /= np.where(np.isfinite(det) & (det != 0.0), det, np.nan)
+    return np.ascontiguousarray(adj.T).reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -386,12 +425,13 @@ class InnerVerdict:
 
 def inner_projection(g: LieAlgebra, mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Project matrices (..., n, n) onto span{ad(e_i)}: the minimum-norm
-    coefficients x (..., n) with ad(x) ~ mat, and the Frobenius residuals (...)."""
+    coefficients x (..., n) with ad(x) ~ mat, and the Frobenius residuals (...);
+    a row per product, so its bits do not depend on its stack (a GEMM's would)."""
     mats = np.asarray(mats, dtype=float)
     lead = mats.shape[:-2]
-    flat = mats.reshape(-1, g.dim * g.dim)
+    flat = mats.reshape(-1, 1, g.dim * g.dim)
     coeff = flat @ g.ad_pinv.T
-    resid = np.linalg.norm(flat - coeff @ g.ad_basis_matrix.T, axis=1)
+    resid = np.linalg.norm((flat - coeff @ g.ad_basis_matrix.T)[:, 0], axis=1)
     return coeff.reshape(lead + (g.dim,)), resid.reshape(lead)
 
 
@@ -458,7 +498,7 @@ def inner_verdicts(g: LieAlgebra, mats: np.ndarray, inner_tol: float) -> tuple:
     inner[near], logs[near] = True, 0.0
     y, exp_y = g.inner_shifts
     rest = rest[~inner[rest]]
-    outer[rest] = np.linalg.det(mats[rest]) < 0.0
+    outer[rest] = _dets(mats[rest]) < 0.0
     rest = rest[~outer[rest]]
     if rest.size and len(y):  # an abelian g has no shift; characters decide its finite rows
         shifted = (mats[rest, None] @ exp_y).reshape(-1, g.dim, g.dim)
@@ -483,7 +523,7 @@ def is_inner(g: LieAlgebra, a: np.ndarray, inner_tol: float = INNER_TOL) -> Inne
     if a.shape != (g.dim, g.dim):
         raise InputError(f"expected {(g.dim, g.dim)} matrix, got {a.shape}")
     aut_res = float(automorphism_residuals(g, a))
-    if not (abs(np.linalg.det(a)) > ALG_TOL) or not (aut_res <= INNER_AUT_TOL):
+    if not (abs(_dets(a)) > ALG_TOL) or not (aut_res <= INNER_AUT_TOL):
         raise InputError(f"input is not an automorphism (residual {aut_res:.3e})")
 
     inner, outer, resid, logs, shift = inner_verdicts(g, a[None], inner_tol)

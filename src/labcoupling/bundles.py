@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # nothing here calls is_inner; the name stays bound for perfbench, whose self-test reads it
-from .algebra import LieAlgebra, automorphism_residuals, inner_verdicts, is_inner  # noqa: F401
+from .algebra import LieAlgebra, _dets, _inverses, automorphism_residuals, inner_verdicts, is_inner  # noqa: F401
 from .errors import InputError
 from .manifolds import (
     ChartedManifold,
@@ -55,13 +55,13 @@ class Trivialization:
         """Transition matrices phi_beta phi_alpha^{-1} on the overlap's alpha nodes."""
         o = self.manifold.overlaps[overlap_index]
         f_alpha, f_beta = overlap_pair(self.manifold, o, self.frames)
-        return f_beta @ np.linalg.inv(f_alpha)
+        return f_beta @ _inverses(f_alpha)
 
     @functools.cached_property
     def singular(self) -> tuple:
         """Per chart, the nodes whose frame is not invertible, |det| <= ALG_TOL;
         one det pass per structure, read-only like the frames it reads."""
-        masks = tuple(np.abs(np.linalg.det(grid)) <= ALG_TOL for grid in self.frames)
+        masks = tuple(np.abs(_dets(grid)) <= ALG_TOL for grid in self.frames)
         for mask in masks:
             mask.flags.writeable = False
         return masks
@@ -88,7 +88,7 @@ class Trivialization:
         """Section-coordinate change alpha -> beta: phi_beta^{-1} phi_alpha."""
         o = self.manifold.overlaps[overlap_index]
         f_alpha, f_beta = overlap_pair(self.manifold, o, self.frames)
-        return np.linalg.inv(f_beta) @ f_alpha
+        return _inverses(f_beta) @ f_alpha
 
 
 def reference_trivialization(algebra: LieAlgebra, manifold: ChartedManifold) -> Trivialization:
@@ -162,7 +162,7 @@ def _cocycle_residual(t: Trivialization) -> float:
 
     def leg(k: int, points: np.ndarray) -> np.ndarray:
         f_alpha, f_beta = t.frames_at(k, points)
-        return f_beta @ np.linalg.inv(f_alpha)
+        return f_beta @ _inverses(f_alpha)
 
     for k1, k2, k3 in _overlap_triples(m):
         o1, o2, o3 = (m.overlaps[k] for k in (k1, k2, k3))
@@ -210,24 +210,29 @@ class DeltaReport:
         }
 
 
-def _verdict_sweep(
-    g: LieAlgebra, grid: np.ndarray, edges: tuple, scope: str, inner_tol: float, tol: float
-) -> VerdictGroup:
-    """Decide the ratios grid[b] grid[a]^{-1} over the edges (a, b) of a
-    spanning tree of the region's nodes with one inner_verdicts call.  A
-    ratio is one matrix times another's inverse and grid passed tol, so the
-    ratios are gated at 10x tol, and at least TRANS_TOL.  max_inner_residual
-    is over the ratios certified inner."""
-    grid = grid.reshape(-1, g.dim, g.dim)
-    a, b = edges
-    mats = grid[b] @ np.linalg.inv(grid[a])
+def _verdict_sweep(g: LieAlgebra, parts: list, inner_tol: float, tol: float) -> list:
+    """One VerdictGroup per part (grid, edges, scope), from the ratios
+    grid[b] grid[a]^{-1} over the edges (a, b) of a spanning tree of the
+    part's nodes; one inner_verdicts call decides every part.  A ratio is one
+    matrix times another's inverse and grid passed tol, so each part's ratios
+    are gated at 10x tol, and at least TRANS_TOL, in order before any
+    verdict.  max_inner_residual is over a part's ratios certified inner."""
     gate = max(10 * tol, TRANS_TOL)
-    aut = peak(automorphism_residuals(g, mats))
-    if aut > gate:
-        raise InputError(f"{scope}: ratio is not an automorphism within {gate:.1e}")
-    inner, outer, resid, _, _ = inner_verdicts(g, mats, inner_tol)
-    undecided = ~(inner | outer)
-    return VerdictGroup(scope, peak(resid[inner]), int(inner.sum()), int(outer.sum()), int(undecided.sum()), aut)
+    ratios, auts = [], []
+    for grid, (a, b), scope in parts:
+        grid = grid.reshape(-1, g.dim, g.dim)
+        ratios.append(grid[b] @ _inverses(grid[a]))
+        auts.append(peak(automorphism_residuals(g, ratios[-1])))
+        if auts[-1] > gate:
+            raise InputError(f"{scope}: ratio is not an automorphism within {gate:.1e}")
+    if not parts:
+        return []
+    bounds = np.cumsum([len(mats) for mats in ratios])[:-1]
+    inner, outer, resid = (np.split(v, bounds) for v in inner_verdicts(g, np.concatenate(ratios), inner_tol)[:3])
+    return [
+        VerdictGroup(scope, peak(r[i]), int(i.sum()), int(o.sum()), int((~(i | o)).sum()), aut)
+        for (_, _, scope), i, o, r, aut in zip(parts, inner, outer, resid, auts)
+    ]
 
 
 # The report of a sweep that did not run: FAIL, with residuals +inf.
@@ -254,14 +259,11 @@ def check_delta_continuity(
     inverted."""
     if any(mask.any() for mask in t.singular):
         return UNSWEPT
-    g = t.algebra
-    groups = []
-    for k, o in enumerate(t.manifold.overlaps):
-        grid = t.transitions[k]
-        star = (np.zeros(1, int), np.arange(grid.size // g.dim**2))
-        groups.append(
-            _verdict_sweep(g, grid, star, f"overlap {k} ({o.alpha}->{o.beta})", inner_tol, lab_tol)
-        )
+    parts = [
+        (grid, (np.zeros(1, int), np.arange(grid.size // t.algebra.dim**2)), f"overlap {k} ({o.alpha}->{o.beta})")
+        for k, (o, grid) in enumerate(zip(t.manifold.overlaps, t.transitions))
+    ]
+    groups = _verdict_sweep(t.algebra, parts, inner_tol, lab_tol)
     return _delta_report(groups, peak([x.max_aut_residual for x in groups]), True)
 
 
@@ -287,22 +289,19 @@ def trivializations_equivalent(
     where either structure has a singular frame gets automorphism residual
     +inf, and nothing is inverted there."""
     _same_base(t, t_prime, "trivializations")
-    g = t.algebra
-    groups = []
-    chart_aut = []
-    for cid in range(len(t.manifold.charts)):
+    groups, parts = [], []
+    for cid, chart in enumerate(t.manifold.charts):
         if t.singular[cid].any() or t_prime.singular[cid].any():
             aut = math.inf
         else:
-            ratios = np.linalg.inv(t_prime.frames[cid]) @ t.frames[cid]
-            aut = peak(automorphism_residuals(g, ratios))
-        chart_aut.append(aut)
-        if aut > aut_tol:
-            groups.append(VerdictGroup(f"chart {cid}", 0.0, 0, 0, 0, aut))
-            continue
-        snake = _snake_edges(t.manifold.charts[cid].resolution)
-        groups.append(_verdict_sweep(g, ratios, snake, f"chart {cid}", inner_tol, aut_tol))
-    max_aut = peak(chart_aut)
+            ratios = _inverses(t_prime.frames[cid]) @ t.frames[cid]
+            aut = peak(automorphism_residuals(t.algebra, ratios))
+        groups.append(VerdictGroup(f"chart {cid}", 0.0, 0, 0, 0, aut))
+        if aut <= aut_tol:  # swept below, in one call with every chart that clears the gate
+            parts.append((ratios, _snake_edges(chart.resolution), f"chart {cid}"))
+    max_aut = peak([x.max_aut_residual for x in groups])
+    swept = iter(_verdict_sweep(t.algebra, parts, inner_tol, aut_tol))
+    groups = [next(swept) if x.max_aut_residual <= aut_tol else x for x in groups]
     return _delta_report(groups, max_aut, max_aut <= aut_tol)
 
 

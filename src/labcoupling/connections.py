@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import LieAlgebra, ad, derivation_residuals, inner_projection
+from .algebra import LieAlgebra, _inverses, ad, derivation_residuals, inner_projection
 from .bundles import Trivialization, pullback_lab, _same_base, _worst_node
 from .errors import InputError
 from .manifolds import (
@@ -136,7 +136,7 @@ def gauge_residual(c: ConnectionForm) -> float:
     defects = []
     for k, o in enumerate(m.overlaps):
         tau = c.bundle.coordinate_change_grid(k)
-        tau_inv = np.linalg.inv(tau)
+        tau_inv = _inverses(tau)
         w_alpha, w_beta = overlap_pair(m, o, c.omega)
         for i in range(m.dim):
             lhs = np.einsum("j,...jkl->...kl", o.matrix[:, i], w_beta)

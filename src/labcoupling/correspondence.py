@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import _inverses
 from .bundles import (
     DeltaReport,
     LabReport,
@@ -263,7 +264,7 @@ def g_map(
     # pure-gauge forms P_alpha,j = phi_alpha d_j(phi_alpha^{-1}) per chart
     gauge_forms = []
     for cid, chart in enumerate(m.charts):
-        inv = np.linalg.inv(t.frames[cid])
+        inv = _inverses(t.frames[cid])
         per_axis = np.stack(
             [t.frames[cid] @ grid_derivative(chart, inv, j) for j in range(m.dim)], axis=-3
         )
@@ -419,6 +420,6 @@ def loop_transport(c: ConnectionForm) -> np.ndarray:
         switch[0] = 0.5 * (o.region[0, 0] + o.region[0, 1])
         total = parallel_transport(c, cid, current, switch, ODE_STEPS) @ total
         f_alpha, f_beta = c.bundle.frames_at(k, switch[None, :])
-        total = np.linalg.inv(f_beta[0]) @ f_alpha[0] @ total
+        total = _inverses(f_beta[0]) @ f_alpha[0] @ total
         current = o.apply(switch[None, :])[0]
     return parallel_transport(c, order[0], current, start, ODE_STEPS) @ total

@@ -18,7 +18,9 @@ from labcoupling import algebra, fixtures as fx
 from labcoupling.algebra import (
     LieAlgebra,
     _character_route,
+    _dets,
     _exp_by_squaring,
+    _inverses,
     _square_roots,
     ad,
     automorphism_residuals,
@@ -479,6 +481,7 @@ ROUTE_STACKS = {
     "so3+R": (1e-6, [
         (np.diag([-1.0, -1.0, 1.0, 2.0]), "outer", False),  # characters: 2 on the center
         (np.diag([-1.0, -1.0, 1.0, 1.0]), "inner", True),
+        (scipy.linalg.expm(ad(so3_plus_r(), np.array([0.0, 0.0, 0.6484375, 0.0]))), "inner", False),  # log
     ]),
     "heis3": (1e-6, [
         (np.diag([-1.0, -1.0, 1.0]), "outer", False),  # characters
@@ -496,10 +499,7 @@ ROUTE_STACKS = {
 
 @pytest.mark.parametrize("name", ROUTE_STACKS)
 def test_inner_verdicts_rows_are_independent(name):
-    # one stacked call equals the single-row calls bit for bit, on every route;
-    # this holds on these rows only: inner_projection's BLAS path depends on
-    # the stack, so on so3+R the residual of exp(ad(0.6484375 e3)) reads
-    # 7.99e-16 in the stack [I, exp(ad(0.6484375 e3))] and 7.83e-16 alone
+    # one stacked call equals the single-row calls bit for bit, on every route
     g = so3_plus_r() if name == "so3+R" else fx.algebra(name)
     inner_tol, rows = ROUTE_STACKS[name]
     stack = np.stack([row for row, _, _ in rows])
@@ -1082,6 +1082,68 @@ def test_square_roots_of_singular_or_overflowing_rows_are_nan_rowwise():
     good = np.setdiff1d(np.arange(len(mats)), bad)
     assert np.isfinite(roots[good]).all()
     assert roots[good].tobytes() == one_row[good].tobytes()
+
+
+# --- closed-form determinants and inverses ---------------------------------
+
+
+def conditioned_stack(n: int, count: int, cond: float, rng) -> np.ndarray:
+    """count random n x n matrices U diag(s) V^T, U and V orthogonal, with
+    singular values s log-spaced from 1 down to 1/cond."""
+    u = np.linalg.qr(rng.normal(size=(count, n, n)))[0]
+    v = np.linalg.qr(rng.normal(size=(count, n, n)))[0]
+    return (u * np.geomspace(1.0, 1.0 / cond, n)) @ np.swapaxes(v, -1, -2)
+
+
+KERNEL_STACKS = {  # name: (n, rng) -> stack of 200 matrices
+    "random": lambda n, rng: rng.normal(size=(200, n, n)),
+    "integer": lambda n, rng: rng.integers(-4, 5, size=(200, n, n)).astype(float),
+    "cond_1e4": lambda n, rng: conditioned_stack(n, 200, 1e4, rng),
+    "cond_1e8": lambda n, rng: conditioned_stack(n, 200, 1e8, rng),
+}
+
+
+@pytest.mark.parametrize("case", KERNEL_STACKS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closed_form_dets_and_inverses_match_lapack(n, case):
+    # n <= 3 in closed form, n = 4 through the np.linalg fallback.  Cofactor
+    # expansion does not pivot, so the bound scales with prod_i s_1 / s_i over
+    # a row's singular values: the condition number at n = 2, at most its
+    # square at n = 3
+    mats = KERNEL_STACKS[case](n, np.random.default_rng(53 + n))
+    ref_det = np.linalg.det(mats)
+    if case == "integer":  # small integer entries: the expansion is exact
+        ref_det = np.round(ref_det) if n <= 3 else ref_det
+        assert (_dets(mats) == ref_det).all()
+        assert np.isnan(_inverses(mats[ref_det == 0.0])).all()
+    live = ref_det != 0.0
+    s = np.linalg.svd(mats[live], compute_uv=False)
+    bound = 8.0 * np.finfo(float).eps * np.prod(s[:, :1] / s, axis=1)
+    ref_inv = np.linalg.inv(mats[live])
+    assert (np.abs(_dets(mats[live]) - ref_det[live]) <= bound * np.abs(ref_det[live])).all()
+    miss = np.linalg.norm(_inverses(mats[live]) - ref_inv, axis=(-2, -1))
+    assert (miss <= bound * np.linalg.norm(ref_inv, axis=(-2, -1))).all()
+    if n <= 3:  # a row's bits do not depend on its stack
+        assert np.stack([_inverses(a) for a in mats]).tobytes() == _inverses(mats).tobytes()
+        assert np.stack([_dets(a) for a in mats]).tobytes() == _dets(mats).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_inverses_of_singular_and_non_finite_rows_are_nan(n):
+    mats = np.random.default_rng(61).normal(size=(7, n, n)) + 3.0 * np.eye(n)
+    mats[1] = 0.0
+    mats[2] = np.outer(np.arange(1.0, n + 1), np.arange(1.0, n + 1)) if n > 1 else 0.0  # rank 1, det exactly 0
+    mats[3, 0, 0] = np.nan
+    mats[4, -1, -1] = np.inf
+    mats[5, 0, -1] = -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inv, det = _inverses(mats), _dets(mats)
+        one_row = np.stack([_inverses(a) for a in mats])
+    assert (det[[1, 2]] == 0.0).all() and not np.isfinite(det[3:6]).any()
+    assert np.isnan(inv[1:6]).all()
+    assert np.isfinite(inv[[0, 6]]).all()
+    assert inv[[0, 6]].tobytes() == one_row[[0, 6]].tobytes()
 
 
 def test_principal_logs_leave_a_row_with_overflowing_norms_open(monkeypatch):

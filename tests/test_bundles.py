@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 from labcoupling import algebra, bundles, fixtures as fx
-from labcoupling.algebra import ad, automorphism_residuals, inner_verdicts
+from labcoupling.algebra import _inverses, ad, automorphism_residuals, inner_verdicts
 from labcoupling.bundles import (
     Trivialization,
     check_delta_continuity,
@@ -274,8 +274,9 @@ def test_rotation_by_pi_ratios_are_decided_by_an_inner_shift(monkeypatch):
 
 
 def test_rotation_by_pi_sweep_takes_each_log_once(monkeypatch):
-    # one log batch per overlap, and one shift batch (3 shifts) per open
-    # ratio: 4 x 9 + 2 x 3 rows; the pi ratios' own logs are not retried
+    # one log batch for the four overlaps' ratios, and one shift batch (3
+    # shifts) for the two open ones: 4 x 9 + 2 x 3 rows in two calls; the pi
+    # ratios' own logs are not retried
     t = rotation_by_pi_bundle()
     principal_logs = algebra.principal_logs
     rows = []
@@ -286,7 +287,7 @@ def test_rotation_by_pi_sweep_takes_each_log_once(monkeypatch):
 
     monkeypatch.setattr(algebra, "principal_logs", counted)
     check_delta_continuity(t)
-    assert (sum(rows), len(rows)) == (42, 6)
+    assert (sum(rows), len(rows)) == (42, 2)
 
 
 def test_ratio_with_a_small_determinant_is_decided_not_refused():
@@ -315,9 +316,76 @@ def test_delta_report_carries_the_sweeps_automorphism_residual():
     expected = 0.0
     for k in range(len(t.manifold.overlaps)):
         grid = t.transition_grid(k).reshape(-1, 3, 3)
-        expected = max(expected, float(automorphism_residuals(t.algebra, grid @ np.linalg.inv(grid[0])).max()))
+        expected = max(expected, float(automorphism_residuals(t.algebra, grid @ _inverses(grid[0])).max()))
     assert expected > 0.0  # round-off of the ratios, not an exact zero
     assert rep.max_aut_residual == expected
+
+
+def verdict_workload_bundle(name: str) -> Trivialization:
+    """The two input classes of the benchmark's verdicts workload on cyl2,
+    unconjugated: identity frames on chart 0, and on chart 1 so3 frames
+    exp(ad x) with |x| <= 0.4 (every ratio inner) or heis3 frames
+    exp(s D) exp(ad y), D = fx.DRIFT outer, |s| <= 0.5 and |y| <= 0.5."""
+    m = fx.manifold("cyl2")
+    pts = m.charts[1].grid_points()
+    fields = np.random.default_rng(0)
+    g = fx.algebra(name)
+
+    def field(shape, top):
+        f = random_harmonic_field(fields, m.dim, shape, amplitude=1.0, constant_scale=0.0)(pts)
+        return f * (top / np.abs(f).max() if not shape else top / np.linalg.norm(f, axis=-1).max())
+
+    if name == "so3":
+        frames1 = scipy.linalg.expm(ad(g, field((3,), 0.4)))
+    else:
+        s = field((), 0.5)
+        frames1 = scipy.linalg.expm(s[..., None, None] * fx.DRIFT) @ scipy.linalg.expm(ad(g, field((3,), 0.5)))
+    return Trivialization(g, m, (np.broadcast_to(np.eye(3), m.charts[0].resolution + (3, 3)), frames1))
+
+
+def overlap_parts(t: Trivialization) -> list:
+    """check_delta_continuity's sweep parts: each overlap's star from node 0."""
+    return [
+        (grid, (np.zeros(1, int), np.arange(grid.size // t.algebra.dim**2)), f"overlap {k} ({o.alpha}->{o.beta})")
+        for k, (o, grid) in enumerate(zip(t.manifold.overlaps, t.transitions))
+    ]
+
+
+@pytest.mark.parametrize(
+    "case", [f"{name} {refine}" for name in fx.BUNDLE_NAMES for refine in (1, 2)] + ["verdicts so3", "verdicts heis3"]
+)
+def test_batched_delta_sweep_is_bitwise_the_per_overlap_sweeps(case):
+    # one inner_verdicts call over every overlap gives each overlap the group
+    # a call of its own gives, to the bit
+    name, arg = case.split()
+    t = verdict_workload_bundle(arg) if name == "verdicts" else fx.bundle(name, int(arg))
+    rep = check_delta_continuity(t)
+    alone = [bundles._verdict_sweep(t.algebra, [part], INNER_TOL, ALG_TOL)[0] for part in overlap_parts(t)]
+
+    def hexed(group):
+        return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(group)]
+
+    assert [hexed(x) for x in rep.groups] == [hexed(x) for x in alone]
+    if name == "verdicts":
+        assert rep.counts()["outer" if arg == "heis3" else "inner"] > 0
+
+
+def test_delta_sweep_gates_every_part_before_any_verdict(monkeypatch):
+    # the first overlap whose ratios fail the gate names the error, and no
+    # ratio of any overlap reaches inner_verdicts
+    t = one_step_transport_bundle()
+    first = None
+    for part in overlap_parts(t):
+        try:
+            bundles._verdict_sweep(t.algebra, [part], INNER_TOL, ALG_TOL)
+        except InputError as err:
+            first = first or str(err)
+    assert first is not None
+    calls = []
+    monkeypatch.setattr(bundles, "inner_verdicts", lambda *args: calls.append(args))
+    with pytest.raises(InputError) as err:
+        check_delta_continuity(t)
+    assert str(err.value) == first and calls == []
 
 
 # Outer ratios of cyl2_heis3_drift at refine 1; CI's CLI smoke step checks the same count.

@@ -407,20 +407,20 @@ CROSS_CHART_CASES = (
 )
 
 CROSS_CHART_DIGESTS = {
-    "lab circle2_so3_twisted 1": "f381f989592ed7e6b22727ab5900e0f1e1c6ce0f5812ae3deff506d9b03b2f27",
-    "lab circle2_so3_twisted 2": "3b166a94f59ecd0a066de8ef83a17aa6c9b94f188e5afe3da1337cefa1bb185e",
-    "lab cyl2_so3_twisted 1": "f381f989592ed7e6b22727ab5900e0f1e1c6ce0f5812ae3deff506d9b03b2f27",
-    "lab cyl2_so3_twisted 2": "3b166a94f59ecd0a066de8ef83a17aa6c9b94f188e5afe3da1337cefa1bb185e",
+    "lab circle2_so3_twisted 1": "805914be70911320af21d02723e48cdf816641b490f5344c5350bde2b0c8e6bf",
+    "lab circle2_so3_twisted 2": "b377b41ee5c89bab5a1610ea3100cd0a3f5b7f8604db74e205f050775680acf4",
+    "lab cyl2_so3_twisted 1": "805914be70911320af21d02723e48cdf816641b490f5344c5350bde2b0c8e6bf",
+    "lab cyl2_so3_twisted 2": "b377b41ee5c89bab5a1610ea3100cd0a3f5b7f8604db74e205f050775680acf4",
     "lab circle2_abelian2_twisted 1": "b668c416cdbf82c37544d5831968a42a87cb49c02c4e10331ed8a9f2ba5aeaf8",
     "lab circle2_abelian2_twisted 2": "b668c416cdbf82c37544d5831968a42a87cb49c02c4e10331ed8a9f2ba5aeaf8",
     "lab circle2_abelian2_varying 1": "b668c416cdbf82c37544d5831968a42a87cb49c02c4e10331ed8a9f2ba5aeaf8",
     "lab circle2_abelian2_varying 2": "b668c416cdbf82c37544d5831968a42a87cb49c02c4e10331ed8a9f2ba5aeaf8",
     "lab disk2d_so3_bilinear 1": "1be67e4906af7179c91a3d45bc0a33096b892f84ec4f376df10f4a4445208a0c",
     "lab disk2d_so3_bilinear 2": "1be67e4906af7179c91a3d45bc0a33096b892f84ec4f376df10f4a4445208a0c",
-    "lab cyl2_heis3_drift 1": "753ef51518f7bdc7dd4f48adea4e2ddae86bcfe6a2f6255a57a15d03879d8a88",
-    "lab cyl2_heis3_drift 2": "753ef51518f7bdc7dd4f48adea4e2ddae86bcfe6a2f6255a57a15d03879d8a88",
-    "lab interval3_so3_twisted 1": "bc8a959cc942c3aeccead75fba6b491c9b8a323dd66a3810edf3214e17b49500",
-    "lab interval3_so3_twisted 2": "af5ff30bb701b09345beb7f33d6ea121d7e4664c2f0098f8af33b2d3698f811a",
+    "lab cyl2_heis3_drift 1": "ddd1be52fe7233cb21ddf4cef22cbce0f8687f3db8e6e0541fbe61b0e641ccce",
+    "lab cyl2_heis3_drift 2": "ddd1be52fe7233cb21ddf4cef22cbce0f8687f3db8e6e0541fbe61b0e641ccce",
+    "lab interval3_so3_twisted 1": "bffd04f6e2b32fabca1f03587a977697eb3d4750d528e20e21418d84979d3b5a",
+    "lab interval3_so3_twisted 2": "484e2589e69236019be2beecfb160ed467b0d8ae653ab882d49b187bd6a4b127",
     "loop circle2_so3_twisted": "9e3db499a4b5b8cf79b94bbd21ecda26515b30a56118d1f76de23147b62f40b7",
     "loop cyl2_so3_twisted": "9e3db499a4b5b8cf79b94bbd21ecda26515b30a56118d1f76de23147b62f40b7",
     "loop circle2_abelian2_flat": "1be2f39415ea0839c5b7145246a2e5e85907314a4572912ad1bb37d59f5b664e",
