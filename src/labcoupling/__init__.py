@@ -42,8 +42,6 @@ from .connections import (
 from .correspondence import (
     f_map,
     g_map,
-    loop_transport,
-    parallel_transport,
     verify_g_well_defined,
     verify_inverse,
 )
@@ -81,8 +79,6 @@ __all__ = [
     "f_map",
     "g_map",
     "is_inner",
-    "loop_transport",
-    "parallel_transport",
     "partition_of_unity",
     "pullback_connection",
     "pullback_lab",

@@ -323,6 +323,38 @@ def _cover_signature(m: ChartedManifold):
     return charts, overlaps
 
 
+def monodromy(t: Trivialization) -> np.ndarray:
+    """The product of the coordinate changes phi_beta^{-1} phi_alpha around
+    the cycle of charts along axis 0 (circle and cylinder covers), in the
+    order of the charts' lower axis-0 edges.  The walk starts at the first
+    chart's center and crosses each chart's forward overlap (alpha -> next
+    chart, reaching alpha's upper axis-0 edge) at the midpoint of its axis-0
+    span, where ``frames_at`` reads the two frames.  For f(C) this is the
+    holonomy of C around the loop from that center: the outer part of a
+    coupling is a flat Out(g) connection, so it is a class invariant mod Inn
+    and up to conjugation.  A chart with no forward overlap is an InputError."""
+    m = t.manifold
+    order = sorted(range(len(m.charts)), key=lambda cid: m.charts[cid].box[0, 0])
+    first = m.charts[order[0]]
+    point = first.node_point(first.center)
+    total = np.eye(t.algebra.dim)
+    for cid, nxt in zip(order, order[1:] + order[:1]):
+        upper = m.charts[cid].box[0, 1]
+        forward = [
+            k for k, o in enumerate(m.overlaps)
+            if o.alpha == cid and o.beta == nxt and abs(o.region[0, 1] - upper) <= 1e-9
+        ]
+        if not forward:
+            raise InputError(f"no forward overlap from chart {cid} along axis 0")
+        k = forward[0]
+        o = m.overlaps[k]
+        point[0] = 0.5 * (o.region[0, 0] + o.region[0, 1])
+        f_alpha, f_beta = t.frames_at(k, point[None, :])
+        total = _inverses(f_beta[0]) @ f_alpha[0] @ total
+        point = o.apply(point)
+    return total
+
+
 def pullback_lab(t: Trivialization, f: ManifoldMap) -> Trivialization:
     """Pull the structure back along a chart-compatible affine map: source
     frames are the target frames sampled at image points (multilinear off

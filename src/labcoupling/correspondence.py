@@ -37,43 +37,41 @@ from .manifolds import (
     interpolate,
     overlap_nodes,
     partition_of_unity,
-    _interpolate_axes,
 )
 from .tolerances import (
     ACC_TOL,
     EDGE_STEPS,
     G_MAP_LAB_TOL,
     INNER_TOL,
-    ODE_STEPS,
     ROUNDTRIP_AUT_TOL,
     TRANS_TOL,
     WELL_DEFINED_AUT_TOL,
 )
 
 
-def _rk4(stages, steps: int) -> np.ndarray:
+def _rk4(a0: np.ndarray, d: np.ndarray, steps: int) -> np.ndarray:
     """Classical RK4 for T' = A(t) T, T(0) = I over t in [0, 1] in ``steps``
-    uniform steps, for N problems at once.  ``stages(*times)`` returns the
-    stage values of A at the given times, a list of contiguous (n, n, N)
-    arrays; it is called at t = 0 and then once per step for the step's
-    midpoint and end, whose end value is the next step's start value.
+    uniform steps, for N problems at once, with A(t) = a0 + t d blended from
+    contiguous (n, n, N) arrays.  A is formed at t = 0 and then once per step
+    at the step's midpoint and end, whose end value is the next step's start
+    value.
 
     The state and the stage buffers are contiguous (n, n, N) arrays too,
     where one einsum product per stage runs about 3x faster than np.matmul
     over (N, n, n); T(1) is returned in that layout."""
     if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
-        raise InputError(f"a path's step count must be an integer, got {steps!r}")
+        raise InputError(f"ode_steps must be an integer, got {steps!r}")
     if steps < 1:
-        raise InputError("a path needs at least one step")
-    (a1,) = stages(0.0)
+        raise InputError(f"ode_steps must be at least 1, got {steps}")
+    a1 = a0 + 0.0 * d  # A(0) blended like every later stage value: a -0.0 in a0 reads +0.0
     t_mats = np.broadcast_to(np.eye(a1.shape[0])[..., None], a1.shape).copy()
     k1, k2, k3, k4, y = (np.empty_like(t_mats) for _ in range(5))
     dt = 1.0 / steps
     for s in range(steps):
         t0 = s * dt
-        a0, (a_mid, a1) = a1, stages(t0 + 0.5 * dt, t0 + dt)
+        a_start, a_mid, a1 = a1, a0 + (t0 + 0.5 * dt) * d, a0 + (t0 + dt) * d
         # k_{j+1} = A (T + h k_j), with T + h k_j formed in y as h k_j + T
-        np.einsum("ikp,kjp->ijp", a0, t_mats, out=k1)
+        np.einsum("ikp,kjp->ijp", a_start, t_mats, out=k1)
         np.multiply(k1, 0.5 * dt, out=y)
         y += t_mats
         np.einsum("ikp,kjp->ijp", a_mid, y, out=k2)
@@ -92,51 +90,6 @@ def _rk4(stages, steps: int) -> np.ndarray:
         k1 *= dt / 6.0
         t_mats += k1
     return t_mats
-
-
-def parallel_transport(c: ConnectionForm, chart_id: int, start, end, steps: int) -> np.ndarray:
-    """Solve T' = A(t) T, T(0) = I, with A(t) = -sum_i v^i w_i(start + t v)
-    and v = end - start, by classical RK4 in ``steps`` uniform steps along
-    the straight chart segments from ``start`` (dim,) to each point of
-    ``end`` (..., dim).  The result, of shape end.shape[:-1] + (n, n), is an
-    automorphism up to integrator error because the form is pointwise a
-    bracket derivation.
-
-    A stage's sample points start + t v go to the interpolation kernel as
-    per-axis coordinate arrays.  A step's two new values of A (at t0 + dt/2
-    and t0 + dt) come from one kernel call on (2, ...) coordinate arrays, so
-    a solve makes steps + 1 kernel calls covering the 2 steps + 1 stage
-    times.  A chart box is convex: checking the start and the ends keeps
-    every sample inside it."""
-    chart = c.manifold.charts[chart_id]
-    start = np.asarray(start, dtype=float)
-    end = np.asarray(end, dtype=float)
-    if start.shape != (chart.dim,) or end.shape[-1:] != (chart.dim,):
-        raise InputError(
-            f"a path in a {chart.dim}-D chart needs a start of shape ({chart.dim},) "
-            f"and ends of shape (..., {chart.dim}), got {start.shape} and {end.shape}"
-        )
-    if not (chart.contains(start) and chart.contains(end)):
-        raise InputError("path leaves its chart")
-    omega = np.ascontiguousarray(c.omega[chart_id])
-    v = end - start
-    rows = np.moveaxis(v, -1, 0)
-    n = c.algebra.dim
-
-    def forms(*times: float) -> list:
-        # stage times on a new leading axis of every coordinate array
-        t = np.array(times).reshape((-1,) + (1,) * (v.ndim - 1))
-        w = _interpolate_axes(chart, omega, [s + t * row for s, row in zip(start, rows)])
-        out = []
-        for w_t in w:
-            a = np.einsum("...i,...iab->...ab", v, w_t).reshape(-1, n, n)
-            # one C-ordered (n, n, N) copy; an "abp" einsum output is a strided
-            # view, which would slow every product that reads it
-            out.append(np.negative(a.transpose(1, 2, 0), order="C"))
-        return out
-
-    t_mats = _rk4(forms, steps)
-    return np.ascontiguousarray(t_mats.transpose(2, 0, 1)).reshape(v.shape[:-1] + (n, n))
 
 
 @dataclass(frozen=True)
@@ -183,7 +136,7 @@ def _comb_transports(c: ConnectionForm, chart_id: int, steps: int) -> np.ndarray
         a1 = np.concatenate([nodes[:, :, center + 1 :], -nodes[:, :, :center]], axis=2)
         shape = a0.shape
         a0, d = a0.reshape(n, n, -1), (a1 - a0).reshape(n, n, -1)
-        edges = _rk4(lambda *times: [a0 + t * d for t in times], steps).reshape(shape)
+        edges = _rk4(a0, d, steps).reshape(shape)
         line = np.empty(nodes.shape)
         line[:, :, center] = covered
         for k in range(center, r - 1):
@@ -387,39 +340,3 @@ def verify_inverse(
     inconclusive = any(d.undecided > 0 for d in directions.values())
     return RoundTripReport(directions, inconclusive, note="; ".join(failed))
 
-
-# --- loop transport (holonomy around circle-like fixtures) --------------------
-
-def loop_transport(c: ConnectionForm) -> np.ndarray:
-    """Transport around the closed cycle of charts along the first axis
-    (circle and cylinder covers), in ODE_STEPS steps per leg, switching
-    charts at overlap-region midpoints."""
-    m = c.manifold
-    n_charts = len(m.charts)
-    order = sorted(range(n_charts), key=lambda cid: m.charts[cid].box[0, 0])
-    n = c.algebra.dim
-    total = np.eye(n)
-    start = m.charts[order[0]].node_point(m.charts[order[0]].center)
-    current = start.copy()
-    for pos, cid in enumerate(order):
-        nxt = order[(pos + 1) % n_charts]
-        # the forward overlap touches the upper edge of the current chart
-        k, o = next(
-            (
-                (k, o)
-                for k, o in enumerate(m.overlaps)
-                if o.alpha == cid
-                and o.beta == nxt
-                and abs(o.region[0, 1] - m.charts[cid].box[0, 1]) <= 1e-9
-            ),
-            (None, None),
-        )
-        if o is None:
-            raise InputError(f"no forward overlap from chart {cid} along axis 0")
-        switch = current.copy()
-        switch[0] = 0.5 * (o.region[0, 0] + o.region[0, 1])
-        total = parallel_transport(c, cid, current, switch, ODE_STEPS) @ total
-        f_alpha, f_beta = c.bundle.frames_at(k, switch[None, :])
-        total = _inverses(f_beta[0]) @ f_alpha[0] @ total
-        current = o.apply(switch[None, :])[0]
-    return parallel_transport(c, order[0], current, start, ODE_STEPS) @ total

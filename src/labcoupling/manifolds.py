@@ -56,18 +56,13 @@ class Chart:
         return np.stack(mesh, axis=-1)
 
     def contains(self, points: np.ndarray) -> bool:
-        """Whether every point of a (..., dim) batch lies in the box: the
-        rule of contains_axes on the batch's coordinate columns."""
-        return self.contains_axes(np.asarray(points, dtype=float).reshape(-1, self.dim).T)
-
-    def contains_axes(self, coords) -> bool:
-        """Whether every point whose axis-a coordinates are coords[a]
-        (equal-shape arrays) lies in the box, with a 1e-9 margin; an empty
-        batch passes and a NaN coordinate fails.  The box is axis-aligned,
-        so each array's own extremes decide it (a third of the cost of a
-        pointwise mask on a column)."""
+        """Whether every point of a (..., dim) batch lies in the box, with a
+        1e-9 margin; an empty batch passes and a NaN coordinate fails.  The
+        box is axis-aligned, so each coordinate column's own extremes decide
+        it (a third of the cost of a pointwise mask on a column)."""
+        coords = np.asarray(points, dtype=float).reshape(-1, self.dim).T
         lo, hi = self.box[:, 0] - 1e-9, self.box[:, 1] + 1e-9
-        return not all(np.size(t) for t in coords) or all(
+        return not coords.size or all(
             np.min(t) >= lo[a] and np.max(t) <= hi[a] for a, t in enumerate(coords)
         )
 
@@ -309,19 +304,7 @@ def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndar
     """Multilinear interpolation of a gridded field at arbitrary chart points.
 
     values has shape (*resolution, *value_shape); points (..., dim).  Points
-    may sit on the box boundary; anything outside raises InputError.  This
-    is _interpolate_axes on the coordinate columns of the points.
-    """
-    points = np.asarray(points, dtype=float)
-    pts = points.reshape(-1, chart.dim)
-    out = _interpolate_axes(chart, values, pts.T)
-    return out.reshape(points.shape[:-1] + out.shape[1:])
-
-
-def _interpolate_axes(chart: Chart, values: np.ndarray, coords) -> np.ndarray:
-    """Multilinear interpolation at the points whose axis-a coordinates are
-    coords[a], equal-shape arrays of the point shape; the result has shape
-    point shape + value_shape.
+    may sit on the box boundary; anything outside raises InputError.
 
     One sparse gather-and-weight operator: row p of a CSR matrix holds the
     2^dim corner weights of point p at the flat indices of its cell's
@@ -329,8 +312,8 @@ def _interpolate_axes(chart: Chart, values: np.ndarray, coords) -> np.ndarray:
     adds the corner terms in that order onto a zero, so the result is
     bit-identical to summing ``weight * values[corner]`` corner by corner.
 
-    Each axis takes its cell index and its (1 - frac, frac) pair from its own
-    coordinate array and folds the index into the flat one as
+    Each axis takes its cell index and its (1 - frac, frac) pair from its
+    coordinate column and folds the index into the flat one as
     ``flat * res[a] + cell``; each corner's weight is then
     ``1.0 * f_0 * f_1 ...`` in axis order.
     """
@@ -338,10 +321,11 @@ def _interpolate_axes(chart: Chart, values: np.ndarray, coords) -> np.ndarray:
     res = chart.resolution
     if values.shape[: chart.dim] != res:
         raise InputError(f"value grid {values.shape} does not match the chart resolution {res}")
-    coords = [np.asarray(t, dtype=float) for t in coords]
-    if not chart.contains_axes(coords):
+    points = np.asarray(points, dtype=float)
+    if not chart.contains(points):
         raise InputError("interpolation point outside the chart box")
-    lead = coords[0].shape
+    lead = points.shape[:-1]
+    coords = points.reshape(-1, chart.dim).T
 
     flat, pairs = 0, []
     for t, lo, h, r in zip(coords, chart.box[:, 0], chart.spacing, res):
@@ -353,7 +337,7 @@ def _interpolate_axes(chart: Chart, values: np.ndarray, coords) -> np.ndarray:
         flat = flat * r + cell.astype(int)
         pairs.append((1.0 - frac, frac))
     corners = list(itertools.product((0, 1), repeat=chart.dim))
-    weights = np.empty(lead + (len(corners),))
+    weights = np.empty((coords.shape[1], len(corners)))
     columns = np.empty(weights.shape, dtype=np.intp)
     for k, corner in enumerate(corners):
         weight = 1.0
@@ -365,7 +349,7 @@ def _interpolate_axes(chart: Chart, values: np.ndarray, coords) -> np.ndarray:
     import scipy.sparse  # deferred: the CLI imports this module, and only cross-chart reads interpolate
 
     operator = scipy.sparse.csr_array(
-        (weights.ravel(), columns.ravel(), rows), shape=(math.prod(lead), math.prod(res))
+        (weights.ravel(), columns.ravel(), rows), shape=(len(weights), math.prod(res))
     )
     out = operator @ values.reshape(operator.shape[1], -1)
     return out.reshape(lead + values.shape[chart.dim:])

@@ -37,16 +37,12 @@ GAUGE_TOL = 1e-4
 # is FD-limited.
 ACC_TOL = 1e-4
 
-# Parallel transport: f_map's comb at EDGE_STEPS per grid edge, loop_transport
-# at ODE_STEPS per leg.
+# Parallel transport: f_map's comb at EDGE_STEPS RK4 steps per grid edge.
 TRANS_TOL = 1e-6
-
-# RK4 step count per leg of loop_transport.
-ODE_STEPS = 64
 
 # Default RK4 step count per grid edge of f_map's node comb.  On the transport
 # benchmark's inputs 2 steps keep the frames within 6.5e-11 of Aut, and 1 step
-# within 2.1e-9 only (the 64-step rays the comb replaced: 3.4e-9).
+# within 2.1e-9 only.
 EDGE_STEPS = 2
 
 # is_inner's gate on a caller's matrix (sweeps gate their own ratios): TRANS_TOL's room.

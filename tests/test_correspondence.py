@@ -1,8 +1,10 @@
-"""Tests for parallel transport and the two classification maps.
+"""Tests for the RK4 kernel, the monodromy and the two classification maps.
 
-Oracles: closed-form matrix exponentials for constant-form transport,
-transport composition for the flow property, and a literal re-evaluation of
-the defining h-weighted sum for the connection assembled by g_map.
+Oracles: closed-form matrix exponentials for constant-form transport and for
+the holonomy of cocycle-constant loops, an independent np.matmul RK4 on
+the comb's edge blends and along straight paths for f_map's frames, and a
+literal re-evaluation of the defining h-weighted sum for the connection
+assembled by g_map.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from labcoupling.bundles import (
     DeltaReport,
     Trivialization,
     check_delta_continuity,
+    monodromy,
     pullback_lab,
     reference_trivialization,
     trivializations_equivalent,
@@ -34,8 +37,6 @@ from labcoupling.connections import (
 from labcoupling.correspondence import (
     f_map,
     g_map,
-    loop_transport,
-    parallel_transport,
     verify_g_well_defined,
     verify_inverse,
 )
@@ -48,7 +49,6 @@ from labcoupling.manifolds import (
     partition_of_unity,
     random_harmonic_field,
     region_slices,
-    _interpolate_axes,
 )
 from labcoupling.tolerances import EDGE_STEPS, TRANS_TOL
 from tests.test_bundles import degree2_circle_map, steep_circle_coupling
@@ -68,143 +68,182 @@ def constant_connection(manifold_name: str, matrix: np.ndarray, algebra=SO3) -> 
     return ConnectionForm(reference_trivialization(algebra, m), omega)
 
 
-# --- parallel transport --------------------------------------------------------
+# --- RK4 kernel ------------------------------------------------------------------
 
-def test_flat_transport_is_identity():
-    c = fx.connection("interval1_so3_flat")
-    t_mat = parallel_transport(c, 0, [0.5], [1.0], 64)
-    assert np.abs(t_mat - np.eye(3)).max() == 0.0
+def constant_rk4(d: np.ndarray, steps: int) -> np.ndarray:
+    """correspondence._rk4 on the constant form A(t) = -d, one problem."""
+    return correspondence._rk4(-d[..., None], np.zeros(d.shape + (1,)), steps)[..., 0]
 
 
 def test_constant_form_transport_matches_matrix_exponential():
-    d = 0.9 * K  # ||d|| <= 1
-    c = constant_connection("interval1", d)
-    t_mat = parallel_transport(c, 0, [0.5], [1.0], 64)
-    exact = scipy.linalg.expm(-0.5 * d)
+    d = 0.45 * K  # the form 0.9 K along a path of length 0.5
+    t_mat = constant_rk4(d, 64)
+    exact = scipy.linalg.expm(-d)
     assert np.abs(t_mat - exact).max() <= 1e-8
     assert automorphism_residuals(SO3, t_mat) <= 1e-10
 
 
-@pytest.mark.parametrize(
-    "name,nodes", [("disk2d_so3_nonflat", 50), ("circle2_so3_twisted", 20), ("cyl2_so3_twisted", 20)]
-)
-def test_transport_flow_property_on_split_rays(name, nodes):
-    # T(gamma1 . gamma2) = T(gamma2) T(gamma1): split each ray at its midpoint
-    c = fx.connection(name)
+def test_rk4_order_four_against_closed_form():
+    d = 0.5 * K
+    exact = scipy.linalg.expm(-d)
+    errors = [np.abs(constant_rk4(d, steps) - exact).max() for steps in (8, 16)]
+    assert 12.0 <= errors[0] / errors[1] <= 20.0
+
+
+@pytest.mark.parametrize("steps", [0, -1, 2.5, True])
+def test_f_map_and_verify_inverse_reject_a_bad_step_count(steps):
+    c = fx.connection("circle2_so3_twisted")
+    with pytest.raises(InputError, match="ode_steps"):
+        f_map(c, ode_steps=steps)
+    with pytest.raises(InputError, match="ode_steps"):
+        verify_inverse(c=c, ode_steps=steps)
+
+
+def edge_blends(c: ConnectionForm, chart_id: int, axis: int) -> tuple:
+    """The stage blends of every forward grid edge along an axis as the comb
+    forms them, A(t) = a0 + t d from the node values -h w_axis: a0 and d as
+    contiguous (n, n, N) arrays over the N edges."""
+    n = c.algebra.dim
+    nodes = np.moveaxis(c.omega[chart_id][..., axis, :, :], axis, 0)
+    nodes = nodes * -c.manifold.charts[chart_id].spacing[axis]
+    lo, hi = nodes[:-1].reshape(-1, n, n), nodes[1:].reshape(-1, n, n)
+    return tuple(np.ascontiguousarray(x.transpose(1, 2, 0)) for x in (lo, hi - lo))
+
+
+def stretched_blends(c: ConnectionForm, chart_id: int, axis: int) -> tuple:
+    """edge_blends times the chart's node count along the axis: each edge's
+    blend stretched over the chart's width, so that its transport is far
+    from the identity and RK4's truncation shows."""
+    width = c.manifold.charts[chart_id].resolution[axis]
+    return tuple(width * x for x in edge_blends(c, chart_id, axis))
+
+
+def shifted_connection(name: str, refine: int = 1) -> ConnectionForm:
+    """A fixture connection plus an inner shift: the fixtures' forms are
+    constant along each grid edge (d = 0), the shifted ones are not."""
+    c = fx.connection(name, refine=refine)
     m = c.manifold
-    rng = np.random.default_rng(23)
-    for _ in range(nodes):
-        cid = int(rng.integers(0, len(m.charts)))
-        chart = m.charts[cid]
-        start = chart.node_point(chart.center)
-        node = tuple(int(rng.integers(0, r)) for r in chart.resolution)
-        if node == chart.center:
-            continue
-        end = chart.node_point(node)
-        mid = 0.5 * (start + end)
-        full = parallel_transport(c, cid, start, end, 64)
-        first = parallel_transport(c, cid, start, mid, 32)
-        second = parallel_transport(c, cid, mid, end, 32)
-        assert np.abs(second @ first - full).max() <= 1e-6
+    l = random_harmonic_field(np.random.default_rng(11), m.dim, (m.dim, c.algebra.dim), amplitude=0.3, constant_scale=0.3)
+    return shift_by_inner(c, l.sample(m))
+
+
+def chart_axes(c: ConnectionForm) -> list:
+    return [(cid, a) for cid, chart in enumerate(c.manifold.charts) for a in range(chart.dim)]
+
+
+def products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    return np.einsum("ikp,kjp->ijp", left, right)
+
+
+def test_flat_transport_is_identity():
+    # omega = 0 makes every stage matrix zero, so RK4 leaves T(0) = I untouched
+    c = fx.connection("interval1_so3_flat")
+    transports = correspondence._comb_transports(c, 0, 64)
+    assert np.abs(transports - np.eye(3)).max() == 0.0
+
+
+@pytest.mark.parametrize("name", ["interval1_so3_flat", "circle2_so3_twisted", "disk2d_so3_nonflat"])
+def test_comb_transport_to_the_chart_center_is_the_identity(name):
+    # the comb starts from T = I at the center, so f(C) keeps the bundle's frame there
+    c = fx.connection(name)
+    frames = f_map(c).trivialization.frames
+    for cid, chart in enumerate(c.manifold.charts):
+        center = tuple(chart.center)
+        assert correspondence._comb_transports(c, cid, 8)[center].tobytes() == np.eye(3).tobytes()
+        np.testing.assert_array_equal(frames[cid][center], c.bundle.frames[cid][center])
+
+
+@pytest.mark.parametrize("name", ["disk2d_so3_nonflat", "circle2_so3_twisted", "cyl2_so3_twisted"])
+def test_rk4_flow_property_on_split_edges(name):
+    # T(gamma1 . gamma2) = T(gamma2) T(gamma1): split each grid edge at its
+    # midpoint; a half's blend over its own [0, 1] is half of A on that half,
+    # so the halves take the full solve's steps up to rounding
+    c = shifted_connection(name)
+    for cid, a in chart_axes(c):
+        a0, d = stretched_blends(c, cid, a)
+        full = correspondence._rk4(a0, d, 64)
+        first = correspondence._rk4(0.5 * a0, 0.25 * d, 32)
+        second = correspondence._rk4(0.5 * (a0 + 0.5 * d), 0.25 * d, 32)
+        assert np.abs(products(second, first) - full).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["disk2d_so3_nonflat", "cyl2_so3_twisted", "disk2d_heis3_outer"])
+def test_rk4_reversed_edge_inverts_the_forward_one(name):
+    # the comb runs an edge toward lower indices as the blend -A(1 - t)
+    c = shifted_connection(name)
+    for cid, a in chart_axes(c):
+        a0, d = stretched_blends(c, cid, a)
+        there = correspondence._rk4(a0, d, 64)
+        back = correspondence._rk4(-(a0 + d), d, 64)
+        assert np.abs(products(back, there) - np.eye(3)[..., None]).max() <= 1e-8
+
+
+EDGE_FANS = {"one-edge": slice(3, 4), "a-row-of-edges": slice(0, 6), "every-edge": slice(None), "no-edge": slice(0, 0)}
+
+
+@pytest.mark.parametrize("fan", EDGE_FANS)
+def test_rk4_solves_each_problem_of_a_batch_bitwise_alone(fan):
+    # the comb solves all edges of an axis pass in one batch: batching changes no bit
+    c = shifted_connection("disk2d_so3_nonflat")
+    a0, d = (np.ascontiguousarray(x[..., EDGE_FANS[fan]]) for x in edge_blends(c, 0, 1))
+    got = correspondence._rk4(a0, d, 8)
+    assert got.shape == a0.shape
+    for p in range(a0.shape[-1]):
+        alone = correspondence._rk4(a0[..., p : p + 1], d[..., p : p + 1], 8)
+        assert got[..., p].tobytes() == alone[..., 0].tobytes()
+
+
+def reference_rk4(a0: np.ndarray, d: np.ndarray, steps: int) -> np.ndarray:
+    """Classical RK4 for T' = (a0 + t d) T, T(0) = I, over (N, n, n) stacks
+    with np.matmul, written out independently of the library kernel; takes
+    and returns the kernel's (n, n, N) layout."""
+    a0, d = (np.moveaxis(x, -1, 0) for x in (a0, d))
+    t_mats = np.broadcast_to(np.eye(a0.shape[-1]), a0.shape)
+    dt = 1.0 / steps
+    for s in range(steps):
+        t0 = s * dt
+        k1 = (a0 + t0 * d) @ t_mats
+        k2 = (a0 + (t0 + 0.5 * dt) * d) @ (t_mats + 0.5 * dt * k1)
+        k3 = (a0 + (t0 + 0.5 * dt) * d) @ (t_mats + 0.5 * dt * k2)
+        k4 = (a0 + (t0 + dt) * d) @ (t_mats + dt * k3)
+        t_mats = t_mats + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.moveaxis(t_mats, 0, -1)
+
+
+@pytest.mark.parametrize("fan", EDGE_FANS)
+def test_rk4_kernel_matches_a_reference_rk4(fan):
+    # an inner shift makes the blends non-commuting, so only the integrator
+    # fixes the transport
+    c = shifted_connection("disk2d_so3_nonflat", refine=2)
+    a0, d = (np.ascontiguousarray(x[..., EDGE_FANS[fan]]) for x in stretched_blends(c, 0, 1))
+    got = correspondence._rk4(a0, d, 64)
+    assert got.shape == a0.shape
+    assert np.abs(got - reference_rk4(a0, d, 64)).max(initial=0.0) <= 1e-13
+    if fan == "every-edge":
+        assert np.abs(got - np.eye(3)[..., None]).max() > 0.1  # the transport is far from trivial
+
+
+@pytest.mark.parametrize("name", ["disk2d_so3_nonflat", "disk2d_heis3_outer"])
+def test_comb_transport_to_every_node_is_an_automorphism(name):
+    # the form is pointwise a derivation of the bracket, so T is an automorphism
+    c = fx.connection(name)
+    for cid, chart in enumerate(c.manifold.charts):
+        got = correspondence._comb_transports(c, cid, 64)
+        assert got.shape == chart.resolution + (3, 3)
+        assert np.max(automorphism_residuals(c.algebra, got.reshape(-1, 3, 3))) <= 1e-10
 
 
 def random_chart_nodes(chart, rng, count: int) -> list:
     return [tuple(int(rng.integers(0, r)) for r in chart.resolution) for _ in range(count)]
 
 
-@pytest.mark.parametrize("name", ["interval1_so3_flat", "circle2_so3_twisted", "disk2d_so3_nonflat"])
-def test_transport_along_a_zero_length_path_is_the_identity(name):
-    # v = 0 makes every stage matrix zero, so RK4 leaves T(0) = I untouched
-    c = fx.connection(name)
-    for cid, chart in enumerate(c.manifold.charts):
-        center = chart.node_point(chart.center)
-        assert parallel_transport(c, cid, center, center, 8).tobytes() == np.eye(3).tobytes()
-
-
-@pytest.mark.parametrize("name", ["disk2d_so3_nonflat", "cyl2_so3_twisted", "disk2d_heis3_outer"])
-def test_reversed_transport_inverts_the_forward_one(name):
-    c = fx.connection(name)
-    rng = np.random.default_rng(31)
-    for cid, chart in enumerate(c.manifold.charts):
-        start = chart.node_point(chart.center)
-        for node in random_chart_nodes(chart, rng, 8):
-            end = chart.node_point(node)
-            there = parallel_transport(c, cid, start, end, 64)
-            back = parallel_transport(c, cid, end, start, 64)
-            assert np.abs(back @ there - np.eye(3)).max() <= 1e-10
-
-
-@pytest.mark.parametrize("batch", [(), (6,), (2, 3)], ids=["one-end", "a-row-of-ends", "a-grid-of-ends"])
-def test_transport_shape_follows_the_ends(batch):
-    # the result is end.shape[:-1] + (n, n), and each segment of the fan is
-    # bitwise its own transport
-    c = fx.connection("disk2d_so3_nonflat")
-    chart = c.manifold.charts[0]
-    start = chart.node_point(chart.center)
-    nodes = random_chart_nodes(chart, np.random.default_rng(5), math.prod(batch))
-    ends = np.array([chart.node_point(node) for node in nodes]).reshape(batch + (2,))
-    got = parallel_transport(c, 0, start, ends, 64)
-    assert got.shape == batch + (3, 3)
-    for idx in np.ndindex(batch):
-        assert got[idx].tobytes() == parallel_transport(c, 0, start, ends[idx], 64).tobytes()
-
-
-@pytest.mark.parametrize("name", ["disk2d_so3_nonflat", "disk2d_heis3_outer"])
-def test_transport_to_every_node_is_an_automorphism(name):
-    # the form is pointwise a derivation of the bracket, so T is an automorphism
-    c = fx.connection(name)
-    for cid, chart in enumerate(c.manifold.charts):
-        ends = chart.grid_points()
-        got = parallel_transport(c, cid, chart.node_point(chart.center), ends, 64)
-        assert got.shape == ends.shape[:-1] + (3, 3)
-        assert np.max(automorphism_residuals(c.algebra, got.reshape(-1, 3, 3))) <= 1e-10
-
-
-def test_rk4_order_four_against_closed_form():
-    d = K.copy()
-    c = constant_connection("interval1", d)
-    exact = scipy.linalg.expm(-0.5 * d)
-    errors = []
-    for steps in (8, 16):
-        errors.append(np.abs(parallel_transport(c, 0, [0.5], [1.0], steps) - exact).max())
-    assert 12.0 <= errors[0] / errors[1] <= 20.0
-
-
-def test_transport_rejects_escaping_path():
-    c = fx.connection("interval1_so3_flat")
-    for start, end in (([0.9], [1.4]), ([1.4], [0.5])):  # the ray 0.5 -> 1.0, moved by 0.4
-        with pytest.raises(InputError, match="leaves"):
-            parallel_transport(c, 0, start, end, 8)
-
-
-@pytest.mark.parametrize("steps", [0, -1])
-def test_transport_rejects_non_positive_step_counts(steps):
-    c = fx.connection("interval1_so3_flat")
-    with pytest.raises(InputError, match="step"):
-        parallel_transport(c, 0, [0.5], [1.0], steps)
-
-
-@pytest.mark.parametrize(
-    "name,start,end,steps",
-    [
-        ("circle2_so3_twisted", [0.1, 0.2], [0.3], 8),  # two start points on a 1-D chart
-        ("circle2_so3_twisted", [0.1], [0.3], 2.5),
-        ("disk2d_so3_nonflat", [0.0, 0.0, 0.1, 0.1], [0.2, 0.2], 8),
-        ("disk2d_so3_nonflat", [0.0, 0.0], [[0.2, 0.2, 0.2]], 8),
-    ],
-    ids=["two-starts", "fractional-steps", "long-start", "3-D-ends"],
-)
-def test_transport_rejects_a_malformed_path(name, start, end, steps):
-    c = fx.connection(name)
-    with pytest.raises(InputError, match="path"):
-        parallel_transport(c, 0, np.array(start), np.array(end), steps)
-
-
 def reference_transport(c: ConnectionForm, chart_id: int, start, end, steps: int) -> np.ndarray:
-    """Classical RK4 for T' = A(t) T over (..., n, n) stacks with np.matmul,
-    written out independently of the library kernel.  The form is sampled
-    at t = 0 once, then at the midpoint and end of each step, whose end
-    value is reused as the next step's start value."""
+    """Classical RK4 for T' = A(t) T with A(t) = -sum_i v^i w_i(start + t v),
+    v = end - start, along the straight chart segments from start (dim,) to
+    each point of end (..., dim), over (..., n, n) stacks with np.matmul:
+    an integrator written out independently of the library kernel.  The
+    form is interpolated at t = 0 once, then at the midpoint and end of each
+    step, whose end value is reused as the next step's start value."""
     chart = c.manifold.charts[chart_id]
     v = end - start
     n = c.algebra.dim
@@ -225,102 +264,6 @@ def reference_transport(c: ConnectionForm, chart_id: int, start, end, steps: int
         k4 = a1 @ (t_mats + dt * k3)
         t_mats = t_mats + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return t_mats
-
-
-@pytest.mark.parametrize("fan", ["point", "row", "grid", "empty"])
-def test_transport_kernel_matches_a_reference_rk4(fan):
-    # an inner shift makes omega non-commuting along rays, so only the
-    # integrator fixes the transport; every lead shape of the ends is covered
-    c0 = fx.connection("disk2d_so3_nonflat", refine=2)
-    m = c0.manifold
-    rng = np.random.default_rng(11)
-    l = random_harmonic_field(rng, 2, (2, 3), amplitude=0.3, constant_scale=0.3).sample(m)
-    c = shift_by_inner(c0, l)
-    chart = m.charts[0]
-    grid = chart.grid_points()
-    end = {
-        "point": grid[3, 60],
-        "row": grid[:, 7],
-        "grid": grid[::4, ::5],
-        "empty": np.empty((0, m.dim)),
-    }[fan]
-    start = chart.node_point(chart.center)
-    got = parallel_transport(c, 0, start, end, 64)
-    expected = reference_transport(c, 0, start, end, 64)
-    assert got.shape == end.shape[:-1] + (3, 3) == expected.shape
-    assert np.abs(got - expected).max(initial=0.0) <= 1e-13
-    if fan == "grid":
-        assert np.abs(got - np.eye(3)).max() > 0.1  # the transport is far from trivial
-
-
-def per_stage_transport(c: ConnectionForm, chart_id: int, start, end, steps: int) -> np.ndarray:
-    """The structure-of-arrays RK4 kernel with one interpolation of a
-    (..., dim) point array per stage time: the same arithmetic as
-    parallel_transport, which instead samples both new stage times of a
-    step in one call on per-axis coordinate arrays."""
-    chart = c.manifold.charts[chart_id]
-    omega = np.ascontiguousarray(c.omega[chart_id])
-    v = end - start
-    n = c.algebra.dim
-
-    def form(t):
-        w = interpolate(chart, omega, start + t * v)
-        a = np.einsum("...i,...iab->...ab", v, w).reshape(-1, n, n)
-        return np.negative(a.transpose(1, 2, 0), order="C")
-
-    a1 = form(0.0)
-    t_mats = np.broadcast_to(np.eye(n)[..., None], a1.shape).copy()
-    k1, k2, k3, k4, y = (np.empty_like(t_mats) for _ in range(5))
-    dt = 1.0 / steps
-    for s in range(steps):
-        t0 = s * dt
-        a0, a_mid, a1 = a1, form(t0 + 0.5 * dt), form(t0 + dt)
-        np.einsum("ikp,kjp->ijp", a0, t_mats, out=k1)
-        np.multiply(k1, 0.5 * dt, out=y)
-        y += t_mats
-        np.einsum("ikp,kjp->ijp", a_mid, y, out=k2)
-        np.multiply(k2, 0.5 * dt, out=y)
-        y += t_mats
-        np.einsum("ikp,kjp->ijp", a_mid, y, out=k3)
-        np.multiply(k3, dt, out=y)
-        y += t_mats
-        np.einsum("ikp,kjp->ijp", a1, y, out=k4)
-        k2 *= 2.0
-        k1 += k2
-        k3 *= 2.0
-        k1 += k3
-        k1 += k4
-        k1 *= dt / 6.0
-        t_mats += k1
-    return np.ascontiguousarray(t_mats.transpose(2, 0, 1)).reshape(v.shape[:-1] + (n, n))
-
-
-@pytest.mark.parametrize("fan", ["point", "row", "grid", "empty", "circle", "mesh"])
-def test_batched_transport_is_bitwise_the_per_stage_kernel(fan):
-    if fan == "circle":
-        c, cid = fx.connection("circle2_so3_twisted"), 1
-        chart = c.manifold.charts[cid]
-        start, end = chart.node_point((5,)), chart.grid_points()
-    else:
-        c0 = fx.connection("disk2d_so3_nonflat", refine=2)
-        rng = np.random.default_rng(11)
-        l = random_harmonic_field(rng, 2, (2, 3), amplitude=0.3, constant_scale=0.3)
-        c, cid = shift_by_inner(c0, l.sample(c0.manifold)), 0
-        chart = c.manifold.charts[cid]
-        grid = chart.grid_points()
-        # grid nodes and stage times are dyadic, so a start off every node
-        # makes start + t v round
-        start = np.array([0.1, -0.3])
-        end = {
-            "point": grid[3, 60],
-            "row": grid[:, 7],
-            "grid": grid[::4, ::5],
-            "empty": np.empty((0, 2, 2)),
-            "mesh": grid,  # the fan to every node
-        }[fan]
-    got = parallel_transport(c, cid, start, end, 64)
-    assert got.shape == end.shape[:-1] + (3, 3)
-    assert got.tobytes() == per_stage_transport(c, cid, start, end, 64).tobytes()
 
 
 def comb_path(chart, node) -> list:
@@ -381,28 +324,57 @@ def test_f_map_frames_are_bitwise_the_per_stage_kernel_frames():
         assert frame.tobytes() == expected.tobytes()
 
 
-def test_circle_loop_transport_is_the_cocycle_constant():
+def test_circle_monodromy_is_the_cocycle_constant():
     c = fx.connection("circle2_so3_twisted")
-    hol = loop_transport(c)
+    hol = monodromy(f_map(c).trivialization)
     expected = scipy.linalg.expm(-fx.TWIST_ANGLE * K)
     assert np.abs(hol - expected).max() <= 1e-8
 
 
-def test_abelian_loop_transport_has_non_inner_holonomy():
+def test_abelian_monodromy_has_non_inner_holonomy():
     c = fx.connection("circle2_abelian2_flat")
-    hol = loop_transport(c)
+    hol = monodromy(f_map(c).trivialization)
     expected = scipy.linalg.expm(-np.diag([0.25, -0.4]))
     assert np.abs(hol - expected).max() <= 1e-8
 
 
+@pytest.mark.parametrize("name,last", [("disk2d_so3_bilinear", 0), ("interval3_so3_twisted", 2)])
+def test_monodromy_needs_a_cycle_of_charts(name, last):
+    # one chart, or a chain of charts: no forward overlap closes a loop along axis 0
+    with pytest.raises(InputError, match=f"no forward overlap from chart {last}"):
+        monodromy(fx.bundle(name))
+
+
+@pytest.mark.parametrize("name", ["circle2", "circle4", "cyl2"])
+def test_monodromy_of_the_identity_frames_is_the_identity(name):
+    # every coordinate change of the reference structure is I
+    t = reference_trivialization(SO3, fx.manifold(name))
+    assert monodromy(t).tobytes() == np.eye(3).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["circle2_so3_twisted", "cyl2_so3_twisted", "circle2_abelian2_twisted", "circle2_abelian2_varying"]
+)
+def test_monodromy_conjugates_under_a_constant_frame_change(name):
+    # frames phi g change coordinates by g^-1 phi_beta^-1 phi_alpha g, so the
+    # product around the loop is g^-1 M g
+    t = fx.bundle(name)
+    n = t.algebra.dim
+    g = scipy.linalg.expm(0.5 * np.random.default_rng(7).standard_normal((n, n)))
+    moved = Trivialization(t.algebra, t.manifold, tuple(f @ g for f in t.frames))
+    expected = np.linalg.solve(g, monodromy(t) @ g)
+    assert np.abs(monodromy(moved) - expected).max() <= 1e-12
+    assert np.abs(monodromy(t) - np.eye(n)).max() > 1e-3  # the loop is not trivial
+
+
 # --- cross-chart reads ------------------------------------------------------------
-# validate_lab on every fixture bundle at refine 1 and 2, loop_transport on the
-# loop covers, and both pullbacks along the doubling map and a constant map,
+# validate_lab on every fixture bundle at refine 1 and 2, the monodromy of f(C)
+# on the loop covers, and both pullbacks along the doubling map and a constant map,
 # pinned by the SHA-256 digest of tests/test_fixtures.py.  After an intended
 # change, print a fresh table with ``PYTHONPATH=src python -m tests.test_correspondence``.
 CROSS_CHART_CASES = (
     [f"lab {name} {refine}" for name in fx.BUNDLE_NAMES for refine in (1, 2)]
-    + [f"loop {name}" for name in ("circle2_so3_twisted", "cyl2_so3_twisted", "circle2_abelian2_flat")]
+    + [f"monodromy {name}" for name in ("circle2_so3_twisted", "cyl2_so3_twisted", "circle2_abelian2_flat")]
     + [f"pull {name} {f}" for name in ("circle2_so3_twisted", "circle2_abelian2_flat") for f in ("degree2", "constant")]
 )
 
@@ -421,9 +393,9 @@ CROSS_CHART_DIGESTS = {
     "lab cyl2_heis3_drift 2": "ddd1be52fe7233cb21ddf4cef22cbce0f8687f3db8e6e0541fbe61b0e641ccce",
     "lab interval3_so3_twisted 1": "bffd04f6e2b32fabca1f03587a977697eb3d4750d528e20e21418d84979d3b5a",
     "lab interval3_so3_twisted 2": "484e2589e69236019be2beecfb160ed467b0d8ae653ab882d49b187bd6a4b127",
-    "loop circle2_so3_twisted": "9e3db499a4b5b8cf79b94bbd21ecda26515b30a56118d1f76de23147b62f40b7",
-    "loop cyl2_so3_twisted": "9e3db499a4b5b8cf79b94bbd21ecda26515b30a56118d1f76de23147b62f40b7",
-    "loop circle2_abelian2_flat": "1be2f39415ea0839c5b7145246a2e5e85907314a4572912ad1bb37d59f5b664e",
+    "monodromy circle2_so3_twisted": "b142ca232d834af638e3cbbd10749b2e35a552505691189cacdb321c3f1b7845",
+    "monodromy cyl2_so3_twisted": "b142ca232d834af638e3cbbd10749b2e35a552505691189cacdb321c3f1b7845",
+    "monodromy circle2_abelian2_flat": "885214a4d1b9c38249621b2f4a21d78b16636d7949ff581c37f477c03e5776a7",
     "pull circle2_so3_twisted degree2": "197065ff218e9f61f00a953921abf8edba70d546b013eda9dbdb4f99c99eebbb",
     "pull circle2_so3_twisted constant": "f0beaf51c764ff6db702643a9f8e362e807d90905eeb9b45dd1f7ba0f4cdd8de",
     "pull circle2_abelian2_flat degree2": "a3831c2dd415f758de12d0c24e546586f986301409cce1735cb8b4f0e901f3c2",
@@ -437,8 +409,8 @@ def cross_chart_arrays(case: str) -> list:
         rep = validate_lab(fx.bundle(name, int(arg[0])))
         return [np.array([rep.passed]), np.array(list(rep.residuals().values()))]
     c = fx.connection(name)
-    if kind == "loop":
-        return [loop_transport(c)]
+    if kind == "monodromy":
+        return [monodromy(f_map(c).trivialization)]
     f = degree2_circle_map() if arg == ["degree2"] else constant_map(fx.manifold("circle4"), c.manifold, 0, [0.25])
     return [*pullback_lab(c.bundle, f).frames, *pullback_connection(c, f).omega]
 
@@ -530,7 +502,7 @@ def test_f_map_frames_are_comb_transports():
         path = comb_path(chart, node)
         product = np.eye(3)
         for start, end in zip(path, path[1:]):
-            edge = parallel_transport(c, 0, chart.node_point(start), chart.node_point(end), EDGE_STEPS)
+            edge = reference_transport(c, 0, chart.node_point(start), chart.node_point(end), EDGE_STEPS)
             product = edge @ product
         assert np.abs(frames[node] - c.bundle.frames[0][node] @ product).max() <= 1e-13
 
@@ -544,15 +516,15 @@ def test_f_map_solves_one_edge_batch_per_chart_axis(monkeypatch, name, steps):
     interpolated, solves = [], []
     rk4 = correspondence._rk4
 
-    def counted_interpolation(chart, values, coords):
+    def counted_interpolation(chart, values, points):
         interpolated.append(chart)
-        return _interpolate_axes(chart, values, coords)
+        return interpolate(chart, values, points)
 
-    def counted_solve(stages, steps):
-        solves.append((stages(0.0)[0].shape[-1], steps))
-        return rk4(stages, steps)
+    def counted_solve(a0, d, steps):
+        solves.append((a0.shape[-1], steps))
+        return rk4(a0, d, steps)
 
-    monkeypatch.setattr(correspondence, "_interpolate_axes", counted_interpolation)
+    monkeypatch.setattr(correspondence, "interpolate", counted_interpolation)
     monkeypatch.setattr(correspondence, "_rk4", counted_solve)
     f_map(c, ode_steps=steps)
     charts = c.manifold.charts
@@ -564,10 +536,10 @@ def test_f_map_solves_one_edge_batch_per_chart_axis(monkeypatch, name, steps):
 
 def ray_fan_structure(c: ConnectionForm) -> Trivialization:
     """The structure whose frames are the bundle's frames times the 64-step
-    transports along the straight rays from each chart's center."""
+    reference transports along the straight rays from each chart's center."""
     frames = []
     for cid, chart in enumerate(c.manifold.charts):
-        rays = parallel_transport(c, cid, chart.node_point(chart.center), chart.grid_points(), 64)
+        rays = reference_transport(c, cid, chart.node_point(chart.center), chart.grid_points(), 64)
         frames.append(c.bundle.frames[cid] @ rays)
     return Trivialization(c.algebra, c.manifold, tuple(frames))
 

@@ -35,7 +35,7 @@ def test_all_lists_every_public_binding():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(labcoupling.__all__) == sorted(public)
-    assert len(labcoupling.__all__) == len(set(labcoupling.__all__)) == 39
+    assert len(labcoupling.__all__) == len(set(labcoupling.__all__)) == 37
 
 
 def test_removed_names_stay_removed():
