@@ -84,13 +84,18 @@ def _bracket(c: ConnectionForm, curv: CurvatureData, forms: list, a: _Section, b
     u, x = [], []
     for cid in range(len(c.manifold.charts)):
         u1, x1, u2, x2 = a.u[cid], a.x[cid], b.u[cid], b.x[cid]
-        area = u1[i] * u2[j] - u1[j] * u2[i]
+        area = np.empty((len(i),) + u1.shape[1:])
+        for p, (k, l) in enumerate(zip(i.tolist(), j.tolist())):
+            np.multiply(u1[k], u2[l], out=area[p])
+            area[p] -= u1[l] * u2[k]
         fiber = (skew.T @ area.reshape(len(i), math.prod(area.shape[1:]))).reshape(u1.shape)
-        nabla = directional(x1, b.cov[cid]) - directional(x2, a.cov[cid])
+        nabla = directional(x1, b.cov[cid])
+        nabla -= directional(x2, a.cov[cid])
         omega = np.zeros(u1.shape)
         for p, (k, l) in enumerate(curv.pairs):
             omega += (x1[k] * x2[l] - x1[l] * x2[k]) * forms[cid][p]
-        u.append(fiber + nabla + omega)
+        fiber += nabla
+        u.append(np.add(fiber, omega, out=fiber))
         x.append(lie_bracket_partials(x1, a.dx[cid], x2, b.dx[cid]))
     return u, x
 

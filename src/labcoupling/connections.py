@@ -92,15 +92,14 @@ def covariant_partials(c: ConnectionForm, u: list) -> list:
             )
     out = []
     for grid, w, partials in zip(uu, c.omega_leading, grid_partials(m, uu)):
+        # w_i as (n, n, 1 per batch axis, *resolution): one product per j for all k
+        w = w.reshape(w.shape[:3] + (1,) * (grid.ndim - 1 - m.dim) + w.shape[3:])
         chart_out = []
         for i, d in enumerate(partials):
-            cov = np.empty_like(d)
-            for k in range(n):
-                acc = w[i, k, 0] * grid[0]
-                for j in range(1, n):
-                    acc += w[i, k, j] * grid[j]
-                cov[k] = d[k] + acc
-            chart_out.append(cov)
+            acc = w[i, :, 0] * grid[0]
+            for j in range(1, n):
+                acc += w[i, :, j] * grid[j]
+            chart_out.append(np.add(d, acc, out=acc))
         out.append(tuple(chart_out))
     return out
 

@@ -49,6 +49,15 @@ from .tolerances import (
 )
 
 
+def _check_steps(steps: int) -> None:
+    """An InputError unless ``steps`` is an integer of at least 1; f_map and
+    verify_inverse check their ``ode_steps`` first, before any work."""
+    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
+        raise InputError(f"ode_steps must be an integer, got {steps!r}")
+    if steps < 1:
+        raise InputError(f"ode_steps must be at least 1, got {steps}")
+
+
 def _rk4(a0: np.ndarray, d: np.ndarray, steps: int) -> np.ndarray:
     """Classical RK4 for T' = A(t) T, T(0) = I over t in [0, 1] in ``steps``
     uniform steps, for N problems at once, with A(t) = a0 + t d blended from
@@ -59,10 +68,7 @@ def _rk4(a0: np.ndarray, d: np.ndarray, steps: int) -> np.ndarray:
     The state and the stage buffers are contiguous (n, n, N) arrays too,
     where one einsum product per stage runs about 3x faster than np.matmul
     over (N, n, n); T(1) is returned in that layout."""
-    if not isinstance(steps, (int, np.integer)) or isinstance(steps, bool):
-        raise InputError(f"ode_steps must be an integer, got {steps!r}")
-    if steps < 1:
-        raise InputError(f"ode_steps must be at least 1, got {steps}")
+    _check_steps(steps)
     a1 = a0 + 0.0 * d  # A(0) blended like every later stage value: a -0.0 in a0 reads +0.0
     t_mats = np.broadcast_to(np.eye(a1.shape[0])[..., None], a1.shape).copy()
     k1, k2, k3, k4, y = (np.empty_like(t_mats) for _ in range(5))
@@ -177,6 +183,7 @@ def f_map(
     """Coupling -> structure: each node's frame is the bundle's frame times
     the transport to the node from its chart's center along the node comb,
     in ``ode_steps`` RK4 steps per grid edge."""
+    _check_steps(ode_steps)
     out = _comb_frames(c, ode_steps, acc_tol)
     lab = validate_lab(out, tol=aut_tol)
     if not lab.passed:  # a structure outside LAB is not swept: nothing is certified
@@ -297,6 +304,7 @@ def verify_inverse(
     """
     if (c is None) == (t is None):
         raise InputError("exactly one of connection / trivialization is required")
+    _check_steps(ode_steps)
     f = functools.partial(f_map, ode_steps=ode_steps, acc_tol=coupling_tol, inner_tol=inner_tol)
     from_connection = c is not None
     if from_connection:

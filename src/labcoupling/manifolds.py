@@ -246,9 +246,26 @@ def grid_derivative(chart: Chart, values: np.ndarray, axis: int) -> np.ndarray:
 
     axis is chart axis i when the grid axes of values lead, or i - dim when
     they trail.  values may be sampled on a sub-grid; along an axis with
-    fewer than 3 samples the stencil drops to first order."""
-    order = 2 if np.shape(values)[axis] >= 3 else 1
-    return np.gradient(values, chart.spacing[axis], axis=axis, edge_order=order)
+    fewer than 3 samples the stencil drops to first order.  Bitwise
+    np.gradient, in two contiguous passes: the central difference over the
+    flat array (axis stride s), then the one-sided end planes over it."""
+    f = np.ascontiguousarray(values, dtype=float)
+    r, h, a = f.shape[axis], chart.spacing[axis], axis % f.ndim
+    if r < 2:
+        raise ValueError("Shape of array too small to calculate a numerical gradient, "
+                         "at least (edge_order + 1) elements are required.")
+    s = math.prod(f.shape[a + 1 :])
+    out = np.empty_like(f)
+    flat, src = out.reshape(-1), f.reshape(-1)
+    np.subtract(src[2 * s :], src[: src.size - 2 * s], out=flat[s : src.size - s])
+    flat[s : src.size - s] /= 2.0 * h
+    f3, o3 = (g.reshape(math.prod(f.shape[:a]), r, s) for g in (f, out))
+    if r == 2:
+        o3[:, 0] = o3[:, 1] = (f3[:, 1] - f3[:, 0]) / h
+    else:
+        o3[:, 0] = -1.5 / h * f3[:, 0] + 2.0 / h * f3[:, 1] + -0.5 / h * f3[:, 2]
+        o3[:, -1] = 0.5 / h * f3[:, -3] + -2.0 / h * f3[:, -2] + 1.5 / h * f3[:, -1]
+    return out
 
 
 def grid_partials(m: ChartedManifold, field: list) -> list:
@@ -581,15 +598,16 @@ class HarmonicField:
         are coords[a]; the coordinate arrays broadcast against each other to
         the point grid."""
         lead = np.broadcast_shapes(*(t.shape for t in coords))
-        value_shape = self.constant.shape
-        out = np.broadcast_to(self.constant.reshape(value_shape + (1,) * len(lead)), value_shape + lead).copy()
-        kmax = self.coeffs_cos.shape[-1]
-        coeff_shape = value_shape + (1,) * len(lead)
+        coeff_shape = self.constant.shape + (1,) * len(lead)
+        # the sum grows to each term's broadcast shape; a copy keeps the constant frozen
+        out = self.constant.reshape(coeff_shape).copy()
         for a, t in enumerate(coords):
-            for k in range(1, kmax + 1):
+            for k in range(1, self.coeffs_cos.shape[-1] + 1):
                 phase = 2.0 * np.pi * k * t
-                out += np.cos(phase) * self.coeffs_cos[..., a, k - 1].reshape(coeff_shape)
-                out += np.sin(phase) * self.coeffs_sin[..., a, k - 1].reshape(coeff_shape)
+                for wave, coeffs in ((np.cos, self.coeffs_cos), (np.sin, self.coeffs_sin)):
+                    term = wave(phase) * coeffs[..., a, k - 1].reshape(coeff_shape)
+                    grows = np.broadcast_shapes(out.shape, term.shape) != out.shape
+                    out = out + term if grows else np.add(out, term, out=out)
         return out
 
 

@@ -438,6 +438,26 @@ def test_axiom_report_is_bitwise_the_value_last_loop(name):
             assert got == ref, (trials, seed)
 
 
+# float.hex of (accordance residual, skew, Leibniz, Jacobi) on perfbench's
+# `axioms` input for the first timed operation at seed 1.  The value-last
+# reference above calls grid_derivative itself, so a stencil that drifts moves
+# both sides; this pin does not move with it.
+AXIOMS_SEED_1 = ("0x1.03f81f636b80cp-49", "0x0.0p+0", "0x1.421a1b89d4800p-16", "0x1.bc1d680b36a00p-10")
+
+
+def test_axiom_report_on_the_benchmark_input_is_pinned():
+    # perfbench's rng for that operation is default_rng([seed, 1, 0]): it
+    # draws the inner shift l, then the trial seed
+    rng = np.random.default_rng([1, 1, 0])
+    c0 = fx.connection("disk2d_so3_nonflat", refine=2)
+    l = random_harmonic_field(rng, 2, (2, 3), amplitude=0.3, constant_scale=0.3)
+    c = shift_by_inner(c0, l.sample(c0.manifold))
+    acc = accordance(c)
+    rep = axiom_report(c, acc.curvature, trials=10, seed=int(rng.integers(2**31)))
+    got = (acc.max_residual, rep.max_skew, rep.max_leibniz, rep.max_jacobi)
+    assert tuple(float(v).hex() for v in got) == AXIOMS_SEED_1
+
+
 def test_jacobi_residual_decays_at_second_order():
     residuals = []
     for refine in (1, 2):

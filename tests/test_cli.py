@@ -421,6 +421,12 @@ def test_validate_lab_on_a_second_resolution_axis_exits_3(capsys, tmp_path):
     assert out == "" and "chart 0 resolution has shape (2,), expected (1,)" in err
 
 
+def test_roundtrip_with_zero_ode_steps_exits_3(capsys):
+    assert cli.run(["roundtrip", "--bundle", "cyl2_so3_twisted", "--ode-steps", "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "ode_steps must be at least 1, got 0" in err
+
+
 @pytest.mark.parametrize("dim", [3.7, True, "3"])
 def test_validate_algebra_on_a_non_integer_dim_exits_3(capsys, tmp_path, dim):
     # 3.7 once loaded as 3 and true as 1

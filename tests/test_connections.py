@@ -20,7 +20,14 @@ from labcoupling.connections import (
     zero_connection,
 )
 from labcoupling.errors import InputError
-from labcoupling.manifolds import directional, grid_derivative, identity_map, overlap_pair, random_harmonic_field
+from labcoupling.manifolds import (
+    HarmonicField,
+    directional,
+    grid_derivative,
+    identity_map,
+    overlap_pair,
+    random_harmonic_field,
+)
 from labcoupling.tolerances import peak
 from tests.test_bundles import degree2_circle_map
 
@@ -91,6 +98,43 @@ def test_covariant_derivative_is_bitwise_the_per_axis_loop(name):
             covar = covar + np.einsum("...kj,...j->...k", c.omega[cid][..., i, :, :], u[cid])
             ref += x[cid][..., i : i + 1] * covar
         assert got.tobytes() == ref.tobytes()
+
+
+def per_k_covariant_partials(c, u):
+    """covariant_partials one k row at a time: d_i u_k + sum_j w_kj u_j in
+    the order of j, on the values-first layout (n, *batch, *resolution)."""
+    m = c.manifold
+    out = []
+    for chart, grid, w in zip(m.charts, u, c.omega_leading, strict=True):
+        partials = []
+        for i in range(m.dim):
+            d = grid_derivative(chart, grid, i - m.dim)
+            cov = np.empty_like(d)
+            for k in range(c.algebra.dim):
+                acc = w[i, k, 0] * grid[0]
+                for j in range(1, c.algebra.dim):
+                    acc += w[i, k, j] * grid[j]
+                cov[k] = d[k] + acc
+            partials.append(cov)
+        out.append(partials)
+    return out
+
+
+@pytest.mark.parametrize("name", fx.CONNECTION_NAMES)
+def test_covariant_partials_are_bitwise_the_per_k_loop(name):
+    # batch shapes () and (2,), on abelian2 (n = 2) and so3/heis3 (n = 3); the
+    # fixture's omega and a dense one, whose rows have no zero term to hide
+    # the order of the j sum
+    c = fx.connection(name)
+    m = c.manifold
+    rng = np.random.default_rng(12)
+    dense = ConnectionForm(c.bundle, tuple(w + rng.uniform(-1.0, 1.0, w.shape) for w in c.omega))
+    fields = [random_harmonic_field(rng, m.dim, (c.algebra.dim,), amplitude=0.3) for _ in range(2)]
+    for form in (c, dense):
+        for field in (fields[0], HarmonicField.stack(fields)):
+            u = field.sample_leading(m)
+            for got, ref in zip(covariant_partials(form, u), per_k_covariant_partials(form, u), strict=True):
+                assert [g.tobytes() for g in got] == [r.tobytes() for r in ref]
 
 
 # --- the per-chart field contract at every entry point --------------------------

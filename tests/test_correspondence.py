@@ -99,6 +99,19 @@ def test_f_map_and_verify_inverse_reject_a_bad_step_count(steps):
         verify_inverse(c=c, ode_steps=steps)
 
 
+def test_a_bad_step_count_is_rejected_before_any_work(monkeypatch):
+    # f_map checks the count before accordance, verify_inverse before g(T)
+    calls = []
+    monkeypatch.setattr(correspondence, "accordance", lambda *a, **k: calls.append("accordance"))
+    monkeypatch.setattr(correspondence, "g_map", lambda *a, **k: calls.append("g_map"))
+    with pytest.raises(InputError, match="ode_steps must be at least 1, got 0"):
+        f_map(fx.connection("circle2_so3_twisted"), ode_steps=0)
+    for given in ({"c": fx.connection("cyl2_so3_twisted")}, {"t": fx.bundle("cyl2_so3_twisted", 2)}):
+        with pytest.raises(InputError, match="ode_steps must be at least 1, got 0"):
+            verify_inverse(**given, ode_steps=0)
+    assert calls == []
+
+
 def edge_blends(c: ConnectionForm, chart_id: int, axis: int) -> tuple:
     """The stage blends of every forward grid edge along an axis as the comb
     forms them, A(t) = a0 + t d from the node values -h w_axis: a0 and d as

@@ -13,6 +13,7 @@ from labcoupling import fixtures as fx, manifolds
 from labcoupling.errors import CoverageError, InputError
 from labcoupling.manifolds import (
     Chart,
+    HarmonicField,
     build_manifold,
     grid_derivative,
     grid_partials,
@@ -350,6 +351,53 @@ def test_fd_second_order_convergence_on_sine():
     assert 3.5 <= ratio <= 4.5
 
 
+def gradient_layouts(rng, dim: int, axis: int, samples: int) -> list:
+    """(values, axis argument) pairs with `samples` nodes along chart axis
+    `axis` and 4 along any other: grid axes leading (values last, positive
+    axis) and trailing (values first, negative axis), a scalar field given
+    both ways, and strided views of each layout (curvature's w[..., j, :, :],
+    a batch slice, a swapped value pair)."""
+    grid = tuple(samples if a == axis else 4 for a in range(dim))
+    lead = rng.standard_normal(grid + (2, 3, 3))
+    trail = rng.standard_normal((3, 2) + grid)
+    scalar = rng.standard_normal(grid)
+    return [
+        (lead, axis),
+        (lead[..., 1, :, :], axis),
+        (trail, axis - dim),
+        (trail[:, 1], axis - dim),
+        (np.moveaxis(trail, 0, 1), axis - dim),
+        (scalar, axis),
+        (scalar, axis - dim),
+    ]
+
+
+@pytest.mark.parametrize("refine", [1, 2, 4])
+@pytest.mark.parametrize("name", fx.MANIFOLD_NAMES)
+def test_grid_derivative_is_bitwise_np_gradient(name, refine):
+    # every fixture spacing, the circle covers' non-dyadic ones (1/48 at refine 1) included
+    m = fx.manifold(name, refine)
+    rng = np.random.default_rng(17)
+    for chart in m.charts:
+        for axis in range(m.dim):
+            for samples in (2, 3, 65):
+                for values, arg in gradient_layouts(rng, m.dim, axis, samples):
+                    got = grid_derivative(chart, values, arg)
+                    order = 2 if samples >= 3 else 1
+                    ref = np.gradient(values, chart.spacing[axis], axis=arg, edge_order=order)
+                    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape, axis", [((1,), 0), ((1, 5), 0), ((5, 1), -1), ((3, 0), 1)])
+def test_grid_derivative_below_two_samples_raises_like_np_gradient(shape, axis):
+    chart = fx.manifold("disk2d").charts[0]
+    with pytest.raises(ValueError) as ours:
+        grid_derivative(chart, np.zeros(shape), axis)
+    with pytest.raises(ValueError) as reference:
+        np.gradient(np.zeros(shape), chart.spacing[axis], axis=axis, edge_order=1)
+    assert str(ours.value) == str(reference.value)
+
+
 def test_directional_derivative_node_accessor():
     m = fx.manifold("interval1")
     x = m.charts[0].grid_points()[..., 0]
@@ -442,6 +490,20 @@ def test_harmonic_sample_is_bitwise_the_pointwise_field(name):
         pointwise = [f(chart.grid_points()) for chart in m.charts]
         for got, ref in zip(sampled, pointwise, strict=True):
             assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    # stacked as axiom_report stacks its trials, sampled with the values
+    # leading; no sum (a single point's included) writes into the constant
+    parts = [random_harmonic_field(rng, m.dim, (3,), amplitude=0.3) for _ in range(2)]
+    f = HarmonicField.stack(parts)
+    constant = f.constant.copy()
+    leading = f.sample_leading(m)
+    single = f(m.charts[0].node_point(m.charts[0].center))
+    assert single.shape == (3, 2) and f.constant.tobytes() == constant.tobytes()
+    for cid, chart in enumerate(m.charts):
+        got = leading[cid]
+        ref = np.ascontiguousarray(np.moveaxis(f(chart.grid_points()), (-2, -1), (0, 1)))
+        assert got.shape == (3, 2) + chart.resolution and got.tobytes() == ref.tobytes()
+        for p, part in enumerate(parts):
+            assert np.ascontiguousarray(got[:, p]).tobytes() == part.sample_leading(m)[cid].tobytes()
 
 
 # --- overlap node slices -----------------------------------------------------
