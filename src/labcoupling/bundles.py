@@ -17,19 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# nothing here calls is_inner; the name stays bound for perfbench, whose self-test reads it
-from .algebra import LieAlgebra, _dets, _inverses, automorphism_residuals, inner_verdicts, is_inner  # noqa: F401
+from .algebra import LieAlgebra, _dets, _inverses, automorphism_residuals, inner_verdicts
 from .errors import InputError
-from .manifolds import (
-    ChartedManifold,
-    ManifoldMap,
-    _overlap_triples,
-    chart_grids,
-    interpolate,
-    overlap_pair,
-    region_slices,
-)
+from .manifolds import ChartedManifold, ManifoldMap, _overlap_triples, chart_grids, overlap_pair, region_slices
 from .tolerances import ALG_TOL, INNER_TOL, TRANS_TOL, peak
+
+# nothing here calls is_inner or interpolate; the names stay bound for perfbench, whose self-test reads them
+from .algebra import is_inner  # noqa: F401
+from .manifolds import interpolate  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -51,10 +46,11 @@ class Trivialization:
             frames.append(arr)
         object.__setattr__(self, "frames", tuple(frames))
 
-    def transition_grid(self, overlap_index: int) -> np.ndarray:
-        """Transition matrices phi_beta phi_alpha^{-1} on the overlap's alpha nodes."""
+    def transition_grid(self, overlap_index: int, points=None) -> np.ndarray:
+        """Transition matrices phi_beta phi_alpha^{-1} on the overlap's alpha
+        nodes, or at given alpha points (see ``overlap_pair``)."""
         o = self.manifold.overlaps[overlap_index]
-        f_alpha, f_beta = overlap_pair(self.manifold, o, self.frames)
+        f_alpha, f_beta = overlap_pair(self.manifold, o, self.frames, points)
         return f_beta @ _inverses(f_alpha)
 
     @functools.cached_property
@@ -74,20 +70,11 @@ class Trivialization:
             grid.flags.writeable = False
         return grids
 
-    def frames_at(self, overlap_index: int, points: np.ndarray) -> tuple:
-        """The frames phi_alpha(p) and phi_beta(o(p)) at alpha points p of an
-        overlap o, each interpolated in its own chart."""
-        m = self.manifold
-        o = m.overlaps[overlap_index]
-        return (
-            interpolate(m.charts[o.alpha], self.frames[o.alpha], points),
-            interpolate(m.charts[o.beta], self.frames[o.beta], o.apply(points)),
-        )
-
-    def coordinate_change_grid(self, overlap_index: int) -> np.ndarray:
-        """Section-coordinate change alpha -> beta: phi_beta^{-1} phi_alpha."""
+    def coordinate_change_grid(self, overlap_index: int, points=None) -> np.ndarray:
+        """Section-coordinate change alpha -> beta, phi_beta^{-1} phi_alpha, on
+        the overlap's alpha nodes or at given alpha points."""
         o = self.manifold.overlaps[overlap_index]
-        f_alpha, f_beta = overlap_pair(self.manifold, o, self.frames)
+        f_alpha, f_beta = overlap_pair(self.manifold, o, self.frames, points)
         return _inverses(f_beta) @ f_alpha
 
 
@@ -118,9 +105,9 @@ class LabReport:
 def validate_lab(t: Trivialization, tol: float = ALG_TOL) -> LabReport:
     """Check frames and derived transitions are automorphisms and the cocycle
     identity holds on triple overlaps (within 10*tol).  Each cocycle leg is
-    phi_beta phi_alpha^{-1} formed from the two frames read at the triple's
-    points (``Trivialization.frames_at``), so the check holds wherever the
-    overlap edges fall relative to the nodes.
+    ``transition_grid`` at the triple's points, its two frames interpolated
+    there by ``overlap_pair``, so the check holds wherever the overlap edges
+    fall relative to the nodes.
 
     A singular frame (|det| <= ALG_TOL) has residual +inf and fails the check
     outright: no transition is formed, and the transition and cocycle
@@ -154,27 +141,19 @@ def _worst_node(located: list) -> str:
 
 
 def _cocycle_residual(t: Trivialization) -> float:
-    """Largest cocycle defect on triple overlaps alpha -> beta -> gamma: each
-    leg phi_beta phi_alpha^{-1} is formed from frames read at the triple's
-    points, the alpha nodes of the first overlap that the other two cover."""
+    """Largest cocycle defect on triple overlaps alpha -> beta -> gamma, at the
+    alpha nodes of the first overlap that the other two cover: each leg is a
+    transition read at those points or at their images."""
     m = t.manifold
-    defects = []
 
-    def leg(k: int, points: np.ndarray) -> np.ndarray:
-        f_alpha, f_beta = t.frames_at(k, points)
-        return f_beta @ _inverses(f_alpha)
+    def nodes(o) -> np.ndarray:
+        chart = m.charts[o.alpha]
+        return chart.grid_points()[region_slices(chart, o.region)]
 
-    for k1, k2, k3 in _overlap_triples(m):
-        o1, o2, o3 = (m.overlaps[k] for k in (k1, k2, k3))
-        chart = m.charts[o1.alpha]
-        pts = chart.grid_points()[region_slices(chart, o1.region)].reshape(-1, m.dim)
-        mid = o1.apply(pts)
-        mask = o2.region_contains(mid) & o3.region_contains(pts)
-        if not mask.any():
-            continue
-        pts, mid = pts[mask], mid[mask]
-        defects.append(np.abs(leg(k2, mid) @ leg(k1, pts) - leg(k3, pts)))
-    return peak(*defects)
+    return peak(*(
+        np.abs(t.transition_grid(k2, mid) @ t.transition_grid(k1, pts) - t.transition_grid(k3, pts))
+        for (k1, k2, k3), pts, mid in _overlap_triples(m, nodes)
+    ))
 
 
 @dataclass(frozen=True)
@@ -329,7 +308,7 @@ def monodromy(t: Trivialization) -> np.ndarray:
     order of the charts' lower axis-0 edges.  The walk starts at the first
     chart's center and crosses each chart's forward overlap (alpha -> next
     chart, reaching alpha's upper axis-0 edge) at the midpoint of its axis-0
-    span, where ``frames_at`` reads the two frames.  For f(C) this is the
+    span, where ``coordinate_change_grid`` reads it.  For f(C) this is the
     holonomy of C around the loop from that center: the outer part of a
     coupling is a flat Out(g) connection, so it is a class invariant mod Inn
     and up to conjugation.  A chart with no forward overlap is an InputError."""
@@ -349,8 +328,7 @@ def monodromy(t: Trivialization) -> np.ndarray:
         k = forward[0]
         o = m.overlaps[k]
         point[0] = 0.5 * (o.region[0, 0] + o.region[0, 1])
-        f_alpha, f_beta = t.frames_at(k, point[None, :])
-        total = _inverses(f_beta[0]) @ f_alpha[0] @ total
+        total = t.coordinate_change_grid(k, point[None, :])[0] @ total
         point = o.apply(point)
     return total
 

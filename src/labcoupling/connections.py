@@ -218,7 +218,9 @@ def shift_by_inner(c: ConnectionForm, l: list) -> ConnectionForm:
     if worst > GAUGE_TOL:
         raise InputError(f"shift field is not overlap-covariant (residual {worst:.3e})")
     # Keep ad(l) referenced: `omega + <temporary>` lets numpy write the sum into
-    # the temporary, whose transposed layout slows every later interpolation.
+    # the temporary, whose fiber axes are transposed in memory.  That layout
+    # slows f_map's comb, which copies each axis' lines, and curvature's
+    # strided w[..., j, :, :] views.
     inner = [ad(c.algebra, grid) for grid in l]
     return ConnectionForm(c.bundle, tuple(w + a for w, a in zip(c.omega, inner)))
 

@@ -161,6 +161,8 @@ def _validate_overlaps(m: ChartedManifold) -> None:
         _check_shape(f"overlap {k} region", o.region, (m.dim, 2))
         _check_shape(f"overlap {k} matrix", o.matrix, (m.dim, m.dim))
         _check_shape(f"overlap {k} offset", o.offset, (m.dim,))
+        if np.linalg.matrix_rank(o.matrix) < m.dim:
+            raise InputError(f"overlap {k} matrix is singular")
         if not (0 <= o.alpha < len(m.charts) and 0 <= o.beta < len(m.charts)):
             raise InputError(f"overlap {k} references an unknown chart")
         corners = np.array(list(itertools.product(*o.region)))
@@ -194,31 +196,35 @@ def _find_partner(m: ChartedManifold, o: Overlap):
     return None
 
 
-def _overlap_triples(m: ChartedManifold):
-    """Index triples (k1, k2, k3) of overlaps alpha->beta, beta->gamma and
-    alpha->gamma with gamma != alpha, in overlap order."""
+def _overlap_triples(m: ChartedManifold, points):
+    """Triples (k1, k2, k3) of overlaps alpha->beta, beta->gamma and
+    alpha->gamma with gamma != alpha, in overlap order, each with its points:
+    the alpha points of ``points(o1)``, a (..., dim) batch, that o3 covers
+    and whose images o2 covers, as an (n, dim) array in row-major order, and
+    those images.  A triple with no such point is skipped."""
     for k1, o1 in enumerate(m.overlaps):
         for k2, o2 in enumerate(m.overlaps):
             if o2.alpha != o1.beta or o2.beta == o1.alpha:
                 continue
             for k3, o3 in enumerate(m.overlaps):
-                if (o3.alpha, o3.beta) == (o1.alpha, o2.beta):
-                    yield k1, k2, k3
+                if (o3.alpha, o3.beta) != (o1.alpha, o2.beta):
+                    continue
+                pts = points(o1)
+                mid = o1.apply(pts)
+                mask = o2.region_contains(mid) & o3.region_contains(pts)
+                if mask.any():
+                    yield (k1, k2, k3), pts[mask], mid[mask]
 
 
 def _validate_triples(m: ChartedManifold) -> None:
-    """On triple overlaps the composed affine maps must agree."""
-    for k1, k2, k3 in _overlap_triples(m):
-        o1, o2, o3 = (m.overlaps[k] for k in (k1, k2, k3))
-        # points of o1.region whose image lies in o2.region and o3.region
-        corners = np.array(list(itertools.product(*o1.region)))
-        mid = o1.apply(corners)
-        mask = o2.region_contains(mid) & o3.region_contains(corners)
-        if not mask.any():
-            continue
-        via = o2.apply(mid[mask])
-        direct = o3.apply(corners[mask])
-        if np.abs(via - direct).max() > 10 * ALG_TOL:
+    """On triple overlaps the composed affine maps must agree, at the
+    corners of the first overlap's region."""
+    def corners(o: Overlap) -> np.ndarray:
+        return np.array(list(itertools.product(*o.region)))
+
+    for ks, pts, mid in _overlap_triples(m, corners):
+        o1, o2, o3 = (m.overlaps[k] for k in ks)
+        if np.abs(o2.apply(mid) - o3.apply(pts)).max() > 10 * ALG_TOL:
             raise InputError(f"triple overlap {o1.alpha}->{o1.beta}->{o2.beta} is inconsistent")
 
 
@@ -380,12 +386,16 @@ def overlap_nodes(m: ChartedManifold, o: Overlap) -> tuple:
     return slices, o.apply(chart.grid_points()[slices])
 
 
-def overlap_pair(m: ChartedManifold, o: Overlap, field) -> tuple:
-    """A per-chart gridded field on the overlap's alpha nodes, and the same
-    field interpolated in the beta chart at those nodes' images."""
-    slices, images = overlap_nodes(m, o)
+def overlap_pair(m: ChartedManifold, o: Overlap, field, points=None) -> tuple:
+    """A per-chart gridded field on the overlap's alpha side and the same
+    field in the beta chart at the images: with no points, the alpha nodes
+    of the overlap region, read off the grid; with alpha points (..., dim),
+    the field interpolated at those points and at their images."""
     alpha, beta = (np.asarray(field[cid], dtype=float) for cid in (o.alpha, o.beta))
-    return alpha[slices], interpolate(m.charts[o.beta], beta, images)
+    if points is None:
+        slices, images = overlap_nodes(m, o)
+        return alpha[slices], interpolate(m.charts[o.beta], beta, images)
+    return interpolate(m.charts[o.alpha], alpha, points), interpolate(m.charts[o.beta], beta, o.apply(points))
 
 
 # --- partition of unity ------------------------------------------------------

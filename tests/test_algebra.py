@@ -439,6 +439,24 @@ def test_inner_shift_certifies_rotation_by_pi(axis):
     np.testing.assert_allclose(product, a, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 2, still open: the first Denman-Beavers root loses the ill-conditioned near-pi row",
+)
+def test_principal_log_of_a_near_pi_rotation_in_an_ill_conditioned_basis():
+    # S R S^-1 for R the rotation by pi - 1e-8 about e3 and S = diag(1, 1e4, 1):
+    # its log is S theta J S^-1, but today the row reads ok False with a zero log
+    theta = np.pi - 1e-8
+    j = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    rotation = np.array([[np.cos(theta), -np.sin(theta), 0.0], [np.sin(theta), np.cos(theta), 0.0], [0.0, 0.0, 1.0]])
+    s, s_inv = np.diag([1.0, 1e4, 1.0]), np.diag([1.0, 1e-4, 1.0])
+    logs, ok = principal_logs((s @ rotation @ s_inv)[None])
+    expected = s @ (theta * j) @ s_inv
+    assert ok[0]
+    assert np.linalg.norm(logs[0] - expected) <= 1e-6 * np.linalg.norm(expected)
+
+
 def so3_plus_r() -> LieAlgebra:
     """so3 + R: the so3 brackets on e1..e3 and a central e4."""
     c = np.zeros((4, 4, 4))

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from labcoupling import algebra, bundles, fixtures as fx
+from labcoupling import algebra, bundles, fixtures as fx, manifolds
 from labcoupling.algebra import _inverses, ad, automorphism_residuals, inner_verdicts
 from labcoupling.bundles import (
     Trivialization,
@@ -82,13 +82,14 @@ def test_cocycle_is_compared_on_every_triple_overlap_node(monkeypatch):
         direction = np.array([1.0, 0.5 * cid, -0.3])
         frames.append(scipy.linalg.expm(ad(g, (s + cid)[:, None] * direction)))
     t = Trivialization(g, m, tuple(frames))
+    assert len(t.transitions) == len(m.overlaps)  # the node grids, built before the reader is counted
     queried = []
 
     def counted(chart, values, points):
         queried.append(len(points))
         return interpolate(chart, values, points)
 
-    monkeypatch.setattr(bundles, "interpolate", counted)
+    monkeypatch.setattr(manifolds, "interpolate", counted)
     rep = validate_lab(t)
     assert rep.passed and rep.max_cocycle_residual <= 1e-12
     # six orderings of the three charts, each forming three legs from two
@@ -130,14 +131,33 @@ def test_validate_lab_builds_each_transition_grid_once(monkeypatch):
     built = []
     transition_grid = Trivialization.transition_grid
 
-    def counted(self, overlap_index):
-        built.append(overlap_index)
-        return transition_grid(self, overlap_index)
+    def counted(self, overlap_index, points=None):
+        if points is None:  # the cocycle legs read at points, not on the node grid
+            built.append(overlap_index)
+        return transition_grid(self, overlap_index, points)
 
     monkeypatch.setattr(Trivialization, "transition_grid", counted)
     assert validate_lab(t).passed
     # one grid per overlap, shared by the automorphism and cocycle checks
     assert sorted(built) == list(range(len(m.overlaps)))
+
+
+def test_frame_products_at_the_overlap_nodes_match_the_node_grids():
+    # the points path interpolates both frames; at the alpha nodes it reads
+    # what the node path reads off the grid
+    checked = 0
+    for name in fx.BUNDLE_NAMES:
+        t = fx.bundle(name)
+        m = t.manifold
+        for k, o in enumerate(m.overlaps):
+            chart = m.charts[o.alpha]
+            pts = chart.grid_points()[region_slices(chart, o.region)]
+            for product in (t.transition_grid, t.coordinate_change_grid):
+                at_points, on_nodes = product(k, pts), product(k)
+                assert at_points.shape == on_nodes.shape
+                assert np.abs(at_points - on_nodes).max() <= 1e-14, (name, k, product.__name__)
+            checked += 1
+    assert checked == 26  # 4 overlaps on each of the five two-chart bundles, 6 on interval3
 
 
 def test_one_constant_transition_other_identity():
@@ -437,7 +457,12 @@ def test_interval3_fixture_checks_the_cocycle_on_six_triple_overlaps():
     for o, ref in zip(m.overlaps, spec.overlaps, strict=True):
         assert (o.alpha, o.beta) == (ref.alpha, ref.beta)
         assert np.array_equal(o.region, ref.region) and np.array_equal(o.offset, ref.offset)
-    assert len(list(_overlap_triples(m))) == 6
+
+    def nodes(o):
+        chart = m.charts[o.alpha]
+        return chart.grid_points()[region_slices(chart, o.region)]
+
+    assert len(list(_overlap_triples(m, nodes))) == 6
     rep = validate_lab(t)
     assert rep.passed and rep.max_cocycle_residual <= 1e-15  # 2.2e-16 measured
     chart = m.charts[0]  # the three charts are alike

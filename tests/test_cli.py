@@ -31,9 +31,9 @@ def test_each_transition_grid_is_built_once(capsys, monkeypatch, argv):
     pairs = []
     overlap_pair = bundles.overlap_pair
 
-    def counted(m, o, field):
+    def counted(m, o, field, points=None):
         pairs.append(o)
-        return overlap_pair(m, o, field)
+        return overlap_pair(m, o, field, points)
 
     monkeypatch.setattr(bundles, "overlap_pair", counted)
     code, _ = run_cli(capsys, *argv)

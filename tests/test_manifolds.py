@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labcoupling import fixtures as fx, manifolds
+from labcoupling import fileio, fixtures as fx, manifolds
 from labcoupling.errors import CoverageError, InputError
 from labcoupling.manifolds import (
     Chart,
@@ -87,6 +87,15 @@ def one_chart_spec(dim=1, overlaps=(), **chart) -> dict:
 UNKNOWN_PARTNER = {"alpha": 0, "beta": 1, "region": [[0.0, 1.0]], "map": {"matrix": [[1.0]], "offset": [0.0]}}
 
 
+def collapsed_circle2_spec() -> dict:
+    """circle2 with every overlap map the constant 0.55, which lies in both
+    charts: only the singular matrix is wrong."""
+    spec = fileio.manifold_to_dict(fx.manifold("circle2"))
+    for o in spec["overlaps"]:
+        o["map"] = {"matrix": [[0.0]], "offset": [0.55]}
+    return spec
+
+
 @pytest.mark.parametrize(
     "spec,match",
     [
@@ -121,12 +130,14 @@ UNKNOWN_PARTNER = {"alpha": 0, "beta": 1, "region": [[0.0, 1.0]], "map": {"matri
             one_chart_spec(overlaps=[{**UNKNOWN_PARTNER, "map": {"matrix": [[1.0]], "offset": [0.0, 0.0]}}]),
             r"overlap 0 offset has shape \(2,\), expected \(1,\)",
         ),
+        # an InputError, not numpy's LinAlgError from the partner search
+        (collapsed_circle2_spec(), "overlap 0 matrix is singular"),
     ],
     ids=[
         "no charts", "dim 3", "chart dim", "low resolution", "empty box", "center", "unknown chart",
         "fractional resolution", "fractional center", "string center", "fractional dim",
         "fractional alpha", "boolean beta", "box columns", "resolution length", "center length",
-        "region shape", "matrix shape", "offset length",
+        "region shape", "matrix shape", "offset length", "singular matrix",
     ],
 )
 def test_invalid_manifold_spec_rejected(spec, match):
