@@ -270,21 +270,73 @@ def derivations_basis(g: LieAlgebra) -> list[np.ndarray]:
     return [v.reshape(n, n) for v in _null_space(constraint).T]
 
 
+# Below this ||a - I||_F every eigenvalue has |lambda - 1| <= ||a - I||_2 < 1 - 1e-6,
+# so Re lambda > 1e-6 > ALG_TOL: the negative-axis screen cannot flag the row.
+_SCREEN_FREE = 1.0 - 1e-6
+
+
+def _mercator_radii() -> np.ndarray:
+    """R_J for J = 1..30: the largest double r with r^J / ((J + 1)(1 - r))
+    <= 2^-53, by bisection to adjacent doubles.  A row of norm r <= R_J
+    leaves a Mercator tail past degree J of at most
+    r^(J+1) / ((J + 1)(1 - r)) <= 2^-53 r (Higham, Functions of Matrices,
+    2008, sec. 11.5)."""
+    j = np.arange(1, 31)
+    lo, hi = np.zeros(30), np.full(30, 0.5)  # every J fails at 0.5
+    while True:
+        mid = 0.5 * (lo + hi)
+        if ((mid == lo) | (mid == hi)).all():
+            return lo
+        good = mid**j / ((j + 1) * (1.0 - mid)) <= 2.0**-53
+        lo, hi = np.where(good, mid, lo), np.where(good, hi, mid)
+
+
+_MERCATOR_RADII = _mercator_radii()
+_MERCATOR_RADII.flags.writeable = False
+
+
+def _mercator(e: np.ndarray) -> np.ndarray:
+    """The Mercator series sum_j (-1)^(j+1) e^j / j of log(I + e) on a stack
+    (N, n, n) with ||e||_F < 0.25, each row to the least degree J whose
+    _MERCATOR_RADII[J - 1] bounds its norm (at most 30; a NaN row takes 30).
+    The rows go in descending degree, so the rows that need term j are a
+    prefix and each product runs on it; a row's degree and every operation
+    on it depend on that row alone, so its bits do not depend on its stack."""
+    cap = len(_MERCATOR_RADII)
+    deg = np.minimum(np.searchsorted(_MERCATOR_RADII, np.linalg.norm(e, axis=(-2, -1))) + 1, cap)
+    order = np.argsort(-deg, kind="stable")
+    rows = np.bincount(deg, minlength=cap + 1)[::-1].cumsum()[::-1]  # rows[j]: count of degree >= j
+    e = e[order]
+    power = e
+    acc = e.copy()
+    for j in range(2, int(deg.max(initial=1)) + 1):
+        power = np.matmul(power[: rows[j]], e[: rows[j]])
+        acc[: rows[j]] += ((-1) ** (j + 1) / j) * power
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
+
+
 def principal_logs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Real principal logarithms of a stack (m, n, n) as (logs, ok), by inverse
     scaling and squaring: k square roots bring a row within ||x - I||_F < 0.25,
-    and 2^k times the 30-term Mercator series of log(x) is its log.  A row that
-    starts there (k = 0) needs no guard; any other gets ok False and a zero log
-    if it is not finite, if an eigenvalue lies on the closed negative real axis
-    within ALG_TOL, or if exp(log), formed as exp(series) squared k times,
-    misses it by more than 100*ALG_TOL*(1 + ||a||_F)."""
+    and 2^k times its Mercator series (_mercator, the tail past each row's
+    degree at most 2^-53 ||x - I||_F) is its log.  A row that starts there
+    (k = 0) needs no guard; any other gets ok False and a zero log if it is
+    not finite, if an eigenvalue lies on the closed negative real axis within
+    ALG_TOL (only a row with ||a - I||_F >= _SCREEN_FREE can have one, so only
+    those are screened), or if exp(log), formed as exp(series) squared k
+    times, misses it by more than 100*ALG_TOL*(1 + ||a||_F)."""
     mats = np.asarray(mats, dtype=float)
     eye = np.eye(mats.shape[-1])
     with np.errstate(over="ignore"):  # an overflowing norm is inf: the row is far
-        ok = np.linalg.norm(mats - eye, axis=(-2, -1)) < 0.25  # far rows are judged below
+        dist = np.linalg.norm(mats - eye, axis=(-2, -1))
+    ok = dist < 0.25  # far rows are judged below
     far = np.flatnonzero(~ok & np.isfinite(mats).all(axis=(-2, -1)))  # non-finite: no log
-    eig = np.linalg.eigvals(mats[far])
-    far = far[~np.any((eig.real <= ALG_TOL) & (np.abs(eig.imag) <= ALG_TOL), axis=-1)]
+    on_axis = dist[far] >= _SCREEN_FREE  # only these rows can have an eigenvalue there
+    eig = np.linalg.eigvals(mats[far[on_axis]])
+    on_axis[on_axis] = np.any((eig.real <= ALG_TOL) & (np.abs(eig.imag) <= ALG_TOL), axis=-1)
+    far = far[~on_axis]
     roots = np.where(ok[:, None, None], mats, eye)  # rows without a real log: I
     roots[far] = mats[far]
     k = np.zeros(len(mats))
@@ -293,12 +345,7 @@ def principal_logs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         roots[out] = _square_roots(roots[out])
         k[out] += 1
         out = out[np.linalg.norm(roots[out] - eye, axis=(-2, -1)) >= 0.25]
-    e = roots - eye
-    power = e.copy()
-    acc = e.copy()
-    for j in range(2, 31):
-        power = np.matmul(power, e)
-        acc += ((-1) ** (j + 1) / j) * power
+    acc = _mercator(roots - eye)
     logs = 2.0 ** k[:, None, None] * acc
     with np.errstate(all="ignore"):  # an overflowing or NaN row fails the check
         miss = np.linalg.norm(_exp_by_squaring(acc[far], k[far]) - mats[far], axis=(-2, -1))
@@ -309,9 +356,10 @@ def principal_logs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _exp_by_squaring(x: np.ndarray, k: np.ndarray) -> np.ndarray:
     """exp(2^k x) of a stack as exp(x) squared k times per row.  Every x here
-    is a Mercator sum with ||x||_F <= -log(0.75) < 0.29, or an inner shift
-    ad(y_j) with ||ad y_j||_F = 0.25 (k = 0); there the degree-12 Taylor
-    polynomial (Horner form) leaves a remainder below 2e-17."""
+    is a Mercator sum of some degree J on ||e||_F = r < 0.25, whose norm is
+    at most sum_{j <= J} r^j / j <= -log(1 - r) < -log(0.75) < 0.29 whatever
+    J, or an inner shift ad(y_j) with ||ad y_j||_F = 0.25 (k = 0); there the
+    degree-12 Taylor polynomial (Horner form) leaves a remainder below 2e-17."""
     eye = np.eye(x.shape[-1])
     e = eye + x / 12.0
     for j in range(11, 0, -1):

@@ -21,6 +21,7 @@ from labcoupling.algebra import (
     _dets,
     _exp_by_squaring,
     _inverses,
+    _mercator,
     _square_roots,
     ad,
     automorphism_residuals,
@@ -859,7 +860,8 @@ def test_character_bases_keep_each_subspace_once(name, counts):
 
 def principal_logs_scipy_guard(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """principal_logs with scipy's expm as the guard: the same square roots,
-    series and bound, exp(log) taken by scipy row by row."""
+    series and bound, exp(log) taken by scipy row by row, and the eigenvalue
+    screen on every far row, not only on those at ||a - I||_F >= 1 - 1e-6."""
     mats = np.asarray(mats, dtype=float)
     eye = np.eye(mats.shape[-1])
     ok = np.linalg.norm(mats - eye, axis=(-2, -1)) < 0.25
@@ -874,13 +876,7 @@ def principal_logs_scipy_guard(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray
         roots[out] = _square_roots(roots[out])
         k[out] += 1
         out = out[np.linalg.norm(roots[out] - eye, axis=(-2, -1)) >= 0.25]
-    e = roots - eye
-    power = e.copy()
-    acc = e.copy()
-    for j in range(2, 31):
-        power = np.matmul(power, e)
-        acc += ((-1) ** (j + 1) / j) * power
-    logs = 2.0 ** k[:, None, None] * acc
+    logs = 2.0 ** k[:, None, None] * _mercator(roots - eye)
     miss = np.linalg.norm(scipy.linalg.expm(logs[far]) - mats[far], axis=(-2, -1))
     ok[far] = miss <= 100 * ALG_TOL * (1.0 + np.linalg.norm(mats[far], axis=(-2, -1)))
     logs[~ok] = 0.0
@@ -956,6 +952,103 @@ def test_principal_logs_reject_non_finite_rows():
     assert ok.tolist() == [True, False, True, True, False, True]
     assert not logs[[1, 4]].any()
     assert logs[finite].tobytes() == ref_logs.tobytes()
+
+
+def mercator_30(e: np.ndarray) -> np.ndarray:
+    """The fixed 30-term Mercator sum of log(I + e), every row to degree 30."""
+    power, acc = e.copy(), e.copy()
+    for j in range(2, 31):
+        power = power @ e
+        acc += ((-1) ** (j + 1) / j) * power
+    return acc
+
+
+def test_mercator_radii_increase_and_meet_their_tail_bound():
+    r = algebra._MERCATOR_RADII
+    j = np.arange(1, len(r) + 1)
+    assert len(r) == 30 and (np.diff(r) > 0).all() and r[-1] > 0.25
+    assert (r**j / ((j + 1) * (1.0 - r)) <= 2.0**-53).all()
+    up = np.nextafter(r, 1.0)  # each is the largest double that meets it
+    assert (up**j / ((j + 1) * (1.0 - up)) > 2.0**-53).all()
+
+
+@pytest.mark.parametrize("g", ALL, ids=lambda g: g.name)
+def test_mercator_is_the_30_term_sum_to_its_tail_bound(g):
+    # rows at 0, 1e-17, every table radius and its neighbouring doubles
+    # (either side of a degree step), and 0.2499, along a derivation of g
+    radii = algebra._MERCATOR_RADII
+    r = np.concatenate([[0.0, 1e-17, 0.2499], np.nextafter(radii, 0.0), radii, np.nextafter(radii, 1.0)])
+    r = r[r < 0.25]
+    basis = derivations_basis(g)
+    d = sum(c * b for c, b in zip(np.random.default_rng(47).normal(size=len(basis)), basis))
+    e = r[:, None, None] * d / np.linalg.norm(d)
+    norms = np.linalg.norm(e, axis=(1, 2))
+    gap = np.linalg.norm(_mercator(e) - mercator_30(e), axis=(1, 2))
+    assert (gap <= 4 * 2.0**-53 * norms).all()
+    assert _mercator(e[:2]).tobytes() == e[:2].tobytes()  # degree 1: e itself
+
+
+def test_principal_logs_rows_do_not_depend_on_their_stack():
+    # near and far rows of many series degrees, rows without a log and a
+    # NaN row: each row's log is bitwise its own call's, in any order
+    rng = np.random.default_rng(53)
+    mats = np.concatenate([
+        so3_rotations(0.3, 6, rng),
+        so3_rotations(3.1, 6, rng),
+        heis3_drift_ratios(6, rng),
+        np.stack([m for m, _ in SPECIAL_ROWS.values()]),
+        np.stack([np.eye(3), np.diag([5e-7, 1.0, 1.0]), np.full((3, 3), np.nan)]),
+    ])
+    logs, ok = principal_logs(mats)
+    alone = [principal_logs(a[None]) for a in mats]
+    assert logs.tobytes() == np.concatenate([l for l, _ in alone]).tobytes()
+    assert ok.tolist() == [bool(o[0]) for _, o in alone]
+    back_logs, back_ok = principal_logs(mats[::-1])
+    assert back_logs[::-1].tobytes() == logs.tobytes() and back_ok[::-1].tolist() == ok.tolist()
+
+
+def count_eigvals_rows(monkeypatch) -> list:
+    """Patch np.linalg.eigvals to record the row count of each call."""
+    rows = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        rows.append(len(a))
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    return rows
+
+
+def test_principal_logs_screen_no_row_the_norm_bound_clears(monkeypatch):
+    # ||a - I||_F <= 0.8 < 1 - 1e-6 keeps every eigenvalue off the negative axis
+    mats = so3_rotations(0.57, 300, np.random.default_rng(59))
+    dist = np.linalg.norm(mats - np.eye(3), axis=(1, 2))
+    assert dist.max() <= 0.8 and (dist >= 0.25).sum() > 100
+    rows = count_eigvals_rows(monkeypatch)
+    assert principal_logs(mats)[1].all()
+    assert sum(rows) == 0
+
+
+@pytest.mark.parametrize("d0, screened, certified", [(2e-6, 0, True), (5e-7, 1, True), (-1e-3, 1, False)])
+def test_principal_logs_screen_only_rows_at_the_norm_bound(monkeypatch, d0, screened, certified):
+    # diag(d0, 1, 1) sits at ||a - I||_F = 1 - d0, on either side of 1 - 1e-6
+    rows = count_eigvals_rows(monkeypatch)
+    logs, ok = principal_logs(np.diag([d0, 1.0, 1.0])[None])
+    assert sum(rows) == screened and ok.tolist() == [certified]
+    if certified:  # log is 1/d0-conditioned at d0: round-off of 1e-16 moves it by 1e-16/d0
+        np.testing.assert_allclose(logs[0], np.diag([np.log(d0), 0.0, 0.0]), rtol=0.0, atol=1e-15 / d0)
+
+
+def test_principal_logs_screen_decides_as_screening_every_far_row():
+    # the scipy-guarded reference runs eigvals on every far row
+    rng = np.random.default_rng(61)
+    diag = [np.diag([d, 1.0, 1.0]) for d in (2e-6, 1.1e-6, 1e-6, 9e-7, 5e-7, 1e-9, 1e-10, 0.0, -1e-12, -1e-3, 0.5, 3.0)]
+    mats = np.concatenate([np.stack(diag), so3_rotations(3.1, 40, rng), heis3_drift_ratios(40, rng)])
+    logs, ok = principal_logs(mats)
+    ref_logs, ref_ok = principal_logs_scipy_guard(mats)
+    assert ok.tolist() == ref_ok.tolist() and logs.tobytes() == ref_logs.tobytes()
+    assert not ok[5:10].any() and ok[10:].all()
 
 
 def test_principal_logs_guard_does_not_call_scipy_expm(monkeypatch):
