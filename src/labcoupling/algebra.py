@@ -542,6 +542,7 @@ def inner_verdicts(g: LieAlgebra, mats: np.ndarray, inner_tol: float) -> tuple:
     rest = rest[~(inner[rest] | outer[rest])]
     d = (mats[rest] - np.eye(g.dim)).reshape(len(rest), 1, g.dim**2)
     resid[rest] = np.sqrt(d @ np.swapaxes(d, 1, 2)).ravel()  # ||a - I||_F as a dot, like np.linalg.norm
+    rest = rest[np.isfinite(mats[rest]).all(axis=(-2, -1))]  # no later route decides a non-finite row
     near = rest[resid[rest] <= inner_tol]
     inner[near], logs[near] = True, 0.0
     y, exp_y = g.inner_shifts

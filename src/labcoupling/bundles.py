@@ -29,7 +29,9 @@ from .manifolds import interpolate  # noqa: F401
 
 @dataclass(frozen=True)
 class Trivialization:
-    """A local-trivialization structure on the bundle: per-chart frames."""
+    """A local-trivialization structure on the bundle: per-chart frames, held
+    as ``chart_grids`` gives them (finite, owned and read-only), so the
+    cached ``transitions`` and ``singular`` cannot go stale."""
 
     algebra: LieAlgebra
     manifold: ChartedManifold
@@ -37,14 +39,7 @@ class Trivialization:
 
     def __post_init__(self):
         n = self.algebra.dim
-        frames = []
-        for cid, grid in enumerate(chart_grids(self.manifold, self.frames, (n, n), "frame")):
-            arr = np.array(grid)  # own copy: `transitions` is cached
-            if not np.isfinite(arr).all():
-                raise InputError(f"frame grid {cid} has non-finite entries")
-            arr.flags.writeable = False
-            frames.append(arr)
-        object.__setattr__(self, "frames", tuple(frames))
+        object.__setattr__(self, "frames", chart_grids(self.manifold, self.frames, (n, n), "frame"))
 
     def transition_grid(self, overlap_index: int, points=None) -> np.ndarray:
         """Transition matrices phi_beta phi_alpha^{-1} on the overlap's alpha

@@ -32,19 +32,16 @@ from .tolerances import ACC_TOL, ALG_TOL, GAUGE_TOL, peak
 
 @dataclass(frozen=True)
 class ConnectionForm:
-    """Per-chart, per-axis grids of derivation matrices over a bundle."""
+    """Per-chart, per-axis grids of derivation matrices over a bundle, held
+    as ``chart_grids`` gives them (finite, owned and read-only), so the
+    cached ``omega_leading`` cannot go stale."""
 
     bundle: Trivialization
     omega: tuple  # per chart: array (*resolution, mdim, n, n)
 
     def __post_init__(self):
-        n = self.bundle.algebra.dim
-        m = self.bundle.manifold
-        grids = chart_grids(m, self.omega, (m.dim, n, n), "omega")
-        for cid, arr in enumerate(grids):
-            if not np.isfinite(arr).all():
-                raise InputError(f"omega grid {cid} has non-finite entries")
-        object.__setattr__(self, "omega", grids)
+        n, m = self.bundle.algebra.dim, self.bundle.manifold
+        object.__setattr__(self, "omega", chart_grids(m, self.omega, (m.dim, n, n), "omega"))
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -217,12 +214,7 @@ def shift_by_inner(c: ConnectionForm, l: list) -> ConnectionForm:
     worst = peak(*defects)
     if worst > GAUGE_TOL:
         raise InputError(f"shift field is not overlap-covariant (residual {worst:.3e})")
-    # Keep ad(l) referenced: `omega + <temporary>` lets numpy write the sum into
-    # the temporary, whose fiber axes are transposed in memory.  That layout
-    # slows f_map's comb, which copies each axis' lines, and curvature's
-    # strided w[..., j, :, :] views.
-    inner = [ad(c.algebra, grid) for grid in l]
-    return ConnectionForm(c.bundle, tuple(w + a for w, a in zip(c.omega, inner)))
+    return ConnectionForm(c.bundle, tuple(w + ad(c.algebra, grid) for w, grid in zip(c.omega, l)))
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,9 @@ def _validate_overlaps(m: ChartedManifold) -> None:
         corners = np.array(list(itertools.product(*o.region)))
         if not m.charts[o.alpha].contains(corners):
             raise InputError(f"overlap {k} region leaves chart {o.alpha}")
+        for axis, s in enumerate(region_slices(m.charts[o.alpha], o.region)):
+            if s.stop - s.start < 2:  # the gauge check differentiates along every axis
+                raise InputError(f"overlap {k} region spans one node along axis {axis}; at least 2 are needed")
         if not m.charts[o.beta].contains(o.apply(corners)):
             raise InputError(f"overlap {k} image leaves chart {o.beta}")
 
@@ -235,15 +238,21 @@ def _validate_triples(m: ChartedManifold) -> None:
 # holds that contract for every entry point that takes such a field.
 
 def chart_grids(m: ChartedManifold, grids, value_shape: tuple, what: str) -> tuple:
-    """The per-chart field as float arrays, one per chart, each of shape
-    chart.resolution + value_shape; any other count or shape is an InputError."""
+    """The per-chart field as owned, C-contiguous, read-only float copies, one
+    per chart, each of shape chart.resolution + value_shape.  Any other count
+    or shape is an InputError, and so, once every shape holds, is a non-finite
+    entry; a later write to the caller's arrays cannot reach the copies."""
     if len(grids) != len(m.charts):
         raise InputError(f"{what}: {len(grids)} grids for {len(m.charts)} charts")
-    out = tuple(np.asarray(grid, dtype=float) for grid in grids)
+    out = tuple(np.array(grid, dtype=float, order="C") for grid in grids)
     for cid, (arr, chart) in enumerate(zip(out, m.charts)):
         expected = chart.resolution + value_shape
         if arr.shape != expected:
             raise InputError(f"{what} grid {cid} has shape {arr.shape}, expected {expected}")
+    for cid, arr in enumerate(out):
+        if not np.isfinite(arr).all():
+            raise InputError(f"{what} grid {cid} has non-finite entries")
+        arr.flags.writeable = False
     return out
 
 

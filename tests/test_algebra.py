@@ -587,6 +587,44 @@ def test_a_row_no_route_decides_on_an_algebra_without_shifts_stays_undecided():
     assert not inner[0] and not outer[0] and shift[0] == -1
 
 
+@pytest.mark.parametrize("name", ["aff1", "so3", "heis3", "abelian2"])
+def test_non_finite_rows_are_neither_inner_nor_outer(name):
+    # a -inf entry once gave det -inf, which route 4 read as outer
+    g = fx.algebra(name)
+    rows = []
+    for bad in (-np.inf, np.inf, np.nan):
+        for sign in (1.0, -1.0):  # with det of either sign on the finite part
+            a = np.eye(g.dim)
+            a[0, 0], a[-1, -1] = bad, sign
+            rows.append(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inner, outer, resid, logs, shift = inner_verdicts(g, np.array(rows), INNER_TOL)
+    assert not inner.any() and not outer.any() and (shift == -1).all() and not logs.any()
+    assert not np.isfinite(resid).any()
+
+
+def sl2() -> LieAlgebra:
+    """sl(2,R) in the basis (h, e, f): [h, e] = 2e, [h, f] = -2f, [e, f] = h."""
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 1], c[0, 2, 2], c[1, 2, 0] = 2.0, -2.0, 1.0
+    return LieAlgebra("sl2", 3, c - np.swapaxes(c, 0, 1))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 16, defect F: on sl(2,R) neither det nor the characters can read a row outer",
+)
+def test_an_outer_automorphism_of_sl2_reads_outer():
+    # diag(1, -1, -1) is outer; today it reads undecided with residual 2.83
+    g = sl2()
+    a = np.diag([1.0, -1.0, -1.0])
+    assert validate_algebra(g).passed and automorphism_residuals(g, a) == 0.0
+    inner, outer, _, _, _ = inner_verdicts(g, a[None], INNER_TOL)
+    assert outer[0] and not inner[0]
+
+
 def character_norm(g: LieAlgebra, d: np.ndarray) -> float:
     """max_B ||B^T d B||_F over g.character_bases: d's characters' size."""
     return max((np.linalg.norm(b.T @ d @ b) for b in g.character_bases), default=0.0)

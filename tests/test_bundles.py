@@ -478,6 +478,7 @@ def test_frames_are_a_read_only_copy_so_cached_transitions_stay_valid():
     before = copy.transitions[0].copy()
     grids[0][:] = 0.0  # the caller's arrays are not the structure's frames
     assert np.array_equal(copy.transitions[0], before)
+    assert np.array_equal(copy.frames[0], t.frames[0])
     assert validate_lab(copy).passed
     with pytest.raises(ValueError):
         copy.frames[0][0] = 0.0

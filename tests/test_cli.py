@@ -421,6 +421,19 @@ def test_validate_lab_on_a_second_resolution_axis_exits_3(capsys, tmp_path):
     assert out == "" and "chart 0 resolution has shape (2,), expected (1,)" in err
 
 
+def test_check_coupling_on_an_overlap_one_node_wide_exits_3(capsys, tmp_path):
+    # the cover once built, and check-coupling died in the gauge check's stencil
+    from tests.test_manifolds import one_node_overlap_spec
+
+    eye = np.broadcast_to(np.eye(3), (33, 3, 3)).tolist()
+    bundle = {"algebra": "so3", "manifold": one_node_overlap_spec(), "frames": [eye, eye]}
+    path = tmp_path / "one_node.json"
+    path.write_text(json.dumps({"bundle": bundle, "omega": [[np.zeros((33, 3, 3)).tolist()]] * 2}))
+    assert cli.run(["check-coupling", "--connection", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "overlap 0 region spans one node along axis 0" in err
+
+
 def test_roundtrip_with_zero_ode_steps_exits_3(capsys):
     assert cli.run(["roundtrip", "--bundle", "cyl2_so3_twisted", "--ode-steps", "0"]) == 3
     out, err = capsys.readouterr()

@@ -35,6 +35,8 @@ COMMANDS = (
         for name in fx.CONNECTION_NAMES
         if name not in ("circle2_so3_twisted", "circle2_abelian2_flat")
     ]
+    + [["validate-algebra", "--algebra", name] for name in fx.ALGEBRA_NAMES]
+    + [["fixtures", "--list"]]
 )
 
 

@@ -4,9 +4,9 @@ coupling (accordance) condition, inner shifts, and pullbacks."""
 import numpy as np
 import pytest
 
-from labcoupling import fixtures as fx
+from labcoupling import fileio, fixtures as fx
 from labcoupling.algebra import ad, bracket, unit_vector
-from labcoupling.algebroid import AlgebroidSection, algebroid_bracket
+from labcoupling.algebroid import AlgebroidSection, algebroid_bracket, axiom_report
 from labcoupling.bundles import Trivialization, reference_trivialization
 from labcoupling.connections import (
     ConnectionForm,
@@ -185,6 +185,66 @@ def test_every_entry_point_refuses_a_malformed_per_chart_field(entry, defect):
     call(c, valid(c))  # the well-formed field is accepted
     with pytest.raises(InputError, match=r"grids for 2 charts|grid 1 has shape .*, expected"):
         call(c, MALFORMED[defect](valid(c)))
+
+
+def _with_nan(grid):
+    """A copy of the grid with one NaN entry."""
+    bad = np.array(grid, dtype=float)
+    bad.flat[bad.size // 2] = np.nan
+    return bad
+
+
+# entry point whose field goes through manifolds.chart_grids -> its field's name
+CHART_GRIDS_ENTRIES = {
+    "Trivialization": "frame",
+    "ConnectionForm": "omega",
+    "algebroid_bracket u": "fiber field",
+    "algebroid_bracket X": "section tangent part",
+    "shift_by_inner": "shift field",
+}
+
+
+@pytest.mark.parametrize("entry", CHART_GRIDS_ENTRIES)
+def test_every_chart_grids_entry_point_refuses_a_non_finite_field(entry):
+    c = fx.connection("circle2_so3_twisted")
+    valid, call = ENTRY_POINTS[entry]
+    with pytest.raises(InputError, match=rf"^{CHART_GRIDS_ENTRIES[entry]} grid 1 has non-finite entries$"):
+        call(c, [valid(c)[0], _with_nan(valid(c)[1])])
+
+
+@pytest.mark.parametrize("entry", CHART_GRIDS_ENTRIES)
+def test_every_shape_is_checked_before_any_finiteness(entry):
+    # a NaN in grid 0 and a short grid 1: the shape error comes first
+    c = fx.connection("circle2_so3_twisted")
+    valid, call = ENTRY_POINTS[entry]
+    f = valid(c)
+    with pytest.raises(InputError, match=r"grid 1 has shape .*, expected"):
+        call(c, [_with_nan(f[0]), f[1][:-1]])
+
+
+def test_connection_form_keeps_a_read_only_copy_so_cached_reports_stay_valid():
+    c = fx.connection("disk2d_so3_nonflat")
+    grids = [np.array(w) for w in c.omega]
+    copy = ConnectionForm(c.bundle, tuple(grids))
+    first = axiom_report(copy, curvature(copy))
+    for w in grids:
+        w *= 3.0  # the caller's arrays are not the form's omega
+    assert all(np.array_equal(a, b) for a, b in zip(copy.omega, c.omega))
+    again = axiom_report(copy, curvature(copy))  # omega_leading is cached by now
+    fresh = ConnectionForm(c.bundle, copy.omega)
+    assert again == first == axiom_report(fresh, curvature(fresh))
+    with pytest.raises(ValueError):
+        copy.omega[0][0] = 0.0
+    with pytest.raises(ValueError):
+        copy.omega_leading[0][0] = 0.0
+
+
+def test_shifted_and_loaded_forms_get_the_c_order_layout():
+    c = fx.connection("circle2_so3_twisted")
+    shift = [np.full(chart.resolution + (1, 3), 0.2) for chart in c.manifold.charts]
+    loaded = fileio.load_connection(fileio.connection_to_dict(c))
+    for form in (shift_by_inner(c, shift), loaded):
+        assert all(w.flags.c_contiguous and w.flags.owndata and not w.flags.writeable for w in form.omega)
 
 
 # --- validate_connection ------------------------------------------------------

@@ -940,6 +940,30 @@ def test_abelian_twisted_bundle_round_trip_does_not_fail():
         assert rep.passed or rep.inconclusive, refine
 
 
+def abelian_jump_bundle(refine: int) -> Trivialization:
+    """abelian2 over circle2 whose chart-1 frames are I below the box
+    midpoint and diag(1, -1) from it on: a jump inside one chart."""
+    g, m = fx.algebra("abelian2"), fx.manifold("circle2", refine)
+    frames = [np.broadcast_to(np.eye(2), chart.resolution + (2, 2)).copy() for chart in m.charts]
+    chart = m.charts[1]
+    frames[1][chart.grid_points()[..., 0] >= chart.box[0].mean()] = np.diag([1.0, -1.0])
+    return Trivialization(g, m, tuple(frames))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 13, defect E: nothing checks that a chart's frames are continuous",
+)
+def test_a_structure_that_passes_both_checks_has_a_passing_round_trip():
+    # validate_lab and check_delta_continuity pass (36 and 68 inner ratios),
+    # while connection_roundtrip reads 32.4 and 64.9 at refine 1 and 2
+    for refine in (1, 2):
+        t = abelian_jump_bundle(refine)
+        if validate_lab(t).passed and check_delta_continuity(t).passed:
+            assert verify_inverse(t=t).passed, refine
+
+
 def test_round_trip_requires_exactly_one_input():
     with pytest.raises(InputError):
         verify_inverse()

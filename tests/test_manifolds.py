@@ -96,6 +96,21 @@ def collapsed_circle2_spec() -> dict:
     return spec
 
 
+def one_node_overlap_spec() -> dict:
+    """Two [0, 1] charts at 33 nodes glued at one node each: the regions
+    [1 - h/2, 1] and [0, h/2], h = 1/32, hold the nodes 1 and 0."""
+    h = 1.0 / 32
+    chart = {"box": [[0.0, 1.0]], "resolution": [33], "center": [16]}
+    return {
+        "dim": 1,
+        "charts": [chart, chart],
+        "overlaps": [
+            {"alpha": 0, "beta": 1, "region": [[1.0 - h / 2, 1.0]], "map": {"matrix": [[1.0]], "offset": [h / 2 - 1.0]}},
+            {"alpha": 1, "beta": 0, "region": [[0.0, h / 2]], "map": {"matrix": [[1.0]], "offset": [1.0 - h / 2]}},
+        ],
+    }
+
+
 @pytest.mark.parametrize(
     "spec,match",
     [
@@ -132,12 +147,20 @@ def collapsed_circle2_spec() -> dict:
         ),
         # an InputError, not numpy's LinAlgError from the partner search
         (collapsed_circle2_spec(), "overlap 0 matrix is singular"),
+        # the gauge check differentiates across each region: one node is too few
+        (one_node_overlap_spec(), "overlap 0 region spans one node along axis 0; at least 2 are needed"),
+        # a region between two nodes holds none
+        (
+            one_chart_spec(overlaps=[{**UNKNOWN_PARTNER, "beta": 0, "region": [[0.3, 0.32]]}]),
+            "overlap region contains no grid nodes",
+        ),
     ],
     ids=[
         "no charts", "dim 3", "chart dim", "low resolution", "empty box", "center", "unknown chart",
         "fractional resolution", "fractional center", "string center", "fractional dim",
         "fractional alpha", "boolean beta", "box columns", "resolution length", "center length",
-        "region shape", "matrix shape", "offset length", "singular matrix",
+        "region shape", "matrix shape", "offset length", "singular matrix", "one-node region",
+        "node-free region",
     ],
 )
 def test_invalid_manifold_spec_rejected(spec, match):
@@ -537,6 +560,19 @@ def test_region_slices_of_the_fixture_overlaps_match_their_digest():
     slices = overlap_slices()
     assert len(slices) == 66
     assert hashlib.sha256(repr(slices).encode()).hexdigest() == OVERLAP_SLICES_DIGEST
+
+
+@pytest.mark.parametrize("layout", ["C-ordered floats", "an int view with the values moved last"])
+def test_chart_grids_hand_out_owned_c_ordered_read_only_float_copies(layout):
+    m = fx.manifold("circle2")
+    if layout == "C-ordered floats":
+        grids = [np.zeros(chart.resolution + (3,)) for chart in m.charts]
+    else:
+        grids = [np.moveaxis(np.zeros((3,) + chart.resolution, dtype=int), 0, -1) for chart in m.charts]
+    out = manifolds.chart_grids(m, grids, (3,), "fiber field")
+    for grid, given in zip(out, grids):
+        assert grid.dtype == float and grid.flags.c_contiguous and grid.flags.owndata
+        assert not grid.flags.writeable and not np.shares_memory(grid, given)
 
 
 def test_region_slices_round_inward_and_refuse_a_region_between_nodes():
