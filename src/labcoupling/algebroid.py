@@ -31,6 +31,7 @@ from .connections import ConnectionForm, CurvatureData, covariant_partials
 from .errors import InputError
 from .manifolds import (
     HarmonicField,
+    _integer,
     chart_grids,
     directional,
     grid_partials,
@@ -50,10 +51,6 @@ class AlgebroidSection:
 
     u: tuple
     x: tuple
-
-    @classmethod
-    def of(cls, u, x) -> "AlgebroidSection":
-        return cls(tuple(np.asarray(g, dtype=float) for g in u), tuple(np.asarray(g, dtype=float) for g in x))
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,7 @@ def _section_fields(c: ConnectionForm, rng: np.random.Generator) -> tuple:
 
 
 def random_section(c: ConnectionForm, rng: np.random.Generator) -> AlgebroidSection:
-    return AlgebroidSection.of(*(f.sample(c.manifold) for f in _section_fields(c, rng)))
+    return AlgebroidSection(*(tuple(f.sample(c.manifold)) for f in _section_fields(c, rng)))
 
 
 def _trial_maxima(*fields: list) -> np.ndarray:
@@ -159,9 +156,6 @@ def _residuals(c: ConnectionForm, curv: CurvatureData, forms: list, roles: list)
     def br(a: _Section, b: _Section) -> tuple:
         return _bracket(c, curv, forms, a, b)
 
-    def of(pair: tuple) -> _Section:
-        return _section(c, *pair)
-
     b12 = br(s1, s2)
     skew = _trial_maxima(*_sum(b12, br(s2, s1)))
 
@@ -176,10 +170,10 @@ def _residuals(c: ConnectionForm, curv: CurvatureData, forms: list, roles: list)
     )
     del lhs, anchored
 
-    total = br(s1, of(br(s2, s3)))
-    total = _sum(total, br(s3, of(b12)))
+    total = br(s1, _section(c, *br(s2, s3)))
+    total = _sum(total, br(s3, _section(c, *b12)))
     del b12
-    total = _sum(total, br(s2, of(br(s3, s1))))
+    total = _sum(total, br(s2, _section(c, *br(s3, s1))))
     return skew, leibniz, _trial_maxima(*total)
 
 
@@ -194,8 +188,10 @@ def axiom_report(
     in passes of two on the batch axis of the kernel (an odd last trial runs
     alone), with the same per-node arithmetic as one trial at a time.
     Fewer than one trial would probe nothing and read as all-zero residuals,
-    so it is an InputError, as is a negative seed.
+    so it is an InputError, as are a negative seed and a count or seed that
+    is not an integer (a bool included).
     """
+    trials, seed = _integer(trials, "trials"), _integer(seed, "seed")
     if trials < 1:
         raise InputError(f"trials must be at least 1, got {trials}")
     if seed < 0:

@@ -20,13 +20,7 @@ import numpy as np
 from .algebra import LieAlgebra, _inverses, ad, derivation_residuals, inner_projection
 from .bundles import Trivialization, pullback_lab, _same_base, _worst_node
 from .errors import InputError
-from .manifolds import (
-    ManifoldMap,
-    chart_grids,
-    grid_derivative,
-    grid_partials,
-    overlap_pair,
-)
+from .manifolds import ManifoldMap, _field_grids, chart_grids, grid_derivative, overlap_pair
 from .tolerances import ACC_TOL, ALG_TOL, GAUGE_TOL, peak
 
 
@@ -76,27 +70,20 @@ def covariant_partials(c: ConnectionForm, u: list) -> list:
     """Per chart, the covariant partials (nabla_0 u, ..., nabla_{dim-1} u),
     nabla_i u = d_i u + w_i u, of a fiber field whose components lead and
     whose grid axes trail: u[cid] has shape (n, *batch, *resolution), and so
-    has each partial.  (w_i u)_k sums w_kj u_j in the order of j."""
+    has each partial, with the batch axes of u[0].  (w_i u)_k sums w_kj u_j
+    in the order of j.  A non-finite entry is an InputError."""
     m = c.manifold
     n = c.algebra.dim
-    if len(u) != len(m.charts):
-        raise InputError(f"fiber field: {len(u)} grids for {len(m.charts)} charts")
-    uu = tuple(np.asarray(grid, dtype=float) for grid in u)
-    for cid, (grid, chart) in enumerate(zip(uu, m.charts)):
-        if grid.shape[:1] != (n,) or grid.shape[grid.ndim - m.dim :] != chart.resolution:
-            raise InputError(
-                f"fiber field grid {cid} has shape {grid.shape}, expected ({n}, *batch) + {chart.resolution}"
-            )
     out = []
-    for grid, w, partials in zip(uu, c.omega_leading, grid_partials(m, uu)):
+    for chart, grid, w in zip(m.charts, _field_grids(m, u, (n,), "fiber field", values_first=True), c.omega_leading):
         # w_i as (n, n, 1 per batch axis, *resolution): one product per j for all k
         w = w.reshape(w.shape[:3] + (1,) * (grid.ndim - 1 - m.dim) + w.shape[3:])
         chart_out = []
-        for i, d in enumerate(partials):
+        for i in range(m.dim):
             acc = w[i, :, 0] * grid[0]
             for j in range(1, n):
                 acc += w[i, :, j] * grid[j]
-            chart_out.append(np.add(d, acc, out=acc))
+            chart_out.append(np.add(grid_derivative(chart, grid, i - m.dim), acc, out=acc))
         out.append(tuple(chart_out))
     return out
 

@@ -232,26 +232,46 @@ def _validate_triples(m: ChartedManifold) -> None:
 
 
 # --- fields ------------------------------------------------------------------
-# Fields are plain per-chart lists of numpy arrays whose leading axes match the
-# chart resolutions; trailing axes carry the value shape (scalar: none,
-# fiber vector: (n,), tangent vector: (dim,), frame: (n, n)).  chart_grids
-# holds that contract for every entry point that takes such a field.
+# Fields are plain per-chart lists of numpy arrays, one grid per chart.  Values
+# last, the grid axes lead and the trailing axes carry the value shape
+# (scalar: none, fiber vector: (n,), tangent vector: (dim,), frame: (n, n));
+# values first, as the stencil kernels take them, the value and batch axes
+# lead and the grid axes trail.  _field_grids holds that contract for both
+# layouts and every entry point that takes such a field.
 
-def chart_grids(m: ChartedManifold, grids, value_shape: tuple, what: str) -> tuple:
-    """The per-chart field as owned, C-contiguous, read-only float copies, one
-    per chart, each of shape chart.resolution + value_shape.  Any other count
-    or shape is an InputError, and so, once every shape holds, is a non-finite
-    entry; a later write to the caller's arrays cannot reach the copies."""
+def _field_grids(m: ChartedManifold, grids, value_shape: tuple, what: str, values_first: bool = False) -> tuple:
+    """The per-chart contract: one grid per chart, then every grid's shape,
+    then, once every shape holds, every entry finite; anything else is an
+    InputError.  Values last, grid cid must be chart.resolution + value_shape
+    and comes back as an owned, C-contiguous float copy.  Values first, it
+    must be value_shape + batch + chart.resolution, with the batch axes of
+    grid 0, and comes back as np.asarray gives it."""
     if len(grids) != len(m.charts):
         raise InputError(f"{what}: {len(grids)} grids for {len(m.charts)} charts")
-    out = tuple(np.array(grid, dtype=float, order="C") for grid in grids)
-    for cid, (arr, chart) in enumerate(zip(out, m.charts)):
-        expected = chart.resolution + value_shape
-        if arr.shape != expected:
-            raise InputError(f"{what} grid {cid} has shape {arr.shape}, expected {expected}")
+    if values_first:
+        out = tuple(np.asarray(grid, dtype=float) for grid in grids)
+        first = out[0].shape
+        batch = first[len(value_shape) : max(len(first) - m.dim, 0)]
+        expected = [value_shape + batch + chart.resolution for chart in m.charts]
+    else:
+        out = tuple(np.array(grid, dtype=float, order="C") for grid in grids)
+        expected = [chart.resolution + value_shape for chart in m.charts]
+    for cid, (arr, shape) in enumerate(zip(out, expected)):
+        if arr.shape != shape:
+            raise InputError(f"{what} grid {cid} has shape {arr.shape}, expected {shape}")
     for cid, arr in enumerate(out):
         if not np.isfinite(arr).all():
             raise InputError(f"{what} grid {cid} has non-finite entries")
+    return out
+
+
+def chart_grids(m: ChartedManifold, grids, value_shape: tuple, what: str) -> tuple:
+    """The per-chart field as owned, C-contiguous, read-only float copies, one
+    per chart, each of shape chart.resolution + value_shape, under the
+    _field_grids contract; a later write to the caller's arrays cannot reach
+    the copies."""
+    out = _field_grids(m, grids, value_shape, what)
+    for arr in out:
         arr.flags.writeable = False
     return out
 
@@ -285,20 +305,13 @@ def grid_derivative(chart: Chart, values: np.ndarray, axis: int) -> np.ndarray:
 
 def grid_partials(m: ChartedManifold, field: list) -> list:
     """Per chart, the grid partials (d_0 F, ..., d_{dim-1} F) of a per-chart
-    field whose trailing axes are the chart resolution (values lead); any
-    other grid is an InputError, since the stencil would use the wrong
-    spacing."""
-    if len(field) != len(m.charts):
-        raise InputError(f"field: {len(field)} grids for {len(m.charts)} charts")
-    out = []
-    for cid, chart in enumerate(m.charts):
-        values = np.asarray(field[cid], dtype=float)
-        if values.shape[values.ndim - m.dim :] != chart.resolution:
-            raise InputError(
-                f"field grid {cid} has shape {values.shape}, not on the chart resolution {chart.resolution}"
-            )
-        out.append(tuple(grid_derivative(chart, values, i - m.dim) for i in range(m.dim)))
-    return out
+    field whose trailing axes are the chart resolution (values lead, as
+    grid 0 has them); any other grid is an InputError, since the stencil
+    would use the wrong spacing, and so is a non-finite entry."""
+    return [
+        tuple(grid_derivative(chart, values, i - m.dim) for i in range(m.dim))
+        for chart, values in zip(m.charts, _field_grids(m, field, (), "field", values_first=True))
+    ]
 
 
 def directional(x: np.ndarray, partials: tuple) -> np.ndarray:

@@ -35,7 +35,7 @@ def flat_disk_connection():
 def constant_section(m, u_vec, x_vec):
     u = [np.broadcast_to(np.asarray(u_vec, float), c.resolution + (len(u_vec),)).copy() for c in m.charts]
     x = [np.broadcast_to(np.asarray(x_vec, float), c.resolution + (len(x_vec),)).copy() for c in m.charts]
-    return AlgebroidSection.of(u, x)
+    return AlgebroidSection(tuple(u), tuple(x))
 
 
 # --- the value-last reference ----------------------------------------------------
@@ -107,7 +107,7 @@ def reference_axiom_report(c, curv, trials, seed):
 
     def section():
         u = sample((c.algebra.dim,))
-        return AlgebroidSection.of(u, sample((m.dim,), constant_scale=0.5))
+        return AlgebroidSection(tuple(u), tuple(sample((m.dim,), constant_scale=0.5)))
 
     def norm(s):
         return max(np.abs(g).max() for g in s.u + s.x)
@@ -170,11 +170,11 @@ def test_mixed_section_reduces_to_covariant_derivative():
     m = c.manifold
     rng = np.random.default_rng(3)
     v = random_harmonic_field(rng, 2, (3,), amplitude=0.01).sample(m)
-    s1 = AlgebroidSection.of(
-        [np.zeros(m.charts[0].resolution + (3,))],
-        [np.broadcast_to([1.0, 0.0], m.charts[0].resolution + (2,)).copy()],
+    s1 = AlgebroidSection(
+        (np.zeros(m.charts[0].resolution + (3,)),),
+        (np.broadcast_to([1.0, 0.0], m.charts[0].resolution + (2,)).copy(),),
     )
-    s2 = AlgebroidSection.of(v, [np.zeros(m.charts[0].resolution + (2,))])
+    s2 = AlgebroidSection(tuple(v), (np.zeros(m.charts[0].resolution + (2,)),))
     out = algebroid_bracket(c, curv, s1, s2)
     expected = along(s1.x[0], value_last_partials(c, s2)[1][0])
     assert np.abs(out.u[0] - expected).max() <= 1e-12
@@ -306,8 +306,8 @@ def test_flat_bracket_directional_term():
     pts = m.charts[0].grid_points()[..., 0]
     v = np.zeros(m.charts[0].resolution + (3,))
     v[..., 0] = pts
-    s1 = AlgebroidSection.of([np.zeros_like(v)], [np.ones(m.charts[0].resolution + (1,))])
-    s2 = AlgebroidSection.of([v], [np.zeros(m.charts[0].resolution + (1,))])
+    s1 = AlgebroidSection((np.zeros_like(v),), (np.ones(m.charts[0].resolution + (1,)),))
+    s2 = AlgebroidSection((v,), (np.zeros(m.charts[0].resolution + (1,)),))
     out = algebroid_bracket(c, accordance(c).curvature, s1, s2)
     expected = np.zeros_like(v)
     expected[..., 0] = 1.0
@@ -366,7 +366,7 @@ def per_call_axiom_report(c, curv, trials, seed):
 
     def section():
         u = field((c.algebra.dim,))
-        return AlgebroidSection.of(u, field((m.dim,), constant_scale=0.5))
+        return AlgebroidSection(tuple(u), tuple(field((m.dim,), constant_scale=0.5)))
 
     def br(a, b):
         return AlgebroidSection(*map(tuple, two_order_bracket(c, curv, a, b)))

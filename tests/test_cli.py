@@ -8,7 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labcoupling import cli, fileio, fixtures as fx
+from labcoupling.algebroid import axiom_report
 from labcoupling.bundles import reference_trivialization
+from labcoupling.connections import accordance
+from labcoupling.errors import InputError
 
 REPORT_KEYS = {"command", "passed", "inconclusive", "residuals", "artifacts", "seed"}
 
@@ -346,6 +349,20 @@ def test_axioms_rejects_no_trials_and_a_negative_seed(capsys, flag, value):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert f"error: {flag[2:]} must be" in captured.err
+
+
+@pytest.mark.parametrize("name,value", [("trials", True), ("trials", 2.5), ("seed", 1.5), ("seed", False)])
+def test_axiom_report_refuses_a_count_or_seed_that_is_not_an_integer(name, value):
+    c = fx.connection("circle2_so3_twisted")
+    with pytest.raises(InputError, match=rf"^{name} must be an integer, got {value!r}$"):
+        axiom_report(c, accordance(c).curvature, **{name: value})
+
+
+def test_axiom_report_takes_an_integral_float_as_its_integer():
+    c = fx.connection("circle2_so3_twisted")
+    curv = accordance(c).curvature
+    rep = axiom_report(c, curv, trials=1.0, seed=3.0)
+    assert type(rep.trials) is int and rep == axiom_report(c, curv, trials=1, seed=3)
 
 
 # --- non-finite and malformed input ------------------------------------------

@@ -24,6 +24,7 @@ from labcoupling.manifolds import (
     HarmonicField,
     directional,
     grid_derivative,
+    grid_partials,
     identity_map,
     overlap_pair,
     random_harmonic_field,
@@ -156,14 +157,22 @@ def _bracket_with(c, s):
     return algebroid_bracket(c, curv, _section(_fiber(c), _tangent(c)), s)
 
 
-# entry point -> (a valid per-chart field for it, the call with that field)
+# entry point -> (its field's name in errors, a valid per-chart field for it
+# in the values-last layout, the call with that field); the stencil kernels
+# take the field with its values first
 ENTRY_POINTS = {
-    "Trivialization": (lambda c: list(c.bundle.frames), lambda c, f: Trivialization(c.algebra, c.manifold, f)),
-    "ConnectionForm": (lambda c: list(c.omega), lambda c, f: ConnectionForm(c.bundle, f)),
-    "covariant_partials": (_fiber, lambda c, f: covariant_partials(c, leading(f))),
-    "algebroid_bracket u": (_fiber, lambda c, f: _bracket_with(c, _section(f, _tangent(c)))),
-    "algebroid_bracket X": (_tangent, lambda c, f: _bracket_with(c, _section(_fiber(c), f))),
+    "Trivialization": (
+        "frame", lambda c: list(c.bundle.frames), lambda c, f: Trivialization(c.algebra, c.manifold, f),
+    ),
+    "ConnectionForm": ("omega", lambda c: list(c.omega), lambda c, f: ConnectionForm(c.bundle, f)),
+    "grid_partials": ("field", _tangent, lambda c, f: grid_partials(c.manifold, leading(f))),
+    "covariant_partials": ("fiber field", _fiber, lambda c, f: covariant_partials(c, leading(f))),
+    "algebroid_bracket u": ("fiber field", _fiber, lambda c, f: _bracket_with(c, _section(f, _tangent(c)))),
+    "algebroid_bracket X": (
+        "section tangent part", _tangent, lambda c, f: _bracket_with(c, _section(_fiber(c), f)),
+    ),
     "shift_by_inner": (
+        "shift field",
         lambda c: [np.zeros(chart.resolution + (1, 3)) for chart in c.manifold.charts],
         shift_by_inner,
     ),
@@ -181,7 +190,7 @@ MALFORMED = {
 @pytest.mark.parametrize("defect", MALFORMED)
 def test_every_entry_point_refuses_a_malformed_per_chart_field(entry, defect):
     c = fx.connection("circle2_so3_twisted")  # two charts
-    valid, call = ENTRY_POINTS[entry]
+    _, valid, call = ENTRY_POINTS[entry]
     call(c, valid(c))  # the well-formed field is accepted
     with pytest.raises(InputError, match=r"grids for 2 charts|grid 1 has shape .*, expected"):
         call(c, MALFORMED[defect](valid(c)))
@@ -194,32 +203,34 @@ def _with_nan(grid):
     return bad
 
 
-# entry point whose field goes through manifolds.chart_grids -> its field's name
-CHART_GRIDS_ENTRIES = {
-    "Trivialization": "frame",
-    "ConnectionForm": "omega",
-    "algebroid_bracket u": "fiber field",
-    "algebroid_bracket X": "section tangent part",
-    "shift_by_inner": "shift field",
-}
-
-
-@pytest.mark.parametrize("entry", CHART_GRIDS_ENTRIES)
+# every entry point checks its field by chart_grids' rule, in either layout
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_every_chart_grids_entry_point_refuses_a_non_finite_field(entry):
     c = fx.connection("circle2_so3_twisted")
-    valid, call = ENTRY_POINTS[entry]
-    with pytest.raises(InputError, match=rf"^{CHART_GRIDS_ENTRIES[entry]} grid 1 has non-finite entries$"):
+    what, valid, call = ENTRY_POINTS[entry]
+    with pytest.raises(InputError, match=rf"^{what} grid 1 has non-finite entries$"):
         call(c, [valid(c)[0], _with_nan(valid(c)[1])])
 
 
-@pytest.mark.parametrize("entry", CHART_GRIDS_ENTRIES)
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_every_shape_is_checked_before_any_finiteness(entry):
     # a NaN in grid 0 and a short grid 1: the shape error comes first
     c = fx.connection("circle2_so3_twisted")
-    valid, call = ENTRY_POINTS[entry]
+    _, valid, call = ENTRY_POINTS[entry]
     f = valid(c)
     with pytest.raises(InputError, match=r"grid 1 has shape .*, expected"):
         call(c, [_with_nan(f[0]), f[1][:-1]])
+
+
+def test_the_stencil_kernels_take_the_batch_axes_of_grid_0():
+    c = fx.connection("circle2_so3_twisted")
+    m = c.manifold
+    u = [np.zeros((3, 2) + chart.resolution) for chart in m.charts]
+    assert [p[0].shape for p in covariant_partials(c, u)] == [g.shape for g in u]
+    u[1] = u[1][:, :1]
+    for call, what in ((covariant_partials, "fiber field"), (lambda c, f: grid_partials(c.manifold, f), "field")):
+        with pytest.raises(InputError, match=rf"^{what} grid 1 has shape \(3, 1, \d+\), expected \(3, 2, \d+\)$"):
+            call(c, u)
 
 
 def test_connection_form_keeps_a_read_only_copy_so_cached_reports_stay_valid():
