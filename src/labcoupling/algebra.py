@@ -334,9 +334,10 @@ def principal_logs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ok = dist < 0.25  # far rows are judged below
     far = np.flatnonzero(~ok & np.isfinite(mats).all(axis=(-2, -1)))  # non-finite: no log
     on_axis = dist[far] >= _SCREEN_FREE  # only these rows can have an eigenvalue there
-    eig = np.linalg.eigvals(mats[far[on_axis]])
-    on_axis[on_axis] = np.any((eig.real <= ALG_TOL) & (np.abs(eig.imag) <= ALG_TOL), axis=-1)
-    far = far[~on_axis]
+    if on_axis.any():
+        eig = np.linalg.eigvals(mats[far[on_axis]])
+        on_axis[on_axis] = np.any((eig.real <= ALG_TOL) & (np.abs(eig.imag) <= ALG_TOL), axis=-1)
+        far = far[~on_axis]
     roots = np.where(ok[:, None, None], mats, eye)  # rows without a real log: I
     roots[far] = mats[far]
     k = np.zeros(len(mats))
@@ -347,9 +348,10 @@ def principal_logs(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = out[np.linalg.norm(roots[out] - eye, axis=(-2, -1)) >= 0.25]
     acc = _mercator(roots - eye)
     logs = 2.0 ** k[:, None, None] * acc
-    with np.errstate(all="ignore"):  # an overflowing or NaN row fails the check
-        miss = np.linalg.norm(_exp_by_squaring(acc[far], k[far]) - mats[far], axis=(-2, -1))
-        ok[far] = miss <= 100 * ALG_TOL * (1.0 + np.linalg.norm(mats[far], axis=(-2, -1)))
+    if far.size:
+        with np.errstate(all="ignore"):  # an overflowing or NaN row fails the check
+            miss = np.linalg.norm(_exp_by_squaring(acc[far], k[far]) - mats[far], axis=(-2, -1))
+            ok[far] = miss <= 100 * ALG_TOL * (1.0 + np.linalg.norm(mats[far], axis=(-2, -1)))
     logs[~ok] = 0.0
     return logs, ok
 

@@ -4,11 +4,19 @@ References inside files (a bundle's algebra, a connection's bundle) may be a
 fixture name, a path to another JSON file, or an inline object.  A file that
 cannot be read or written (a directory, a missing parent, no permission) is
 an InputError, as is a malformed one.
+
+Files are read with orjson, imported at the first file read, and written by
+``save_json`` with the stdlib ``json`` module.  A file must be UTF-8 (no byte
+order mark), strict JSON and nested at most 1000 levels deep: the
+``NaN``/``Infinity`` tokens, a number outside double range (``1e400``) and a
+deeper text are refused at parse.  Floats decode bitwise as ``json`` decodes
+them.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +27,14 @@ from .bundles import Trivialization
 from .connections import ConnectionForm
 from .errors import InputError
 from .manifolds import ChartedManifold, _integer, build_manifold
+
+# orjson's parser recurses on the C stack and crashes the process past about
+# 1.5e5 nesting levels on an 8 MB stack.  No valid file nests more than about
+# 70 (numpy arrays stop at 64 dimensions), so a deeper text is refused unparsed.
+_MAX_DEPTH = 1000
+# a JSON string, or an unterminated one to the end: every quote matches, so no backtracking
+_STRING = re.compile(rb'"[^"\\]*(?:\\.[^"\\]*)*(?:"|\\?\Z)', re.DOTALL)
+_NOT_BRACKET = bytes(sorted(set(range(256)) - set(b"[]{}")))
 
 
 def _load(ref, cls, kind: str, fixture, make):
@@ -35,9 +51,16 @@ def _load(ref, cls, kind: str, fixture, make):
         p = Path(ref)
         if not (p.suffix == ".json" or p.exists()):
             return fixture(str(ref))
+        import orjson  # deferred: the CLI imports this module, and only file references parse JSON
+
         try:
-            data = json.loads(p.read_text())
-        except (OSError, ValueError) as exc:  # ValueError: undecodable or not JSON
+            raw = p.read_bytes()
+            # the brackets outside strings: "[" and "{" have bit 1 set, "]" and "}" do not
+            brackets = np.frombuffer(_STRING.sub(b"", raw).translate(None, _NOT_BRACKET), dtype=np.int8)
+            if np.cumsum((brackets & 2) - 1).max(initial=0) > _MAX_DEPTH:
+                raise ValueError(f"nested deeper than {_MAX_DEPTH} levels")
+            data = orjson.loads(raw)
+        except (OSError, ValueError) as exc:  # ValueError: too deep, not UTF-8 or not strict JSON
             raise InputError(f"cannot read {kind} file {ref}: {exc}") from exc
         if not isinstance(data, dict):
             raise InputError(f"{kind} file {ref} does not hold a JSON object")

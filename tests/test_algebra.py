@@ -1089,6 +1089,34 @@ def test_principal_logs_screen_decides_as_screening_every_far_row():
     assert not ok[5:10].any() and ok[10:].all()
 
 
+def test_principal_logs_without_a_far_row_skip_the_screen_and_the_guard(monkeypatch):
+    # rows inside the series radius, I and a NaN row: none is far
+    rng = np.random.default_rng(67)
+    near = np.concatenate([
+        so3_rotations(0.17, 4, rng),
+        np.eye(3) + rng.normal(scale=1e-3, size=(2, 3, 3)),
+        np.stack([np.eye(3), np.full((3, 3), np.nan)]),
+    ])
+    nan_row = len(near) - 1
+    assert (np.linalg.norm(near[:nan_row] - np.eye(3), axis=(1, 2)) < 0.25).all()
+    mixed = np.concatenate([near, so3_rotations(3.1, 4, rng), np.stack([m for m, _ in SPECIAL_ROWS.values()])])
+    logs, ok = principal_logs(mixed)
+    ref_logs, ref_ok = principal_logs_scipy_guard(np.delete(mixed, nan_row, axis=0))  # its screen refuses NaN
+    assert np.delete(logs, nan_row, axis=0).tobytes() == ref_logs.tobytes()
+    assert np.delete(ok, nan_row).tolist() == ref_ok.tolist()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("far-row machinery called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refuse)
+    monkeypatch.setattr(algebra, "_exp_by_squaring", refuse)
+    near_logs, near_ok = principal_logs(near)
+    assert near_ok.tolist() == [True] * nan_row + [False]
+    assert near_logs.tobytes() == logs[: len(near)].tobytes() and near_ok.tolist() == ok[: len(near)].tolist()
+    with pytest.raises(AssertionError, match="far-row"):  # the mixed stack does reach both
+        principal_logs(mixed)
+
+
 def test_principal_logs_guard_does_not_call_scipy_expm(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scipy.linalg.expm called")
