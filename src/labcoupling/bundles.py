@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import LieAlgebra, _dets, _inverses, automorphism_residuals, inner_verdicts
 from .errors import InputError
-from .manifolds import ChartedManifold, ManifoldMap, _overlap_triples, chart_grids, overlap_pair, region_slices
+from .manifolds import ChartedManifold, ManifoldMap, _overlap_triples, chart_grids, overlap_pair, overlap_plan
 from .tolerances import ALG_TOL, INNER_TOL, TRANS_TOL, peak
 
 # nothing here calls is_inner or interpolate; the names stay bound for perfbench, whose self-test reads them
@@ -137,17 +137,13 @@ def _worst_node(located: list) -> str:
 
 def _cocycle_residual(t: Trivialization) -> float:
     """Largest cocycle defect on triple overlaps alpha -> beta -> gamma, at the
-    alpha nodes of the first overlap that the other two cover: each leg is a
-    transition read at those points or at their images."""
+    alpha nodes of the first overlap that the other two cover, as its plan
+    holds them: each leg is a transition read at those points or at their
+    images."""
     m = t.manifold
-
-    def nodes(o) -> np.ndarray:
-        chart = m.charts[o.alpha]
-        return chart.grid_points()[region_slices(chart, o.region)]
-
     return peak(*(
         np.abs(t.transition_grid(k2, mid) @ t.transition_grid(k1, pts) - t.transition_grid(k3, pts))
-        for (k1, k2, k3), pts, mid in _overlap_triples(m, nodes)
+        for (k1, k2, k3), pts, mid in _overlap_triples(m, lambda o: overlap_plan(m, o).nodes)
     ))
 
 

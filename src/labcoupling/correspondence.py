@@ -34,8 +34,8 @@ from .errors import ComputationError, InputError, PreconditionError
 from .manifolds import (
     PartitionOfUnity,
     grid_derivative,
-    interpolate,
     overlap_nodes,
+    overlap_pair,
     partition_of_unity,
 )
 from .tolerances import (
@@ -236,7 +236,7 @@ def g_map(
         for o in m.overlaps_from(cid):
             slices, images = overlap_nodes(m, o)
             h_other = h.evaluate(o.beta, images)
-            p_other = interpolate(m.charts[o.beta], gauge_forms[o.beta], images)
+            p_other = overlap_pair(m, o, gauge_forms)[1]
             pulled = np.einsum("ji,...jab->...iab", o.matrix, p_other)
             w[slices] += h_other[..., None, None, None] * pulled
         omega.append(w)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,14 +21,23 @@ from .tolerances import ALG_TOL, peak
 MIN_RESOLUTION = 9
 
 
+def _owned(value, ndmin: int) -> np.ndarray:
+    """An array field of a chart or an overlap as an owned, read-only float
+    copy with at least ndmin axes: a later write to the caller's array cannot
+    reach it, and a write to it raises ValueError."""
+    arr = np.array(value, dtype=float, ndmin=ndmin)
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Chart:
-    box: np.ndarray         # (dim, 2) rows (lo, hi)
+    box: np.ndarray         # (dim, 2) rows (lo, hi), owned and read-only
     resolution: tuple       # nodes per axis, each >= MIN_RESOLUTION
     center: tuple           # grid index of the chart's central point
 
     def __post_init__(self):
-        box = np.atleast_2d(np.asarray(self.box, dtype=float))
+        box = _owned(self.box, 2)
         if not np.isfinite(box).all():
             raise InputError("chart box has non-finite entries")
         object.__setattr__(self, "box", box)
@@ -73,14 +83,14 @@ class Overlap:
     beta: int
     region: np.ndarray      # (dim, 2) sub-box in alpha coordinates
     matrix: np.ndarray      # affine map x_beta = matrix @ x_alpha + offset
-    offset: np.ndarray
+    offset: np.ndarray      # region, matrix and offset are owned and read-only
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", _integer(self.alpha, "alpha"))
         object.__setattr__(self, "beta", _integer(self.beta, "beta"))
-        object.__setattr__(self, "region", np.atleast_2d(np.asarray(self.region, dtype=float)))
-        object.__setattr__(self, "matrix", np.atleast_2d(np.asarray(self.matrix, dtype=float)))
-        object.__setattr__(self, "offset", np.atleast_1d(np.asarray(self.offset, dtype=float)))
+        object.__setattr__(self, "region", _owned(self.region, 2))
+        object.__setattr__(self, "matrix", _owned(self.matrix, 2))
+        object.__setattr__(self, "offset", _owned(self.offset, 1))
         if not all(np.isfinite(a).all() for a in (self.region, self.matrix, self.offset)):
             raise InputError("overlap has non-finite entries")
 
@@ -103,6 +113,34 @@ class ChartedManifold:
 
     def overlaps_from(self, alpha: int):
         return [o for o in self.overlaps if o.alpha == alpha]
+
+    @cached_property
+    def overlap_plans(self) -> tuple:
+        """One OverlapPlan per overlap, in overlap order, built at the first
+        read that needs one and shared by every later read on this cover."""
+        plans, grids = [], [chart.grid_points() for chart in self.charts]
+        for o in self.overlaps:
+            slices = region_slices(self.charts[o.alpha], o.region)
+            nodes = grids[o.alpha][slices]
+            images = o.apply(nodes)
+            operator = interpolation_operator(self.charts[o.beta], images)
+            for arr in (nodes, images, operator.data, operator.indices, operator.indptr):
+                arr.flags.writeable = False
+            plans.append(OverlapPlan(slices, nodes, images, operator))
+        return tuple(plans)
+
+
+@dataclass(frozen=True)
+class OverlapPlan:
+    """What every read across one overlap shares: the grid slices of its
+    region in the alpha chart, those alpha nodes and their images in beta
+    coordinates, (*region nodes, dim) each, and the CSR operator that
+    interpolates a beta grid at the images; arrays read-only."""
+
+    slices: tuple
+    nodes: np.ndarray
+    images: np.ndarray
+    operator: object  # scipy.sparse.csr_array, one row per image in row-major order
 
 
 def build_manifold(spec: dict, name: str = "") -> ChartedManifold:
@@ -345,16 +383,15 @@ def region_slices(chart: Chart, region: np.ndarray) -> tuple:
     return tuple(slice(a, b) for a, b in zip(lo.tolist(), (hi + 1).tolist()))
 
 
-def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation of a gridded field at arbitrary chart points.
+def interpolation_operator(chart: Chart, points: np.ndarray):
+    """The sparse gather-and-weight operator of multilinear interpolation at
+    chart points (..., dim), for ``apply_interpolation``.  Points may sit on
+    the box boundary; anything outside raises InputError.
 
-    values has shape (*resolution, *value_shape); points (..., dim).  Points
-    may sit on the box boundary; anything outside raises InputError.
-
-    One sparse gather-and-weight operator: row p of a CSR matrix holds the
+    Row p of the CSR matrix, p in row-major order of the points, holds the
     2^dim corner weights of point p at the flat indices of its cell's
     corners, in itertools.product((0, 1), ...) order.  CSR row accumulation
-    adds the corner terms in that order onto a zero, so the result is
+    adds the corner terms in that order onto a zero, so applying it is
     bit-identical to summing ``weight * values[corner]`` corner by corner.
 
     Each axis takes its cell index and its (1 - frac, frac) pair from its
@@ -362,14 +399,10 @@ def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndar
     ``flat * res[a] + cell``; each corner's weight is then
     ``1.0 * f_0 * f_1 ...`` in axis order.
     """
-    values = np.asarray(values, dtype=float)
-    res = chart.resolution
-    if values.shape[: chart.dim] != res:
-        raise InputError(f"value grid {values.shape} does not match the chart resolution {res}")
     points = np.asarray(points, dtype=float)
     if not chart.contains(points):
         raise InputError("interpolation point outside the chart box")
-    lead = points.shape[:-1]
+    res = chart.resolution
     coords = points.reshape(-1, chart.dim).T
 
     flat, pairs = 0, []
@@ -393,30 +426,55 @@ def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndar
     rows = np.arange(0, weights.size + 1, len(corners))
     import scipy.sparse  # deferred: the CLI imports this module, and only cross-chart reads interpolate
 
-    operator = scipy.sparse.csr_array(
-        (weights.ravel(), columns.ravel(), rows), shape=(len(weights), math.prod(res))
-    )
+    return scipy.sparse.csr_array((weights.ravel(), columns.ravel(), rows), shape=(len(weights), math.prod(res)))
+
+
+def apply_interpolation(chart: Chart, operator, values: np.ndarray, lead: tuple) -> np.ndarray:
+    """A gridded field (*resolution, *value_shape) of the chart read at the
+    points of one of its interpolation operators: shape lead +
+    value_shape, where lead is the points' shape without the last axis."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[: chart.dim] != chart.resolution:
+        raise InputError(f"value grid {values.shape} does not match the chart resolution {chart.resolution}")
     out = operator @ values.reshape(operator.shape[1], -1)
     return out.reshape(lead + values.shape[chart.dim:])
 
 
+def interpolate(chart: Chart, values: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation of a gridded field (*resolution,
+    *value_shape) at arbitrary chart points (..., dim): the operator of
+    ``interpolation_operator`` at the points, built for this read, and
+    applied to the values by ``apply_interpolation``."""
+    points = np.asarray(points, dtype=float)
+    return apply_interpolation(chart, interpolation_operator(chart, points), values, points.shape[:-1])
+
+
+def overlap_plan(m: ChartedManifold, o: Overlap) -> OverlapPlan:
+    """The entry of ``m.overlap_plans`` for o, which must be one of m.overlaps
+    (the same object); an overlap of another cover is an InputError."""
+    for k, p in enumerate(m.overlaps):
+        if p is o:
+            return m.overlap_plans[k]
+    raise InputError(f"overlap {o.alpha}->{o.beta} is not one of the manifold's overlaps")
+
+
 def overlap_nodes(m: ChartedManifold, o: Overlap) -> tuple:
     """Grid slices of the overlap region in the alpha chart, and the images
-    of those alpha nodes in beta coordinates."""
-    chart = m.charts[o.alpha]
-    slices = region_slices(chart, o.region)
-    return slices, o.apply(chart.grid_points()[slices])
+    of those alpha nodes in beta coordinates, read-only, from the plan."""
+    plan = overlap_plan(m, o)
+    return plan.slices, plan.images
 
 
 def overlap_pair(m: ChartedManifold, o: Overlap, field, points=None) -> tuple:
     """A per-chart gridded field on the overlap's alpha side and the same
     field in the beta chart at the images: with no points, the alpha nodes
-    of the overlap region, read off the grid; with alpha points (..., dim),
-    the field interpolated at those points and at their images."""
+    of the overlap region, read off the grid, and the beta grid through the
+    overlap's planned operator; with alpha points (..., dim), the field
+    interpolated at those points and at their images."""
     alpha, beta = (np.asarray(field[cid], dtype=float) for cid in (o.alpha, o.beta))
     if points is None:
-        slices, images = overlap_nodes(m, o)
-        return alpha[slices], interpolate(m.charts[o.beta], beta, images)
+        plan = overlap_plan(m, o)
+        return alpha[plan.slices], apply_interpolation(m.charts[o.beta], plan.operator, beta, plan.images.shape[:-1])
     return interpolate(m.charts[o.alpha], alpha, points), interpolate(m.charts[o.beta], beta, o.apply(points))
 
 

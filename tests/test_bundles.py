@@ -142,6 +142,21 @@ def test_validate_lab_builds_each_transition_grid_once(monkeypatch):
     assert sorted(built) == list(range(len(m.overlaps)))
 
 
+def test_planned_transition_grids_match_a_direct_interpolation():
+    # the overlap plan's operator is the one interpolate builds at the images,
+    # so every transition grid keeps its bits
+    for name in fx.BUNDLE_NAMES:
+        t = fx.bundle(name)
+        m = t.manifold
+        for k, o in enumerate(m.overlaps):
+            chart = m.charts[o.alpha]
+            slices = region_slices(chart, o.region)
+            f_beta = interpolate(m.charts[o.beta], t.frames[o.beta], o.apply(chart.grid_points()[slices]))
+            direct = f_beta @ _inverses(t.frames[o.alpha][slices])
+            assert t.transition_grid(k).shape == direct.shape
+            assert t.transition_grid(k).tobytes() == direct.tobytes(), (name, k)
+
+
 def test_frame_products_at_the_overlap_nodes_match_the_node_grids():
     # the points path interpolates both frames; at the alpha nodes it reads
     # what the node path reads off the grid

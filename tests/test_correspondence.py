@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from labcoupling import correspondence, fileio, fixtures as fx
+from labcoupling import correspondence, fileio, fixtures as fx, manifolds
 from labcoupling.algebra import ad, automorphism_residuals, unit_vector
 from labcoupling.bundles import (
     DeltaReport,
@@ -46,6 +46,7 @@ from labcoupling.manifolds import (
     constant_map,
     grid_derivative,
     interpolate,
+    overlap_pair,
     partition_of_unity,
     random_harmonic_field,
     region_slices,
@@ -537,7 +538,8 @@ def test_f_map_solves_one_edge_batch_per_chart_axis(monkeypatch, name, steps):
         solves.append((a0.shape[-1], steps))
         return rk4(a0, d, steps)
 
-    monkeypatch.setattr(correspondence, "interpolate", counted_interpolation)
+    # correspondence binds no interpolate: every read at points resolves it in manifolds
+    monkeypatch.setattr(manifolds, "interpolate", counted_interpolation)
     monkeypatch.setattr(correspondence, "_rk4", counted_solve)
     f_map(c, ode_steps=steps)
     charts = c.manifold.charts
@@ -737,6 +739,48 @@ def _defining_sum(t, h, u):
             rhs[slices] += np.einsum("ji,...ja->...ia", o.matrix, other)
         out.append(rhs)
     return out
+
+
+def test_g_map_pulls_each_overlap_bitwise_as_a_direct_interpolation(monkeypatch):
+    t = fx.bundle("cyl2_so3_twisted")
+    m = t.manifold
+    pulls = []
+
+    def recorded(m, o, field, points=None):
+        pair = overlap_pair(m, o, field, points)
+        pulls.append((o, field, pair[1]))
+        return pair
+
+    monkeypatch.setattr(correspondence, "overlap_pair", recorded)
+    g_map(t, partition_of_unity(m), check=False)
+    assert [o for o, _, _ in pulls] == [o for cid in range(len(m.charts)) for o in m.overlaps_from(cid)]
+    for o, field, pulled in pulls:
+        chart = m.charts[o.alpha]
+        images = o.apply(chart.grid_points()[region_slices(chart, o.region)])
+        direct = interpolate(m.charts[o.beta], field[o.beta], images)
+        assert pulled.shape == direct.shape and pulled.tobytes() == direct.tobytes()
+
+
+def test_verify_inverse_builds_one_interpolation_operator_per_overlap(monkeypatch):
+    # a connection read back from its file layout, as the CLI reads one: a
+    # new cover, whose overlap plan the round trip builds and then shares
+    rng = np.random.default_rng(5)
+    c0 = fx.connection("cyl2_so3_twisted")
+    l = random_harmonic_field(rng, 2, (2, 3), amplitude=0.02).sample(c0.manifold)
+    c = fileio.load_connection(fileio.connection_to_dict(shift_by_inner(c0, l)))
+    built = []
+    operator = manifolds.interpolation_operator
+
+    def counted(chart, points):
+        built.append(np.shape(points))
+        return operator(chart, points)
+
+    monkeypatch.setattr(manifolds, "interpolation_operator", counted)
+    assert verify_inverse(c=c).passed
+    assert len(built) == len(c.manifold.overlaps) == 4
+    built.clear()
+    assert verify_inverse(c=c).passed
+    assert built == []
 
 
 def test_g_map_operator_agrees_with_defining_sum_single_chart():

@@ -1,8 +1,10 @@
 """Charted-manifold tests: atlas validation, partitions of unity, overlap
 node slices, finite-difference calculus, vector-field brackets, interpolation."""
 
+import dataclasses
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -14,11 +16,14 @@ from labcoupling.errors import CoverageError, InputError
 from labcoupling.manifolds import (
     Chart,
     HarmonicField,
+    Overlap,
     build_manifold,
     grid_derivative,
     grid_partials,
     interpolate,
     lie_bracket_partials,
+    overlap_nodes,
+    overlap_pair,
     partition_of_unity,
     partition_sum_residual,
     random_harmonic_field,
@@ -688,6 +693,61 @@ def test_interpolation_outside_box_rejected():
     chart = m.charts[0]
     with pytest.raises(InputError):
         interpolate(chart, chart.grid_points()[..., 0], np.array([[1.2]]))
+
+
+def test_chart_and_overlap_keep_their_own_copies():
+    box, region, matrix, offset = np.array([[0.0, 1.0]]), np.array([[0.5, 1.0]]), np.eye(1), np.zeros(1)
+    chart, o = Chart(box, (9,), (4,)), Overlap(0, 1, region, matrix, offset)
+    for source in (box, region, matrix, offset):
+        source[...] = 7.0
+    assert chart.box.tolist() == [[0.0, 1.0]]
+    assert (o.region.tolist(), o.matrix.tolist(), o.offset.tolist()) == ([[0.5, 1.0]], [[1.0]], [0.0])
+
+
+def test_a_built_manifold_refuses_writes_to_its_arrays():
+    m = fx.manifold("cyl2", 1)
+    before = [region_slices(m.charts[o.alpha], o.region) for o in m.overlaps]
+    arrays = [chart.box for chart in m.charts] + [a for o in m.overlaps for a in (o.region, o.matrix, o.offset)]
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(0,) * arr.ndim] = 0.55
+    assert [region_slices(m.charts[o.alpha], o.region) for o in m.overlaps] == before
+
+
+def test_overlap_plans_read_off_each_overlap_and_are_read_only():
+    m = fx.manifold("cyl2", 1)
+    assert len(m.overlap_plans) == len(m.overlaps) == 4
+    for o, plan in zip(m.overlaps, m.overlap_plans):
+        chart = m.charts[o.alpha]
+        slices = region_slices(chart, o.region)
+        nodes = chart.grid_points()[slices]
+        assert plan.slices == slices and overlap_nodes(m, o)[0] == slices
+        assert plan.nodes.tobytes() == nodes.tobytes()
+        assert plan.images.tobytes() == o.apply(nodes).tobytes()
+        assert overlap_nodes(m, o)[1] is plan.images
+        assert plan.operator.shape == (math.prod(plan.images.shape[:-1]), math.prod(m.charts[o.beta].resolution))
+        for arr in (plan.nodes, plan.images, plan.operator.data, plan.operator.indices, plan.operator.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[(0,) * arr.ndim] = 0.55
+    assert m.overlap_plans is m.overlap_plans  # built once per manifold
+
+
+def test_overlap_readers_refuse_an_overlap_of_another_cover():
+    m, other = fx.manifold("cyl2", 1), fx.manifold("cyl2", 1)
+    field = [np.zeros(chart.resolution) for chart in m.charts]
+    for foreign in (other.overlaps[0], dataclasses.replace(m.overlaps[0])):
+        with pytest.raises(InputError, match="not one of the manifold's overlaps"):
+            overlap_nodes(m, foreign)
+        with pytest.raises(InputError, match="not one of the manifold's overlaps"):
+            overlap_pair(m, foreign, field)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_overlap_pair_rejects_a_value_grid_of_the_wrong_shape(delta):
+    m = fx.manifold("cyl2", 1)
+    field = [np.zeros((r[0], r[1] + delta)) for r in (chart.resolution for chart in m.charts)]
+    with pytest.raises(InputError, match="does not match the chart resolution"):
+        overlap_pair(m, m.overlaps[0], field)
 
 
 def reference_contains(chart, points) -> bool:
